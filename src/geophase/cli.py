@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``compute``: run the requested phase methods on a motion and emit a
-  report (text, json, or csv).
+* ``compute``: run ``total_rotation`` on a motion and emit its result as
+  a report (text, json, or csv).
 * ``trace``: emit the sampled regularized curve as CSV (plot-ready).
 * ``foucault``: pendulum drift for a waypoint track file or a stationary
   latitude.
@@ -27,10 +27,7 @@ import numpy as np
 from .errors import GeophaseError, MethodDisagreement
 from .motion import (GALLERY_NAMES, MotionPath, Radii, build_path,
                      example_gallery, topology_report)
-from .phases import (METHOD_NAMES, Tolerances, dynamical_phase,
-                     extrapolated_region_report, geometric_phase_area,
-                     geometric_phase_baumkuchen, geometric_phase_curvature,
-                     geometric_phase_line, _method_tolerance)
+from .phases import METHOD_NAMES, Tolerances, total_rotation
 from .regions import MC_SAMPLES, default_seed
 from .sphere import DEFAULT_EPSILON, regularize
 
@@ -89,7 +86,8 @@ def _load_motion(args) -> tuple[MotionPath, str]:
         desc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.motion}: invalid JSON: {exc}") from exc
-    desc.setdefault("radii", {"a": radii.a, "b": radii.b})
+    if isinstance(desc, dict):
+        desc.setdefault("radii", {"a": radii.a, "b": radii.b})
     return build_path(desc), f"file {args.motion}"
 
 
@@ -101,121 +99,67 @@ class _IOFailure(Exception):
 # compute
 
 
-def _method_values(path, args, seed):
-    """Run each requested method, catching per-method failures."""
-    from .gauge import berry_holonomy, monopole_holonomy
-    from .rolling import simulate_rolling
+def _route_record(result, name: str) -> dict:
+    if name in result.errors:
+        exc = result.errors[name]
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {"value": result.delta_g_by_method[name]}
 
-    delta_d = dynamical_phase(path)
-    runners = {
-        "line": lambda: geometric_phase_line(path, tol=args.tol),
-        "baumkuchen": lambda: geometric_phase_baumkuchen(path, args.samples).mid,
-        "area": lambda: geometric_phase_area(
-            path, eps=args.epsilon, area_method=args.area_method,
-            samples=args.mc_samples, seed=seed),
-        "curvature": lambda: geometric_phase_curvature(path, eps=args.epsilon),
-        "monopole": lambda: monopole_holonomy(path, eps=args.epsilon),
-        "berry": lambda: berry_holonomy(path, eps=args.epsilon),
-        "oracle": lambda: simulate_rolling(path, steps=args.steps).delta_oracle - delta_d,
+
+def _report(result, path: MotionPath, label: str, args, methods, seed) -> dict:
+    rr = result.region
+    region = None if rr is None else {
+        "simple": rr.simple, "I_plus": rr.I_plus, "I_minus": rr.I_minus,
+        "A_plus": rr.A_plus, "A_minus": rr.A_minus,
+        "area_method": rr.area_method}
+    return {
+        "input": {
+            "source": label,
+            "radii": {"a": path.radii.a, "b": path.radii.b},
+            "epsilon": args.epsilon,
+            "beta0": args.beta0,
+            "methods": list(methods),
+            "seed": int(seed),
+            "tolerances": asdict(Tolerances()),
+            "segments": len(path.theta.segments),
+        },
+        "n": result.n,
+        "closed": topology_report(path).closed,
+        "delta_d": result.delta_d,
+        "delta_g": {name: _route_record(result, name) for name in METHOD_NAMES
+                    if name in result.delta_g_by_method or name in result.errors},
+        "delta_total": result.delta_total,
+        "region": region,
+        "discrepancies": list(result.discrepancies),
+        "max_discrepancy": result.max_discrepancy,
+        "warnings": list(result.warnings),
     }
-    records = {}
-    for name in args.methods:
-        try:
-            records[name] = {"value": float(runners[name]())}
-        except (GeophaseError, ValueError, ArithmeticError) as exc:
-            records[name] = {"error": type(exc).__name__, "message": str(exc)}
-    return delta_d, records
-
-
-def _discrepancy_table(records, tolerances, area_method):
-    ok_values = {m: r["value"] for m, r in records.items() if "value" in r}
-    names = [m for m in METHOD_NAMES if m in ok_values]
-    table = []
-    worst = None
-    for i, m1 in enumerate(names):
-        for m2 in names[i + 1:]:
-            diff = abs(ok_values[m1] - ok_values[m2])
-            tol = max(_method_tolerance(m1, tolerances, area_method),
-                      _method_tolerance(m2, tolerances, area_method))
-            table.append({"first": m1, "second": m2,
-                          "difference": diff, "tolerance": tol,
-                          "ok": diff <= tol})
-            if worst is None or diff > worst:
-                worst = diff
-    return table, worst
 
 
 def run_compute(args) -> int:
+    disagreement = None
     try:
         path, label = _load_motion(args)
-        args.methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-        unknown = [m for m in args.methods if m not in METHOD_NAMES]
-        if unknown or not args.methods:
-            raise ValueError(f"unknown methods {unknown}; choose from {METHOD_NAMES}")
+        methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+        if not methods:
+            raise ValueError(f"--methods names no method; choose from {METHOD_NAMES}")
+        seed = args.seed if args.seed is not None else default_seed()
+        result = total_rotation(
+            path, methods, eps=args.epsilon, area_method=args.area_method,
+            baumkuchen_n=args.samples, oracle_steps=args.steps,
+            mc_samples=args.mc_samples, seed=seed)
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MethodDisagreement as exc:
+        result, disagreement = exc.result, exc
     except (GeophaseError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    seed = args.seed if args.seed is not None else default_seed()
-    tolerances = Tolerances()
-    report = topology_report(path)
-    delta_d, records = _method_values(path, args, seed)
-
-    region = None
-    if any(m in records and "value" in records[m] for m in ("area", "curvature")):
-        try:
-            rr = extrapolated_region_report(
-                path, eps=args.epsilon, area_method=args.area_method,
-                samples=args.mc_samples, seed=seed)
-            region = {"simple": rr.simple, "I_plus": rr.I_plus,
-                      "I_minus": rr.I_minus, "A_plus": rr.A_plus,
-                      "A_minus": rr.A_minus, "area_method": rr.area_method}
-        except GeophaseError:
-            region = None
-
-    table, worst = _discrepancy_table(records, tolerances, args.area_method)
-    warnings = [f"{row['first']}/{row['second']} differ by "
-                f"{row['difference']:.3e} (tolerance {row['tolerance']:.1e})"
-                for row in table if not row["ok"]]
-
-    if "line" in records and "value" in records["line"]:
-        reference = records["line"]["value"]
-    else:
-        reference = next((r["value"] for r in records.values() if "value" in r), None)
-    delta_total = None if reference is None else delta_d + reference
-
-    doc = {
-        "input": {
-            "source": label,
-            "radii": {"a": _parse_radii(args.radii).a,
-                      "b": _parse_radii(args.radii).b},
-            "epsilon": args.epsilon,
-            "beta0": args.beta0,
-            "methods": list(args.methods),
-            "seed": int(seed),
-            "tolerances": asdict(tolerances),
-            "segments": len(path.theta.segments),
-        },
-        "n": report.n,
-        "closed": report.closed,
-        "delta_d": delta_d,
-        "delta_g": records,
-        "delta_total": delta_total,
-        "region": region,
-        "discrepancies": table,
-        "max_discrepancy": worst,
-        "warnings": warnings,
-    }
-    _emit_report(doc, args.format)
-
-    blown = [row for row in table if row["difference"] > 10.0 * row["tolerance"]]
-    if blown:
-        row = max(blown, key=lambda r: r["difference"])
-        print(f"error: MethodDisagreement: {row['first']} vs {row['second']} "
-              f"differ by {row['difference']:.3e}", file=sys.stderr)
+    _emit_report(_report(result, path, label, args, methods, seed), args.format)
+    if disagreement is not None:
+        print(f"error: MethodDisagreement: {disagreement}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     return EXIT_OK
 
@@ -228,14 +172,12 @@ def _emit_report(doc, fmt: str):
         lines = ["quantity,method,value,error"]
         lines.append(f"n,,{doc['n']},")
         lines.append(f"delta_d,,{_fmt(doc['delta_d'])},")
-        for name in doc["input"]["methods"]:
-            rec = doc["delta_g"][name]
+        for name, rec in doc["delta_g"].items():
             if "value" in rec:
                 lines.append(f"delta_g,{name},{_fmt(rec['value'])},")
             else:
                 lines.append(f"delta_g,{name},,{rec['error']}")
-        total = "" if doc["delta_total"] is None else _fmt(doc["delta_total"])
-        lines.append(f"delta_total,,{total},")
+        lines.append(f"delta_total,,{_fmt(doc['delta_total'])},")
         if doc["region"] is not None:
             for key in ("I_plus", "I_minus", "A_plus", "A_minus"):
                 val = doc["region"][key]
@@ -249,15 +191,13 @@ def _emit_report(doc, fmt: str):
           f"b={_fmt(inp['radii']['b'])}   epsilon={_fmt(inp['epsilon'])}")
     print(f"windings n: {doc['n']}   closed: {'yes' if doc['closed'] else 'no'}")
     print(f"delta_d     {_fmt(doc['delta_d'])}")
-    width = max(len(m) for m in inp["methods"])
-    for name in inp["methods"]:
-        rec = doc["delta_g"][name]
+    width = max(len(m) for m in doc["delta_g"])
+    for name, rec in doc["delta_g"].items():
         if "value" in rec:
             print(f"delta_g     {name:<{width}}  {_fmt(rec['value'])}")
         else:
             print(f"delta_g     {name:<{width}}  failed: {rec['error']}: {rec['message']}")
-    if doc["delta_total"] is not None:
-        print(f"delta_total {_fmt(doc['delta_total'])}")
+    print(f"delta_total {_fmt(doc['delta_total'])}")
     if doc["region"] is not None:
         r = doc["region"]
         print(f"region: I+={r['I_plus']} I-={r['I_minus']} "
@@ -369,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of " + ",".join(METHOD_NAMES))
     c.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="pole clamp parameter (default pi/16)")
-    c.add_argument("--tol", type=float, default=1e-10,
-                   help="line-integral tolerance")
     c.add_argument("--steps", type=int, default=100_000,
                    help="oracle integration steps")
     c.add_argument("--samples", type=int, default=1_000_000,
@@ -410,9 +348,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MethodDisagreement as exc:
-        print(f"error: MethodDisagreement: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
     except BrokenPipeError:
         return EXIT_IO
 

@@ -65,7 +65,8 @@ class PoleOnCurve(GeophaseError):
 
 
 class DegenerateArc(GeophaseError):
-    """Classification arc stayed tangential after all perturbation retries."""
+    """Pole classification stayed degenerate after all retries: no certified
+    left-side seed point, or every classification arc grazed the curve."""
 
 
 class WindingInconsistent(GeophaseError):
@@ -79,7 +80,14 @@ class QuadratureFailure(GeophaseError):
 
 
 class MethodDisagreement(GeophaseError):
-    """Independent phase methods differ beyond 10x the reconciliation tolerance."""
+    """Independent phase methods differ beyond 10x the reconciliation tolerance.
+
+    ``result`` holds the finished PhaseResult, discrepancy table included.
+    """
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 # --- gauge channels ---

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import (CurveNotClosed, EmptyTrack, LatitudeOutOfRange,
                      NonMonotoneTime, ParseError)
-from .motion import MotionPath, topology_report
+from .motion import TWO_PI, MotionPath, topology_report
 from .phases import geometric_phase_line
 
-TWO_PI = 2.0 * pi
 _TRACK_HEADER = ("t_days", "lon_deg", "lat_deg")
 
 

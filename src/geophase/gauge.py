@@ -16,14 +16,12 @@ from math import pi
 
 import numpy as np
 
-from .errors import (AtSingularPole, CurveNotClosed, GaugeInconsistency,
-                     OnSingularAxis)
-from .motion import MotionPath, topology_report
+from .errors import AtSingularPole, GaugeInconsistency, OnSingularAxis
+from .motion import TWO_PI, MotionPath
 from .quadrature import adaptive_simpson
 from .sphere import DEFAULT_EPSILON, cached_regularize, clamped_affine_pieces
-from .phases import eps_extrapolate
+from .phases import closed_topology, eps_limit
 
-TWO_PI = 2.0 * pi
 AXIS_CLEARANCE = 1e-9
 _QUAD_TOL = 1e-11
 
@@ -83,13 +81,6 @@ def curl_check(patch: GaugePatch, x, h: float) -> np.ndarray:
                      jac[0, 1] - jac[1, 0]])
 
 
-def _closed_topology(path: MotionPath):
-    report = topology_report(path)
-    if not report.closed:
-        raise CurveNotClosed("holonomy needs a closed motion")
-    return report
-
-
 def _patch_circulation(path: MotionPath, eps: float, sign: int) -> float:
     """Line integral of A_sign along the clamped curve, piece by piece.
 
@@ -124,7 +115,7 @@ def patch_circulation(path: MotionPath, patch: GaugePatch,
     Exposed so callers can probe the raw single-patch integrals, e.g. to
     check that the two patches differ by exactly 4 pi n.
     """
-    _closed_topology(path)
+    closed_topology(path)
     return _patch_circulation(path, eps, patch.sign)
 
 
@@ -137,11 +128,9 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     (GaugeInconsistency otherwise). Returns the averaged form, carried to
     the eps -> 0 limit unless extrapolate is False.
     """
-    report = _closed_topology(path)
-    shift = TWO_PI * report.n
-    eps_levels = (eps, eps / 2.0) if extrapolate else (eps,)
-    values = []
-    for e in eps_levels:
+    shift = TWO_PI * closed_topology(path).n
+
+    def at(e):
         circ_plus = _patch_circulation(path, e, +1)
         circ_minus = _patch_circulation(path, e, -1)
         forms = (0.5 * (circ_plus + circ_minus),
@@ -151,10 +140,9 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
         if spread > tol:
             raise GaugeInconsistency(
                 f"monopole holonomy forms spread {spread:.3e} at eps={e:.4f}")
-        values.append(forms[0])
-    if extrapolate:
-        return eps_extrapolate(eps, values[0], values[1])
-    return values[0]
+        return forms[0]
+
+    return eps_limit(at, eps, extrapolate)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +241,9 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     and the single-gauge forms 2 gamma_plus - 2 pi n, 2 gamma_minus + 2 pi n
     must agree within tol.
     """
-    report = _closed_topology(path)
-    shift = TWO_PI * report.n
-    eps_levels = (eps, eps / 2.0) if extrapolate else (eps,)
-    values = []
-    for e in eps_levels:
+    shift = TWO_PI * closed_topology(path).n
+
+    def at(e):
         curve = cached_regularize(path, e)
         gamma_plus = _overlap_phase_sum(curve.theta, curve.beta_eps, +1)
         gamma_minus = _overlap_phase_sum(curve.theta, curve.beta_eps, -1)
@@ -268,7 +254,6 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
         if spread > tol:
             raise GaugeInconsistency(
                 f"transport holonomy forms spread {spread:.3e} at eps={e:.4f}")
-        values.append(forms[0])
-    if extrapolate:
-        return eps_extrapolate(eps, values[0], values[1])
-    return values[0]
+        return forms[0]
+
+    return eps_limit(at, eps, extrapolate)

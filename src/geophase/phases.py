@@ -13,7 +13,9 @@ several independent routes:
 
 Routes that work on the pole-clamped curve support the documented limit
 handling: evaluate at eps and eps/2, then extrapolate linearly in
-(1 - cos eps), which is exact for caps clipped by the clamp circle.
+(1 - cos eps), which is exact for caps clipped by the clamp circle
+(eps_limit). total_rotation is the one place that runs the routes,
+including the monopole, two-level and rigid-body ones, and reconciles them.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from math import cos, pi, sin
 
 import numpy as np
 
-from .errors import CurveNotClosed, MethodDisagreement, WindingInconsistent
-from .motion import MotionPath, topology_report
+from .errors import (CurveNotClosed, GeophaseError, MethodDisagreement,
+                     WindingInconsistent)
+from .motion import TWO_PI, MotionPath, topology_report
 from .sphere import DEFAULT_EPSILON, cached_regularize
 from .regions import (MC_SAMPLES, RegionReport, classify_poles,
                       curvature_integral, region_areas, turning_angle_sum)
-
-TWO_PI = 2.0 * pi
 
 METHOD_NAMES = ("line", "baumkuchen", "area", "curvature",
                 "monopole", "berry", "oracle")
@@ -54,13 +55,25 @@ class BaumkuchenBounds:
 
 @dataclass(frozen=True)
 class PhaseResult:
+    """What total_rotation computed.
+
+    delta_g_by_method maps each route that succeeded to its value, errors
+    maps each route that failed to its GeophaseError. discrepancies has one
+    row per pair of succeeded routes, a dict with first, second, difference,
+    tolerance and ok; max_discrepancy is the largest difference, None when
+    only the line route succeeded. region is None when neither area nor
+    curvature succeeded or the region report could not be built.
+    """
+
     delta_d: float
     delta_g_by_method: dict
     delta_total: float
-    max_discrepancy: float
+    max_discrepancy: float | None
     region: RegionReport | None
     n: int
     warnings: tuple = field(default=())
+    errors: dict = field(default_factory=dict)
+    discrepancies: tuple = field(default=())
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +87,12 @@ def dynamical_phase(path: MotionPath) -> float:
     return path.radii.a * (th1 - th0) / path.radii.b
 
 
-def geometric_phase_line(path: MotionPath, tol: float = 1e-10) -> float:
+def geometric_phase_line(path: MotionPath) -> float:
     """Integral of cos(beta(t)) theta'(t) dt over the raw motion.
 
     Every supported schedule is piecewise affine, so each piece has the
-    antiderivative theta' sin(beta)/beta' and the sum is exact; the tol
-    argument is kept for schedules that would need adaptive quadrature.
+    antiderivative theta' sin(beta)/beta' and the sum is exact.
     """
-    del tol
     total = 0.0
     for (t0, t1, _th0, dth, b0, db) in path.affine_pieces:
         if dth == 0.0:
@@ -137,32 +148,37 @@ def eps_extrapolate(eps: float, value_full: float, value_half: float) -> float:
     return value_half + (value_half - value_full) * u_half / (u_full - u_half)
 
 
-def _closed_or_raise(path: MotionPath):
+def _eps_levels(eps: float, extrapolate: bool) -> tuple:
+    return (eps, eps / 2.0) if extrapolate else (eps,)
+
+
+def eps_limit(value_at, eps: float, extrapolate: bool = True) -> float:
+    """value_at(eps) carried to the eps -> 0 limit.
+
+    Evaluates value_at at eps and eps/2 and combines the two with
+    eps_extrapolate; with extrapolate False it returns value_at(eps).
+    Every clamped-curve route and the region report go through here.
+    """
+    values = [value_at(e) for e in _eps_levels(eps, extrapolate)]
+    return eps_extrapolate(eps, *values) if extrapolate else values[0]
+
+
+def closed_topology(path: MotionPath):
+    """topology_report of a closed motion; CurveNotClosed otherwise."""
     report = topology_report(path)
     if not report.closed:
-        raise CurveNotClosed("this geometric-phase method needs a closed motion")
+        raise CurveNotClosed("this geometric-phase route needs a closed motion")
     return report
 
 
-def _curves(path: MotionPath, eps: float, extrapolate: bool):
-    if extrapolate:
-        return (cached_regularize(path, eps), cached_regularize(path, eps / 2.0))
-    return (cached_regularize(path, eps),)
-
-
-def _combine(eps: float, values, extrapolate: bool) -> float:
-    if extrapolate:
-        return eps_extrapolate(eps, values[0], values[1])
-    return values[0]
-
-
-def _consistent_classification(curves):
-    """classify_poles on each curve; classifications must agree across eps."""
-    results = [classify_poles(c) for c in curves]
+def _pole_classification(path: MotionPath, eps: float, extrapolate: bool):
+    """classify_poles at each eps level; the levels must classify alike."""
+    results = [classify_poles(cached_regularize(path, e))
+               for e in _eps_levels(eps, extrapolate)]
     if len({(i_p, i_m) for i_p, i_m, _ in results}) != 1:
         raise WindingInconsistent(
             "pole classification changed between eps levels")
-    return results
+    return results[0]
 
 
 def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -175,20 +191,20 @@ def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
     left, -A- with the right-region data, and their symmetrized average) are
     evaluated and must agree to rounding.
     """
-    _closed_or_raise(path)
-    curves = _curves(path, eps, extrapolate)
-    classes = _consistent_classification(curves)
-    values = []
-    for curve, (i_plus, i_minus, _) in zip(curves, classes):
-        a_plus, a_minus = region_areas(curve, area_method,
+    closed_topology(path)
+    i_plus, i_minus, _ = _pole_classification(path, eps, extrapolate)
+
+    def at(e):
+        a_plus, a_minus = region_areas(cached_regularize(path, e), area_method,
                                        samples=samples, seed=seed)
         form_1 = a_plus - TWO_PI * i_plus
         form_2 = -a_minus + TWO_PI * i_minus
         form_3 = 0.5 * (a_plus - a_minus) - pi * (i_plus - i_minus)
         if max(form_1, form_2, form_3) - min(form_1, form_2, form_3) > 1e-9:
             raise WindingInconsistent("area-route forms disagree beyond rounding")
-        values.append(form_1)
-    return _combine(eps, values, extrapolate)
+        return form_1
+
+    return eps_limit(at, eps, extrapolate)
 
 
 def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -199,15 +215,15 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
     subtracting the geodesic-curvature integral and the cusp angles leaves
     the geometric phase.
     """
-    _closed_or_raise(path)
-    curves = _curves(path, eps, extrapolate)
-    classes = _consistent_classification(curves)
-    values = []
-    for curve, (i_plus, i_minus, _) in zip(curves, classes):
-        circulation = -pi * (i_plus - i_minus)
-        values.append(circulation - curvature_integral(curve)
-                      - turning_angle_sum(curve))
-    return _combine(eps, values, extrapolate)
+    closed_topology(path)
+    i_plus, i_minus, _ = _pole_classification(path, eps, extrapolate)
+    circulation = -pi * (i_plus - i_minus)
+
+    def at(e):
+        curve = cached_regularize(path, e)
+        return circulation - curvature_integral(curve) - turning_angle_sum(curve)
+
+    return eps_limit(at, eps, extrapolate)
 
 
 def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -216,13 +232,12 @@ def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
                                samples: int = MC_SAMPLES,
                                seed=None) -> RegionReport:
     """RegionReport with areas carried to the eps -> 0 limit."""
-    _closed_or_raise(path)
-    curves = _curves(path, eps, extrapolate)
-    classes = _consistent_classification(curves)
-    i_plus, i_minus, seed_point = classes[0]
-    a_values = [region_areas(c, area_method, samples=samples, seed=seed)[0]
-                for c in curves]
-    a_plus = _combine(eps, a_values, extrapolate)
+    closed_topology(path)
+    i_plus, i_minus, seed_point = _pole_classification(path, eps, extrapolate)
+    a_plus = eps_limit(
+        lambda e: region_areas(cached_regularize(path, e), area_method,
+                               samples=samples, seed=seed)[0],
+        eps, extrapolate)
     return RegionReport(simple=True, I_plus=i_plus, I_minus=i_minus,
                         A_plus=a_plus, A_minus=4.0 * pi - a_plus,
                         area_method=area_method, seed_point=seed_point)
@@ -240,6 +255,11 @@ def _method_tolerance(name: str, tol: Tolerances, area_method: str) -> float:
     return tol.analytic
 
 
+def _describe(row: dict) -> str:
+    return (f"{row['first']} vs {row['second']} differ by "
+            f"{row['difference']:.3e} (tolerance {row['tolerance']:.1e})")
+
+
 def total_rotation(path: MotionPath, methods=("line", "area"),
                    tolerances: Tolerances | None = None,
                    eps: float = DEFAULT_EPSILON, extrapolate: bool = True,
@@ -249,64 +269,74 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
                    mc_samples: int = MC_SAMPLES, seed=None) -> PhaseResult:
     """Run the requested geometric-phase methods and reconcile them.
 
-    The line integral is always computed and anchors delta_total. The oracle
-    entry in delta_g_by_method is delta_oracle - delta_d, so every entry is
-    directly comparable. Errors from individual methods propagate;
+    The line integral always runs and anchors delta_total. The oracle entry
+    is delta_oracle - delta_d, so every value is directly comparable. A
+    route that raises a GeophaseError is recorded in ``errors`` and left out
+    of the comparison. Every pair of successful routes gets a row in
+    ``discrepancies`` and, beyond its tolerance, a warning.
     MethodDisagreement fires when any pair differs by more than ten times
-    the applicable tolerance.
+    its tolerance; it names the worst such pair and carries the finished
+    PhaseResult as ``exc.result``.
     """
+    from .gauge import berry_holonomy, monopole_holonomy
+    from .rolling import simulate_rolling
+
     tol = tolerances or Tolerances()
-    methods = list(dict.fromkeys(methods))
+    methods = tuple(methods)
     for name in methods:
         if name not in METHOD_NAMES:
             raise ValueError(f"unknown method {name!r}; "
                              f"choose from {', '.join(METHOD_NAMES)}")
     report = topology_report(path)
     delta_d = dynamical_phase(path)
+    runners = {
+        "baumkuchen": lambda: geometric_phase_baumkuchen(path, baumkuchen_n).mid,
+        "area": lambda: geometric_phase_area(
+            path, eps, extrapolate, area_method, samples=mc_samples, seed=seed),
+        "curvature": lambda: geometric_phase_curvature(path, eps, extrapolate),
+        "monopole": lambda: monopole_holonomy(path, eps, extrapolate=extrapolate),
+        "berry": lambda: berry_holonomy(path, eps, extrapolate=extrapolate),
+        "oracle": lambda: (simulate_rolling(path, path.radii, oracle_steps)
+                           .delta_oracle - delta_d),
+    }
 
     values = {"line": geometric_phase_line(path)}
-    if "baumkuchen" in methods:
-        values["baumkuchen"] = geometric_phase_baumkuchen(path, baumkuchen_n).mid
-    if "area" in methods:
-        values["area"] = geometric_phase_area(
-            path, eps, extrapolate, area_method, samples=mc_samples, seed=seed)
-    if "curvature" in methods:
-        values["curvature"] = geometric_phase_curvature(path, eps, extrapolate)
-    if "monopole" in methods:
-        from .gauge import monopole_holonomy
-        values["monopole"] = monopole_holonomy(path, eps, extrapolate=extrapolate)
-    if "berry" in methods:
-        from .gauge import berry_holonomy
-        values["berry"] = berry_holonomy(path, eps, extrapolate=extrapolate)
-    if "oracle" in methods:
-        from .rolling import simulate_rolling
-        trace = simulate_rolling(path, path.radii, oracle_steps)
-        values["oracle"] = trace.delta_oracle - delta_d
+    errors = {}
+    for name, run in runners.items():
+        if name in methods:
+            try:
+                values[name] = float(run())
+            except GeophaseError as exc:
+                errors[name] = exc
 
     region = None
-    if "area" in methods or "curvature" in methods:
-        region = extrapolated_region_report(
-            path, eps, extrapolate, area_method, samples=mc_samples, seed=seed)
+    if "area" in values or "curvature" in values:
+        try:
+            region = extrapolated_region_report(
+                path, eps, extrapolate, area_method, samples=mc_samples,
+                seed=seed)
+        except GeophaseError:
+            pass
 
-    warnings = []
-    max_disc = 0.0
-    names = [m for m in METHOD_NAMES if m in values]
-    for i, m_a in enumerate(names):
-        for m_b in names[i + 1:]:
-            diff = abs(values[m_a] - values[m_b])
-            max_disc = max(max_disc, diff)
-            allowed = max(_method_tolerance(m_a, tol, area_method),
-                          _method_tolerance(m_b, tol, area_method))
-            if diff > 10.0 * allowed:
-                raise MethodDisagreement(
-                    f"{m_a} and {m_b} differ by {diff:.3e} "
-                    f"(allowed {allowed:.1e})")
-            if diff > allowed:
-                warnings.append(f"{m_a} vs {m_b}: discrepancy {diff:.3e} "
-                                f"exceeds {allowed:.1e}")
+    names = list(values)
+    rows = []
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            diff = abs(values[first] - values[second])
+            allowed = max(_method_tolerance(first, tol, area_method),
+                          _method_tolerance(second, tol, area_method))
+            rows.append({"first": first, "second": second, "difference": diff,
+                         "tolerance": allowed, "ok": diff <= allowed})
 
-    ordered = {m: values[m] for m in names}
-    return PhaseResult(delta_d=delta_d, delta_g_by_method=ordered,
-                       delta_total=delta_d + values["line"],
-                       max_discrepancy=max_disc, region=region,
-                       n=report.n, warnings=tuple(warnings))
+    result = PhaseResult(
+        delta_d=delta_d, delta_g_by_method=values,
+        delta_total=delta_d + values["line"],
+        max_discrepancy=max((r["difference"] for r in rows), default=None),
+        region=region, n=report.n,
+        warnings=tuple(_describe(r) for r in rows if not r["ok"]),
+        errors=errors, discrepancies=tuple(rows))
+    blown = [r for r in rows if r["difference"] > 10.0 * r["tolerance"]]
+    if blown:
+        worst = max(blown, key=lambda r: r["difference"])
+        raise MethodDisagreement(_describe(worst), result)
+    return result

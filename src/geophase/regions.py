@@ -17,11 +17,11 @@ from math import pi
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (CurveNotClosed, CurveNotSimple, PoleOnCurve,
-                     WindingInconsistent)
+from .errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
+                     PoleOnCurve, WindingInconsistent)
+from .motion import TWO_PI
 from .sphere import CUSP_ANGLE_TOL, RegularizedCurve
 
-TWO_PI = 2.0 * pi
 SIMPLE_TOL = 1e-9
 MC_SAMPLES = 200_000
 DEFAULT_SEED = 0x5EED
@@ -147,7 +147,7 @@ def _left_seed(curve: RegularizedCurve):
             near = int(np.argmin(dist))
             if dist[near] >= 0.6 * delta and abs(curve.s[near] - curve.s[k]) <= 4.0 * delta:
                 return seed
-    raise RuntimeError("could not certify a left-side seed point")
+    raise DegenerateArc("could not certify a left-side seed point")
 
 
 def _arc_crossings(curve: RegularizedCurve, a, b):
@@ -190,7 +190,7 @@ def _pole_in_left_region(curve: RegularizedCurve, seed, pole) -> bool:
         crossings = _arc_crossings(curve, seed, target)
         if crossings is not None:
             return crossings % 2 == 0
-    raise RuntimeError("pole classification stayed degenerate after retries")
+    raise DegenerateArc("pole classification stayed degenerate after retries")
 
 
 def classify_poles(curve: RegularizedCurve):

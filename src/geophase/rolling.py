@@ -22,10 +22,9 @@ from math import pi
 import numpy as np
 
 from .errors import ClosureMismatch, DriftExceeded, SingularSystem
-from .motion import MotionPath, Radii, topology_report
+from .motion import TWO_PI, MotionPath, Radii, topology_report
 from .sphere import frame_vectors, gauss_vector
 
-TWO_PI = 2.0 * pi
 DRIFT_TOL = 1e-6
 _REORTH_EVERY = 1000
 _MIN_STEPS_PER_SEGMENT = 10

@@ -156,6 +156,58 @@ def test_method_failure_is_reported_not_fatal(tmp_path, capsys):
     assert doc["delta_g"]["area"]["error"] == "CurveNotSimple"
 
 
+def test_report_states_the_radii_the_motion_file_supplies(tmp_path, capsys):
+    desc = {"radii": {"a": 2.0, "b": 1.0},
+            "segments": [
+                {"t0": 0.0, "t1": 1.0,
+                 "theta": {"kind": "affine", "start": 0.0, "slope": 2 * PI},
+                 "beta": {"kind": "const", "value": PI / 2.0}}]}
+    target = tmp_path / "motion.json"
+    target.write_text(json.dumps(desc))
+    code, out, _ = run(capsys, "compute", "--motion", str(target),
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"]["radii"] == {"a": 2.0, "b": 1.0}
+    assert doc["delta_d"] == pytest.approx(4.0 * PI)
+
+
+def test_motion_file_that_is_not_an_object_is_a_validation_error(tmp_path,
+                                                                  capsys):
+    target = tmp_path / "list.json"
+    target.write_text("[1, 2]")
+    code, _, err = run(capsys, "compute", "--motion", str(target))
+    assert code == 2
+    assert "ValueError" in err and "object" in err
+
+
+def test_line_route_always_anchors_the_report(capsys):
+    code, out, _ = run(capsys, "compute", "--example", "vi",
+                       "--methods", "curvature", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"]["methods"] == ["curvature"]
+    assert set(doc["delta_g"]) == {"line", "curvature"}
+    assert doc["delta_total"] == pytest.approx(
+        doc["delta_d"] + doc["delta_g"]["line"]["value"], abs=0.0)
+    assert [(r["first"], r["second"]) for r in doc["discrepancies"]] == [
+        ("line", "curvature")]
+
+
+def test_disagreement_exits_3_after_printing_the_report(capsys):
+    code, out, err = run(capsys, "compute", "--example", "iv",
+                         "--beta0", "1.0471975512", "--methods", "line,area",
+                         "--area-method", "monte_carlo", "--mc-samples", "100",
+                         "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_report_schema())
+    bad = [row for row in doc["discrepancies"] if not row["ok"]]
+    assert [(r["first"], r["second"]) for r in bad] == [("line", "area")]
+    assert bad[0]["difference"] == pytest.approx(0.503, abs=1e-3)
+    assert "MethodDisagreement" in err
+
+
 def test_trace_equator_samples(capsys):
     code, out, _ = run(capsys, "trace", "--example", "ii", "--samples", "8")
     assert code == 0

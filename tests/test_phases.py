@@ -7,6 +7,7 @@ import pytest
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, ScalarPath, Tolerances,
                       concatenate_paths, dynamical_phase, eps_extrapolate,
+                      example_gallery,
                       geometric_phase_area, geometric_phase_baumkuchen,
                       geometric_phase_curvature, geometric_phase_line,
                       reverse_path, total_rotation)
@@ -181,3 +182,47 @@ def test_total_rotation_oracle_entry_is_comparable():
                             oracle_steps=20_000)
     assert result.delta_g_by_method["oracle"] == pytest.approx(
         result.delta_g_by_method["line"], abs=1e-4)
+
+
+def test_disagreement_carries_the_finished_result():
+    # 100 Monte-Carlo samples leave the area route ~0.5 off the line value
+    path = example_gallery("iv", beta0=1.0471975512, radii=Radii(1.0, 1.0))
+    with pytest.raises(MethodDisagreement) as info:
+        total_rotation(path, methods=("line", "area"),
+                       area_method="monte_carlo", mc_samples=100)
+    result = info.value.result
+    (row,) = result.discrepancies
+    assert (row["first"], row["second"], row["ok"]) == ("line", "area", False)
+    assert row["tolerance"] == Tolerances().monte_carlo
+    assert row["difference"] == pytest.approx(0.503, abs=1e-3)
+    assert row["difference"] == abs(result.delta_g_by_method["line"]
+                                    - result.delta_g_by_method["area"])
+    assert result.max_discrepancy == row["difference"]
+    assert result.region is not None
+    assert "line vs area" in str(info.value)
+
+
+def test_route_failures_are_recorded_not_raised():
+    # two laps with a tilt tent cross themselves: the clamped-curve routes
+    # refuse, the line and bounds routes still compare
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, 2 * TWO_PI)])
+    beta = ScalarPath.from_segments([
+        AffineSegment(0.0, 0.5, PI / 2.0, 1.0),
+        AffineSegment(0.5, 1.0, PI / 2.0 + 0.5, -1.0),
+    ])
+    path = MotionPath(theta, beta, Radii(1.0, 1.0))
+    result = total_rotation(path, methods=("baumkuchen", "area", "curvature"),
+                            baumkuchen_n=10**4)
+    assert set(result.delta_g_by_method) == {"line", "baumkuchen"}
+    assert {name: type(exc).__name__ for name, exc in result.errors.items()} == {
+        "area": "CurveNotSimple", "curvature": "CurveNotSimple"}
+    assert result.region is None
+    assert [(r["first"], r["second"]) for r in result.discrepancies] == [
+        ("line", "baumkuchen")]
+
+
+def test_line_only_has_nothing_to_compare():
+    result = total_rotation(gallery("ii"), methods=("line",))
+    assert result.discrepancies == ()
+    assert result.max_discrepancy is None
+    assert result.errors == {}

@@ -8,7 +8,8 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
                       ScalarPath, classify_poles, curvature_integral,
                       default_seed, is_simple, regularize, region_areas,
                       region_report, turning_angle_sum)
-from geophase.errors import CurveNotClosed, CurveNotSimple
+from geophase import regions, total_rotation
+from geophase.errors import CurveNotClosed, CurveNotSimple, DegenerateArc
 from conftest import gallery
 
 PI = math.pi
@@ -132,3 +133,12 @@ def test_default_seed_reads_environment(monkeypatch):
     assert default_seed() == 12345
     monkeypatch.delenv("GEOPHASE_SEED")
     assert default_seed() == base
+
+
+def test_degenerate_classification_raises_degenerate_arc(monkeypatch):
+    monkeypatch.setattr(regions, "_arc_crossings", lambda curve, a, b: None)
+    with pytest.raises(DegenerateArc):
+        classify_poles(regularize(gallery("ii")))
+    result = total_rotation(gallery("ii"), methods=("line", "area"))
+    assert isinstance(result.errors["area"], DegenerateArc)
+    assert set(result.delta_g_by_method) == {"line"}
