@@ -215,6 +215,8 @@ def _emit_report(doc, fmt: str):
 
 def run_trace(args) -> int:
     try:
+        if args.samples is not None and args.samples < 0:
+            raise ValueError(f"--samples must not be negative, got {args.samples}")
         path, _ = _load_motion(args)
         curve = regularize(path, eps=args.epsilon)
     except _IOFailure as exc:

@@ -44,10 +44,14 @@ class RouteTrack:
         object.__setattr__(self, 't_days', t)
         object.__setattr__(self, 'lon', lon)
         object.__setattr__(self, 'lat', lat)
-        if t.size >= 2 and np.any(np.diff(t) <= 0.0):
-            raise NonMonotoneTime("waypoint times must strictly increase")
-        if lat.size and np.max(np.abs(lat)) > pi / 2.0 + 1e-12:
+        # the checks are written so that NaN fails them
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+            raise NonMonotoneTime(
+                "waypoint times must be finite and strictly increase")
+        if not np.all(np.abs(lat) <= pi / 2.0 + 1e-12):
             raise LatitudeOutOfRange("latitudes must lie in [-pi/2, pi/2]")
+        if not np.all(np.isfinite(lon)):
+            raise ValueError("longitudes must be finite")
 
     def __len__(self) -> int:
         return int(self.t_days.size)
@@ -104,9 +108,9 @@ def ingest_track(text: str) -> RouteTrack:
 
     Expected layout: comment lines start with '#', blanks are skipped, the
     first content line must be the header ``t_days,lon_deg,lat_deg``, and
-    every following line holds three numbers. Longitudes are unwrapped so a
-    route crossing the date line accumulates continuously. ParseError
-    reports 1-based line and field positions.
+    every following line holds three finite numbers. Longitudes are
+    unwrapped so a route crossing the date line accumulates continuously.
+    ParseError reports 1-based line and field positions.
     """
     rows = []
     saw_header = False
@@ -128,10 +132,14 @@ def ingest_track(text: str) -> RouteTrack:
         values = []
         for col, field in enumerate(fields, start=1):
             try:
-                values.append(float(field))
+                value = float(field)
             except ValueError:
                 raise ParseError(f"not a number: {field!r}",
                                  line=lineno, column=col) from None
+            if not np.isfinite(value):
+                raise ParseError(f"not a finite number: {field!r}",
+                                 line=lineno, column=col)
+            values.append(value)
         if abs(values[2]) > 90.0:
             raise LatitudeOutOfRange(
                 f"line {lineno}: latitude {values[2]} outside [-90, 90]")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import pi
+from numbers import Real
 
 import numpy as np
 
@@ -281,12 +282,13 @@ class MotionPath:
 
     def __post_init__(self):
         th0 = self.theta.start_value()
-        if abs(th0) > TILE_TOL:
+        if not abs(th0) <= TILE_TOL:
             raise ThetaNonzeroAtStart(f"theta(0) = {th0!r}, expected 0")
         for t0, t1, b0, brate in _affine_pieces_of(self.beta):
-            lo = min(b0, b0 + brate * (t1 - t0))
-            hi = max(b0, b0 + brate * (t1 - t0))
-            if lo < -TILE_TOL or hi > pi + TILE_TOL:
+            ends = (b0, b0 + brate * (t1 - t0))
+            lo, hi = min(ends), max(ends)
+            # written so that a NaN end fails the check
+            if not all(-TILE_TOL <= b <= pi + TILE_TOL for b in ends):
                 raise BetaOutOfRange(
                     f"beta reaches [{lo:.6g}, {hi:.6g}] on [{t0:.6g}, {t1:.6g}], "
                     f"allowed range is [0, pi]")
@@ -366,19 +368,33 @@ def topology_report(path: MotionPath, tol: float = CLOSURE_TOL) -> TopologyRepor
 # construction from a structured description
 
 
+def _finite(value, what: str) -> float:
+    """value as a float; ValueError unless it is a finite real number."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not np.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _finite_list(values, what: str) -> np.ndarray:
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return np.array([_finite(v, f"{what}[{i}]") for i, v in enumerate(values)])
+
+
 def _build_segment(desc: dict, t0: float, t1: float, what: str) -> Segment:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError(f"{what}: expected an object with a 'kind' field")
     kind = desc["kind"]
     try:
         if kind == "const":
-            return ConstantSegment(t0, t1, float(desc["value"]))
+            return ConstantSegment(t0, t1, _finite(desc["value"], f"{what} value"))
         if kind == "affine":
-            return AffineSegment(t0, t1, float(desc["start"]), float(desc["slope"]))
+            return AffineSegment(t0, t1, _finite(desc["start"], f"{what} start"),
+                                 _finite(desc["slope"], f"{what} slope"))
         if kind == "samples":
-            return SampledSegment(t0, t1,
-                                  np.asarray(desc["t"], dtype=float),
-                                  np.asarray(desc["values"], dtype=float))
+            return SampledSegment(t0, t1, _finite_list(desc["t"], f"{what} t"),
+                                  _finite_list(desc["values"], f"{what} values"))
     except KeyError as missing:
         raise ValueError(f"{what}: kind {kind!r} is missing field {missing}") from None
     raise ValueError(f"{what}: unknown segment kind {kind!r}")
@@ -399,12 +415,14 @@ def build_path(desc: dict) -> MotionPath:
     GapOrOverlap, DiscontinuousPath, BetaOutOfRange, ThetaNonzeroAtStart
         When the description violates a path invariant.
     ValueError
-        When the description is structurally malformed.
+        When the description is structurally malformed or a number in it
+        is not a finite real number.
     """
     if not isinstance(desc, dict):
         raise ValueError("motion description must be an object")
     try:
-        radii = Radii(float(desc["radii"]["a"]), float(desc["radii"]["b"]))
+        radii = Radii(_finite(desc["radii"]["a"], "radii a"),
+                      _finite(desc["radii"]["b"], "radii b"))
     except (KeyError, TypeError):
         raise ValueError("motion description needs radii {a, b}") from None
     seg_descs = desc.get("segments")
@@ -414,7 +432,8 @@ def build_path(desc: dict) -> MotionPath:
     theta_segs, beta_segs = [], []
     for i, sd in enumerate(seg_descs):
         try:
-            t0, t1 = float(sd["t0"]), float(sd["t1"])
+            t0 = _finite(sd["t0"], f"segment {i} t0")
+            t1 = _finite(sd["t1"], f"segment {i} t1")
         except (KeyError, TypeError):
             raise ValueError(f"segment {i}: needs numeric t0 and t1") from None
         if not t1 > t0:

@@ -111,23 +111,28 @@ def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
     The uniform N-interval mesh is refined by every schedule breakpoint, so
     theta is monotone and beta affine on each interval. The mid value is the
     left-endpoint Riemann sum; lower/upper replace cos(beta) by its extreme
-    values on each interval, giving certified bounds for any N.
+    values on each interval, giving certified bounds for any N. Each affine
+    piece contributes its own slice of the mesh: its ends plus the uniform
+    nodes strictly inside it.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    mesh = np.unique(np.concatenate([np.linspace(0.0, 1.0, N + 1),
-                                     np.asarray(path.knots)]))
-    theta = path.theta.values(mesh)
-    dtheta = np.diff(theta)
-    # beta is continuous, so plain value queries suffice at mesh points
-    b_left = path.beta.values(mesh[:-1])
-    b_right = path.beta.values(mesh[1:])
-    mid = float(np.cos(b_left) @ dtheta)
-    cos_hi = np.cos(np.minimum(b_left, b_right))
-    cos_lo = np.cos(np.maximum(b_left, b_right))
-    pos = dtheta >= 0.0
-    upper = float(np.sum(np.where(pos, cos_hi, cos_lo) * dtheta))
-    lower = float(np.sum(np.where(pos, cos_lo, cos_hi) * dtheta))
+    uniform = np.linspace(0.0, 1.0, N + 1)
+    lower = mid = upper = 0.0
+    for (t0, t1, th0, dth, b0, db) in path.affine_pieces:
+        inner = uniform[np.searchsorted(uniform, t0, side="right"):
+                        np.searchsorted(uniform, t1, side="left")]
+        dt = np.concatenate([[t0], inner, [t1]]) - t0
+        c = np.cos(b0 + db * dt)
+        dtheta = np.diff(th0 + dth * dt)
+        mid += float(c[:-1] @ dtheta)
+        # beta stays in [0, pi], where cos decreases, so an interval's
+        # extremes of cos(beta) are its endpoint values; dtheta has the
+        # sign of dth throughout the piece
+        hi = float(np.maximum(c[:-1], c[1:]) @ dtheta)
+        lo = float(np.minimum(c[:-1], c[1:]) @ dtheta)
+        upper += max(hi, lo)
+        lower += min(hi, lo)
     return BaumkuchenBounds(N=N, lower=lower, upper=upper, mid=mid)
 
 
@@ -296,7 +301,7 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
         "curvature": lambda: geometric_phase_curvature(path, eps, extrapolate),
         "monopole": lambda: monopole_holonomy(path, eps, extrapolate=extrapolate),
         "berry": lambda: berry_holonomy(path, eps, extrapolate=extrapolate),
-        "oracle": lambda: (simulate_rolling(path, path.radii, oracle_steps)
+        "oracle": lambda: (simulate_rolling(path, oracle_steps)
                            .delta_oracle - delta_d),
     }
 

@@ -311,6 +311,8 @@ def region_areas(curve: RegularizedCurve, method: str = "gauss_bonnet",
         # boundary of the left region, Euler characteristic 1, K = 1
         a_plus = TWO_PI - curvature_integral(curve) - turning_angle_sum(curve)
     elif method == "monte_carlo":
+        if samples < 1:
+            raise ValueError(f"samples must be positive, got {samples}")
         south_face = _monte_carlo_south_face_area(curve, samples, seed)
         a_plus = south_face if _south_in_left(curve) else 4.0 * pi - south_face
     elif method == "cap_formula":

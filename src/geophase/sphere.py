@@ -29,6 +29,7 @@ from .motion import MotionPath, ScalarPath, AffineSegment, ConstantSegment
 
 DEFAULT_EPSILON = pi / 16.0
 MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
+_MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
 _KAPPA_REL_TOL = 1e-7           # target relative error of finite-difference kappa
 _KAPPA_STEP = (12.0 * _KAPPA_REL_TOL) ** 0.5   # step/sin(beta) achieving it
 CUSP_ANGLE_TOL = 1e-8
@@ -293,7 +294,7 @@ def _junction_angle(p_in: ClampedPiece, p_out: ClampedPiece) -> float:
     return alpha
 
 
-def _piece_samples(piece: ClampedPiece, samples_per_segment: int, max_step: float):
+def _piece_samples(piece: ClampedPiece):
     """Sample times for one piece; even step count, density tied to curvature."""
     b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
@@ -301,8 +302,8 @@ def _piece_samples(piece: ClampedPiece, samples_per_segment: int, max_step: floa
     sin_max = 1.0 if b_lo <= pi / 2.0 <= b_hi else max(np.sin(b_lo), np.sin(b_hi))
     speed_max = float(np.hypot(sin_max * piece.dth, piece.db))
     extent = speed_max * (piece.t1 - piece.t0)
-    step = min(max_step, _KAPPA_STEP * sin_min)
-    half = max(2, int(np.ceil(0.5 * extent / step)), (samples_per_segment + 1) // 2)
+    step = min(MAX_SAMPLE_STEP, _KAPPA_STEP * sin_min)
+    half = max(2, int(np.ceil(0.5 * extent / step)), (_MIN_PIECE_SAMPLES + 1) // 2)
     return np.linspace(piece.t0, piece.t1, 2 * half + 1)
 
 
@@ -353,27 +354,22 @@ def _arc_geometry(t_arr, theta_arr, beta_arr, u_arr, v_arr, periodic: bool):
     return g, s, phi, kappa
 
 
-def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON,
-               samples_per_segment: int = 16,
-               max_step: float = MAX_SAMPLE_STEP) -> RegularizedCurve:
+def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
     """Build the sampled pole-avoiding curve of the motion's Gauss vector.
 
     The tilt is clamped to [eps, pi-eps]; intervals where the clamped point
-    does not move collapse to a single shared sample. Adjacent samples subtend
-    well under 1e-2 radians (the default cap is 1e-3, further reduced near the
-    clamp circles where curvature is large). Arc length comes from chord sums
-    with pairwise Richardson correction; phi is unwrapped per smooth arc;
-    kappa_g uses symmetric second differences in s.
+    does not move collapse to a single shared sample. Each smooth piece gets
+    at least 16 samples, and adjacent samples subtend at most
+    MAX_SAMPLE_STEP = 1e-3 radians, less near the clamp circles where
+    curvature is large. Arc length comes from chord sums with pairwise
+    Richardson correction; phi is unwrapped per smooth arc; kappa_g uses
+    symmetric second differences in s.
 
     Parameters
     ----------
     path : MotionPath
     eps : float
         Clamp margin, in (0, pi/8).
-    samples_per_segment : int
-        Minimum sample count per smooth piece (floor for coarse motions).
-    max_step : float
-        Upper bound on the angle between adjacent samples, radians.
     """
     all_pieces = clamped_affine_pieces(path, eps)
     moving = [p for p in all_pieces if p.moving]
@@ -390,7 +386,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON,
 
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
 
-    g_first = gauss_vector(*_start_point(moving[0]))
+    g_first = gauss_vector(moving[0].th0, moving[0].b0)
     g_last = gauss_vector(*moving[-1].end_values())
     closed = bool(np.linalg.norm(g_last - g_first) <= GEOM_CLOSE_TOL)
     wrap_alpha = _junction_angle(moving[-1], moving[0]) if closed else None
@@ -405,79 +401,48 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON,
     single_smooth_loop = closed and len(groups) == 1 and (
         wrap_alpha is not None and abs(wrap_alpha) <= CUSP_ANGLE_TOL)
 
-    t_all, th_all, b_all, g_all = [], [], [], []
-    s_all, phi_all, kap_all = [], [], []
+    arc_columns = []   # per arc: t, theta, beta, g, s, phi, kappa
     arcs = []
     s_off = 0.0
-    piece_last_index = {}   # id(piece) -> global index of its final sample
-    piece_first_index = {}
+    first_index, last_index = [], []   # per moving piece, global sample index
+    n_total = 0
     for group in groups:
-        ts, ths, bs, us, vs = [], [], [], [], []
+        parts = []
+        i0 = n_total
         for k, piece in enumerate(group):
-            tp = _piece_samples(piece, samples_per_segment, max_step)
+            tp = _piece_samples(piece)
             if k > 0:
                 tp = tp[1:]   # the junction sample is shared within the arc
-            th, b = piece.at(tp)
-            u, v = _tangent_components(piece, tp)
-            ts.append(tp); ths.append(th); bs.append(b); us.append(u); vs.append(v)
-        t_arr = np.concatenate(ts)
-        th_arr = np.concatenate(ths)
-        b_arr = np.concatenate(bs)
-        u_arr = np.concatenate(us)
-        v_arr = np.concatenate(vs)
+            first_index.append(n_total - 1 if k > 0 else n_total)
+            n_total += tp.size
+            last_index.append(n_total - 1)
+            parts.append((tp, *piece.at(tp), *_tangent_components(piece, tp)))
+        t_arr, th_arr, b_arr, u_arr, v_arr = (np.concatenate(c) for c in zip(*parts))
         g_arr, s_arr, phi_arr, kap_arr = _arc_geometry(
             t_arr, th_arr, b_arr, u_arr, v_arr, periodic=single_smooth_loop)
-
-        i0 = sum(a.size for a in t_all)
-        arcs.append((i0, i0 + t_arr.size))
-        offset = i0
-        pos = 0
-        for k, piece in enumerate(group):
-            n_k = _piece_samples(piece, samples_per_segment, max_step).size
-            if k == 0:
-                piece_first_index[id(piece)] = offset
-                pos = n_k - 1
-            else:
-                pos += n_k - 1
-            piece_last_index[id(piece)] = offset + pos
-        for k, piece in enumerate(group):
-            if k > 0:
-                piece_first_index[id(piece)] = piece_last_index[id(group[k - 1])]
-
-        t_all.append(t_arr); th_all.append(th_arr); b_all.append(b_arr)
-        g_all.append(g_arr); phi_all.append(phi_arr); kap_all.append(kap_arr)
-        s_all.append(s_arr + s_off)
+        arcs.append((i0, n_total))
+        arc_columns.append((t_arr, th_arr, b_arr, g_arr, s_arr + s_off,
+                            phi_arr, kap_arr))
         s_off += float(s_arr[-1])
 
-    junctions = []
-    for (p_in, p_out), alpha in zip(zip(moving, moving[1:]), inner_alphas):
-        junctions.append(Junction(t=float(p_in.t1), alpha=alpha,
-                                  in_index=piece_last_index[id(p_in)],
-                                  out_index=piece_first_index[id(p_out)]))
+    junctions = [Junction(t=float(p_in.t1), alpha=alpha, in_index=last_index[k],
+                          out_index=first_index[k + 1])
+                 for k, (p_in, alpha) in enumerate(zip(moving, inner_alphas))]
     if closed:
         junctions.append(Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha),
-                                  in_index=piece_last_index[id(moving[-1])],
-                                  out_index=0))
+                                  in_index=last_index[-1], out_index=0))
 
+    t, theta, beta, g, s, phi, kappa = (np.concatenate(c) for c in zip(*arc_columns))
     return RegularizedCurve(
-        epsilon=eps,
-        t=np.concatenate(t_all), s=np.concatenate(s_all),
-        theta=np.concatenate(th_all), beta_eps=np.concatenate(b_all),
-        g=np.vstack(g_all), phi=np.concatenate(phi_all),
-        kappa_g=np.concatenate(kap_all),
-        arcs=tuple(arcs), junctions=tuple(junctions),
+        epsilon=eps, t=t, s=s, theta=theta, beta_eps=beta, g=g, phi=phi,
+        kappa_g=kappa, arcs=tuple(arcs), junctions=tuple(junctions),
         total_length=float(s_off), closed=closed, pieces=tuple(all_pieces))
 
 
-def _start_point(piece: ClampedPiece):
-    return piece.th0, piece.b0
-
-
 @lru_cache(maxsize=8)
-def cached_regularize(path: MotionPath, eps: float,
-                      samples_per_segment: int = 16) -> RegularizedCurve:
+def cached_regularize(path: MotionPath, eps: float) -> RegularizedCurve:
     """Memoized regularize keyed on path identity; shared across phase methods."""
-    return regularize(path, eps, samples_per_segment)
+    return regularize(path, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -264,3 +264,69 @@ def test_foucault_rejects_bad_latitudes(tmp_path, capsys):
     code, _, err = run(capsys, "foucault", "--track", str(target))
     assert code == 2
     assert "LatitudeOutOfRange" in err
+
+
+def _lap_desc(beta_value, slope=repr(2 * PI)):
+    """One lap at constant tilt as JSON text; the numbers are spliced in
+    verbatim so the file can hold JSON's null, NaN and Infinity."""
+    return ('{"radii": {"a": 1.0, "b": 1.0}, "segments": [{"t0": 0.0, "t1": 1.0, '
+            f'"theta": {{"kind": "affine", "start": 0.0, "slope": {slope}}}, '
+            f'"beta": {{"kind": "const", "value": {beta_value}}}}}]}}')
+
+
+@pytest.mark.parametrize("text,field", [
+    (_lap_desc("null"), "beta value"),
+    (_lap_desc("1.0", slope="Infinity"), "theta slope"),
+    (_lap_desc("NaN"), "beta value"),
+])
+def test_non_finite_motion_numbers_exit_2(tmp_path, capsys, text, field):
+    target = tmp_path / "motion.json"
+    target.write_text(text)
+    code, out, err = run(capsys, "compute", "--motion", str(target))
+    assert code == 2
+    assert "ValueError" in err and field in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_nan_beta0_exits_2(capsys):
+    code, out, err = run(capsys, "compute", "--example", "iv", "--beta0", "nan")
+    assert code == 2
+    assert "BetaOutOfRange" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("--lat", "nan"), "LatitudeOutOfRange"),
+    (("--lat", "45", "--days", "nan"), "NonMonotoneTime"),
+])
+def test_foucault_rejects_non_finite_flags(capsys, argv, error):
+    code, out, err = run(capsys, "foucault", *argv)
+    assert code == 2
+    assert error in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("row,column", [("0.5,nan,20", 2), ("0.5,180,nan", 3)])
+def test_foucault_track_with_non_finite_field_exits_2(tmp_path, capsys,
+                                                      row, column):
+    target = tmp_path / "track.csv"
+    target.write_text(f"t_days,lon_deg,lat_deg\n0,0,10\n{row}\n1,360,10\n")
+    code, out, err = run(capsys, "foucault", "--track", str(target))
+    assert code == 2
+    assert "ParseError" in err and f"line 3, column {column}" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_zero_monte_carlo_samples_exit_2(capsys):
+    code, out, err = run(capsys, "compute", "--example", "ii",
+                         "--area-method", "monte_carlo", "--mc-samples", "0")
+    assert code == 2
+    assert "ValueError" in err and "samples" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_negative_trace_samples_exit_2(capsys):
+    code, out, err = run(capsys, "trace", "--example", "v", "--samples", "-3")
+    assert code == 2
+    assert "ValueError" in err and "--samples" in err
+    assert "Traceback" not in err and out == ""

@@ -100,6 +100,19 @@ def test_track_validation():
                                   lat=np.zeros(1)))
 
 
+def test_track_validation_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(NonMonotoneTime):
+        RouteTrack(t_days=np.array([0.0, nan]), lon=np.zeros(2),
+                   lat=np.zeros(2))
+    with pytest.raises(LatitudeOutOfRange):
+        RouteTrack(t_days=np.array([0.0, 1.0]), lon=np.zeros(2),
+                   lat=np.array([0.0, nan]))
+    with pytest.raises(ValueError):
+        RouteTrack(t_days=np.array([0.0, 1.0]), lon=np.array([nan, 0.0]),
+                   lat=np.zeros(2))
+
+
 def test_ingest_parses_comments_blanks_and_unwraps_longitude():
     text = ("# voyage log\n"
             "t_days,lon_deg,lat_deg\n"

@@ -1,6 +1,7 @@
 """Motion-path construction, validation, and the stock gallery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,30 @@ def test_build_path_rejects_unknown_kind():
                           "theta": {"kind": "spline", "start": 0.0},
                           "beta": {"kind": "const", "value": 1.0}}]}
     with pytest.raises(ValueError):
+        build_path(desc)
+
+
+@pytest.mark.parametrize("where,bad,field", [
+    (("radii", "b"), float("inf"), "radii b"),
+    (("segments", 0, "t1"), "1.0", "segment 0 t1"),
+    (("segments", 0, "theta", "slope"), None, "segment 0 theta slope"),
+    (("segments", 0, "beta", "values", 1), float("nan"),
+     "segment 0 beta values[1]"),
+    (("segments", 0, "beta", "values", 1), True, "segment 0 beta values[1]"),
+])
+def test_build_path_accepts_only_finite_real_numbers(where, bad, field):
+    desc = {"radii": {"a": 1.0, "b": 1.0},
+            "segments": [{"t0": 0.0, "t1": 1.0,
+                          "theta": {"kind": "affine", "start": 0.0,
+                                    "slope": TWO_PI},
+                          "beta": {"kind": "samples", "t": [0.0, 0.5, 1.0],
+                                   "values": [1.0, 1.2, 1.0]}}]}
+    build_path(desc)
+    node = desc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = bad
+    with pytest.raises(ValueError, match=re.escape(field)):
         build_path(desc)
 
 

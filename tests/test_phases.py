@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
-                      MotionPath, Radii, ScalarPath, Tolerances,
+                      MotionPath, Radii, SampledSegment, ScalarPath,
+                      Tolerances,
                       concatenate_paths, dynamical_phase, eps_extrapolate,
                       example_gallery,
                       geometric_phase_area, geometric_phase_baumkuchen,
@@ -86,6 +88,41 @@ def test_baumkuchen_brackets_and_converges():
     assert widths[0] / widths[2] > 50.0
     assert geometric_phase_baumkuchen(path, 10**6).mid == pytest.approx(
         exact, abs=1e-6)
+
+
+def merged_mesh_bounds(path, N):
+    """(lower, mid, upper) on np.unique(uniform mesh + knots), read back
+    through ScalarPath.values: the definition the bounds route follows."""
+    mesh = np.unique(np.concatenate([np.linspace(0.0, 1.0, N + 1),
+                                     np.asarray(path.knots)]))
+    dtheta = np.diff(path.theta.values(mesh))
+    b_left = path.beta.values(mesh[:-1])
+    b_right = path.beta.values(mesh[1:])
+    cos_hi = np.cos(np.minimum(b_left, b_right))
+    cos_lo = np.cos(np.maximum(b_left, b_right))
+    pos = dtheta >= 0.0
+    return (float(np.sum(np.where(pos, cos_lo, cos_hi) * dtheta)),
+            float(np.cos(b_left) @ dtheta),
+            float(np.sum(np.where(pos, cos_hi, cos_lo) * dtheta)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 1000])
+def test_baumkuchen_matches_the_merged_mesh_definition(N):
+    # backtracking theta, a sampled tilt, and knots both on the uniform
+    # grid (0.5) and off it (0.123456, 3/7, 0.61, ...)
+    theta = ScalarPath.from_segments([
+        AffineSegment(0.0, 0.3, 0.0, 5.0),
+        SampledSegment(0.3, 1.0, np.array([0.3, 3.0 / 7.0, 0.5, 0.61, 0.83, 1.0]),
+                       np.array([1.5, 0.7, 2.0, 1.1, 3.3, 2.4]))])
+    beta = ScalarPath.from_segments([
+        SampledSegment(0.0, 0.77, np.array([0.0, 0.123456, 0.5, 0.77]),
+                       np.array([0.4, 2.9, 1.2, 2.2])),
+        AffineSegment(0.77, 1.0, 2.2, -4.0)])
+    path = MotionPath(theta, beta, Radii(1.0, 1.0))
+    bounds = geometric_phase_baumkuchen(path, N)
+    got = (bounds.lower, bounds.mid, bounds.upper)
+    np.testing.assert_allclose(got, merged_mesh_bounds(path, N),
+                               rtol=0.0, atol=1e-12)
 
 
 def test_baumkuchen_rejects_empty_mesh():

@@ -121,3 +121,18 @@ def test_open_motions_are_simulated_without_closure_check():
     trace = simulate_rolling(path, steps=4000)
     expected = dynamical_phase(path) + geometric_phase_line(path)
     assert trace.delta_oracle == pytest.approx(expected, abs=1e-5)
+
+
+@pytest.mark.parametrize("name", ["iv", "vi"])
+def test_every_orientation_stays_orthonormal(name):
+    trace = simulate_rolling(gallery(name), steps=100_000)
+    R = trace.orientations
+    gram = np.swapaxes(R, -1, -2) @ R
+    assert float(np.max(np.abs(gram - np.eye(3)))) < 1e-9
+
+
+def test_equator_lap_with_equal_radii_returns_to_the_identity():
+    # spin -(a/b + cos beta) theta' = -2 pi per unit time about a normal
+    # that sweeps once round: the disc ends where it started
+    trace = simulate_rolling(gallery("ii"), steps=100_000)
+    np.testing.assert_allclose(trace.orientations[-1], np.eye(3), atol=1e-6)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
-                      MotionPath, Radii, ScalarPath, clamp_path,
+                      MotionPath, Radii, SampledSegment, ScalarPath,
+                      clamp_path,
                       connection_forms, curvature_integral, detect_cusps,
                       frame_vectors, gauss_frame, gauss_vector,
                       geodesic_curvature_at, offset_length,
@@ -171,6 +172,30 @@ def test_turning_identity_per_sample_step():
             if resid.size:
                 worst = max(worst, float(np.max(np.abs(resid))))
         assert worst < 1e-6, f"{name}: worst step residual {worst:.3e}"
+
+
+def sampled_cusp_path():
+    """Backtracking theta and a tilt that dips into both clamp caps, both
+    as sampled segments, so cusps and clamp cuts fall inside them."""
+    theta = ScalarPath.from_segments([SampledSegment(
+        0.0, 1.0, np.array([0.0, 0.3, 0.6, 1.0]),
+        np.array([0.0, 2.0, 1.0, TWO_PI]))])
+    beta = ScalarPath.from_segments([SampledSegment(
+        0.0, 1.0, np.array([0.0, 0.2, 0.5, 0.8, 1.0]),
+        np.array([0.05, 1.4, 0.9, 3.1, 0.05]))])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+@pytest.mark.parametrize("eps", [DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0])
+def test_junction_indices_point_at_the_junction(eps):
+    for path in (gallery("v"), gallery("vi"), sampled_cusp_path()):
+        curve = regularize(path, eps)
+        assert len(curve.junctions) >= 4
+        for j in curve.junctions:
+            assert curve.t[j.in_index] == j.t
+            np.testing.assert_allclose(curve.g[j.in_index],
+                                       curve.g[j.out_index],
+                                       rtol=0.0, atol=1e-12)
 
 
 def test_regularize_is_idempotent():
