@@ -214,22 +214,25 @@ def _refined(theta, beta, refine):
     return np.append(th, theta[-1]), np.append(be, beta[-1])
 
 
-def _overlap_phase_sum(theta, beta, sign: int, refine: int = _OVERLAP_REFINE) -> float:
-    """Sum of overlap phases of consecutive gauge-fixed states, loop closed."""
+def _overlap_phase_sums(theta, beta, refine: int = _OVERLAP_REFINE):
+    """(gamma_plus, gamma_minus): summed overlap phases of consecutive
+    gauge-fixed states in both gauges, loop closed.
+
+    With s = sin(beta/2), c = cos(beta/2) and d = theta' - theta, the
+    overlap <psi_k|psi_k+1> is s s' + e^{i d} c c' in the plus gauge and
+    c c' + e^{-i d} s s' in the minus gauge; their phases are taken as
+    real atan2s of the same products.
+    """
     theta, beta = _refined(theta, beta, refine)
     half = 0.5 * beta
     s, c = np.sin(half), np.cos(half)
-    phase = np.exp(1j * sign * theta)
-    # <psi_k|psi_{k+1}> for both gauges reduces to s_k s_{k+1} conj(ph_k) ph_{k+1}
-    # with ph = e^{i theta} on the component carrying the winding
-    if sign > 0:
-        amp_wind, amp_flat = c, s
-    else:
-        amp_wind, amp_flat = s, c
     wrap = np.concatenate([np.arange(1, theta.size), [0]])
-    overlaps = (amp_flat * amp_flat[wrap]
-                + np.conj(phase) * phase[wrap] * amp_wind * amp_wind[wrap])
-    return float(np.sum(np.angle(overlaps)))
+    step = theta[wrap] - theta
+    ss, cc = s * s[wrap], c * c[wrap]
+    sin_d, cos_d = np.sin(step), np.cos(step)
+    gamma_plus = np.sum(np.arctan2(cc * sin_d, ss + cc * cos_d))
+    gamma_minus = np.sum(np.arctan2(-ss * sin_d, cc + ss * cos_d))
+    return float(gamma_plus), float(gamma_minus)
 
 
 def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -237,16 +240,18 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     """Geometric phase from discrete parallel transport of the eigenstates.
 
     Works entirely from state overlaps between curve samples (no closed-form
-    connection), in both gauges; the combined form gamma_plus + gamma_minus
-    and the single-gauge forms 2 gamma_plus - 2 pi n, 2 gamma_minus + 2 pi n
-    must agree within tol.
+    connection), in both gauges, evaluated in one real pass over the
+    refined samples (see _overlap_phase_sums); the combined form
+    gamma_plus + gamma_minus and the single-gauge forms
+    2 gamma_plus - 2 pi n, 2 gamma_minus + 2 pi n must agree within tol
+    (GaugeInconsistency otherwise). Returns the combined form, carried to
+    the eps -> 0 limit unless extrapolate is False.
     """
     shift = TWO_PI * closed_topology(path).n
 
     def at(e):
         curve = cached_regularize(path, e)
-        gamma_plus = _overlap_phase_sum(curve.theta, curve.beta_eps, +1)
-        gamma_minus = _overlap_phase_sum(curve.theta, curve.beta_eps, -1)
+        gamma_plus, gamma_minus = _overlap_phase_sums(curve.theta, curve.beta_eps)
         forms = (gamma_plus + gamma_minus,
                  2.0 * gamma_plus - shift,
                  2.0 * gamma_minus + shift)

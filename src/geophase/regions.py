@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
                      PoleOnCurve, WindingInconsistent)
@@ -91,33 +90,74 @@ def _segment_pair_distance(p1, q1, p2, q2):
     return np.linalg.norm(diff, axis=1)
 
 
+def _box_pairs(lo, hi):
+    """Index pairs i < j of overlapping axis-aligned boxes [lo, hi], each once.
+
+    Uniform-grid hashing (Shamos & Hoey, FOCS 1976): the cell side is the
+    largest box extent, so a box touches at most two cells per axis. Cells
+    are counted from the occupied minimum and are half-open ranges between
+    consecutive edges, so two overlapping boxes both touch the cell holding
+    the low corner of their overlap; the pair is taken from that cell only.
+    """
+    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+    side = float(np.max(hi - lo))
+    first, span, dims = [], [], []
+    for lo_k, hi_k in zip(lo, hi):
+        start = lo_k.min()
+        edges = start + side * np.arange(int((hi_k.max() - start) / side) + 2)
+        first.append(np.searchsorted(edges, lo_k, side="right") - 1)
+        span.append(np.searchsorted(edges, hi_k, side="right") - 1 - first[-1] > 0)
+        dims.append(edges.size)
+    stride = (1, dims[0], dims[0] * dims[1])
+    home = first[0] + stride[1] * first[1] + stride[2] * first[2]
+    keys, boxes = [home], [np.arange(home.size)]
+    for corner in range(1, 8):
+        axes = [k for k in range(3) if corner >> k & 1]
+        touched = np.flatnonzero(np.logical_and.reduce([span[k] for k in axes]))
+        keys.append(home[touched] + sum(stride[k] for k in axes))
+        boxes.append(touched)
+    keys, boxes = np.concatenate(keys), np.concatenate(boxes)
+    # boxes in one cell are adjacent after the sort, in no set order
+    order = np.argsort(keys, kind="stable")
+    keys, boxes = keys[order], boxes[order]
+    # pair every entry with each later entry of its run of equal keys
+    run_start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    run_end = np.repeat(np.r_[run_start[1:], keys.size], np.diff(np.r_[run_start, keys.size]))
+    later = run_end - np.arange(keys.size) - 1
+    left = np.repeat(np.arange(keys.size), later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    i, j = boxes[left], boxes[right]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    low_corner = sum(s * np.maximum(f[i], f[j]) for s, f in zip(stride, first))
+    keep = keys[left] == low_corner
+    i, j = i[keep], j[keep]
+    keep = np.logical_and.reduce([(lo_k[i] <= hi_k[j]) & (lo_k[j] <= hi_k[i])
+                                  for lo_k, hi_k in zip(lo, hi)])
+    return i[keep], j[keep]
+
+
 def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     """True when the sampled curve never touches itself within tol.
 
     Non-adjacent chord pairs closer than tol count as a self-intersection;
     chords sharing an endpoint (consecutive along the curve, including the
-    closure pair of a closed curve) are exempt.
+    closure pair of a closed curve) are exempt. Candidate pairs are the
+    chords whose tol-expanded bounding boxes overlap, found through a
+    uniform grid (see _box_pairs); only those get the exact segment
+    distance. The answer is cached on the curve per tol.
     """
     key = ("simple", tol)
     if key in curve._cache:
         return curve._cache[key]
     P, Q = _curve_segments(curve)
     m = P.shape[0]
-    if m < 3:
-        curve._cache[key] = True
-        return True
-    mids = 0.5 * (P + Q)
-    radius = float(np.max(np.linalg.norm(Q - P, axis=1))) + tol
-    tree = cKDTree(mids)
-    pairs = tree.query_pairs(r=radius, output_type="ndarray")
     simple = True
-    if pairs.size:
-        i, j = pairs[:, 0], pairs[:, 1]
-        dpos = np.abs(i - j)
-        adjacent = dpos <= 1
+    if m >= 3:
+        i, j = _box_pairs(np.minimum(P, Q) - tol, np.maximum(P, Q) + tol)
+        keep = j - i > 1
         if curve.closed:
-            adjacent |= dpos == m - 1
-        i, j = i[~adjacent], j[~adjacent]
+            keep &= j - i != m - 1
+        i, j = i[keep], j[keep]
         if i.size:
             d = _segment_pair_distance(P[i], Q[i], P[j], Q[j])
             simple = bool(np.all(d >= tol))

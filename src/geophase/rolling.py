@@ -17,7 +17,7 @@ the direction perpendicular to the rim tangent and to g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isqrt, pi
 
 import numpy as np
 
@@ -49,38 +49,46 @@ def rigid_configuration(theta: float, beta: float, radii: Radii) -> RigidConfigu
                               normal=gauss_vector(theta, beta))
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
-    """Stacked 4x3 constraint systems A w = rhs for arrays of instants.
+    """Constraint systems A w = rhs for arrays of instants, per component.
 
     Rows 1-2: the normal g is materially attached to the disc, so
     w x g = g', projected on the rim frame (e1, e2). Rows 3-4: the contact
     point is instantaneously at rest, c' + w x (contact - center) = 0,
     projected likewise. Projections avoid the rank deficiency of the raw
-    cross-product equations along g.
+    cross-product equations along g. Returns (rows, rhs, g): rows[r][k] is
+    the 1-D array of entry (r, k) of A over the instants, rhs[r] that of the
+    right-hand side and g[k] that of the normal.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
     dbeta = np.atleast_1d(np.asarray(dbeta, dtype=float))
-    e1, e2, g = frame_vectors(theta, beta)
+    e1, e2, g = (v.T for v in frame_vectors(theta, beta))
     st, ct = np.sin(theta), np.cos(theta)
     sb, cb = np.sin(beta), np.cos(beta)
 
-    g_dot = np.stack([dbeta * cb * ct - dtheta * sb * st,
-                      dbeta * cb * st + dtheta * sb * ct,
-                      dbeta * sb], axis=-1)
+    g_dot = (dbeta * cb * ct - dtheta * sb * st,
+             dbeta * cb * st + dtheta * sb * ct,
+             dbeta * sb)
     ring = a + b * cb
-    c_dot = np.stack([-b * sb * dbeta * ct - ring * st * dtheta,
-                      -b * sb * dbeta * st + ring * ct * dtheta,
-                      b * cb * dbeta], axis=-1)
+    c_dot = (-b * sb * dbeta * ct - ring * st * dtheta,
+             -b * sb * dbeta * st + ring * ct * dtheta,
+             b * cb * dbeta)
     d = -b * e2  # contact - center
 
-    rows = np.stack([np.cross(g, e1), np.cross(g, e2),
-                     np.cross(d, e1), np.cross(d, e2)], axis=-2)
-    rhs = np.stack([np.einsum('...i,...i->...', g_dot, e1),
-                    np.einsum('...i,...i->...', g_dot, e2),
-                    -np.einsum('...i,...i->...', c_dot, e1),
-                    -np.einsum('...i,...i->...', c_dot, e2)], axis=-1)
+    rows = (_cross(g, e1), _cross(g, e2), _cross(d, e1), _cross(d, e2))
+    rhs = (_dot(g_dot, e1), _dot(g_dot, e2), -_dot(c_dot, e1), -_dot(c_dot, e2))
     return rows, rhs, g
 
 
@@ -95,14 +103,14 @@ def solve_body_rates(path: MotionPath, t: float):
     rows, rhs, g = _constraint_rows(path.theta.value(t), path.beta.value(t),
                                     path.theta.slope(t), path.beta.slope(t),
                                     path.radii.a, path.radii.b)
-    A, b_vec = rows[0], rhs[0]
+    A, b_vec = np.array(rows)[:, :, 0], np.array(rhs)[:, 0]
     if max(np.abs(A).max(), np.abs(b_vec).max()) < 1e-12:
         return np.zeros(3), 0.0, 0.0
     omega, _, rank, _ = np.linalg.lstsq(A, b_vec, rcond=None)
     if rank < 3:
         raise SingularSystem(f"constraint system rank {rank} at t={t}")
     residual = float(np.linalg.norm(A @ omega - b_vec))
-    return omega, float(omega @ g[0]), residual
+    return omega, float(omega @ np.array(g)[:, 0]), residual
 
 
 @dataclass(frozen=True)
@@ -118,24 +126,74 @@ class OracleTrace:
 
 
 def _rodrigues_steps(omega, dt):
-    """Exact rotation exp(dt * hat(omega)) for each midpoint rate."""
-    phi = np.linalg.norm(omega, axis=1) * dt
-    safe = np.where(phi > 0.0, np.linalg.norm(omega, axis=1), 1.0)
-    u = omega / safe[:, None]
-    zeros = np.zeros_like(phi)
-    K = np.stack([
-        np.stack([zeros, -u[:, 2], u[:, 1]], axis=-1),
-        np.stack([u[:, 2], zeros, -u[:, 0]], axis=-1),
-        np.stack([-u[:, 1], u[:, 0], zeros], axis=-1)], axis=-2)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return (eye + np.sin(phi)[:, None, None] * K
-            + (1.0 - np.cos(phi))[:, None, None] * (K @ K))
+    """Exact rotations exp(dt * hat(omega)), shape (n, 3, 3), for rates
+    given per component (omega[k] is the 1-D array of component k)."""
+    rate = np.sqrt(_dot(omega, omega))
+    phi = rate * dt
+    safe = np.where(phi > 0.0, rate, 1.0)
+    ux, uy, uz = (w / safe for w in omega)
+    s, c = np.sin(phi), 1.0 - np.cos(phi)
+    # I + sin(phi) K + (1 - cos(phi)) K^2 with K = hat(u)
+    R = np.empty((phi.size, 3, 3))
+    R[:, 0, 0] = 1.0 - c * (uy * uy + uz * uz)
+    R[:, 1, 1] = 1.0 - c * (ux * ux + uz * uz)
+    R[:, 2, 2] = 1.0 - c * (ux * ux + uy * uy)
+    R[:, 0, 1] = c * ux * uy - s * uz
+    R[:, 1, 0] = c * ux * uy + s * uz
+    R[:, 0, 2] = c * ux * uz + s * uy
+    R[:, 2, 0] = c * ux * uz - s * uy
+    R[:, 1, 2] = c * uy * uz - s * ux
+    R[:, 2, 1] = c * uy * uz + s * ux
+    return R
 
 
-def _vex(W):
-    """Axial vectors of (stacked) antisymmetric parts."""
-    S = 0.5 * (W - np.swapaxes(W, -1, -2))
-    return np.stack([S[..., 2, 1], S[..., 0, 2], S[..., 1, 0]], axis=-1)
+def _prefix_products(steps):
+    """R[0] = I and R[k] = S[k-1] ... S[0] for stacked steps S (n, 3, 3).
+
+    Blocked two-level scan (Blelloch, CMU-CS-90-190): the n + 1 factors
+    [I, S_0, S_1, ...] are cut into blocks of B = ceil(sqrt(n + 1)), padded
+    with identities. B - 1 stacked passes form the running products inside
+    every block, one carry per block chains the block totals, and one last
+    pass applies each block's carry.
+    """
+    total = steps.shape[0] + 1
+    size = isqrt(total - 1) + 1
+    blocks = -(-total // size)
+    R = np.empty((blocks * size, 3, 3))
+    R[0] = np.eye(3)
+    R[1:total] = steps
+    R[total:] = np.eye(3)
+    X = R.reshape(blocks, size, 3, 3)
+    for p in range(1, size):
+        X[:, p] = X[:, p] @ X[:, p - 1]
+    carry = np.empty((blocks, 3, 3))
+    carry[0] = np.eye(3)
+    for k in range(1, blocks):
+        carry[k] = X[k - 1, -1] @ carry[k - 1]
+    X[1:] = X[1:] @ carry[1:, None]
+    return R[:total]
+
+
+def _normal_solve(rows, rhs):
+    """Least-squares rates of the per-component 4x3 systems, and their
+    residual norms (the no-slip residuals).
+
+    The 3x3 normal equations N w = A^T rhs are solved by cofactors. The
+    row set {e2, -e1, b g, 0} keeps N = A^T A uniformly well conditioned
+    (eigenvalues 1, 1, b^2), even at stationary instants.
+    """
+    n00, n11, n22, n01, n02, n12 = (
+        sum(row[p] * row[q] for row in rows)
+        for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+    y0, y1, y2 = (sum(row[p] * r for row, r in zip(rows, rhs)) for p in range(3))
+    c00, c11, c22 = n11 * n22 - n12 * n12, n00 * n22 - n02 * n02, n00 * n11 - n01 * n01
+    c01, c02, c12 = n02 * n12 - n01 * n22, n01 * n12 - n02 * n11, n01 * n02 - n00 * n12
+    det = n00 * c00 + n01 * c01 + n02 * c02
+    omega = ((c00 * y0 + c01 * y1 + c02 * y2) / det,
+             (c01 * y0 + c11 * y1 + c12 * y2) / det,
+             (c02 * y0 + c12 * y1 + c22 * y2) / det)
+    residual = np.sqrt(sum((_dot(row, omega) - r) ** 2 for row, r in zip(rows, rhs)))
+    return omega, residual
 
 
 def simulate_rolling(path: MotionPath, steps: int = 100_000,
@@ -145,15 +203,18 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
 
     Midpoint rule: the constraint system is solved at each interval
     midpoint and each step is the exact rotation generated by that rate, so
-    the scheme is second order in the step. The orientations are the prefix
-    products of the steps, composed by doubling in log2(steps) array passes
-    (Blelloch, CMU-CS-90-190). Every orientation's orthonormality drift is
-    checked (DriftExceeded above drift_tol, 1e-6 by default); nothing is
-    re-orthonormalized. The returned spin history is recovered from finite
-    differences of the orientations themselves, not from the solved rates,
-    and delta_oracle is minus its time integral. For a closed motion the
-    final orientation must be a pure twist about the starting normal by
-    minus the dynamical phase mod 2 pi (ClosureMismatch otherwise).
+    the scheme is second order in the step. Rates, rotations and the spin
+    recovery are computed per vector component over all instants at once,
+    and the 3x3 normal equations are solved by cofactors. The orientations
+    are the prefix products of the steps, composed by a blocked two-level
+    scan in about 2 sqrt(steps) array passes (see _prefix_products). Every
+    orientation's orthonormality drift is checked (DriftExceeded above
+    drift_tol, 1e-6 by default); nothing is re-orthonormalized. The
+    returned spin history is recovered from finite differences of the
+    orientations themselves, not from the solved rates, and delta_oracle is
+    minus its time integral. For a closed motion the final orientation must
+    be a pure twist about the starting normal by minus the dynamical phase
+    mod 2 pi (ClosureMismatch otherwise).
     """
     radii = path.radii
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, steps + 1),
@@ -166,42 +227,42 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
     dt = np.diff(grid)
     tm = grid[:-1] + 0.5 * dt
 
-    rows, rhs, g_mid = _constraint_rows(
+    omega, noslip = _normal_solve(*_constraint_rows(
         path.theta.values(tm), path.beta.values(tm),
         path.theta.slopes(tm), path.beta.slopes(tm),
-        radii.a, radii.b)
-    # normal equations; the row set {e2, -e1, b g, 0} keeps A^T A uniformly
-    # well conditioned (eigenvalues 1, 1, b^2), even at stationary instants
-    rows_t = np.swapaxes(rows, -1, -2)
-    omega = np.linalg.solve(rows_t @ rows, rows_t @ rhs[..., None])
-    noslip = np.linalg.norm((rows @ omega)[..., 0] - rhs, axis=-1)
-    omega = omega[..., 0]
+        radii.a, radii.b)[:2])
 
-    # R[k] = S[k-1] ... S[0]: after the pass with shift s, R[k] holds the
-    # product of the (up to) 2s factors ending at k
-    R = np.concatenate([np.eye(3)[None], _rodrigues_steps(omega, dt)])
+    R = _prefix_products(_rodrigues_steps(omega, dt))
     n_steps = R.shape[0] - 1
-    shift = 1
-    while shift <= n_steps:
-        R[shift:] = R[shift:] @ R[:-shift]
-        shift *= 2
-    drift = np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(1, 2))
+    # orthonormality drift of every orientation: the six distinct entries
+    # of R^T R - I as column dot products
+    cols = [R[:, :, k] for k in range(3)]
+    drift = np.max([np.abs(np.einsum("ij,ij->i", cols[p], cols[q]) - (p == q))
+                    for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))],
+                   axis=0)
     worst = int(np.argmax(drift))
     if drift[worst] > drift_tol:
         raise DriftExceeded(
             f"orthonormality drift {drift[worst]:.3e} after {worst} steps")
 
-    # spin about the instantaneous normal, recovered from the orientations
+    # spin about the instantaneous normal, recovered from the orientations:
+    # Rdot by central differences (one-sided at the two ends) against the
+    # orientation at the base point, spin = g . vex(Rdot R^T)
     theta_grid = path.theta.values(grid)
     beta_grid = path.beta.values(grid)
     g_grid = gauss_vector(theta_grid, beta_grid)
-    omega_rec = np.empty((n_steps + 1, 3))
-    span = grid[2:] - grid[:-2]
-    Rdot = (R[2:] - R[:-2]) / span[:, None, None]
-    omega_rec[1:-1] = _vex(Rdot @ np.swapaxes(R[1:-1], -1, -2))
-    omega_rec[0] = _vex(((R[1] - R[0]) / dt[0]) @ R[0].T)
-    omega_rec[-1] = _vex(((R[-1] - R[-2]) / dt[-1]) @ R[-2].T)
-    spin_rates = np.einsum('mi,mi->m', omega_rec, g_grid)
+    lo = np.r_[0, np.arange(n_steps)]
+    hi = np.r_[np.arange(1, n_steps + 1), n_steps]
+    D = R[hi]
+    D -= R[lo]
+    B = R[np.r_[np.arange(n_steps), n_steps - 1]]
+
+    def w(i, j):
+        return D[:, i, 0] * B[:, j, 0] + D[:, i, 1] * B[:, j, 1] + D[:, i, 2] * B[:, j, 2]
+
+    gx, gy, gz = g_grid.T
+    spin_rates = 0.5 * (gx * (w(2, 1) - w(1, 2)) + gy * (w(0, 2) - w(2, 0))
+                        + gz * (w(1, 0) - w(0, 1))) / (grid[hi] - grid[lo])
     delta_oracle = -float(np.trapezoid(spin_rates, grid))
 
     report = topology_report(path)

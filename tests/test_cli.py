@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import geophase
 from geophase.cli import main
 from geophase.data import load_report_schema
 
@@ -330,3 +334,19 @@ def test_negative_trace_samples_exit_2(capsys):
     assert code == 2
     assert "ValueError" in err and "--samples" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("code", [
+    'import geophase, sys; print("scipy" in sys.modules)',
+    'import sys; from geophase import cli; '
+    'cli.main(["compute", "--example", "vi", '
+    '"--methods", "line,area,curvature,berry,oracle"]); '
+    'print("scipy" in sys.modules)',
+], ids=["import", "compute"])
+def test_a_fresh_interpreter_never_imports_scipy(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geophase.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
                       ScalarPath, classify_poles, curvature_integral,
                       default_seed, is_simple, regularize, region_areas,
                       region_report, turning_angle_sum)
 from geophase import regions, total_rotation
+from geophase.regions import SIMPLE_TOL
+from geophase.sphere import MAX_SAMPLE_STEP
 from geophase.errors import CurveNotClosed, CurveNotSimple, DegenerateArc
 from conftest import gallery
 
@@ -142,3 +146,94 @@ def test_degenerate_classification_raises_degenerate_arc(monkeypatch):
     result = total_rotation(gallery("ii"), methods=("line", "area"))
     assert isinstance(result.errors["area"], DegenerateArc)
     assert set(result.delta_g_by_method) == {"line"}
+
+
+def _all_pairs_simple(curve, tol=SIMPLE_TOL):
+    """Reference for is_simple: the exact distance of every non-adjacent
+    chord pair."""
+    P, Q = regions._curve_segments(curve)
+    m = P.shape[0]
+    i, j = np.triu_indices(m, 2)
+    if curve.closed:
+        keep = j - i != m - 1
+        i, j = i[keep], j[keep]
+    d = regions._segment_pair_distance(P[i], Q[i], P[j], Q[j])
+    return bool(np.all(d >= tol))
+
+
+@st.composite
+def short_motions(draw):
+    """A few affine segments over a small theta range that may backtrack.
+
+    A segment's tilt change is either moderate, zero (an exact retrace when
+    the next segment turns back), or so small that a hairpin's two strands
+    sit 0.5-2 x SIMPLE_TOL apart one sample step from its tip.
+    """
+    beta0 = draw(st.floats(0.3, PI - 0.3))
+    n = draw(st.integers(1, 4))
+    theta_segs, beta_segs = [], []
+    theta, beta = 0.0, beta0
+    for k in range(n):
+        dth = draw(st.floats(0.01, 0.15)) * draw(st.sampled_from([1.0, -1.0]))
+        near = st.floats(0.5, 2.0).map(
+            lambda f: f * SIMPLE_TOL / MAX_SAMPLE_STEP * abs(dth) * math.sin(beta0))
+        dbeta = draw(st.one_of(st.floats(-0.1, 0.1), st.just(0.0), near,
+                               near.map(lambda x: -x)))
+        t0, t1 = k / n, (k + 1) / n
+        theta_segs.append(AffineSegment(t0, t1, theta, dth * n))
+        beta_segs.append(AffineSegment(t0, t1, beta, dbeta * n))
+        theta, beta = theta + dth, beta + dbeta
+    return MotionPath(ScalarPath.from_segments(theta_segs),
+                      ScalarPath.from_segments(beta_segs), Radii(1.0, 1.0))
+
+
+def hairpin():
+    """A hairpin whose strands come within tol across the gap between arcs;
+    its closest pair is listed in a grid cell with the later chord first."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 0.0625),
+                                      AffineSegment(0.5, 1.0, 0.03125, -0.25)])
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 1.0, 0.0),
+                                     AffineSegment(0.5, 1.0, 1.0, 2.103677462019741e-07)])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_motions())
+@example(hairpin())
+def test_is_simple_matches_all_pairs_reference(path):
+    curve = regularize(path)
+    assert is_simple(curve) == _all_pairs_simple(curve)
+
+
+@pytest.mark.parametrize("snap", [False, True])
+def test_box_pairs_match_all_pairs_overlap(snap):
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        lo = rng.random((n, 3))
+        ext = 0.01 + 0.2 * rng.random((n, 3))
+        if snap:  # corners on the grid edges
+            lo, ext = np.round(lo, 2), np.round(ext, 2)
+        hi = lo + ext
+        i, j = regions._box_pairs(lo, hi)
+        a, b = np.triu_indices(n, 1)
+        overlap = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
+        assert sorted(zip(i.tolist(), j.tolist())) == list(zip(a[overlap].tolist(),
+                                                              b[overlap].tolist()))
+
+
+def lap_spiral(beta0, separation):
+    """Two open azimuthal laps whose tilt rises by `separation` per lap."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 2 * TWO_PI),
+                                      AffineSegment(0.5, 1.0, TWO_PI, 2 * TWO_PI)])
+    beta = ScalarPath.from_segments([
+        AffineSegment(0.0, 0.5, beta0, 2 * separation),
+        AffineSegment(0.5, 1.0, beta0 + separation, 2 * separation)])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+@pytest.mark.parametrize("beta0", [PI / 2.0, 0.4, 2.9])
+@pytest.mark.parametrize("separation,simple", [(1.5e-9, True), (5e-10, False),
+                                               (0.0, False)])
+def test_two_lap_spiral_is_simple_only_above_tol(beta0, separation, simple):
+    assert is_simple(regularize(lap_spiral(beta0, separation))) is simple

@@ -8,7 +8,9 @@ import pytest
 from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
                       ScalarPath, dynamical_phase, geometric_phase_line,
                       rigid_configuration, simulate_rolling, solve_body_rates)
+from geophase import rolling
 from geophase.errors import ClosureMismatch, DriftExceeded
+from geophase.sphere import frame_vectors
 from conftest import TABLE_RADII, gallery
 
 PI = math.pi
@@ -136,3 +138,84 @@ def test_equator_lap_with_equal_radii_returns_to_the_identity():
     # that sweeps once round: the disc ends where it started
     trace = simulate_rolling(gallery("ii"), steps=100_000)
     np.testing.assert_allclose(trace.orientations[-1], np.eye(3), atol=1e-6)
+
+
+def _stacked_constraint_rows(theta, beta, dtheta, dbeta, a, b):
+    """Reference: the constraint systems as stacked (n, 4, 3) np.cross rows."""
+    e1, e2, g = frame_vectors(theta, beta)
+    st, ct = np.sin(theta), np.cos(theta)
+    sb, cb = np.sin(beta), np.cos(beta)
+    g_dot = np.stack([dbeta * cb * ct - dtheta * sb * st,
+                      dbeta * cb * st + dtheta * sb * ct,
+                      dbeta * sb], axis=-1)
+    ring = a + b * cb
+    c_dot = np.stack([-b * sb * dbeta * ct - ring * st * dtheta,
+                      -b * sb * dbeta * st + ring * ct * dtheta,
+                      b * cb * dbeta], axis=-1)
+    d = -b * e2
+    rows = np.stack([np.cross(g, e1), np.cross(g, e2),
+                     np.cross(d, e1), np.cross(d, e2)], axis=-2)
+    rhs = np.stack([np.einsum('...i,...i->...', g_dot, e1),
+                    np.einsum('...i,...i->...', g_dot, e2),
+                    -np.einsum('...i,...i->...', c_dot, e1),
+                    -np.einsum('...i,...i->...', c_dot, e2)], axis=-1)
+    return rows, rhs, g
+
+
+def _stacked_rodrigues(omega, dt):
+    """Reference: exp(dt * hat(omega)) as I + sin K + (1 - cos) K @ K."""
+    phi = np.linalg.norm(omega, axis=1) * dt
+    safe = np.where(phi > 0.0, np.linalg.norm(omega, axis=1), 1.0)
+    u = omega / safe[:, None]
+    zeros = np.zeros_like(phi)
+    K = np.stack([
+        np.stack([zeros, -u[:, 2], u[:, 1]], axis=-1),
+        np.stack([u[:, 2], zeros, -u[:, 0]], axis=-1),
+        np.stack([-u[:, 1], u[:, 0], zeros], axis=-1)], axis=-2)
+    eye = np.broadcast_to(np.eye(3), K.shape)
+    return (eye + np.sin(phi)[:, None, None] * K
+            + (1.0 - np.cos(phi))[:, None, None] * (K @ K))
+
+
+def test_constraint_rows_match_the_stacked_cross_products():
+    rng = np.random.default_rng(11)
+    theta, beta = rng.uniform(-7.0, 7.0, 64), rng.uniform(0.0, PI, 64)
+    dtheta, dbeta = rng.normal(0.0, 6.0, 64), rng.normal(0.0, 6.0, 64)
+    dtheta[0] = dbeta[0] = 0.0   # a stationary instant
+    rows, rhs, g = rolling._constraint_rows(theta, beta, dtheta, dbeta, 1.7, 0.8)
+    ref_rows, ref_rhs, ref_g = _stacked_constraint_rows(theta, beta, dtheta,
+                                                        dbeta, 1.7, 0.8)
+    np.testing.assert_allclose(np.moveaxis(np.array(rows), -1, 0), ref_rows,
+                               rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(np.array(rhs).T, ref_rhs, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(np.array(g).T, ref_g, rtol=0.0, atol=1e-13)
+
+
+def test_rodrigues_steps_match_the_stacked_skew_form():
+    rng = np.random.default_rng(12)
+    omega = rng.normal(0.0, 20.0, (64, 3))
+    omega[0] = 0.0   # a zero rate is the identity
+    dt = rng.uniform(1e-5, 0.2, 64)
+    got = rolling._rodrigues_steps(tuple(omega.T), dt)
+    np.testing.assert_allclose(got, _stacked_rodrigues(omega, dt),
+                               rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(got[0], np.eye(3))
+
+
+@pytest.mark.parametrize("steps", [
+    0, 1,            # fewer steps than one block holds
+    2, 3,
+    15, 99,          # steps + 1 a perfect square
+    16, 100,         # one above
+    14, 98,          # one below
+    1000,
+])
+def test_blocked_prefix_products_match_a_sequential_product(steps):
+    rng = np.random.default_rng(steps)
+    S = _stacked_rodrigues(rng.normal(0.0, 3.0, (steps, 3)),
+                           rng.uniform(0.0, 1.0, steps))
+    expected = [np.eye(3)]
+    for step in S:
+        expected.append(step @ expected[-1])
+    np.testing.assert_allclose(rolling._prefix_products(S), np.array(expected),
+                               rtol=0.0, atol=1e-12)
