@@ -76,7 +76,8 @@ class WindingInconsistent(GeophaseError):
 # --- quadrature / reconciliation ---
 
 class QuadratureFailure(GeophaseError):
-    """Adaptive integrator hit maximum depth above tolerance."""
+    """A quadrature missed its error target: the adaptive rule at maximum
+    depth, or the two Gauss-Legendre orders of the monopole route."""
 
 
 class MethodDisagreement(GeophaseError):

@@ -3,7 +3,8 @@
 Two more independent routes to the geometric phase. The first integrates
 the classic unit-charge monopole vector potentials (one gauge patch regular
 away from the south ray, one away from the north ray) along the clamped
-curve of the tilt vector. The second transports the eigenstates of the
+curve of the tilt vector, each piece by fixed-order Gauss-Legendre
+quadrature in one array pass. The second transports the eigenstates of the
 two-level Hamiltonian H = [[-cos b, e^{-i th} sin b], [e^{i th} sin b,
 cos b]] around the loop and accumulates the phase of successive state
 overlaps. Each route carries an internal cross-gauge consistency check.
@@ -12,17 +13,19 @@ overlaps. Each route carries an internal cross-gauge consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 
 import numpy as np
 
-from .errors import AtSingularPole, GaugeInconsistency, OnSingularAxis
+from .errors import (AtSingularPole, GaugeInconsistency, OnSingularAxis,
+                     QuadratureFailure)
 from .motion import TWO_PI, MotionPath
-from .quadrature import adaptive_simpson
 from .sphere import DEFAULT_EPSILON, cached_regularize, clamped_affine_pieces
 from .phases import closed_topology, eps_limit
 
 AXIS_CLEARANCE = 1e-9
+_QUAD_ORDERS = (16, 24)   # Gauss-Legendre node counts compared per piece
 _QUAD_TOL = 1e-11
 
 
@@ -46,25 +49,27 @@ MINUS_PATCH = GaugePatch(-1)
 
 
 def monopole_potential(patch: GaugePatch, x) -> np.ndarray:
-    """Unit-charge monopole potential of one gauge patch.
+    """Unit-charge monopole potential of one gauge patch at points x.
 
     A_sign(x) = sign (-y, x, 0) / (r (r + sign z)); both patches have curl
     e3/r^2, and their difference is twice the azimuth gradient, which is
     what quantizes the holonomy difference to 4 pi n. Finite everywhere
-    except the patch's excluded ray; points within 1e-9 angular clearance
-    of that ray raise OnSingularAxis.
+    except the patch's excluded ray. x has shape (..., 3) and so has the
+    result; if any point is the origin or lies within 1e-9 angular
+    clearance of that ray, OnSingularAxis is raised, naming the worst angle.
     """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    if np.any(r == 0.0):
         raise OnSingularAxis("potential undefined at the origin")
-    rho = float(np.hypot(x[0], x[1]))
-    angle_from_ray = float(np.arctan2(rho, -patch.sign * x[2]))
-    if angle_from_ray <= AXIS_CLEARANCE:
+    worst = float(np.min(np.arctan2(np.hypot(x0, x1), -patch.sign * x2)))
+    if worst <= AXIS_CLEARANCE:
         raise OnSingularAxis(
-            f"point within {angle_from_ray:.2e} rad of the {patch.excluded_axis}")
-    denom = r * (r + patch.sign * x[2])
-    return patch.sign * np.array([-x[1], x[0], 0.0]) / denom
+            f"point within {worst:.2e} rad of the {patch.excluded_axis}")
+    denom = r * (r + patch.sign * x2)
+    return (patch.sign * np.stack([-x1, x0, np.zeros_like(x0)], axis=-1)
+            / denom[..., None])
 
 
 def curl_check(patch: GaugePatch, x, h: float) -> np.ndarray:
@@ -81,31 +86,48 @@ def curl_check(patch: GaugePatch, x, h: float) -> np.ndarray:
                      jac[0, 1] - jac[1, 0]])
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _patch_circulation(path: MotionPath, eps: float, sign: int) -> float:
     """Line integral of A_sign along the clamped curve, piece by piece.
 
     The integrand couples the Cartesian potential to the Cartesian velocity
     of the tilt vector, so this route never touches the cos(beta) d(theta)
-    simplification used by the reference method.
+    simplification used by the reference method. Every moving piece is
+    integrated by Gauss-Legendre rules of both _QUAD_ORDERS in one array
+    pass; the clamped tilt spans at most pi on a piece, where both rules
+    are at rounding level, so a piece whose two results differ by more
+    than _QUAD_TOL raises QuadratureFailure.
     """
-    patch = GaugePatch(sign)
-    total = 0.0
-    for piece in clamped_affine_pieces(path, eps):
-        if not piece.moving:
-            continue
-
-        def integrand(t, p=piece):
-            th, b = p.at(t)
-            sb, cb = np.sin(b), np.cos(b)
-            st, ct = np.sin(th), np.cos(th)
-            g = np.array([sb * ct, sb * st, -cb])
-            g_dot = np.array([p.db * cb * ct - p.dth * sb * st,
-                              p.db * cb * st + p.dth * sb * ct,
-                              p.db * sb])
-            return float(monopole_potential(patch, g) @ g_dot)
-
-        total += adaptive_simpson(integrand, piece.t0, piece.t1, _QUAD_TOL)
-    return total
+    pieces = [p for p in clamped_affine_pieces(path, eps) if p.moving]
+    if not pieces:
+        return 0.0
+    half, th0, dth, b0, db = (np.array(c)[:, None] for c in zip(
+        *((0.5 * (p.t1 - p.t0), p.th0, p.dth, p.b0, p.db) for p in pieces)))
+    rules = [_gauss_legendre(n) for n in _QUAD_ORDERS]
+    dt = half * (1.0 + np.concatenate([x for x, _ in rules]))
+    th, b = th0 + dth * dt, b0 + db * dt
+    sb, cb = np.sin(b), np.cos(b)
+    st, ct = np.sin(th), np.cos(th)
+    g = np.stack([sb * ct, sb * st, -cb], axis=-1)
+    g_dot = np.stack([db * cb * ct - dth * sb * st,
+                      db * cb * st + dth * sb * ct,
+                      db * sb], axis=-1)
+    f = np.sum(monopole_potential(GaugePatch(sign), g) * g_dot, axis=-1)
+    split = rules[0][0].size
+    low = half[:, 0] * (f[:, :split] @ rules[0][1])
+    high = half[:, 0] * (f[:, split:] @ rules[1][1])
+    diff = np.abs(high - low)
+    k = int(np.argmax(diff))
+    if not diff[k] <= _QUAD_TOL:
+        raise QuadratureFailure(
+            f"Gauss-Legendre orders {_QUAD_ORDERS[0]} and {_QUAD_ORDERS[1]} "
+            f"differ by {diff[k]:.3e} on [{pieces[k].t0!r}, {pieces[k].t1!r}] "
+            f"(tolerance {_QUAD_TOL:.1e})")
+    return float(np.sum(high))
 
 
 def patch_circulation(path: MotionPath, patch: GaugePatch,
@@ -125,8 +147,10 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
 
     Evaluates the averaged-patch circulation and both single-patch forms
     shifted by the 2 pi n winding term; the three must agree within tol
-    (GaugeInconsistency otherwise). Returns the averaged form, carried to
-    the eps -> 0 limit unless extrapolate is False.
+    (GaugeInconsistency otherwise). Each circulation is a Gauss-Legendre
+    sum over the moving clamped pieces (see _patch_circulation). Returns
+    the averaged form, carried to the eps -> 0 limit unless extrapolate is
+    False.
     """
     shift = TWO_PI * closed_topology(path).n
 
@@ -142,7 +166,7 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
                 f"monopole holonomy forms spread {spread:.3e} at eps={e:.4f}")
         return forms[0]
 
-    return eps_limit(at, eps, extrapolate)
+    return eps_limit(path, at, eps, extrapolate)
 
 
 # ---------------------------------------------------------------------------
@@ -261,4 +285,4 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
                 f"transport holonomy forms spread {spread:.3e} at eps={e:.4f}")
         return forms[0]
 
-    return eps_limit(at, eps, extrapolate)
+    return eps_limit(path, at, eps, extrapolate)

@@ -14,8 +14,11 @@ several independent routes:
 Routes that work on the pole-clamped curve support the documented limit
 handling: evaluate at eps and eps/2, then extrapolate linearly in
 (1 - cos eps), which is exact for caps clipped by the clamp circle
-(eps_limit). total_rotation is the one place that runs the routes,
-including the monopole, two-level and rigid-body ones, and reconciles them.
+(eps_limit). The eps/2 level runs only where the clamp bites, that is when
+some piece of the raw tilt leaves [eps, pi - eps]; elsewhere both levels
+give the same curve and the extrapolation would return the eps value
+unchanged. total_rotation is the one place that runs the routes, including
+the monopole, two-level and rigid-body ones, and reconciles them.
 """
 
 from __future__ import annotations
@@ -153,19 +156,35 @@ def eps_extrapolate(eps: float, value_full: float, value_half: float) -> float:
     return value_half + (value_half - value_full) * u_half / (u_full - u_half)
 
 
-def _eps_levels(eps: float, extrapolate: bool) -> tuple:
-    return (eps, eps / 2.0) if extrapolate else (eps,)
+def _eps_levels(path: MotionPath, eps: float, extrapolate: bool) -> tuple:
+    """The clamp levels a clamped-curve route evaluates: (eps, eps/2) when
+    extrapolating and the clamp bites, (eps,) otherwise.
+
+    Beta is affine on each piece, so its ends bound it: when every end lies
+    in [eps, pi - eps], the clamp leaves the motion alone at eps and at
+    eps/2, both levels give the same clamped pieces and curve, and
+    eps_extrapolate(eps, v, v) == v.
+    """
+    if extrapolate:
+        lo, hi = eps, pi - eps
+        for (t0, t1, _th0, _dth, b0, db) in path.affine_pieces:
+            b1 = b0 + db * (t1 - t0)
+            if not (lo <= b0 <= hi and lo <= b1 <= hi):
+                return (eps, eps / 2.0)
+    return (eps,)
 
 
-def eps_limit(value_at, eps: float, extrapolate: bool = True) -> float:
+def eps_limit(path: MotionPath, value_at, eps: float,
+              extrapolate: bool = True) -> float:
     """value_at(eps) carried to the eps -> 0 limit.
 
-    Evaluates value_at at eps and eps/2 and combines the two with
-    eps_extrapolate; with extrapolate False it returns value_at(eps).
-    Every clamped-curve route and the region report go through here.
+    Where the clamp bites (see _eps_levels), evaluates value_at at eps and
+    eps/2 and combines the two with eps_extrapolate; elsewhere, or with
+    extrapolate False, it returns value_at(eps). Every clamped-curve route
+    and the region report go through here.
     """
-    values = [value_at(e) for e in _eps_levels(eps, extrapolate)]
-    return eps_extrapolate(eps, *values) if extrapolate else values[0]
+    values = [value_at(e) for e in _eps_levels(path, eps, extrapolate)]
+    return eps_extrapolate(eps, *values) if len(values) == 2 else values[0]
 
 
 def closed_topology(path: MotionPath):
@@ -179,7 +198,7 @@ def closed_topology(path: MotionPath):
 def _pole_classification(path: MotionPath, eps: float, extrapolate: bool):
     """classify_poles at each eps level; the levels must classify alike."""
     results = [classify_poles(cached_regularize(path, e))
-               for e in _eps_levels(eps, extrapolate)]
+               for e in _eps_levels(path, eps, extrapolate)]
     if len({(i_p, i_m) for i_p, i_m, _ in results}) != 1:
         raise WindingInconsistent(
             "pole classification changed between eps levels")
@@ -209,7 +228,7 @@ def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
             raise WindingInconsistent("area-route forms disagree beyond rounding")
         return form_1
 
-    return eps_limit(at, eps, extrapolate)
+    return eps_limit(path, at, eps, extrapolate)
 
 
 def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -228,7 +247,7 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
         curve = cached_regularize(path, e)
         return circulation - curvature_integral(curve) - turning_angle_sum(curve)
 
-    return eps_limit(at, eps, extrapolate)
+    return eps_limit(path, at, eps, extrapolate)
 
 
 def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -240,8 +259,8 @@ def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
     closed_topology(path)
     i_plus, i_minus, seed_point = _pole_classification(path, eps, extrapolate)
     a_plus = eps_limit(
-        lambda e: region_areas(cached_regularize(path, e), area_method,
-                               samples=samples, seed=seed)[0],
+        path, lambda e: region_areas(cached_regularize(path, e), area_method,
+                                     samples=samples, seed=seed)[0],
         eps, extrapolate)
     return RegionReport(simple=True, I_plus=i_plus, I_minus=i_minus,
                         A_plus=a_plus, A_minus=4.0 * pi - a_plus,

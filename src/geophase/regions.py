@@ -93,14 +93,17 @@ def _segment_pair_distance(p1, q1, p2, q2):
 def _box_pairs(lo, hi):
     """Index pairs i < j of overlapping axis-aligned boxes [lo, hi], each once.
 
-    Uniform-grid hashing (Shamos & Hoey, FOCS 1976): the cell side is the
-    largest box extent, so a box touches at most two cells per axis. Cells
-    are counted from the occupied minimum and are half-open ranges between
-    consecutive edges, so two overlapping boxes both touch the cell holding
-    the low corner of their overlap; the pair is taken from that cell only.
+    Uniform-grid hashing (Shamos & Hoey, FOCS 1976): the cell side is at
+    least the largest box extent, so a box touches at most two cells per
+    axis, and at least the widest occupied range over the number of boxes,
+    so no axis has more than n + 2 edges. Cells are counted from the
+    occupied minimum and are half-open ranges between consecutive edges, so
+    two overlapping boxes both touch the cell holding the low corner of
+    their overlap; the pair is taken from that cell only.
     """
     lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-    side = float(np.max(hi - lo))
+    widest = float(np.max(hi.max(axis=1) - lo.min(axis=1)))
+    side = max(float(np.max(hi - lo)), widest / lo.shape[1])
     first, span, dims = [], [], []
     for lo_k, hi_k in zip(lo, hi):
         start = lo_k.min()

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
-from geophase import Radii, example_gallery
+from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
+                      ScalarPath, example_gallery)
 
 PI = math.pi
 
@@ -48,3 +50,38 @@ def gallery_paths():
 def table_paths():
     """All six stock motions with a = 2, b = 1."""
     return {name: gallery(name, TABLE_RADII) for name in GALLERY_KWARGS}
+
+
+@st.composite
+def closed_motions(draw, dip=False):
+    """One azimuthal lap in 3-5 affine pieces with a closed tilt schedule.
+
+    Theta is monotone, so the clamped curve is a graph over the azimuth and
+    always simple. Without dip every tilt end lies inside [1.05 eps,
+    pi - 1.05 eps] for the default eps, so the clamp cannot bite; with dip
+    one end sits 0.05-0.95 eps from a pole, inside the clamp band (beyond
+    eps/2 as well when it is within 0.5 eps).
+    """
+    eps = DEFAULT_EPSILON
+    n = draw(st.integers(3, 5))
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    fracs = [draw(st.floats(0.5, 2.0)) for _ in range(n)]
+    theta = [0.0]
+    for f in fracs[:-1]:
+        theta.append(theta[-1] + direction * 2.0 * PI * f / sum(fracs))
+    theta.append(direction * 2.0 * PI)
+    beta = [draw(st.floats(1.05 * eps, PI - 1.05 * eps)) for _ in range(n)]
+    if dip:
+        from_pole = draw(st.floats(0.05, 0.95)) * eps
+        beta[draw(st.integers(0, n - 1))] = (
+            from_pole if draw(st.booleans()) else PI - from_pole)
+    beta.append(beta[0])
+    theta_segs, beta_segs = [], []
+    for k in range(n):
+        t0, t1 = k / n, (k + 1) / n
+        theta_segs.append(AffineSegment(t0, t1, theta[k],
+                                        (theta[k + 1] - theta[k]) * n))
+        beta_segs.append(AffineSegment(t0, t1, beta[k],
+                                       (beta[k + 1] - beta[k]) * n))
+    return MotionPath(ScalarPath.from_segments(theta_segs),
+                      ScalarPath.from_segments(beta_segs), COIN_RADII)

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geophase import (MINUS_PATCH, PLUS_PATCH, GaugePatch, berry_connection,
-                      berry_holonomy, berry_state, curl_check,
-                      monopole_holonomy, monopole_potential,
+from geophase import (DEFAULT_EPSILON, MINUS_PATCH, PLUS_PATCH, GaugePatch,
+                      berry_connection, berry_holonomy, berry_state,
+                      curl_check, monopole_holonomy, monopole_potential,
                       patch_circulation)
+from geophase import gauge
 from geophase.errors import (AtSingularPole, CurveNotClosed,
-                             GaugeInconsistency, OnSingularAxis)
-from conftest import FROZEN, gallery
+                             GaugeInconsistency, OnSingularAxis,
+                             QuadratureFailure)
+from geophase.quadrature import adaptive_simpson
+from geophase.sphere import clamped_affine_pieces
+from conftest import FROZEN, closed_motions, gallery
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -61,6 +66,31 @@ def test_excluded_axis_raises():
         monopole_potential(MINUS_PATCH, [0.0, 0.0, 1.0])
     with pytest.raises(OnSingularAxis):
         monopole_potential(PLUS_PATCH, [0.0, 0.0, 0.0])
+
+
+def test_batched_potential_equals_the_per_point_results():
+    rng = np.random.default_rng(19)
+    points = rng.normal(size=(4, 25, 3))
+    for patch in (PLUS_PATCH, MINUS_PATCH):
+        batch = monopole_potential(patch, points)
+        assert batch.shape == points.shape
+        for index in np.ndindex(points.shape[:-1]):
+            assert np.array_equal(batch[index],
+                                  monopole_potential(patch, points[index]))
+
+
+def test_one_bad_point_fails_the_batch():
+    points = np.random.default_rng(23).normal(size=(10, 3))
+    points[6] = [0.0, 0.0, -1.0]
+    with pytest.raises(OnSingularAxis, match="within 0.00e"):
+        monopole_potential(PLUS_PATCH, points)
+    monopole_potential(MINUS_PATCH, points)
+    points[3] = [3e-10, 0.0, 1.0]
+    with pytest.raises(OnSingularAxis, match="within 3.00e-10 rad of the north"):
+        monopole_potential(MINUS_PATCH, points)
+    points[8] = 0.0
+    with pytest.raises(OnSingularAxis, match="origin"):
+        monopole_potential(MINUS_PATCH, points)
 
 
 def test_curl_is_the_radial_unit_field():
@@ -174,3 +204,51 @@ def test_connection_equals_potential_pullback():
 def test_berry_holonomy_matches_line_values(name):
     assert berry_holonomy(gallery(name)) == pytest.approx(
         FROZEN[name][3], abs=1e-6)
+
+
+def simpson_circulation(path, eps, sign):
+    """The circulation by adaptive Simpson on the scalar integrand, piece by
+    piece: an independent reference for the Gauss-Legendre sums."""
+    patch = GaugePatch(sign)
+    total = 0.0
+    for piece in clamped_affine_pieces(path, eps):
+        if not piece.moving:
+            continue
+
+        def integrand(t, p=piece):
+            th, b = p.at(t)
+            sb, cb = math.sin(b), math.cos(b)
+            sth, cth = math.sin(th), math.cos(th)
+            g = np.array([sb * cth, sb * sth, -cb])
+            g_dot = np.array([p.db * cb * cth - p.dth * sb * sth,
+                              p.db * cb * sth + p.dth * sb * cth,
+                              p.db * sb])
+            return float(monopole_potential(patch, g) @ g_dot)
+
+        total += adaptive_simpson(integrand, piece.t0, piece.t1, 1e-11)
+    return total
+
+
+@pytest.mark.parametrize("eps", [DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0])
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_gauss_legendre_circulation_matches_simpson(name, eps):
+    path = gallery(name)
+    for sign in (+1, -1):
+        assert gauge._patch_circulation(path, eps, sign) == pytest.approx(
+            simpson_circulation(path, eps, sign), abs=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(closed_motions(dip=True) | closed_motions())
+def test_gauss_legendre_circulation_matches_simpson_on_random_motions(path):
+    for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
+        for sign in (+1, -1):
+            assert gauge._patch_circulation(path, eps, sign) == pytest.approx(
+                simpson_circulation(path, eps, sign), abs=1e-12)
+
+
+def test_disagreeing_quadrature_orders_raise(monkeypatch):
+    monkeypatch.setattr(gauge, "_QUAD_TOL", -1.0)
+    with pytest.raises(QuadratureFailure,
+                       match=r"orders 16 and 24 differ by \d\.\d{3}e[+-]\d\d "):
+        monopole_holonomy(gallery("vi"))

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
-                      Tolerances,
+                      Tolerances, berry_holonomy,
                       concatenate_paths, dynamical_phase, eps_extrapolate,
                       example_gallery,
                       geometric_phase_area, geometric_phase_baumkuchen,
                       geometric_phase_curvature, geometric_phase_line,
+                      monopole_holonomy, regularize,
                       reverse_path, total_rotation)
+from geophase import gauge, phases
 from geophase.errors import CurveNotClosed, MethodDisagreement
-from conftest import COIN_RADII, FROZEN, TABLE_RADII, gallery
+from conftest import COIN_RADII, FROZEN, TABLE_RADII, closed_motions, gallery
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -263,3 +266,72 @@ def test_line_only_has_nothing_to_compare():
     assert result.discrepancies == ()
     assert result.max_discrepancy is None
     assert result.errors == {}
+
+
+# ---------------------------------------------------------------------------
+# the eps/2 level runs only where the clamp bites
+
+CURVE_ARRAYS = ("t", "s", "theta", "beta_eps", "g", "phi", "kappa_g")
+
+
+@pytest.mark.parametrize("dip", [False, True])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_skipped_eps_level_would_repeat_the_curve(dip, data):
+    path = data.draw(closed_motions(dip))
+    levels = phases._eps_levels(path, DEFAULT_EPSILON, True)
+    assert len(levels) == (2 if dip else 1)
+    full = regularize(path, DEFAULT_EPSILON)
+    half = regularize(path, DEFAULT_EPSILON / 2.0)
+    same = [np.array_equal(getattr(full, name), getattr(half, name))
+            for name in CURVE_ARRAYS]
+    if len(levels) == 1:
+        assert all(same)
+        assert full.arcs == half.arcs and full.junctions == half.junctions
+    else:
+        assert not all(same)
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_total_rotation_asks_for_eps_half_only_where_the_clamp_bites(
+        name, monkeypatch):
+    asked = set()
+
+    def spy(fn):
+        def wrapper(path, eps):
+            asked.add(eps)
+            return fn(path, eps)
+        return wrapper
+
+    for module, attr in ((phases, "cached_regularize"),
+                         (gauge, "cached_regularize"),
+                         (gauge, "clamped_affine_pieces")):
+        monkeypatch.setattr(module, attr, spy(getattr(module, attr)))
+    total_rotation(gallery(name),
+                   methods=("line", "area", "curvature", "monopole", "berry"))
+    assert DEFAULT_EPSILON in asked
+    assert (DEFAULT_EPSILON / 2.0 in asked) == (name in ("i", "iii", "v", "vi"))
+
+
+CLAMPED_ROUTES = {"area": geometric_phase_area,
+                  "curvature": geometric_phase_curvature,
+                  "monopole": monopole_holonomy,
+                  "berry": berry_holonomy}
+
+
+@pytest.mark.parametrize("dip,examples", [(False, 10), (True, 5)])
+def test_reversal_negates_and_radii_leave_delta_g(dip, examples):
+    """Both eps branches: the time-reversed motion has the opposite
+    geometric phase, and other radii leave it unchanged."""
+
+    @settings(max_examples=examples, deadline=None)
+    @given(closed_motions(dip))
+    def check(path):
+        rescaled = MotionPath(path.theta, path.beta, Radii(2.5, 0.5))
+        reverse = reverse_path(path)
+        for name, route in CLAMPED_ROUTES.items():
+            value = route(path)
+            assert route(reverse) == pytest.approx(-value, abs=1e-9), name
+            assert route(rescaled) == value, name
+
+    check()

@@ -222,6 +222,22 @@ def test_box_pairs_match_all_pairs_overlap(snap):
                                                               b[overlap].tolist()))
 
 
+def test_box_pairs_of_tiny_boxes_spread_wide():
+    # 200 boxes of extent 1e-9 over a unit cube, a quarter of them placed
+    # on top of another box; a grid with cells of the box extent would need
+    # 1e9 edges per axis
+    rng = np.random.default_rng(11)
+    lo = rng.random((200, 3))
+    lo[150:] = lo[rng.integers(0, 150, 50)] + 5e-10 * rng.random((50, 3))
+    hi = lo + 1e-9
+    i, j = regions._box_pairs(lo, hi)
+    a, b = np.triu_indices(200, 1)
+    overlap = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
+    assert overlap.sum() >= 50
+    assert sorted(zip(i.tolist(), j.tolist())) == list(zip(a[overlap].tolist(),
+                                                          b[overlap].tolist()))
+
+
 def lap_spiral(beta0, separation):
     """Two open azimuthal laps whose tilt rises by `separation` per lap."""
     theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 2 * TWO_PI),
