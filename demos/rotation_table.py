@@ -11,10 +11,10 @@ Run:  python3 demos/rotation_table.py
 
 import math
 
-from geophase import (DEFAULT_EPSILON, Radii, classify_poles, dynamical_phase,
-                      eps_extrapolate, example_gallery, geometric_phase_area,
+from geophase import (Radii, dynamical_phase, example_gallery,
+                      extrapolated_region_report, geometric_phase_area,
                       geometric_phase_baumkuchen, geometric_phase_curvature,
-                      geometric_phase_line, region_areas, regularize)
+                      geometric_phase_line)
 
 RADII = Radii(2.0, 1.0)
 PI = math.pi
@@ -45,17 +45,12 @@ for name, beta0, blurb in MOTIONS:
     delta_d = dynamical_phase(path)
     delta_g = geometric_phase_line(path)
 
-    # area of the left region, freed of the pole-clamp by extrapolating
-    # the regularization parameter to zero
-    curve = regularize(path)
-    i_plus, i_minus, _ = classify_poles(curve)
-    at_eps = region_areas(curve, "gauss_bonnet")[0]
-    at_half = region_areas(regularize(path, DEFAULT_EPSILON / 2),
-                           "gauss_bonnet")[0]
-    a_plus = eps_extrapolate(DEFAULT_EPSILON, at_eps, at_half)
+    # area of the left region, freed of the pole clamp by adding back the
+    # sliver the clamp clipped
+    region = extrapolated_region_report(path)
 
-    print(f"{name:<6} {in_pi(delta_d)} {in_pi(a_plus)} "
-          f"{in_pi(2.0 * PI * i_plus)} {in_pi(delta_g)} "
+    print(f"{name:<6} {in_pi(delta_d)} {in_pi(region.A_plus)} "
+          f"{in_pi(2.0 * PI * region.I_plus)} {in_pi(delta_g)} "
           f"{in_pi(delta_d + delta_g)}   {blurb}")
 
 print()

@@ -153,20 +153,16 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     False.
     """
     shift = TWO_PI * closed_topology(path).n
-
-    def at(e):
-        circ_plus = _patch_circulation(path, e, +1)
-        circ_minus = _patch_circulation(path, e, -1)
-        forms = (0.5 * (circ_plus + circ_minus),
-                 circ_plus - shift,
-                 circ_minus + shift)
-        spread = max(forms) - min(forms)
-        if spread > tol:
-            raise GaugeInconsistency(
-                f"monopole holonomy forms spread {spread:.3e} at eps={e:.4f}")
-        return forms[0]
-
-    return eps_limit(path, at, eps, extrapolate)
+    circ_plus = _patch_circulation(path, eps, +1)
+    circ_minus = _patch_circulation(path, eps, -1)
+    forms = (0.5 * (circ_plus + circ_minus),
+             circ_plus - shift,
+             circ_minus + shift)
+    spread = max(forms) - min(forms)
+    if spread > tol:
+        raise GaugeInconsistency(
+            f"monopole holonomy forms spread {spread:.3e} at eps={eps:.4f}")
+    return eps_limit(path, forms[0], eps, extrapolate)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +268,13 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     the eps -> 0 limit unless extrapolate is False.
     """
     shift = TWO_PI * closed_topology(path).n
-
-    def at(e):
-        curve = cached_regularize(path, e)
-        gamma_plus, gamma_minus = _overlap_phase_sums(curve.theta, curve.beta_eps)
-        forms = (gamma_plus + gamma_minus,
-                 2.0 * gamma_plus - shift,
-                 2.0 * gamma_minus + shift)
-        spread = max(forms) - min(forms)
-        if spread > tol:
-            raise GaugeInconsistency(
-                f"transport holonomy forms spread {spread:.3e} at eps={e:.4f}")
-        return forms[0]
-
-    return eps_limit(path, at, eps, extrapolate)
+    curve = cached_regularize(path, eps)
+    gamma_plus, gamma_minus = _overlap_phase_sums(curve.theta, curve.beta_eps)
+    forms = (gamma_plus + gamma_minus,
+             2.0 * gamma_plus - shift,
+             2.0 * gamma_minus + shift)
+    spread = max(forms) - min(forms)
+    if spread > tol:
+        raise GaugeInconsistency(
+            f"transport holonomy forms spread {spread:.3e} at eps={eps:.4f}")
+    return eps_limit(path, forms[0], eps, extrapolate)

@@ -11,14 +11,15 @@ several independent routes:
 * curvature: total turning decomposition (tangent angle, geodesic curvature,
   cusp angles).
 
-Routes that work on the pole-clamped curve support the documented limit
-handling: evaluate at eps and eps/2, then extrapolate linearly in
-(1 - cos eps), which is exact for caps clipped by the clamp circle
-(eps_limit). The eps/2 level runs only where the clamp bites, that is when
-some piece of the raw tilt leaves [eps, pi - eps]; elsewhere both levels
-give the same curve and the extrapolation would return the eps value
-unchanged. total_rotation is the one place that runs the routes, including
-the monopole, two-level and rigid-body ones, and reconciles them.
+Routes that work on the pole-clamped curve (area, curvature, monopole,
+berry and the region report) are evaluated at one clamp level, eps, and
+carried to the eps -> 0 limit by adding the exact clipped sliver, the
+integral of (cos beta_raw - cos beta_clamped) theta' dt (eps_limit). Inside
+the clamp band the sliver comes from the raw tilt schedule, so there every
+clamped route is anchored to the line integrand; outside the band the
+sliver is zero and the routes stay independent of it. total_rotation is
+the one place that runs the routes, including the monopole, two-level and
+rigid-body ones, and reconciles them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from .errors import (CurveNotClosed, GeophaseError, MethodDisagreement,
                      WindingInconsistent)
 from .motion import TWO_PI, MotionPath, topology_report
-from .sphere import DEFAULT_EPSILON, cached_regularize
+from .sphere import (DEFAULT_EPSILON, _check_epsilon, cached_regularize,
+                     clamped_affine_pieces)
 from .regions import (MC_SAMPLES, RegionReport, classify_poles,
                       curvature_integral, region_areas, turning_angle_sum)
 
@@ -96,8 +98,14 @@ def geometric_phase_line(path: MotionPath) -> float:
     Every supported schedule is piecewise affine, so each piece has the
     antiderivative theta' sin(beta)/beta' and the sum is exact.
     """
+    return _line_sum(path.affine_pieces)
+
+
+def _line_sum(pieces) -> float:
+    """The exact line integral over (t0, t1, th0, dth, b0, db) pieces with
+    theta and beta affine on each: raw affine pieces or ClampedPieces."""
     total = 0.0
-    for (t0, t1, _th0, dth, b0, db) in path.affine_pieces:
+    for (t0, t1, _th0, dth, b0, db) in pieces:
         if dth == 0.0:
             continue
         if db == 0.0:
@@ -146,45 +154,32 @@ def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
 def eps_extrapolate(eps: float, value_full: float, value_half: float) -> float:
     """Linear extrapolation to eps = 0 in the variable u = 1 - cos(eps).
 
-    Cap areas and cap circulation integrals clipped at the clamp circle are
-    affine in u, so the two-point extrapolation removes the clamp bias
-    exactly for curves hugging a pole and is a no-op when the two values
-    agree (no clamping happened).
+    Exact only where the clamped curve runs along the clamp circle: cap
+    areas and cap circulation integrals clipped there are affine in u. A
+    tilt with a corner inside the clamp band clips a sliver that is not, so
+    the routes use eps_limit instead.
     """
     u_full = 1.0 - cos(eps)
     u_half = 1.0 - cos(eps / 2.0)
     return value_half + (value_half - value_full) * u_half / (u_full - u_half)
 
 
-def _eps_levels(path: MotionPath, eps: float, extrapolate: bool) -> tuple:
-    """The clamp levels a clamped-curve route evaluates: (eps, eps/2) when
-    extrapolating and the clamp bites, (eps,) otherwise.
-
-    Beta is affine on each piece, so its ends bound it: when every end lies
-    in [eps, pi - eps], the clamp leaves the motion alone at eps and at
-    eps/2, both levels give the same clamped pieces and curve, and
-    eps_extrapolate(eps, v, v) == v.
-    """
-    if extrapolate:
-        lo, hi = eps, pi - eps
-        for (t0, t1, _th0, _dth, b0, db) in path.affine_pieces:
-            b1 = b0 + db * (t1 - t0)
-            if not (lo <= b0 <= hi and lo <= b1 <= hi):
-                return (eps, eps / 2.0)
-    return (eps,)
-
-
-def eps_limit(path: MotionPath, value_at, eps: float,
+def eps_limit(path: MotionPath, value: float, eps: float,
               extrapolate: bool = True) -> float:
-    """value_at(eps) carried to the eps -> 0 limit.
+    """value, a clamped-curve quantity at eps, carried to the eps -> 0 limit.
 
-    Where the clamp bites (see _eps_levels), evaluates value_at at eps and
-    eps/2 and combines the two with eps_extrapolate; elsewhere, or with
-    extrapolate False, it returns value_at(eps). Every clamped-curve route
-    and the region report go through here.
+    The clamp moves the curve by the clipped sliver, the integral of
+    (cos beta_raw - cos beta_clamped) theta' dt, which is exact piece by
+    piece: the line sum over the raw pieces minus the one over
+    clamped_affine_pieces(path, eps). It is zero where the tilt stays in
+    [eps, pi - eps]. With extrapolate False, value is returned as it is.
+    Every clamped-curve route and the region report go through here.
     """
-    values = [value_at(e) for e in _eps_levels(path, eps, extrapolate)]
-    return eps_extrapolate(eps, *values) if len(values) == 2 else values[0]
+    if not extrapolate:
+        return value
+    sliver = (_line_sum(path.affine_pieces)
+              - _line_sum(clamped_affine_pieces(path, eps)))
+    return value + sliver
 
 
 def closed_topology(path: MotionPath):
@@ -193,16 +188,6 @@ def closed_topology(path: MotionPath):
     if not report.closed:
         raise CurveNotClosed("this geometric-phase route needs a closed motion")
     return report
-
-
-def _pole_classification(path: MotionPath, eps: float, extrapolate: bool):
-    """classify_poles at each eps level; the levels must classify alike."""
-    results = [classify_poles(cached_regularize(path, e))
-               for e in _eps_levels(path, eps, extrapolate)]
-    if len({(i_p, i_m) for i_p, i_m, _ in results}) != 1:
-        raise WindingInconsistent(
-            "pole classification changed between eps levels")
-    return results[0]
 
 
 def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -216,19 +201,16 @@ def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
     evaluated and must agree to rounding.
     """
     closed_topology(path)
-    i_plus, i_minus, _ = _pole_classification(path, eps, extrapolate)
-
-    def at(e):
-        a_plus, a_minus = region_areas(cached_regularize(path, e), area_method,
-                                       samples=samples, seed=seed)
-        form_1 = a_plus - TWO_PI * i_plus
-        form_2 = -a_minus + TWO_PI * i_minus
-        form_3 = 0.5 * (a_plus - a_minus) - pi * (i_plus - i_minus)
-        if max(form_1, form_2, form_3) - min(form_1, form_2, form_3) > 1e-9:
-            raise WindingInconsistent("area-route forms disagree beyond rounding")
-        return form_1
-
-    return eps_limit(path, at, eps, extrapolate)
+    curve = cached_regularize(path, eps)
+    i_plus, i_minus, _ = classify_poles(curve)
+    a_plus, a_minus = region_areas(curve, area_method, samples=samples,
+                                   seed=seed)
+    form_1 = a_plus - TWO_PI * i_plus
+    form_2 = -a_minus + TWO_PI * i_minus
+    form_3 = 0.5 * (a_plus - a_minus) - pi * (i_plus - i_minus)
+    if max(form_1, form_2, form_3) - min(form_1, form_2, form_3) > 1e-9:
+        raise WindingInconsistent("area-route forms disagree beyond rounding")
+    return eps_limit(path, form_1, eps, extrapolate)
 
 
 def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -240,14 +222,11 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
     the geometric phase.
     """
     closed_topology(path)
-    i_plus, i_minus, _ = _pole_classification(path, eps, extrapolate)
-    circulation = -pi * (i_plus - i_minus)
-
-    def at(e):
-        curve = cached_regularize(path, e)
-        return circulation - curvature_integral(curve) - turning_angle_sum(curve)
-
-    return eps_limit(path, at, eps, extrapolate)
+    curve = cached_regularize(path, eps)
+    i_plus, i_minus, _ = classify_poles(curve)
+    value = (-pi * (i_plus - i_minus) - curvature_integral(curve)
+             - turning_angle_sum(curve))
+    return eps_limit(path, value, eps, extrapolate)
 
 
 def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -257,11 +236,10 @@ def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
                                seed=None) -> RegionReport:
     """RegionReport with areas carried to the eps -> 0 limit."""
     closed_topology(path)
-    i_plus, i_minus, seed_point = _pole_classification(path, eps, extrapolate)
-    a_plus = eps_limit(
-        path, lambda e: region_areas(cached_regularize(path, e), area_method,
-                                     samples=samples, seed=seed)[0],
-        eps, extrapolate)
+    curve = cached_regularize(path, eps)
+    i_plus, i_minus, seed_point = classify_poles(curve)
+    a_plus = eps_limit(path, region_areas(curve, area_method, samples=samples,
+                                          seed=seed)[0], eps, extrapolate)
     return RegionReport(simple=True, I_plus=i_plus, I_minus=i_minus,
                         A_plus=a_plus, A_minus=4.0 * pi - a_plus,
                         area_method=area_method, seed_point=seed_point)
@@ -300,12 +278,14 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     ``discrepancies`` and, beyond its tolerance, a warning.
     MethodDisagreement fires when any pair differs by more than ten times
     its tolerance; it names the worst such pair and carries the finished
-    PhaseResult as ``exc.result``.
+    PhaseResult as ``exc.result``. An eps outside (0, pi/8) raises
+    EpsilonOutOfRange before any route runs.
     """
     from .gauge import berry_holonomy, monopole_holonomy
     from .rolling import simulate_rolling
 
     tol = tolerances or Tolerances()
+    _check_epsilon(eps)
     methods = tuple(methods)
     for name in methods:
         if name not in METHOD_NAMES:

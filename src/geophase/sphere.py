@@ -30,6 +30,7 @@ from .motion import MotionPath, ScalarPath, AffineSegment, ConstantSegment
 DEFAULT_EPSILON = pi / 16.0
 MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
+MAX_PIECE_SAMPLES = 1_000_000   # about 160 laps at MAX_SAMPLE_STEP
 _KAPPA_REL_TOL = 1e-7           # target relative error of finite-difference kappa
 _KAPPA_STEP = (12.0 * _KAPPA_REL_TOL) ** 0.5   # step/sin(beta) achieving it
 CUSP_ANGLE_TOL = 1e-8
@@ -137,6 +138,10 @@ class ClampedPiece:
 
     def end_values(self):
         return self.at(self.t1)
+
+    def __iter__(self):
+        """Unpacks like a raw affine piece: (t0, t1, th0, dth, b0, db)."""
+        return iter((self.t0, self.t1, self.th0, self.dth, self.b0, self.db))
 
 
 def _check_epsilon(eps: float):
@@ -302,8 +307,13 @@ def _piece_samples(piece: ClampedPiece):
     sin_max = 1.0 if b_lo <= pi / 2.0 <= b_hi else max(np.sin(b_lo), np.sin(b_hi))
     speed_max = float(np.hypot(sin_max * piece.dth, piece.db))
     extent = speed_max * (piece.t1 - piece.t0)
-    step = min(MAX_SAMPLE_STEP, _KAPPA_STEP * sin_min)
-    half = max(2, int(np.ceil(0.5 * extent / step)), (_MIN_PIECE_SAMPLES + 1) // 2)
+    step = min(MAX_SAMPLE_STEP, _KAPPA_STEP * float(sin_min))
+    needed = extent / step   # inf, not an error, past the float range
+    if not needed <= MAX_PIECE_SAMPLES:
+        raise ValueError(
+            f"piece [{piece.t0!r}, {piece.t1!r}] needs {needed:.3g} samples, "
+            f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
+    half = max(2, int(np.ceil(0.5 * needed)), (_MIN_PIECE_SAMPLES + 1) // 2)
     return np.linspace(piece.t0, piece.t1, 2 * half + 1)
 
 

@@ -59,8 +59,8 @@ def closed_motions(draw, dip=False):
     Theta is monotone, so the clamped curve is a graph over the azimuth and
     always simple. Without dip every tilt end lies inside [1.05 eps,
     pi - 1.05 eps] for the default eps, so the clamp cannot bite; with dip
-    one end sits 0.05-0.95 eps from a pole, inside the clamp band (beyond
-    eps/2 as well when it is within 0.5 eps).
+    one end sits 0.05-0.95 eps from a pole, inside the clamp band, so the
+    clamped tilt has a corner there (a V-shaped dip).
     """
     eps = DEFAULT_EPSILON
     n = draw(st.integers(3, 5))
@@ -76,6 +76,13 @@ def closed_motions(draw, dip=False):
         beta[draw(st.integers(0, n - 1))] = (
             from_pole if draw(st.booleans()) else PI - from_pole)
     beta.append(beta[0])
+    return affine_lap(theta, beta)
+
+
+def affine_lap(theta, beta):
+    """The motion through the knots (theta[k], beta[k]) at t = k/n, affine
+    in both between knots."""
+    n = len(theta) - 1
     theta_segs, beta_segs = [], []
     for k in range(n):
         t0, t1 = k / n, (k + 1) / n

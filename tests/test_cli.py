@@ -350,3 +350,45 @@ def test_a_fresh_interpreter_never_imports_scipy(code):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("methods", ["line", "line,area"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", repr(PI / 8.0), "0.5"])
+def test_epsilon_outside_the_clamp_range_exits_2(capsys, eps, methods):
+    code, out, err = run(capsys, "compute", "--example", "vi",
+                         "--epsilon", eps, "--methods", methods)
+    assert code == 2
+    assert "EpsilonOutOfRange" in err
+    assert "Traceback" not in err and out == ""
+
+
+# a 1e12 lap does not close, so compute's clamped routes refuse it before
+# sampling; trace samples any motion
+@pytest.mark.parametrize("command,slope", [
+    ("compute", "1e308"), ("trace", "1e308"), ("trace", "1e12")])
+def test_absurd_sweep_exits_2(tmp_path, capsys, command, slope):
+    target = tmp_path / "motion.json"
+    target.write_text(_lap_desc("1.0", slope=slope))
+    code, out, err = run(capsys, command, "--motion", str(target))
+    assert code == 2
+    assert "ValueError" in err and "MAX_PIECE_SAMPLES" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_lap_with_a_sampled_dip_to_the_pole_exits_0(tmp_path, capsys):
+    desc = {"radii": {"a": 1.0, "b": 1.0},
+            "segments": [
+                {"t0": 0.0, "t1": 1.0,
+                 "theta": {"kind": "affine", "start": 0.0, "slope": 2 * PI},
+                 "beta": {"kind": "samples", "t": [0.0, 0.5, 1.0],
+                          "values": [1.0, 0.0, 1.0]}}]}
+    target = tmp_path / "dip.json"
+    target.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "compute", "--motion", str(target),
+                         "--methods", "line,area,curvature,monopole,berry",
+                         "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    line = doc["delta_g"]["line"]["value"]
+    for entry in doc["delta_g"].values():
+        assert entry["value"] == pytest.approx(line, abs=1e-4)

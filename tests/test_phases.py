@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
@@ -13,11 +13,12 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       example_gallery,
                       geometric_phase_area, geometric_phase_baumkuchen,
                       geometric_phase_curvature, geometric_phase_line,
-                      monopole_holonomy, regularize,
+                      monopole_holonomy,
                       reverse_path, total_rotation)
 from geophase import gauge, phases
 from geophase.errors import CurveNotClosed, MethodDisagreement
-from conftest import COIN_RADII, FROZEN, TABLE_RADII, closed_motions, gallery
+from conftest import (COIN_RADII, FROZEN, TABLE_RADII, affine_lap,
+                      closed_motions, gallery)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -269,32 +270,15 @@ def test_line_only_has_nothing_to_compare():
 
 
 # ---------------------------------------------------------------------------
-# the eps/2 level runs only where the clamp bites
-
-CURVE_ARRAYS = ("t", "s", "theta", "beta_eps", "g", "phi", "kappa_g")
-
-
-@pytest.mark.parametrize("dip", [False, True])
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_skipped_eps_level_would_repeat_the_curve(dip, data):
-    path = data.draw(closed_motions(dip))
-    levels = phases._eps_levels(path, DEFAULT_EPSILON, True)
-    assert len(levels) == (2 if dip else 1)
-    full = regularize(path, DEFAULT_EPSILON)
-    half = regularize(path, DEFAULT_EPSILON / 2.0)
-    same = [np.array_equal(getattr(full, name), getattr(half, name))
-            for name in CURVE_ARRAYS]
-    if len(levels) == 1:
-        assert all(same)
-        assert full.arcs == half.arcs and full.junctions == half.junctions
-    else:
-        assert not all(same)
+# one clamp level plus the exact clipped sliver
 
 
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_total_rotation_asks_for_eps_half_only_where_the_clamp_bites(
         name, monkeypatch):
+    """No route asks for a second clamp level: every clamped curve and
+    clamped piece list is requested at eps alone, where the clamp bites
+    (i, iii, v, vi) and where it does not (ii, iv)."""
     asked = set()
 
     def spy(fn):
@@ -304,13 +288,13 @@ def test_total_rotation_asks_for_eps_half_only_where_the_clamp_bites(
         return wrapper
 
     for module, attr in ((phases, "cached_regularize"),
+                         (phases, "clamped_affine_pieces"),
                          (gauge, "cached_regularize"),
                          (gauge, "clamped_affine_pieces")):
         monkeypatch.setattr(module, attr, spy(getattr(module, attr)))
     total_rotation(gallery(name),
                    methods=("line", "area", "curvature", "monopole", "berry"))
-    assert DEFAULT_EPSILON in asked
-    assert (DEFAULT_EPSILON / 2.0 in asked) == (name in ("i", "iii", "v", "vi"))
+    assert asked == {DEFAULT_EPSILON}
 
 
 CLAMPED_ROUTES = {"area": geometric_phase_area,
@@ -335,3 +319,49 @@ def test_reversal_negates_and_radii_leave_delta_g(dip, examples):
             assert route(rescaled) == value, name
 
     check()
+
+
+# three affine pieces whose tilt corner sits 0.049 from the north pole,
+# inside the clamp band, where extrapolating in 1 - cos(eps) from eps and
+# eps/2 misses line by 1.2e-3
+V_DIP_LAP = affine_lap([0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0, TWO_PI],
+                       [PI - 0.049, 1.0, 2.0, PI - 0.049])
+
+
+@settings(max_examples=25, deadline=None)
+@given(closed_motions(dip=True))
+@example(V_DIP_LAP)
+def test_clamped_routes_agree_with_line_on_dips(path):
+    line = geometric_phase_line(path)
+    for name, route in CLAMPED_ROUTES.items():
+        assert route(path) == pytest.approx(line, abs=Tolerances().analytic), name
+
+
+EPS_LEVELS = (PI / 10.0, PI / 16.0, PI / 32.0)
+
+
+def _eps_spread(path):
+    return {name: np.ptp([route(path, eps=eps) for eps in EPS_LEVELS])
+            for name, route in CLAMPED_ROUTES.items()}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_delta_g_does_not_depend_on_eps_on_the_gallery(name):
+    for route, spread in _eps_spread(gallery(name)).items():
+        assert spread <= 1e-6, route
+
+
+@settings(max_examples=10, deadline=None)
+@given(closed_motions(dip=True) | closed_motions())
+def test_delta_g_does_not_depend_on_eps(path):
+    for route, spread in _eps_spread(path).items():
+        assert spread <= 1e-6, route
+
+
+@settings(max_examples=10, deadline=None)
+@given(closed_motions(dip=True) | closed_motions())
+def test_running_a_motion_twice_doubles_delta_g(path):
+    double = concatenate_paths(path, path)
+    for route in (geometric_phase_line, monopole_holonomy, berry_holonomy):
+        assert route(double) == pytest.approx(2.0 * route(path), abs=1e-6), (
+            route.__name__)

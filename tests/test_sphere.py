@@ -12,6 +12,7 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       frame_vectors, gauss_frame, gauss_vector,
                       geodesic_curvature_at, offset_length,
                       offset_length_derivative, regularize)
+from geophase import sphere
 from geophase.errors import AtCusp, CurveHasCusps, EpsilonOutOfRange
 from conftest import gallery
 
@@ -235,3 +236,19 @@ def test_offset_refuses_cusped_curves():
         offset_length(curve, 0.01)
     with pytest.raises(CurveHasCusps):
         offset_length_derivative(curve)
+
+
+@pytest.mark.parametrize("slope", [1e308, 1e12])
+def test_absurd_sweeps_are_refused_before_sampling(slope, monkeypatch):
+    linspace = np.linspace
+
+    def guarded(start, stop, num, *args, **kwargs):
+        assert num <= sphere.MAX_PIECE_SAMPLES + 1, num
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(sphere.np, "linspace", guarded)
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, slope)])
+    beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
+    path = MotionPath(theta, beta, Radii(1.0, 1.0))
+    with pytest.raises(ValueError, match=r"piece \[0.0, 1.0\] needs .* samples"):
+        regularize(path)
