@@ -16,8 +16,8 @@ from .errors import (AtCusp, AtSingularPole, BetaOutOfRange, ClosureMismatch,
                      GaugeInconsistency, GeophaseError, LatitudeOutOfRange,
                      MethodDisagreement, NonMonotoneTime, OnSingularAxis,
                      OutOfDomain, ParseError, PoleOnCurve, QuadratureFailure,
-                     SingularSystem, ThetaNonzeroAtStart, UnknownExample,
-                     WindingInconsistent)
+                     SingularSystem, SweepTooLarge, ThetaNonzeroAtStart,
+                     UnknownExample, WindingInconsistent)
 from .motion import (GALLERY_NAMES, AffineSegment, ConstantSegment,
                      MotionPath, Radii, SampledSegment, ScalarPath,
                      TopologyReport, build_path, concatenate_paths,

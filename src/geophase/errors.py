@@ -28,6 +28,11 @@ class ThetaNonzeroAtStart(GeophaseError):
     """The revolution angle does not start at 0."""
 
 
+class SweepTooLarge(GeophaseError):
+    """The revolution angle ends so far out that float spacing there exceeds
+    the closure tolerance, so whether the motion closes cannot be decided."""
+
+
 class OutOfDomain(GeophaseError):
     """Evaluation time outside [0, 1]."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi
+from math import isfinite, nan, pi
 from numbers import Real
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
     DiscontinuousPath,
     GapOrOverlap,
     OutOfDomain,
+    SweepTooLarge,
     ThetaNonzeroAtStart,
     UnknownExample,
 )
@@ -370,10 +371,13 @@ def topology_report(path: MotionPath, tol: float = CLOSURE_TOL) -> TopologyRepor
 
 def _finite(value, what: str) -> float:
     """value as a float; ValueError unless it is a finite real number."""
-    if (isinstance(value, bool) or not isinstance(value, Real)
-            or not np.isfinite(value)):
+    try:
+        number = float(value) if isinstance(value, Real) else nan
+    except OverflowError:   # an integer past the float range
+        number = nan
+    if isinstance(value, bool) or not isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _finite_list(values, what: str) -> np.ndarray:
@@ -414,6 +418,9 @@ def build_path(desc: dict) -> MotionPath:
     ------
     GapOrOverlap, DiscontinuousPath, BetaOutOfRange, ThetaNonzeroAtStart
         When the description violates a path invariant.
+    SweepTooLarge
+        When theta(1) is so large that float spacing there exceeds
+        CLOSURE_TOL, so topology_report could not tell a closed lap.
     ValueError
         When the description is structurally malformed or a number in it
         is not a finite real number.
@@ -441,8 +448,15 @@ def build_path(desc: dict) -> MotionPath:
         theta_segs.append(_build_segment(sd.get("theta"), t0, t1, f"segment {i} theta"))
         beta_segs.append(_build_segment(sd.get("beta"), t0, t1, f"segment {i} beta"))
 
-    return MotionPath(ScalarPath.from_segments(theta_segs),
+    path = MotionPath(ScalarPath.from_segments(theta_segs),
                       ScalarPath.from_segments(beta_segs), radii)
+    sweep = path.theta.end_value()
+    spacing = float(np.spacing(abs(sweep)))
+    if not spacing <= CLOSURE_TOL:   # NaN for an infinite sweep
+        raise SweepTooLarge(
+            f"theta sweeps {sweep:.6g} rad; float spacing there is "
+            f"{spacing:.3g}, above the closure tolerance {CLOSURE_TOL:g}")
+    return path
 
 
 # ---------------------------------------------------------------------------

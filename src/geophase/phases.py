@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import cos, pi, sin
 
-import numpy as np
-
 from .errors import (CurveNotClosed, GeophaseError, MethodDisagreement,
                      WindingInconsistent)
 from .motion import TWO_PI, MotionPath, topology_report
@@ -119,32 +117,70 @@ def _line_sum(pieces) -> float:
 def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
     """Bracketing sums for the line integral on the refined uniform mesh.
 
-    The uniform N-interval mesh is refined by every schedule breakpoint, so
-    theta is monotone and beta affine on each interval. The mid value is the
-    left-endpoint Riemann sum; lower/upper replace cos(beta) by its extreme
-    values on each interval, giving certified bounds for any N. Each affine
-    piece contributes its own slice of the mesh: its ends plus the uniform
-    nodes strictly inside it.
+    The uniform N-interval mesh (the nodes of np.linspace(0, 1, N + 1)) is
+    refined by every schedule breakpoint, so theta is monotone and beta
+    affine on each interval. The mid value is the left-endpoint Riemann
+    sum; lower/upper replace cos(beta) by its extreme values on each
+    interval, giving certified bounds for any N.
+
+    Each affine piece contributes its own slice of the mesh: its ends plus
+    the uniform nodes inside it, found by index arithmetic (a node on the
+    piece's start opens a first interval of zero width, which adds 0).
+    Between two inner nodes the step in theta is constant and beta advances
+    by a constant step, so the piece's left- and right-endpoint sums are two
+    Lagrange sums of cos over an arithmetic progression plus the two partial
+    end intervals, O(1) work per piece. beta stays in [0, pi], where cos
+    decreases, so on every interval of a piece the larger endpoint value of
+    cos(beta) sits on the same side; each piece's lower and upper bounds are
+    therefore exactly the smaller and the larger of those two sums.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    uniform = np.linspace(0.0, 1.0, N + 1)
+    step = 1.0 / N   # np.linspace's node k is k * step, node N is 1.0
     lower = mid = upper = 0.0
-    for (t0, t1, th0, dth, b0, db) in path.affine_pieces:
-        inner = uniform[np.searchsorted(uniform, t0, side="right"):
-                        np.searchsorted(uniform, t1, side="left")]
-        dt = np.concatenate([[t0], inner, [t1]]) - t0
-        c = np.cos(b0 + db * dt)
-        dtheta = np.diff(th0 + dth * dt)
-        mid += float(c[:-1] @ dtheta)
-        # beta stays in [0, pi], where cos decreases, so an interval's
-        # extremes of cos(beta) are its endpoint values; dtheta has the
-        # sign of dth throughout the piece
-        hi = float(np.maximum(c[:-1], c[1:]) @ dtheta)
-        lo = float(np.minimum(c[:-1], c[1:]) @ dtheta)
-        upper += max(hi, lo)
-        lower += min(hi, lo)
+    for (t0, t1, _th0, dth, b0, db) in path.affine_pieces:
+        if dth == 0.0:
+            continue
+        first = _nodes_below(t0, N, step)
+        inner = _nodes_below(t1, N, step) - first
+        c0, c1 = cos(b0), cos(b0 + db * (t1 - t0))
+        if inner == 0:
+            left, right = c0 * dth * (t1 - t0), c1 * dth * (t1 - t0)
+        else:
+            lo_t, hi_t = first * step, (first + inner - 1) * step
+            a = b0 + db * (lo_t - t0)   # beta at the first inner node
+            d = db * step
+            head, tail = dth * (lo_t - t0), dth * (t1 - hi_t)
+            left = (c0 * head + dth * step * _cos_sum(a, d, inner - 1)
+                    + cos(b0 + db * (hi_t - t0)) * tail)
+            right = (cos(a) * head + dth * step * _cos_sum(a + d, d, inner - 1)
+                     + c1 * tail)
+        mid += left
+        lower += min(left, right)
+        upper += max(left, right)
     return BaumkuchenBounds(N=N, lower=lower, upper=upper, mid=mid)
+
+
+def _nodes_below(t: float, N: int, step: float) -> int:
+    """np.searchsorted(np.linspace(0, 1, N + 1), t) for t in [0, 1]: the
+    number of uniform nodes strictly below t. Node N is 1.0, never below t,
+    so only the nodes k * step, k < N, are ever compared."""
+    count = min(max(int(t * N), 0), N)
+    while count > 0 and (count - 1) * step >= t:
+        count -= 1
+    while count < N and count * step < t:
+        count += 1
+    return count
+
+
+def _cos_sum(a: float, d: float, n: int) -> float:
+    """sum(cos(a + k d) for k in range(n)) in closed form (Lagrange)."""
+    if n <= 0:
+        return 0.0
+    half = sin(0.5 * d)
+    if half == 0.0:
+        return n * cos(a)
+    return sin(0.5 * n * d) * cos(a + 0.5 * (n - 1) * d) / half
 
 
 # ---------------------------------------------------------------------------

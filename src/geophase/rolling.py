@@ -1,11 +1,19 @@
 """Rigid-body oracle for the rolling disc.
 
-Reconstructs the full rotation matrix of the moving disc by integrating the
-angular velocity that the no-slip and tangency constraints force at each
-instant, then measures the spin about the contact normal directly from the
+Reconstructs the orientation of the moving disc by integrating the angular
+velocity that the no-slip and tangency constraints force at each instant,
+then measures the spin about the contact normal directly from the
 orientation history. Nothing here uses the surface geometry of the previous
 modules beyond the shared frame definitions, which makes the result an
 independent check on the phase decomposition.
+
+The orientation is a unit quaternion (Euler-Rodrigues parameters; Shoemake,
+SIGGRAPH 1985) held per component as a (4, n) array. Each step is the
+exact half-angle quaternion of the midpoint rate, and the steps are
+composed by a blocked recursive scan. Orthonormality drift is read off the
+norm, | |q|^4 - 1 |, and the spin comes from quaternion differences, so no
+3x3 matrix is formed except on request (OracleTrace.orientations) and for
+the closure check on the final orientation.
 
 Geometry: the fixed disc has radius a in the z = 0 plane, centered at the
 origin. The moving disc has radius b, touches the fixed rim at
@@ -17,7 +25,7 @@ the direction perpendicular to the rim tangent and to g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, pi
+from math import pi
 
 import numpy as np
 
@@ -115,63 +123,104 @@ def solve_body_rates(path: MotionPath, t: float):
 
 @dataclass(frozen=True)
 class OracleTrace:
-    """Output of the orientation integration."""
+    """Output of the orientation integration.
+
+    quaternions[:, k] is the orientation at t[k] as a quaternion (w, x, y,
+    z) of norm 1 up to rounding (never renormalized); orientations is the
+    same history as (len(t), 3, 3) rotation matrices, built on access.
+    """
 
     steps: int
     t: np.ndarray
-    orientations: np.ndarray
+    quaternions: np.ndarray
     spin_rates: np.ndarray
     noslip_residuals: np.ndarray
     delta_oracle: float
 
+    @property
+    def orientations(self) -> np.ndarray:
+        return np.moveaxis(_matrices(self.quaternions), -1, 0)
+
+
+_BLOCK = 32   # scan block length: passes per level vs. levels of carries
+
+
+def _qmul(p, q):
+    """Hamilton product p q of quaternions given per component (w, x, y, z)."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
 
 def _rodrigues_steps(omega, dt):
-    """Exact rotations exp(dt * hat(omega)), shape (n, 3, 3), for rates
-    given per component (omega[k] is the 1-D array of component k)."""
+    """Exact rotations exp(dt * hat(omega)) as half-angle quaternions
+    (cos(phi/2), sin(phi/2) u), shape (4, n), for rates given per component
+    (omega[k] is the 1-D array of component k)."""
     rate = np.sqrt(_dot(omega, omega))
-    phi = rate * dt
-    safe = np.where(phi > 0.0, rate, 1.0)
-    ux, uy, uz = (w / safe for w in omega)
-    s, c = np.sin(phi), 1.0 - np.cos(phi)
-    # I + sin(phi) K + (1 - cos(phi)) K^2 with K = hat(u)
-    R = np.empty((phi.size, 3, 3))
-    R[:, 0, 0] = 1.0 - c * (uy * uy + uz * uz)
-    R[:, 1, 1] = 1.0 - c * (ux * ux + uz * uz)
-    R[:, 2, 2] = 1.0 - c * (ux * ux + uy * uy)
-    R[:, 0, 1] = c * ux * uy - s * uz
-    R[:, 1, 0] = c * ux * uy + s * uz
-    R[:, 0, 2] = c * ux * uz + s * uy
-    R[:, 2, 0] = c * ux * uz - s * uy
-    R[:, 1, 2] = c * uy * uz - s * ux
-    R[:, 2, 1] = c * uy * uz + s * ux
-    return R
+    half = 0.5 * rate * dt
+    scale = np.sin(half) / np.where(half > 0.0, rate, 1.0)
+    S = np.empty((4, half.size))
+    S[0] = np.cos(half)
+    for k in range(3):
+        np.multiply(omega[k], scale, out=S[k + 1])
+    return S
 
 
-def _prefix_products(steps):
-    """R[0] = I and R[k] = S[k-1] ... S[0] for stacked steps S (n, 3, 3).
+def _identities(n):
+    """(4, n) identity quaternions, n rounded up to whole scan blocks."""
+    Q = np.zeros((4, -(-n // _BLOCK) * _BLOCK))
+    Q[0] = 1.0
+    return Q
 
-    Blocked two-level scan (Blelloch, CMU-CS-90-190): the n + 1 factors
-    [I, S_0, S_1, ...] are cut into blocks of B = ceil(sqrt(n + 1)), padded
-    with identities. B - 1 stacked passes form the running products inside
-    every block, one carry per block chains the block totals, and one last
-    pass applies each block's carry.
+
+def _scan(Q):
+    """In place, Q[:, k] <- Q[:, k] ... Q[:, 1] Q[:, 0]; Q.shape[1] is a
+    multiple of _BLOCK.
+
+    Blocked recursive scan (Blelloch, CMU-CS-90-190): _BLOCK - 1 passes form
+    the running products inside every block at once, the block totals are
+    scanned by the same routine, and _BLOCK more passes apply each block's
+    carry. The passes run on a block-minor copy, so each reads contiguous
+    rows.
     """
-    total = steps.shape[0] + 1
-    size = isqrt(total - 1) + 1
-    blocks = -(-total // size)
-    R = np.empty((blocks * size, 3, 3))
-    R[0] = np.eye(3)
-    R[1:total] = steps
-    R[total:] = np.eye(3)
-    X = R.reshape(blocks, size, 3, 3)
-    for p in range(1, size):
-        X[:, p] = X[:, p] @ X[:, p - 1]
-    carry = np.empty((blocks, 3, 3))
-    carry[0] = np.eye(3)
-    for k in range(1, blocks):
-        carry[k] = X[k - 1, -1] @ carry[k - 1]
-    X[1:] = X[1:] @ carry[1:, None]
-    return R[:total]
+    blocks = Q.shape[1] // _BLOCK
+    X = np.empty((4, _BLOCK, blocks))   # X[:, p, j] = Q[:, j * _BLOCK + p]
+    X[...] = Q.reshape(4, blocks, _BLOCK).transpose(0, 2, 1)
+    for p in range(1, _BLOCK):
+        X[:, p] = _qmul(X[:, p], X[:, p - 1])
+    if blocks > 1:
+        carry = _identities(blocks)
+        carry[:, 1:blocks] = X[:, -1, :-1]
+        carry = _scan(carry)[:, :blocks]
+        for p in range(_BLOCK):
+            X[:, p] = _qmul(X[:, p], carry)
+    Q.reshape(4, blocks, _BLOCK)[...] = X.transpose(0, 2, 1)
+    return Q
+
+
+def _compose(steps):
+    """Q[:, 0] = 1 and Q[:, k] = S[:, k-1] ... S[:, 0] for step quaternions
+    S (4, n); returns (4, n + 1)."""
+    total = steps.shape[1] + 1
+    Q = _identities(total)
+    Q[:, 1:total] = steps
+    return _scan(Q)[:, :total]
+
+
+def _matrices(q):
+    """Rotation matrices of quaternions q (4, ...) by the homogeneous
+    formula, shape (3, 3, ...). For a quaternion of norm r the result is r^2
+    times a rotation, so R^T R - I = (r^4 - 1) I in exact arithmetic."""
+    w, x, y, z = q
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    wx, wy, wz = 2.0 * w * x, 2.0 * w * y, 2.0 * w * z
+    xy, xz, yz = 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
+    return np.array([[ww + xx - yy - zz, xy - wz, xz + wy],
+                     [xy + wz, ww - xx + yy - zz, yz - wx],
+                     [xz - wy, yz + wx, ww - xx - yy + zz]])
 
 
 def _normal_solve(rows, rhs):
@@ -203,18 +252,21 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
 
     Midpoint rule: the constraint system is solved at each interval
     midpoint and each step is the exact rotation generated by that rate, so
-    the scheme is second order in the step. Rates, rotations and the spin
+    the scheme is second order in the step. Rates, steps and the spin
     recovery are computed per vector component over all instants at once,
-    and the 3x3 normal equations are solved by cofactors. The orientations
-    are the prefix products of the steps, composed by a blocked two-level
-    scan in about 2 sqrt(steps) array passes (see _prefix_products). Every
-    orientation's orthonormality drift is checked (DriftExceeded above
-    drift_tol, 1e-6 by default); nothing is re-orthonormalized. The
-    returned spin history is recovered from finite differences of the
-    orientations themselves, not from the solved rates, and delta_oracle is
-    minus its time integral. For a closed motion the final orientation must
-    be a pure twist about the starting normal by minus the dynamical phase
-    mod 2 pi (ClosureMismatch otherwise).
+    and the 3x3 normal equations are solved by cofactors. The orientation
+    is carried as a unit quaternion: each step is the exact half-angle
+    quaternion of its rotation, and the orientations are the prefix products
+    of the steps, composed by a blocked recursive scan (see _scan). Every
+    orientation's drift | |q|^4 - 1 |, which equals max |R^T R - I| of the
+    matrix built from the unnormalized quaternion, is checked (DriftExceeded
+    above drift_tol, 1e-6 by default); nothing is renormalized. The returned
+    spin history is recovered from central differences of the quaternions
+    themselves, not from the solved rates, as the component along the
+    normal of the rate 2 vec(qdot conj(q)), and delta_oracle is minus its
+    time integral. For a closed motion the final orientation must be a pure
+    twist about the starting normal by minus the dynamical phase mod 2 pi
+    (ClosureMismatch otherwise).
     """
     radii = path.radii
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, steps + 1),
@@ -232,37 +284,28 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
         path.theta.slopes(tm), path.beta.slopes(tm),
         radii.a, radii.b)[:2])
 
-    R = _prefix_products(_rodrigues_steps(omega, dt))
-    n_steps = R.shape[0] - 1
-    # orthonormality drift of every orientation: the six distinct entries
-    # of R^T R - I as column dot products
-    cols = [R[:, :, k] for k in range(3)]
-    drift = np.max([np.abs(np.einsum("ij,ij->i", cols[p], cols[q]) - (p == q))
-                    for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))],
-                   axis=0)
+    q = _compose(_rodrigues_steps(omega, dt))
+    n_steps = q.shape[1] - 1
+    # orthonormality drift of every orientation: max |R^T R - I| of the
+    # matrix _matrices builds from the unnormalized quaternion is | |q|^4 - 1 |
+    norm2 = np.einsum("ij,ij->j", q, q)
+    drift = np.abs(norm2 * norm2 - 1.0)
     worst = int(np.argmax(drift))
     if drift[worst] > drift_tol:
         raise DriftExceeded(
             f"orthonormality drift {drift[worst]:.3e} after {worst} steps")
 
     # spin about the instantaneous normal, recovered from the orientations:
-    # Rdot by central differences (one-sided at the two ends) against the
-    # orientation at the base point, spin = g . vex(Rdot R^T)
+    # qdot by central differences (one-sided at the two ends), the spatial
+    # rate is 2 vec(qdot conj(q)) and the spin is its component along g
     theta_grid = path.theta.values(grid)
     beta_grid = path.beta.values(grid)
     g_grid = gauss_vector(theta_grid, beta_grid)
-    lo = np.r_[0, np.arange(n_steps)]
-    hi = np.r_[np.arange(1, n_steps + 1), n_steps]
-    D = R[hi]
-    D -= R[lo]
-    B = R[np.r_[np.arange(n_steps), n_steps - 1]]
-
-    def w(i, j):
-        return D[:, i, 0] * B[:, j, 0] + D[:, i, 1] * B[:, j, 1] + D[:, i, 2] * B[:, j, 2]
-
-    gx, gy, gz = g_grid.T
-    spin_rates = 0.5 * (gx * (w(2, 1) - w(1, 2)) + gy * (w(0, 2) - w(2, 0))
-                        + gz * (w(1, 0) - w(0, 1))) / (grid[hi] - grid[lo])
+    dq = _central_differences(q)
+    # vec(dq conj(q)) = q0 vec(dq) - dq0 vec(q) - vec(dq) x vec(q)
+    cross = _cross(dq[1:], q[1:])
+    rate = [q[0] * dq[k + 1] - dq[0] * q[k + 1] - cross[k] for k in range(3)]
+    spin_rates = 2.0 * _dot(g_grid.T, rate) / _central_differences(grid)
     delta_oracle = -float(np.trapezoid(spin_rates, grid))
 
     report = topology_report(path)
@@ -271,10 +314,11 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
         # to themselves, so R_N must be a twist about g(0); the twist angle
         # is minus the dynamical part of the spin (mod 2 pi). The geometric
         # part lives in the frame transport and cancels from the residual.
+        final = _matrices(q[:, -1])
         g0 = g_grid[0]
-        axis_err = float(np.linalg.norm(R[-1] @ g0 - g0))
+        axis_err = float(np.linalg.norm(final @ g0 - g0))
         _, e2_0, _ = frame_vectors(theta_grid[0], beta_grid[0])
-        turned = R[-1] @ e2_0
+        turned = final @ e2_0
         chi = float(np.arctan2(turned @ np.cross(g0, e2_0), turned @ e2_0))
         twist_expected = -(radii.a / radii.b) * (theta_grid[-1] - theta_grid[0])
         mismatch = abs(_wrap_angle(chi - twist_expected))
@@ -283,9 +327,19 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
                 f"closed motion: axis error {axis_err:.3e}, "
                 f"twist angle mismatch {mismatch:.3e}")
 
-    return OracleTrace(steps=n_steps, t=grid, orientations=R,
+    return OracleTrace(steps=n_steps, t=grid, quaternions=q,
                        spin_rates=spin_rates, noslip_residuals=noslip,
                        delta_oracle=delta_oracle)
+
+
+def _central_differences(x):
+    """x[..., k + 1] - x[..., k - 1] along the last axis, one-sided at the
+    two ends."""
+    d = np.empty_like(x)
+    d[..., 1:-1] = x[..., 2:] - x[..., :-2]
+    d[..., 0] = x[..., 1] - x[..., 0]
+    d[..., -1] = x[..., -1] - x[..., -2]
+    return d
 
 
 def _wrap_angle(x: float) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,10 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import geophase
+from geophase import GeophaseError, build_path
 from geophase.cli import main
 from geophase.data import load_report_schema
 
@@ -362,8 +365,8 @@ def test_epsilon_outside_the_clamp_range_exits_2(capsys, eps, methods):
     assert "Traceback" not in err and out == ""
 
 
-# a 1e12 lap does not close, so compute's clamped routes refuse it before
-# sampling; trace samples any motion
+# sweeps so large that float spacing at theta(1) exceeds the closure
+# tolerance are refused when the motion file is read, before any route
 @pytest.mark.parametrize("command,slope", [
     ("compute", "1e308"), ("trace", "1e308"), ("trace", "1e12")])
 def test_absurd_sweep_exits_2(tmp_path, capsys, command, slope):
@@ -371,8 +374,98 @@ def test_absurd_sweep_exits_2(tmp_path, capsys, command, slope):
     target.write_text(_lap_desc("1.0", slope=slope))
     code, out, err = run(capsys, command, "--motion", str(target))
     assert code == 2
+    assert "SweepTooLarge" in err and "spacing" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_unresolvable_closure_exits_2_on_the_line_route(tmp_path, capsys):
+    # the line route samples nothing, so no sample cap stops this sweep
+    target = tmp_path / "motion.json"
+    target.write_text(_lap_desc("1.0", slope="1e308"))
+    code, out, err = run(capsys, "compute", "--motion", str(target),
+                         "--methods", "line")
+    assert code == 2
+    assert "SweepTooLarge" in err and "1e+308" in err and "spacing" in err
+    assert "Traceback" not in err and out == ""
+
+
+# sweeps that float spacing still resolves but no sampled curve can follow:
+# ten thousand closed laps for compute's clamped routes; trace samples any
+# motion
+@pytest.mark.parametrize("command,slope", [
+    ("compute", repr(2e4 * PI)), ("trace", "1e5")])
+def test_sweep_past_the_sample_cap_exits_2(tmp_path, capsys, command, slope):
+    target = tmp_path / "motion.json"
+    target.write_text(_lap_desc("1.0", slope=slope))
+    code, out, err = run(capsys, command, "--motion", str(target))
+    assert code == 2
     assert "ValueError" in err and "MAX_PIECE_SAMPLES" in err
     assert "Traceback" not in err and out == ""
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _mostly(valid, wild=_JSON_LEAVES):
+    """valid nine times in ten, wild otherwise, so that most draws get past
+    the first check and reach the deeper ones."""
+    return st.integers(0, 9).flatmap(lambda k: wild if k == 9 else valid)
+
+
+_NUMBER = _mostly(st.sampled_from(
+    [0.0, 0.5, 1.0, 2.0, -1.0, 2.0 * PI, 1e12, 1e308, 10 ** 400]))
+
+
+def _schedule(value):
+    return _mostly(
+        st.fixed_dictionaries({"kind": st.just("const"), "value": value})
+        | st.fixed_dictionaries({"kind": st.just("affine"), "start": value,
+                                 "slope": _NUMBER})
+        | st.fixed_dictionaries({"kind": st.just("samples"),
+                                 "t": st.lists(_NUMBER, max_size=4),
+                                 "values": st.lists(value, max_size=4)}),
+        _JSON)
+
+
+def _segments(count):
+    """count segments that tile [0, 1] unless a wild value breaks them."""
+    return st.tuples(*(st.fixed_dictionaries({
+        "t0": _mostly(st.just(i / count)),
+        "t1": _mostly(st.just((i + 1) / count)),
+        "theta": _schedule(_mostly(st.just(0.0), _NUMBER)),
+        "beta": _schedule(_NUMBER)}) for i in range(count))).map(list)
+
+
+_MOTION = _mostly(st.fixed_dictionaries({
+    "radii": _mostly(st.fixed_dictionaries({
+        "a": _mostly(st.sampled_from([0.5, 1.0, 2.0])),
+        "b": _mostly(st.sampled_from([0.5, 1.0, 2.0]))}), _JSON),
+    "segments": _mostly(st.integers(1, 3).flatmap(_segments), _JSON)}), _JSON)
+
+
+@settings(max_examples=60, deadline=None)
+@given(desc=_MOTION)
+@example(desc=json.loads(_lap_desc("10" + "0" * 400)))
+@example(desc=json.loads(_lap_desc("1.0", slope="1e308")))
+def test_arbitrary_json_fails_only_with_documented_errors(tmp_path_factory,
+                                                         desc):
+    try:
+        build_path(desc)
+    except (GeophaseError, ValueError):
+        pass
+    target = tmp_path_factory.mktemp("fuzz") / "motion.json"
+    target.write_text(json.dumps(desc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compute", "--motion", str(target), "--methods", "line"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_lap_with_a_sampled_dip_to_the_pole_exits_0(tmp_path, capsys):

@@ -19,6 +19,7 @@ from geophase import gauge, phases
 from geophase.errors import CurveNotClosed, MethodDisagreement
 from conftest import (COIN_RADII, FROZEN, TABLE_RADII, affine_lap,
                       closed_motions, gallery)
+from test_acceptance import random_closed_motion
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -126,6 +127,48 @@ def test_baumkuchen_matches_the_merged_mesh_definition(N):
     bounds = geometric_phase_baumkuchen(path, N)
     got = (bounds.lower, bounds.mid, bounds.upper)
     np.testing.assert_allclose(got, merged_mesh_bounds(path, N),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_baumkuchen_matches_the_merged_mesh_on_random_motions():
+    rng = np.random.default_rng(20260824)
+    for _ in range(10):
+        path = random_closed_motion(rng)
+        bounds = geometric_phase_baumkuchen(path, 10**6)
+        np.testing.assert_allclose((bounds.lower, bounds.mid, bounds.upper),
+                                   merged_mesh_bounds(path, 10**6),
+                                   rtol=0.0, atol=1e-12)
+
+
+def _lap_with_tilt(*segments):
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, -TWO_PI)])
+    return MotionPath(theta, ScalarPath.from_segments(list(segments)),
+                      Radii(1.0, 1.0))
+
+
+ON_NODE = 3 * (1.0 / 7)   # node 3 of np.linspace(0, 1, 8), bit for bit
+
+
+@pytest.mark.parametrize("segments,N", [
+    # a piece with beta' == 0
+    ((ConstantSegment(0.0, 0.4, 1.0), AffineSegment(0.4, 1.0, 1.0, 1.5)),
+     1000),
+    # pieces [0.3001, 0.3004] and [0.3004, 0.3007] hold no uniform node
+    ((SampledSegment(0.0, 1.0, np.array([0.0, 0.3001, 0.3004, 0.3007, 1.0]),
+                     np.array([0.5, 2.5, 0.7, 1.9, 1.1])),), 1000),
+    # a knot exactly on a uniform node
+    ((AffineSegment(0.0, ON_NODE, 0.4, 2.0),
+      AffineSegment(ON_NODE, 1.0, 0.4 + 2.0 * ON_NODE, -1.0)), 7),
+    # one uniform interval: no piece holds an inner node
+    ((SampledSegment(0.0, 1.0, np.array([0.0, 0.3001, 0.3004, 1.0]),
+                     np.array([0.5, 2.5, 0.7, 1.1])),), 1),
+], ids=["flat-tilt", "no-inner-node", "knot-on-node", "N=1"])
+def test_baumkuchen_edge_pieces_match_the_merged_mesh(segments, N):
+    assert ON_NODE == np.linspace(0.0, 1.0, 8)[3]
+    path = _lap_with_tilt(*segments)
+    bounds = geometric_phase_baumkuchen(path, N)
+    np.testing.assert_allclose((bounds.lower, bounds.mid, bounds.upper),
+                               merged_mesh_bounds(path, N),
                                rtol=0.0, atol=1e-12)
 
 

@@ -191,12 +191,17 @@ def test_constraint_rows_match_the_stacked_cross_products():
     np.testing.assert_allclose(np.array(g).T, ref_g, rtol=0.0, atol=1e-13)
 
 
+def _as_matrices(q):
+    """(n, 3, 3) rotation matrices of (4, n) quaternions."""
+    return np.moveaxis(rolling._matrices(q), -1, 0)
+
+
 def test_rodrigues_steps_match_the_stacked_skew_form():
     rng = np.random.default_rng(12)
     omega = rng.normal(0.0, 20.0, (64, 3))
     omega[0] = 0.0   # a zero rate is the identity
     dt = rng.uniform(1e-5, 0.2, 64)
-    got = rolling._rodrigues_steps(tuple(omega.T), dt)
+    got = _as_matrices(rolling._rodrigues_steps(tuple(omega.T), dt))
     np.testing.assert_allclose(got, _stacked_rodrigues(omega, dt),
                                rtol=0.0, atol=1e-13)
     np.testing.assert_array_equal(got[0], np.eye(3))
@@ -209,13 +214,20 @@ def test_rodrigues_steps_match_the_stacked_skew_form():
     16, 100,         # one above
     14, 98,          # one below
     1000,
+    31, 32, 33,      # steps + 1 factors fill one scan block, or spill over
+    1023, 1024,      # 32 or 33 blocks: the carries fill one block, or spill
+    32 ** 2 + 1,     # into a third scan level
+    32 ** 3 + 1,     # a fourth scan level
 ])
 def test_blocked_prefix_products_match_a_sequential_product(steps):
     rng = np.random.default_rng(steps)
-    S = _stacked_rodrigues(rng.normal(0.0, 3.0, (steps, 3)),
-                           rng.uniform(0.0, 1.0, steps))
+    omega = rng.normal(0.0, 3.0, (steps, 3))
+    dt = rng.uniform(0.0, 1.0, steps)
+    S = _stacked_rodrigues(omega, dt)
     expected = [np.eye(3)]
     for step in S:
         expected.append(step @ expected[-1])
-    np.testing.assert_allclose(rolling._prefix_products(S), np.array(expected),
+    got = rolling._compose(rolling._rodrigues_steps(tuple(omega.T), dt))
+    assert got.shape == (4, steps + 1)
+    np.testing.assert_allclose(_as_matrices(got), np.array(expected),
                                rtol=0.0, atol=1e-12)
