@@ -275,7 +275,12 @@ class ScalarPath:
 
 @dataclass(frozen=True, eq=False)
 class MotionPath:
-    """Validated pair of schedules plus the disc radii."""
+    """Validated pair of schedules plus the disc radii.
+
+    Raises ThetaNonzeroAtStart, BetaOutOfRange, or SweepTooLarge when
+    theta(1) is so large that float spacing there exceeds CLOSURE_TOL, so
+    topology_report could not tell a closed lap.
+    """
 
     theta: ScalarPath
     beta: ScalarPath
@@ -293,6 +298,12 @@ class MotionPath:
                 raise BetaOutOfRange(
                     f"beta reaches [{lo:.6g}, {hi:.6g}] on [{t0:.6g}, {t1:.6g}], "
                     f"allowed range is [0, pi]")
+        sweep = self.theta.end_value()
+        spacing = float(np.spacing(abs(sweep)))
+        if not spacing <= CLOSURE_TOL:   # NaN for an infinite sweep
+            raise SweepTooLarge(
+                f"theta sweeps {sweep:.6g} rad; float spacing there is "
+                f"{spacing:.3g}, above the closure tolerance {CLOSURE_TOL:g}")
 
     @cached_property
     def breakpoints(self) -> tuple:
@@ -448,15 +459,8 @@ def build_path(desc: dict) -> MotionPath:
         theta_segs.append(_build_segment(sd.get("theta"), t0, t1, f"segment {i} theta"))
         beta_segs.append(_build_segment(sd.get("beta"), t0, t1, f"segment {i} beta"))
 
-    path = MotionPath(ScalarPath.from_segments(theta_segs),
+    return MotionPath(ScalarPath.from_segments(theta_segs),
                       ScalarPath.from_segments(beta_segs), radii)
-    sweep = path.theta.end_value()
-    spacing = float(np.spacing(abs(sweep)))
-    if not spacing <= CLOSURE_TOL:   # NaN for an infinite sweep
-        raise SweepTooLarge(
-            f"theta sweeps {sweep:.6g} rad; float spacing there is "
-            f"{spacing:.3g}, above the closure tolerance {CLOSURE_TOL:g}")
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ norm, | |q|^4 - 1 |, and the spin comes from quaternion differences, so no
 3x3 matrix is formed except on request (OracleTrace.orientations) and for
 the closure check on the final orientation.
 
+The schedule is read from the affine pieces of the motion: the step grid
+holds every knot, so each instant's piece index comes from the step counts
+per piece, and theta, beta and their slopes are one multiply-add away.
+Each instant's sines and cosines are taken once and give the frame, the
+normal and their derivatives. The pointwise chain (constraint rows, normal
+solve, step quaternions) and the spin recovery run in chunks of _CHUNK
+instants, so their temporaries stay in cache.
+
 Geometry: the fixed disc has radius a in the z = 0 plane, centered at the
 origin. The moving disc has radius b, touches the fixed rim at
 (a cos th, a sin th, 0), and is tilted so its unit normal is the tilt
@@ -82,9 +90,11 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
     dbeta = np.atleast_1d(np.asarray(dbeta, dtype=float))
-    e1, e2, g = (v.T for v in frame_vectors(theta, beta))
     st, ct = np.sin(theta), np.cos(theta)
     sb, cb = np.sin(beta), np.cos(beta)
+    e1 = (-st, ct, 0.0)   # the frame of sphere.frame_vectors, per component
+    e2 = (cb * ct, cb * st, sb)
+    g = (sb * ct, sb * st, -cb)
 
     g_dot = (dbeta * cb * ct - dtheta * sb * st,
              dbeta * cb * st + dtheta * sb * ct,
@@ -93,7 +103,7 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
     c_dot = (-b * sb * dbeta * ct - ring * st * dtheta,
              -b * sb * dbeta * st + ring * ct * dtheta,
              b * cb * dbeta)
-    d = -b * e2  # contact - center
+    d = tuple(-b * e for e in e2)  # contact - center
 
     rows = (_cross(g, e1), _cross(g, e2), _cross(d, e1), _cross(d, e2))
     rhs = (_dot(g_dot, e1), _dot(g_dot, e2), -_dot(c_dot, e1), -_dot(c_dot, e2))
@@ -143,6 +153,7 @@ class OracleTrace:
 
 
 _BLOCK = 32   # scan block length: passes per level vs. levels of carries
+_CHUNK = 8192  # instants per pass of the pointwise pipeline: fits in cache
 
 
 def _qmul(p, q):
@@ -252,9 +263,13 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
 
     Midpoint rule: the constraint system is solved at each interval
     midpoint and each step is the exact rotation generated by that rate, so
-    the scheme is second order in the step. Rates, steps and the spin
-    recovery are computed per vector component over all instants at once,
-    and the 3x3 normal equations are solved by cofactors. The orientation
+    the scheme is second order in the step. theta, beta and their slopes
+    come from path.affine_pieces, indexed by the piece each instant lies in.
+    Rates, steps and the spin recovery are computed per vector component in
+    chunks of _CHUNK instants (one trig pass per instant, temporaries that
+    fit in cache), and the 3x3 normal equations are solved by cofactors.
+    steps below 1 raises ValueError, and so does a segment that gets fewer
+    than _MIN_STEPS_PER_SEGMENT steps. The orientation
     is carried as a unit quaternion: each step is the exact half-angle
     quaternion of its rotation, and the orientations are the prefix products
     of the steps, composed by a blocked recursive scan (see _scan). Every
@@ -268,24 +283,39 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
     twist about the starting normal by minus the dynamical phase mod 2 pi
     (ClosureMismatch otherwise).
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     radii = path.radii
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, steps + 1),
                                      path.knots]))
-    counts = np.diff(np.searchsorted(grid, path.knots))
-    if counts.size and counts.min() < _MIN_STEPS_PER_SEGMENT:
+    starts = np.searchsorted(grid, path.knots)
+    counts = np.diff(starts)
+    if counts.min() < _MIN_STEPS_PER_SEGMENT:
         raise ValueError(
             f"only {counts.min()} steps on the shortest segment; "
             f"need at least {_MIN_STEPS_PER_SEGMENT}")
+    n = grid.size - 1
     dt = np.diff(grid)
     tm = grid[:-1] + 0.5 * dt
+    # the grid holds every knot, so interval k lies in affine piece piece[k];
+    # grid points before the first knot (a start up to TILE_TOL after 0)
+    # belong to the first piece, and the end point t = 1 to the last
+    t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
+    starts[0], starts[-1] = 0, n + 1
+    piece = np.repeat(np.arange(counts.size), np.diff(starts))
 
-    omega, noslip = _normal_solve(*_constraint_rows(
-        path.theta.values(tm), path.beta.values(tm),
-        path.theta.slopes(tm), path.beta.slopes(tm),
-        radii.a, radii.b)[:2])
+    S = np.empty((4, n))
+    noslip = np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, n))
+        p = piece[sl]
+        since = tm[sl] - t0[p]
+        omega, noslip[sl] = _normal_solve(*_constraint_rows(
+            th0[p] + dth[p] * since, b0[p] + db[p] * since, dth[p], db[p],
+            radii.a, radii.b)[:2])
+        S[:, sl] = _rodrigues_steps(omega, dt[sl])
 
-    q = _compose(_rodrigues_steps(omega, dt))
-    n_steps = q.shape[1] - 1
+    q = _compose(S)
     # orthonormality drift of every orientation: max |R^T R - I| of the
     # matrix _matrices builds from the unnormalized quaternion is | |q|^4 - 1 |
     norm2 = np.einsum("ij,ij->j", q, q)
@@ -298,14 +328,24 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
     # spin about the instantaneous normal, recovered from the orientations:
     # qdot by central differences (one-sided at the two ends), the spatial
     # rate is 2 vec(qdot conj(q)) and the spin is its component along g
-    theta_grid = path.theta.values(grid)
-    beta_grid = path.beta.values(grid)
-    g_grid = gauss_vector(theta_grid, beta_grid)
-    dq = _central_differences(q)
-    # vec(dq conj(q)) = q0 vec(dq) - dq0 vec(q) - vec(dq) x vec(q)
-    cross = _cross(dq[1:], q[1:])
-    rate = [q[0] * dq[k + 1] - dq[0] * q[k + 1] - cross[k] for k in range(3)]
-    spin_rates = 2.0 * _dot(g_grid.T, rate) / _central_differences(grid)
+    spin_rates = np.empty(n + 1)
+    for lo in range(0, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        # the differences at lo..hi-1 read one neighbour on each side
+        near = slice(max(lo - 1, 0), min(hi + 1, n + 1))
+        own = slice(lo - near.start, hi - near.start)
+        dq = _central_differences(q[:, near])[:, own]
+        qk = q[:, lo:hi]
+        p = piece[lo:hi]
+        since = grid[lo:hi] - t0[p]
+        theta, beta = th0[p] + dth[p] * since, b0[p] + db[p] * since
+        sb = np.sin(beta)
+        g = (sb * np.cos(theta), sb * np.sin(theta), -np.cos(beta))
+        # vec(dq conj(q)) = q0 vec(dq) - dq0 vec(q) - vec(dq) x vec(q)
+        cross = _cross(dq[1:], qk[1:])
+        rate = [qk[0] * dq[k + 1] - dq[0] * qk[k + 1] - cross[k] for k in range(3)]
+        spin_rates[lo:hi] = (2.0 * _dot(g, rate)
+                             / _central_differences(grid[near])[own])
     delta_oracle = -float(np.trapezoid(spin_rates, grid))
 
     report = topology_report(path)
@@ -315,19 +355,19 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
         # is minus the dynamical part of the spin (mod 2 pi). The geometric
         # part lives in the frame transport and cancels from the residual.
         final = _matrices(q[:, -1])
-        g0 = g_grid[0]
+        _, e2_0, g0 = frame_vectors(th0[0], b0[0])
         axis_err = float(np.linalg.norm(final @ g0 - g0))
-        _, e2_0, _ = frame_vectors(theta_grid[0], beta_grid[0])
         turned = final @ e2_0
         chi = float(np.arctan2(turned @ np.cross(g0, e2_0), turned @ e2_0))
-        twist_expected = -(radii.a / radii.b) * (theta_grid[-1] - theta_grid[0])
+        twist_expected = -(radii.a / radii.b) * (path.theta.end_value()
+                                                 - path.theta.start_value())
         mismatch = abs(_wrap_angle(chi - twist_expected))
         if axis_err > closure_tol or mismatch > closure_tol:
             raise ClosureMismatch(
                 f"closed motion: axis error {axis_err:.3e}, "
                 f"twist angle mismatch {mismatch:.3e}")
 
-    return OracleTrace(steps=n_steps, t=grid, quaternions=q,
+    return OracleTrace(steps=n, t=grid, quaternions=q,
                        spin_rates=spin_rates, noslip_residuals=noslip,
                        delta_oracle=delta_oracle)
 

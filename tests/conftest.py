@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
-                      ScalarPath, example_gallery)
+                      SampledSegment, ScalarPath, example_gallery)
 
 PI = math.pi
 
@@ -92,3 +93,18 @@ def affine_lap(theta, beta):
                                        (beta[k + 1] - beta[k]) * n))
     return MotionPath(ScalarPath.from_segments(theta_segs),
                       ScalarPath.from_segments(beta_segs), COIN_RADII)
+
+
+def backtracking_sampled_path():
+    """An open motion with a backtracking sampled theta and a sampled tilt,
+    whose knots lie both on uniform grids (0.5) and off them (0.123456,
+    3/7, 0.61, ...), and do not line up between the two schedules."""
+    theta = ScalarPath.from_segments([
+        AffineSegment(0.0, 0.3, 0.0, 5.0),
+        SampledSegment(0.3, 1.0, np.array([0.3, 3.0 / 7.0, 0.5, 0.61, 0.83, 1.0]),
+                       np.array([1.5, 0.7, 2.0, 1.1, 3.3, 2.4]))])
+    beta = ScalarPath.from_segments([
+        SampledSegment(0.0, 0.77, np.array([0.0, 0.123456, 0.5, 0.77]),
+                       np.array([0.4, 2.9, 1.2, 2.2])),
+        AffineSegment(0.77, 1.0, 2.2, -4.0)])
+    return MotionPath(theta, beta, COIN_RADII)

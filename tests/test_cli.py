@@ -365,6 +365,15 @@ def test_epsilon_outside_the_clamp_range_exits_2(capsys, eps, methods):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("steps", ["-5", "0"])
+def test_oracle_steps_below_one_exit_2(capsys, steps):
+    code, out, err = run(capsys, "compute", "--example", "vi",
+                         "--methods", "line,oracle", "--steps", steps)
+    assert code == 2
+    assert "ValueError" in err and "steps" in err
+    assert "Traceback" not in err and out == ""
+
+
 # sweeps so large that float spacing at theta(1) exceeds the closure
 # tolerance are refused when the motion file is read, before any route
 @pytest.mark.parametrize("command,slope", [

@@ -11,7 +11,8 @@ from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
                       concatenate_paths, eval_path, example_gallery,
                       geometric_phase_line, reverse_path, topology_report)
 from geophase.errors import (BetaOutOfRange, DiscontinuousPath, GapOrOverlap,
-                             OutOfDomain, ThetaNonzeroAtStart, UnknownExample)
+                             OutOfDomain, SweepTooLarge, ThetaNonzeroAtStart,
+                             UnknownExample)
 from conftest import gallery
 
 PI = math.pi
@@ -88,6 +89,16 @@ def test_motion_path_validation():
     beta_ok = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
     with pytest.raises(ThetaNonzeroAtStart):
         MotionPath(theta_bad, beta_ok, Radii(1.0, 1.0))
+
+
+# float spacing at theta(1) above the closure tolerance: no closed lap could
+# be told from an open one, whichever way the path is built
+@pytest.mark.parametrize("slope", [1e308, 1e12])
+def test_motion_path_refuses_unresolvable_sweeps(slope):
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, slope)])
+    beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
+    with pytest.raises(SweepTooLarge, match="spacing"):
+        MotionPath(theta, beta, Radii(1.0, 1.0))
 
 
 def test_eval_path_returns_values_and_rates():

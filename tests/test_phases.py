@@ -18,7 +18,7 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
 from geophase import gauge, phases
 from geophase.errors import CurveNotClosed, MethodDisagreement
 from conftest import (COIN_RADII, FROZEN, TABLE_RADII, affine_lap,
-                      closed_motions, gallery)
+                      backtracking_sampled_path, closed_motions, gallery)
 from test_acceptance import random_closed_motion
 
 PI = math.pi
@@ -113,17 +113,7 @@ def merged_mesh_bounds(path, N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 1000])
 def test_baumkuchen_matches_the_merged_mesh_definition(N):
-    # backtracking theta, a sampled tilt, and knots both on the uniform
-    # grid (0.5) and off it (0.123456, 3/7, 0.61, ...)
-    theta = ScalarPath.from_segments([
-        AffineSegment(0.0, 0.3, 0.0, 5.0),
-        SampledSegment(0.3, 1.0, np.array([0.3, 3.0 / 7.0, 0.5, 0.61, 0.83, 1.0]),
-                       np.array([1.5, 0.7, 2.0, 1.1, 3.3, 2.4]))])
-    beta = ScalarPath.from_segments([
-        SampledSegment(0.0, 0.77, np.array([0.0, 0.123456, 0.5, 0.77]),
-                       np.array([0.4, 2.9, 1.2, 2.2])),
-        AffineSegment(0.77, 1.0, 2.2, -4.0)])
-    path = MotionPath(theta, beta, Radii(1.0, 1.0))
+    path = backtracking_sampled_path()
     bounds = geometric_phase_baumkuchen(path, N)
     got = (bounds.lower, bounds.mid, bounds.upper)
     np.testing.assert_allclose(got, merged_mesh_bounds(path, N),

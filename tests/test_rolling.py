@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
                       ScalarPath, dynamical_phase, geometric_phase_line,
-                      rigid_configuration, simulate_rolling, solve_body_rates)
+                      reverse_path, rigid_configuration, simulate_rolling,
+                      solve_body_rates)
 from geophase import rolling
 from geophase.errors import ClosureMismatch, DriftExceeded
-from geophase.sphere import frame_vectors
-from conftest import TABLE_RADII, gallery
+from geophase.sphere import frame_vectors, gauss_vector
+from conftest import (TABLE_RADII, backtracking_sampled_path, closed_motions,
+                      gallery)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -231,3 +234,80 @@ def test_blocked_prefix_products_match_a_sequential_product(steps):
     assert got.shape == (4, steps + 1)
     np.testing.assert_allclose(_as_matrices(got), np.array(expected),
                                rtol=0.0, atol=1e-12)
+
+
+def _whole_array_oracle(path, steps):
+    """Reference: the oracle over whole arrays, with the schedule from
+    ScalarPath.values/slopes and the spin from the Hamilton product
+    2 vec(qdot conj(q)). Returns (quaternions, no-slip residuals, spin
+    rates, delta_oracle)."""
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, steps + 1),
+                                     path.knots]))
+    dt = np.diff(grid)
+    tm = grid[:-1] + 0.5 * dt
+    rows, rhs, _ = rolling._constraint_rows(
+        path.theta.values(tm), path.beta.values(tm),
+        path.theta.slopes(tm), path.beta.slopes(tm),
+        path.radii.a, path.radii.b)
+    omega, noslip = rolling._normal_solve(rows, rhs)
+    q = rolling._compose(rolling._rodrigues_steps(omega, dt))
+    dq = rolling._central_differences(q)
+    rate = rolling._qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
+    g = gauss_vector(path.theta.values(grid), path.beta.values(grid))
+    spin = (2.0 * np.einsum("ki,ik->k", g, np.array(rate))
+            / rolling._central_differences(grid))
+    return q, noslip, spin, -float(np.trapezoid(spin, grid))
+
+
+@pytest.mark.parametrize("steps,chunk", [
+    (rolling._CHUNK - 1, rolling._CHUNK), (rolling._CHUNK, rolling._CHUNK),
+    (rolling._CHUNK + 1, rolling._CHUNK), (100_000, rolling._CHUNK),
+    (1000, 1), (1000, 5), (1000, 64),   # many chunks and a short last one
+])
+def test_chunked_oracle_matches_a_whole_array_reference(steps, chunk,
+                                                        monkeypatch):
+    # sampled schedules whose knots are off the step grid and do not line
+    # up between theta and beta
+    monkeypatch.setattr(rolling, "_CHUNK", chunk)
+    path = backtracking_sampled_path()
+    trace = simulate_rolling(path, steps=steps)
+    q, noslip, spin, delta = _whole_array_oracle(path, steps)
+    np.testing.assert_allclose(trace.quaternions, q, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(trace.noslip_residuals, noslip,
+                               rtol=0.0, atol=1e-13)
+    # finite differences scale rounding in q by 1/dt
+    np.testing.assert_allclose(trace.spin_rates, spin, rtol=0.0, atol=1e-10)
+    assert trace.delta_oracle == pytest.approx(delta, abs=1e-12)
+
+
+def test_a_schedule_starting_just_after_zero_is_covered():
+    # segments may start up to TILE_TOL after 0; the grid still starts at 0
+    # and its first interval lies before the first knot
+    theta = ScalarPath.from_segments([AffineSegment(1e-13, 0.5, 0.0, 6.0),
+                                      AffineSegment(0.5, 1.0, 3.0, -2.0)])
+    beta = ScalarPath.from_segments([ConstantSegment(1e-13, 1.0, 1.0)])
+    path = MotionPath(theta, beta, TABLE_RADII)
+    trace = simulate_rolling(path, steps=1000)
+    q, noslip, spin, delta = _whole_array_oracle(path, 1000)
+    assert trace.t[0] == 0.0 and trace.t[1] == 1e-13
+    np.testing.assert_allclose(trace.quaternions, q, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(trace.spin_rates, spin, rtol=0.0, atol=1e-10)
+    assert trace.delta_oracle == pytest.approx(delta, abs=1e-12)
+
+
+def test_oracle_matches_the_line_route_on_sampled_schedules():
+    path = backtracking_sampled_path()
+    expected = dynamical_phase(path) + geometric_phase_line(path)
+    assert simulate_rolling(path).delta_oracle == pytest.approx(expected, abs=1e-6)
+
+
+@settings(max_examples=5, deadline=None)
+@given(closed_motions())
+def test_oracle_geometric_part_is_odd_in_time_and_radius_free(path):
+    def geometric(p):
+        return simulate_rolling(p).delta_oracle - dynamical_phase(p)
+
+    value = geometric(path)
+    assert geometric(reverse_path(path)) == pytest.approx(-value, abs=1e-6)
+    rescaled = MotionPath(path.theta, path.beta, Radii(2.5, 0.5))
+    assert geometric(rescaled) == pytest.approx(value, abs=1e-6)
