@@ -9,38 +9,33 @@ area, geodesic curvature and turning angles, monopole potentials, state
 transport in a two-level system, and a rigid-body simulation.
 """
 
-from .errors import (AtCusp, AtSingularPole, BetaOutOfRange, ClosureMismatch,
-                     CurveHasCusps, CurveNotClosed, CurveNotSimple,
-                     DegenerateArc, DiscontinuousPath, DriftExceeded,
-                     EmptyTrack, EpsilonOutOfRange, GapOrOverlap,
-                     GaugeInconsistency, GeophaseError, LatitudeOutOfRange,
-                     MethodDisagreement, NonMonotoneTime, OnSingularAxis,
-                     OutOfDomain, ParseError, PoleOnCurve, QuadratureFailure,
-                     SingularSystem, SweepTooLarge, ThetaNonzeroAtStart,
+from .errors import (BetaOutOfRange, ClosureMismatch, CurveHasCusps,
+                     CurveNotClosed, CurveNotSimple, DegenerateArc,
+                     DiscontinuousPath, DriftExceeded, EmptyTrack,
+                     EpsilonOutOfRange, GapOrOverlap, GaugeInconsistency,
+                     GeophaseError, LatitudeOutOfRange, MethodDisagreement,
+                     NonMonotoneTime, OnSingularAxis, ParseError, PoleOnCurve,
+                     QuadratureFailure, SweepTooLarge, ThetaNonzeroAtStart,
                      UnknownExample, WindingInconsistent)
 from .motion import (GALLERY_NAMES, AffineSegment, ConstantSegment,
                      MotionPath, Radii, SampledSegment, ScalarPath,
                      TopologyReport, build_path, concatenate_paths,
-                     eval_path, example_gallery, reverse_path,
-                     topology_report)
-from .sphere import (DEFAULT_EPSILON, ConnectionForms, Cusp, Frame,
-                     RegularizedCurve, connection_forms, clamp_path,
-                     detect_cusps, frame_vectors, gauss_frame, gauss_vector,
-                     geodesic_curvature_at, offset_length,
+                     example_gallery, reverse_path, topology_report)
+from .sphere import (DEFAULT_EPSILON, Cusp, RegularizedCurve, detect_cusps,
+                     frame_vectors, gauss_vector, offset_length,
                      offset_length_derivative, regularize)
 from .regions import (RegionReport, classify_poles, curvature_integral,
-                      default_seed, is_simple, region_areas, region_report,
+                      default_seed, is_simple, region_areas,
                       turning_angle_sum)
 from .phases import (BaumkuchenBounds, PhaseResult, Tolerances,
                      dynamical_phase, eps_extrapolate,
                      extrapolated_region_report, geometric_phase_area,
                      geometric_phase_baumkuchen, geometric_phase_curvature,
                      geometric_phase_line, total_rotation)
-from .gauge import (MINUS_PATCH, PLUS_PATCH, BerryState, GaugePatch,
-                    berry_connection, berry_holonomy, berry_state, curl_check,
-                    monopole_holonomy, monopole_potential, patch_circulation)
-from .rolling import (OracleTrace, RigidConfiguration, rigid_configuration,
-                      simulate_rolling, solve_body_rates)
+from .gauge import (MINUS_PATCH, PLUS_PATCH, GaugePatch, berry_holonomy,
+                    curl_check, monopole_holonomy, monopole_potential,
+                    patch_circulation)
+from .rolling import OracleTrace, simulate_rolling
 from .foucault import (FoucaultResult, RouteTrack, foucault_from_motion,
                        ingest_track, route_foucault, to_earth_coords)
 

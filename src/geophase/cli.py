@@ -122,6 +122,10 @@ def _report(result, path: MotionPath, label: str, args, methods, seed) -> dict:
             "seed": int(seed),
             "tolerances": asdict(Tolerances()),
             "segments": len(path.theta.segments),
+            "area_method": args.area_method,
+            "steps": args.steps,
+            "samples": args.samples,
+            "mc_samples": args.mc_samples,
         },
         "n": result.n,
         "closed": topology_report(path).closed,
@@ -317,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mesh size for the bounds method")
     c.add_argument("--mc-samples", type=int, default=MC_SAMPLES,
                    help="Monte-Carlo area sample count")
-    c.add_argument("--area-method", choices=("gauss_bonnet", "monte_carlo"),
-                   default="gauss_bonnet")
+    c.add_argument("--area-method", choices=("solid_angle", "monte_carlo"),
+                   default="solid_angle",
+                   help="left-region area measure of the area route "
+                        "(default solid_angle)")
     c.add_argument("--seed", type=int, default=None,
                    help="Monte-Carlo seed (default: GEOPHASE_SEED or fixed)")
     c.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -33,10 +33,6 @@ class SweepTooLarge(GeophaseError):
     the closure tolerance, so whether the motion closes cannot be decided."""
 
 
-class OutOfDomain(GeophaseError):
-    """Evaluation time outside [0, 1]."""
-
-
 class UnknownExample(GeophaseError):
     """Gallery id is not one of i..vi."""
 
@@ -45,10 +41,6 @@ class UnknownExample(GeophaseError):
 
 class EpsilonOutOfRange(GeophaseError):
     """Clamp parameter outside (0, pi/8)."""
-
-
-class AtCusp(GeophaseError):
-    """Curvature requested at a sample where the tangent jumps."""
 
 
 class CurveHasCusps(GeophaseError):
@@ -75,7 +67,8 @@ class DegenerateArc(GeophaseError):
 
 
 class WindingInconsistent(GeophaseError):
-    """Azimuthal winding contradicts the pole-separation parity result."""
+    """The pole sides contradict the azimuthal winding, or the solid-angle
+    fans from the two poles disagree about the left-region area."""
 
 
 # --- quadrature / reconciliation ---
@@ -106,15 +99,7 @@ class OnSingularAxis(GeophaseError):
     """Point too close to the patch's excluded half-axis."""
 
 
-class AtSingularPole(GeophaseError):
-    """Eigenstate requested at the pole where its phase is undefined."""
-
-
 # --- rolling oracle ---
-
-class SingularSystem(GeophaseError):
-    """Rate solve at a stationary instant (handled by returning zero rates)."""
-
 
 class DriftExceeded(GeophaseError):
     """Orientation orthogonality drift above threshold."""

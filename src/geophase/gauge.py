@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi
 
 import numpy as np
 
-from .errors import (AtSingularPole, GaugeInconsistency, OnSingularAxis,
-                     QuadratureFailure)
+from .errors import GaugeInconsistency, OnSingularAxis, QuadratureFailure
 from .motion import TWO_PI, MotionPath
 from .sphere import DEFAULT_EPSILON, cached_regularize, clamped_affine_pieces
 from .phases import closed_topology, eps_limit
@@ -167,56 +165,6 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
 
 # ---------------------------------------------------------------------------
 # two-level system
-
-
-@dataclass(frozen=True)
-class BerryState:
-    """Unit eigenstate of the two-level Hamiltonian with eigenvalue +1."""
-
-    sign: int
-    components: np.ndarray
-
-
-def berry_state(sign: int, theta: float, beta: float) -> BerryState:
-    """Gauge-fixed eigenstate on the chosen patch.
-
-    The plus gauge is singular where the tilt vanishes (beta = 0), the
-    minus gauge where beta = pi; within 1e-9 of the singular pole the state
-    phase is meaningless and AtSingularPole is raised.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if sign > 0 and beta < AXIS_CLEARANCE:
-        raise AtSingularPole("plus-gauge state undefined at beta = 0")
-    if sign < 0 and beta > pi - AXIS_CLEARANCE:
-        raise AtSingularPole("minus-gauge state undefined at beta = pi")
-    half = 0.5 * beta
-    if sign > 0:
-        comps = np.array([np.sin(half), np.exp(1j * theta) * np.cos(half)])
-    else:
-        comps = np.array([np.exp(-1j * theta) * np.sin(half), np.cos(half)])
-    return BerryState(sign=sign, components=comps)
-
-
-def berry_connection(sign: int, theta: float, beta: float, dtheta: float,
-                     check: bool = False, step: float = 1e-6,
-                     check_tol: float = 1e-8) -> complex:
-    """<psi|d psi> along a theta displacement: (i/2)(sign + cos beta) dtheta.
-
-    With check=True the closed form is compared against the overlap of
-    finite-difference displaced states (step 1e-6, agreement 1e-8).
-    """
-    value = 0.5j * (sign + np.cos(beta)) * dtheta
-    if check:
-        h = step
-        fwd = berry_state(sign, theta + h * dtheta, beta).components
-        bwd = berry_state(sign, theta - h * dtheta, beta).components
-        here = berry_state(sign, theta, beta).components
-        fd = complex(np.vdot(here, (fwd - bwd) / (2.0 * h)))
-        if abs(fd - complex(value)) > check_tol:
-            raise ArithmeticError(
-                f"connection differs from finite differences by {abs(fd - value):.3e}")
-    return complex(value)
 
 
 _OVERLAP_REFINE = 8

@@ -28,7 +28,6 @@ from .errors import (
     BetaOutOfRange,
     DiscontinuousPath,
     GapOrOverlap,
-    OutOfDomain,
     SweepTooLarge,
     ThetaNonzeroAtStart,
     UnknownExample,
@@ -338,29 +337,6 @@ class TopologyReport:
 
     n: int
     closed: bool
-
-
-def eval_path(path: MotionPath, t: float, side: str = "two-sided"):
-    """Evaluate (theta, beta, theta', beta') at time t.
-
-    Parameters
-    ----------
-    path : MotionPath
-    t : float
-        Time in [0, 1].
-    side : {"two-sided", "left", "right"}
-        One-sided limit selection at breakpoints. Two-sided evaluation at a
-        breakpoint returns the right limit (the only limit at t=1 is the left
-        one and is returned there).
-
-    Returns
-    -------
-    (theta, beta, dtheta, dbeta) : tuple of floats
-    """
-    if not (0.0 <= t <= 1.0):
-        raise OutOfDomain(f"t={t!r} outside [0, 1]")
-    return (path.theta.value(t, side), path.beta.value(t, side),
-            path.theta.slope(t, side), path.beta.slope(t, side))
 
 
 def topology_report(path: MotionPath, tol: float = CLOSURE_TOL) -> TopologyReport:

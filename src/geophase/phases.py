@@ -7,7 +7,9 @@ several independent routes:
 
 * line: the time integral of cos(beta) theta' (the reference method),
 * baumkuchen: rigorous lower/upper Riemann-style bounds plus a midpoint sum,
-* area: left-region area minus 2 pi per enclosed pole,
+* area: left-region area minus 2 pi per enclosed pole, the area measured
+  as the signed solid angle of the sampled curve (no frame, curvature or
+  junction angle) or by Monte-Carlo,
 * curvature: total turning decomposition (tangent angle, geodesic curvature,
   cusp angles).
 
@@ -27,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import cos, pi, sin
 
-from .errors import (CurveNotClosed, GeophaseError, MethodDisagreement,
-                     WindingInconsistent)
+from .errors import CurveNotClosed, GeophaseError, MethodDisagreement
 from .motion import TWO_PI, MotionPath, topology_report
 from .sphere import (DEFAULT_EPSILON, _check_epsilon, cached_regularize,
                      clamped_affine_pieces)
@@ -228,25 +229,23 @@ def closed_topology(path: MotionPath):
 
 def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
                          extrapolate: bool = True,
-                         area_method: str = "gauss_bonnet",
+                         area_method: str = "solid_angle",
                          samples: int = MC_SAMPLES, seed=None) -> float:
     """Geometric phase as left-region area minus 2 pi per enclosed pole.
 
-    The three algebraically equivalent forms (A+ and the pole count on the
-    left, -A- with the right-region data, and their symmetrized average) are
-    evaluated and must agree to rounding.
+    By default the area is the signed solid angle of the sampled clamped
+    curve, fanned from both poles (regions._solid_angle_area), so this
+    route reads no frame, geodesic curvature or junction angle and checks
+    the Gauss-Bonnet claim instead of restating it; the two fans must
+    agree within 1e-9 (WindingInconsistent otherwise). area_method
+    "monte_carlo" counts samples seeded points instead. The value is
+    carried to the eps -> 0 limit unless extrapolate is False.
     """
     closed_topology(path)
     curve = cached_regularize(path, eps)
-    i_plus, i_minus, _ = classify_poles(curve)
-    a_plus, a_minus = region_areas(curve, area_method, samples=samples,
-                                   seed=seed)
-    form_1 = a_plus - TWO_PI * i_plus
-    form_2 = -a_minus + TWO_PI * i_minus
-    form_3 = 0.5 * (a_plus - a_minus) - pi * (i_plus - i_minus)
-    if max(form_1, form_2, form_3) - min(form_1, form_2, form_3) > 1e-9:
-        raise WindingInconsistent("area-route forms disagree beyond rounding")
-    return eps_limit(path, form_1, eps, extrapolate)
+    i_plus, _, _ = classify_poles(curve)
+    a_plus, _ = region_areas(curve, area_method, samples=samples, seed=seed)
+    return eps_limit(path, a_plus - TWO_PI * i_plus, eps, extrapolate)
 
 
 def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -267,7 +266,7 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
 
 def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
                                extrapolate: bool = True,
-                               area_method: str = "gauss_bonnet",
+                               area_method: str = "solid_angle",
                                samples: int = MC_SAMPLES,
                                seed=None) -> RegionReport:
     """RegionReport with areas carried to the eps -> 0 limit."""
@@ -301,7 +300,7 @@ def _describe(row: dict) -> str:
 def total_rotation(path: MotionPath, methods=("line", "area"),
                    tolerances: Tolerances | None = None,
                    eps: float = DEFAULT_EPSILON, extrapolate: bool = True,
-                   area_method: str = "gauss_bonnet",
+                   area_method: str = "solid_angle",
                    baumkuchen_n: int = 1_000_000,
                    oracle_steps: int = 100_000,
                    mc_samples: int = MC_SAMPLES, seed=None) -> PhaseResult:

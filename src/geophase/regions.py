@@ -3,9 +3,10 @@
 A simple closed curve splits the sphere into two faces. We call the face
 lying to the left of the traversal (direction g x T) the left region. This
 module decides simplicity, locates the two poles (0,0,+-1) relative to the
-left region, and measures the region areas three ways: Gauss-Bonnet on the
-boundary data, Monte-Carlo point classification, and the closed cap formula
-for latitude circles.
+left region, and measures the region areas three ways: the signed solid
+angle of the sampled polygon (the default; no frame, curvature or junction
+angle), Monte-Carlo point classification, and Gauss-Bonnet on the boundary
+data.
 """
 
 from __future__ import annotations
@@ -270,9 +271,10 @@ def classify_poles(curve: RegularizedCurve):
     return result
 
 
-def _south_in_left(curve: RegularizedCurve) -> bool:
+def _pole_sides(curve: RegularizedCurve):
+    """(north in left, south in left), as classify_poles found them."""
     classify_poles(curve)
-    return curve._cache["pole_sides"][1]
+    return curve._cache["pole_sides"]
 
 
 # ---------------------------------------------------------------------------
@@ -328,48 +330,65 @@ def _monte_carlo_south_face_area(curve: RegularizedCurve, samples: int,
     return 4.0 * pi * frac_even
 
 
-def _cap_formula_area(curve: RegularizedCurve) -> float:
-    if len(curve.arcs) != 1 or not curve.closed:
-        raise ValueError("cap_formula needs a single closed latitude circle")
-    beta = curve.beta_eps
-    if float(np.ptp(beta)) > 1e-12:
-        raise ValueError("cap_formula needs constant tilt along the curve")
-    winding = int(round((curve.theta[-1] - curve.theta[0]) / TWO_PI))
-    if abs(winding) != 1:
-        raise ValueError("cap_formula needs a single full latitude loop")
-    b0 = float(beta[0])
-    if winding > 0:   # left side holds the north cap
-        return TWO_PI * (1.0 + np.cos(b0))
-    return TWO_PI * (1.0 - np.cos(b0))
+def _solid_angle_area(curve: RegularizedCurve) -> float:
+    """Area of the left region from the signed solid angle of the polygon.
+
+    The closed chord polygon through the samples g (closed by the chord
+    g[-1] -> g[0]) is fanned from each pole by the Van Oosterom-Strackee
+    triangle formula (IEEE TBME 30:125, 1983): for the chord p -> q, with
+    num = p_x q_y - p_y q_x and d = 1 + p.q, the north fan adds
+    2 atan2(num, d + p_z + q_z) and the south fan -2 atan2(num, d - p_z -
+    q_z). The north fan falls short of the area by 4 pi when the south
+    pole lies in the left region, and the south fan when the north pole
+    does, so A+ = fan_N + 4 pi [south in left] = fan_S + 4 pi [north in
+    left], with the sides from classify_poles; the clamp keeps both apexes
+    at least eps from the curve. Two fans that disagree beyond 1e-9 mean a
+    wrong pole side and raise WindingInconsistent. The area is cached on
+    the curve.
+    """
+    key = "solid_angle_area"
+    if key in curve._cache:
+        return curve._cache[key]
+    north_in, south_in = _pole_sides(curve)
+    p = curve.g.T.copy()          # rows x, y, z
+    q = np.roll(p, -1, axis=1)    # chord k runs from p[:, k] to q[:, k]
+    num = p[0] * q[1] - p[1] * q[0]
+    d = 1.0 + p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+    z = p[2] + q[2]
+    from_north = 2.0 * float(np.sum(np.arctan2(num, d + z))) + 4.0 * pi * south_in
+    from_south = -2.0 * float(np.sum(np.arctan2(num, d - z))) + 4.0 * pi * north_in
+    spread = abs(from_north - from_south)
+    if not spread <= 1e-9:
+        raise WindingInconsistent(
+            f"solid-angle fans from the two poles disagree by {spread:.3e} "
+            f"(tolerance 1.0e-09)")
+    curve._cache[key] = from_north
+    return from_north
 
 
-def region_areas(curve: RegularizedCurve, method: str = "gauss_bonnet",
+def region_areas(curve: RegularizedCurve, method: str = "solid_angle",
                  samples: int = MC_SAMPLES, seed=None):
-    """(A_plus, A_minus) in steradians for the left and right regions."""
+    """(A_plus, A_minus) in steradians for the left and right regions.
+
+    method is "solid_angle" (the polygon's signed solid angle), "monte_carlo"
+    (samples seeded points) or "gauss_bonnet" (2 pi minus the geodesic
+    curvature integral and the junction angles).
+    """
     if not curve.closed:
         raise CurveNotClosed("region areas need a closed curve")
     if not is_simple(curve):
         raise CurveNotSimple("region areas need a simple curve")
-    if method == "gauss_bonnet":
-        # boundary of the left region, Euler characteristic 1, K = 1
-        a_plus = TWO_PI - curvature_integral(curve) - turning_angle_sum(curve)
+    if method == "solid_angle":
+        a_plus = _solid_angle_area(curve)
     elif method == "monte_carlo":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
         south_face = _monte_carlo_south_face_area(curve, samples, seed)
-        a_plus = south_face if _south_in_left(curve) else 4.0 * pi - south_face
-    elif method == "cap_formula":
-        a_plus = _cap_formula_area(curve)
+        a_plus = south_face if _pole_sides(curve)[1] else 4.0 * pi - south_face
+    elif method == "gauss_bonnet":
+        # boundary of the left region, Euler characteristic 1, K = 1
+        a_plus = TWO_PI - curvature_integral(curve) - turning_angle_sum(curve)
     else:
         raise ValueError(f"unknown area method {method!r}")
     return float(a_plus), float(4.0 * pi - a_plus)
 
-
-def region_report(curve: RegularizedCurve, area_method: str = "gauss_bonnet",
-                  samples: int = MC_SAMPLES, seed=None) -> RegionReport:
-    """Full region summary of a closed simple curve at its own epsilon."""
-    i_plus, i_minus, seed_point = classify_poles(curve)
-    a_plus, a_minus = region_areas(curve, area_method, samples=samples, seed=seed)
-    return RegionReport(simple=True, I_plus=i_plus, I_minus=i_minus,
-                        A_plus=a_plus, A_minus=a_minus,
-                        area_method=area_method, seed_point=seed_point)

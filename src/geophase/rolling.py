@@ -37,32 +37,13 @@ from math import pi
 
 import numpy as np
 
-from .errors import ClosureMismatch, DriftExceeded, SingularSystem
-from .motion import TWO_PI, MotionPath, Radii, topology_report
-from .sphere import frame_vectors, gauss_vector
+from .errors import ClosureMismatch, DriftExceeded
+from .motion import TWO_PI, MotionPath, topology_report
+from .sphere import frame_vectors
 
 DRIFT_TOL = 1e-6
 _MIN_STEPS_PER_SEGMENT = 10
 _CLOSURE_TOL = 1e-2
-
-
-@dataclass(frozen=True)
-class RigidConfiguration:
-    """Placement of the moving disc at one instant."""
-
-    center: np.ndarray
-    contact: np.ndarray
-    normal: np.ndarray
-
-
-def rigid_configuration(theta: float, beta: float, radii: Radii) -> RigidConfiguration:
-    a, b = radii.a, radii.b
-    center = np.array([(a + b * np.cos(beta)) * np.cos(theta),
-                       (a + b * np.cos(beta)) * np.sin(theta),
-                       b * np.sin(beta)])
-    contact = np.array([a * np.cos(theta), a * np.sin(theta), 0.0])
-    return RigidConfiguration(center=center, contact=contact,
-                              normal=gauss_vector(theta, beta))
 
 
 def _cross(u, v):
@@ -108,27 +89,6 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
     rows = (_cross(g, e1), _cross(g, e2), _cross(d, e1), _cross(d, e2))
     rhs = (_dot(g_dot, e1), _dot(g_dot, e2), -_dot(c_dot, e1), -_dot(c_dot, e2))
     return rows, rhs, g
-
-
-def solve_body_rates(path: MotionPath, t: float):
-    """Angular velocity of the disc at a single instant.
-
-    Returns (omega, psi_dot, residual): the 3-vector least-squares solution
-    of the constraint system, its component along the contact normal, and
-    the constraint residual norm. At a stationary instant all constraints
-    vanish and omega = 0.
-    """
-    rows, rhs, g = _constraint_rows(path.theta.value(t), path.beta.value(t),
-                                    path.theta.slope(t), path.beta.slope(t),
-                                    path.radii.a, path.radii.b)
-    A, b_vec = np.array(rows)[:, :, 0], np.array(rhs)[:, 0]
-    if max(np.abs(A).max(), np.abs(b_vec).max()) < 1e-12:
-        return np.zeros(3), 0.0, 0.0
-    omega, _, rank, _ = np.linalg.lstsq(A, b_vec, rcond=None)
-    if rank < 3:
-        raise SingularSystem(f"constraint system rank {rank} at t={t}")
-    residual = float(np.linalg.norm(A @ omega - b_vec))
-    return omega, float(omega @ np.array(g)[:, 0]), residual
 
 
 @dataclass(frozen=True)

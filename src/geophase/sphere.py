@@ -2,9 +2,9 @@
 
 The rolling disc's unit normal ("Gauss vector") traces a curve on S^2 as the
 motion runs. This module provides the moving orthonormal frame attached to
-that vector, the connection one-forms of the frame, the pole-avoiding clamped
-curve, and the differential-geometric data computed on it: arc length, tangent
-angle, geodesic curvature, cusp angles, and offset-curve lengths.
+that vector, the pole-avoiding clamped curve, and the differential-geometric
+data computed on it: arc length, tangent angle, geodesic curvature, cusp
+angles, and offset-curve lengths.
 
 Orientation conventions (used consistently across the package):
 
@@ -24,8 +24,8 @@ from math import pi
 
 import numpy as np
 
-from .errors import AtCusp, CurveHasCusps, EpsilonOutOfRange
-from .motion import MotionPath, ScalarPath, AffineSegment, ConstantSegment
+from .errors import CurveHasCusps, EpsilonOutOfRange
+from .motion import MotionPath
 
 DEFAULT_EPSILON = pi / 16.0
 MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
@@ -38,7 +38,7 @@ GEOM_CLOSE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# frames and connection forms
+# frames
 
 
 def gauss_vector(theta, beta) -> np.ndarray:
@@ -60,56 +60,6 @@ def frame_vectors(theta, beta):
     e2 = np.stack([cb * ct, cb * st, sb], axis=-1)
     e3 = np.stack([sb * ct, sb * st, -cb], axis=-1)
     return e1, e2, e3
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal frame at one point; e3 is the Gauss vector."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-
-def gauss_frame(theta: float, beta: float) -> Frame:
-    e1, e2, e3 = frame_vectors(theta, beta)
-    return Frame(e1, e2, e3)
-
-
-@dataclass(frozen=True)
-class ConnectionForms:
-    """The three independent frame connection coefficients along (dtheta, dbeta)."""
-
-    omega_12: float
-    omega_13: float
-    omega_23: float
-
-
-def connection_forms(theta: float, beta: float, dtheta: float, dbeta: float,
-                     check: bool = False, step: float = 1e-6,
-                     check_tol: float = 1e-8) -> ConnectionForms:
-    """Closed-form connection coefficients de_i . e_j along a direction.
-
-    With ``check=True`` the closed forms are verified against central finite
-    differences of the frame itself (step 1e-6); disagreement beyond
-    ``check_tol`` raises ArithmeticError. Useful as a self-test hook.
-    """
-    forms = ConnectionForms(omega_12=-np.cos(beta) * dtheta,
-                            omega_13=-np.sin(beta) * dtheta,
-                            omega_23=-dbeta)
-    if check:
-        h = step
-        fp = frame_vectors(theta + h * dtheta, beta + h * dbeta)
-        fm = frame_vectors(theta - h * dtheta, beta - h * dbeta)
-        fc = frame_vectors(theta, beta)
-        fd = [(p - m) / (2.0 * h) for p, m in zip(fp, fm)]
-        got = (float(fd[0] @ fc[1]), float(fd[0] @ fc[2]), float(fd[1] @ fc[2]))
-        want = (forms.omega_12, forms.omega_13, forms.omega_23)
-        err = max(abs(a - b) for a, b in zip(got, want))
-        if err > check_tol:
-            raise ArithmeticError(
-                f"connection forms disagree with finite differences by {err:.3e}")
-    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +125,6 @@ def clamped_affine_pieces(path: MotionPath, eps: float) -> tuple:
     return tuple(pieces)
 
 
-def clamp_path(path: MotionPath, eps: float) -> MotionPath:
-    """The motion with its tilt schedule clamped, as a new MotionPath."""
-    pieces = clamped_affine_pieces(path, eps)
-
-    def seg(t0, t1, v0, dv):
-        return ConstantSegment(t0, t1, v0) if dv == 0.0 else AffineSegment(t0, t1, v0, dv)
-
-    theta = ScalarPath.from_segments([seg(p.t0, p.t1, p.th0, p.dth) for p in pieces])
-    beta = ScalarPath.from_segments([seg(p.t0, p.t1, p.b0, p.db) for p in pieces])
-    return MotionPath(theta, beta, path.radii)
-
-
 # ---------------------------------------------------------------------------
 # the sampled regularized curve
 
@@ -205,16 +143,6 @@ class Junction:
 class Cusp:
     t: float
     alpha: float
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    t: float
-    s: float
-    g: np.ndarray
-    frame: Frame
-    phi: float
-    kappa_g: float
 
 
 @dataclass(eq=False)
@@ -257,13 +185,6 @@ class RegularizedCurve:
 
     def left_normals(self) -> np.ndarray:
         return np.cross(self.g, self.tangents())
-
-    def sample(self, index: int) -> CurveSample:
-        e1, e2, e3 = frame_vectors(self.theta[index], self.beta_eps[index])
-        return CurveSample(t=float(self.t[index]), s=float(self.s[index]),
-                           g=self.g[index], frame=Frame(e1, e2, e3),
-                           phi=float(self.phi[index]),
-                           kappa_g=float(self.kappa_g[index]))
 
     def __len__(self):
         return self.t.size
@@ -456,16 +377,7 @@ def cached_regularize(path: MotionPath, eps: float) -> RegularizedCurve:
 
 
 # ---------------------------------------------------------------------------
-# pointwise curvature, cusps
-
-
-def geodesic_curvature_at(curve: RegularizedCurve, index: int) -> float:
-    """Stored finite-difference curvature at a sample; cusp samples are refused."""
-    if not (0 <= index < len(curve)):
-        raise IndexError(f"sample index {index} out of range")
-    if index in curve._cusp_sample_indices():
-        raise AtCusp(f"sample {index} sits at a tangent discontinuity")
-    return float(curve.kappa_g[index])
+# cusps
 
 
 def detect_cusps(curve: RegularizedCurve, angle_tol: float = CUSP_ANGLE_TOL) -> tuple:

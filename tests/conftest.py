@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
-                      SampledSegment, ScalarPath, example_gallery)
+from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
+                      MotionPath, Radii, SampledSegment, ScalarPath,
+                      example_gallery)
+from geophase.sphere import clamped_affine_pieces
 
 PI = math.pi
 
@@ -108,3 +110,16 @@ def backtracking_sampled_path():
                        np.array([0.4, 2.9, 1.2, 2.2])),
         AffineSegment(0.77, 1.0, 2.2, -4.0)])
     return MotionPath(theta, beta, COIN_RADII)
+
+
+def clamp_path(path, eps):
+    """The motion with its tilt clamped to [eps, pi - eps], rebuilt as a
+    MotionPath from its clamped affine pieces."""
+    pieces = clamped_affine_pieces(path, eps)
+
+    def seg(t0, t1, v0, dv):
+        return ConstantSegment(t0, t1, v0) if dv == 0.0 else AffineSegment(t0, t1, v0, dv)
+
+    theta = ScalarPath.from_segments([seg(p.t0, p.t1, p.th0, p.dth) for p in pieces])
+    beta = ScalarPath.from_segments([seg(p.t0, p.t1, p.b0, p.db) for p in pieces])
+    return MotionPath(theta, beta, path.radii)

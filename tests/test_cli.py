@@ -179,6 +179,40 @@ def test_report_states_the_radii_the_motion_file_supplies(tmp_path, capsys):
     assert doc["delta_d"] == pytest.approx(4.0 * PI)
 
 
+def test_report_states_the_area_method_and_sample_counts(tmp_path, capsys):
+    # two laps under a tilt tent cross themselves: the area route fails and
+    # the report has no region, so only the input block says how it ran
+    desc = {"radii": {"a": 1.0, "b": 1.0},
+            "segments": [
+                {"t0": 0.0, "t1": 0.5,
+                 "theta": {"kind": "affine", "start": 0.0, "slope": 4 * PI},
+                 "beta": {"kind": "affine", "start": PI / 2.0, "slope": 1.0}},
+                {"t0": 0.5, "t1": 1.0,
+                 "theta": {"kind": "affine", "start": 2 * PI, "slope": 4 * PI},
+                 "beta": {"kind": "affine", "start": PI / 2.0 + 0.5,
+                          "slope": -1.0}}]}
+    target = tmp_path / "spiral.json"
+    target.write_text(json.dumps(desc))
+    code, out, _ = run(capsys, "compute", "--motion", str(target),
+                       "--methods", "line,area", "--area-method",
+                       "monte_carlo", "--mc-samples", "2000", "--steps",
+                       "20000", "--samples", "50000", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_report_schema())
+    assert doc["region"] is None
+    assert doc["delta_g"]["area"]["error"] == "CurveNotSimple"
+    inp = doc["input"]
+    assert (inp["area_method"], inp["mc_samples"], inp["steps"],
+            inp["samples"]) == ("monte_carlo", 2000, 20000, 50000)
+
+    code, out, _ = run(capsys, "compute", "--example", "ii", "--format", "json")
+    assert code == 0
+    inp = json.loads(out)["input"]
+    assert (inp["area_method"], inp["mc_samples"], inp["steps"],
+            inp["samples"]) == ("solid_angle", 200_000, 100_000, 1_000_000)
+
+
 def test_motion_file_that_is_not_an_object_is_a_validation_error(tmp_path,
                                                                   capsys):
     target = tmp_path / "list.json"

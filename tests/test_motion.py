@@ -8,10 +8,10 @@ import pytest
 
 from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
                       SampledSegment, ScalarPath, build_path,
-                      concatenate_paths, eval_path, example_gallery,
+                      concatenate_paths, example_gallery,
                       geometric_phase_line, reverse_path, topology_report)
 from geophase.errors import (BetaOutOfRange, DiscontinuousPath, GapOrOverlap,
-                             OutOfDomain, SweepTooLarge, ThetaNonzeroAtStart,
+                             SweepTooLarge, ThetaNonzeroAtStart,
                              UnknownExample)
 from conftest import gallery
 
@@ -52,11 +52,6 @@ def test_scalar_path_breakpoint_sides():
     assert path.value(0.5) == pytest.approx(1.0)
     assert path.slope(0.5, side="left") == pytest.approx(2.0)
     assert path.slope(0.5, side="right") == pytest.approx(-2.0)
-    # the raw schedule extrapolates; domain checks live in eval_path
-    with pytest.raises(OutOfDomain):
-        eval_path(gallery("ii"), 1.5)
-    with pytest.raises(OutOfDomain):
-        eval_path(gallery("ii"), -0.1)
 
 
 def test_vector_queries_match_scalar_queries():
@@ -101,15 +96,6 @@ def test_motion_path_refuses_unresolvable_sweeps(slope):
         MotionPath(theta, beta, Radii(1.0, 1.0))
 
 
-def test_eval_path_returns_values_and_rates():
-    path = gallery("ii")
-    th, be, dth, dbe = eval_path(path, 0.25)
-    assert th == pytest.approx(PI / 2.0)
-    assert be == pytest.approx(PI / 2.0)
-    assert dth == pytest.approx(TWO_PI)
-    assert dbe == 0.0
-
-
 @pytest.mark.parametrize("name,n", [("i", 1), ("ii", 1), ("iii", 1),
                                     ("iv", 1), ("v", 0), ("vi", -1)])
 def test_gallery_topology(name, n):
@@ -149,9 +135,8 @@ def test_build_path_round_trip():
     }
     path = build_path(desc)
     assert path.radii == Radii(2.0, 1.0)
-    th, be, _, _ = eval_path(path, 0.75)
-    assert th == pytest.approx(1.5 * PI)
-    assert be == pytest.approx(1.2)
+    assert path.theta.value(0.75) == pytest.approx(1.5 * PI)
+    assert path.beta.value(0.75) == pytest.approx(1.2)
     assert topology_report(path).closed
 
 

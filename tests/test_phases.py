@@ -8,15 +8,17 @@ from hypothesis import example, given, settings
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
-                      Tolerances, berry_holonomy,
+                      Tolerances, berry_holonomy, classify_poles,
                       concatenate_paths, dynamical_phase, eps_extrapolate,
                       example_gallery,
                       geometric_phase_area, geometric_phase_baumkuchen,
                       geometric_phase_curvature, geometric_phase_line,
                       monopole_holonomy,
                       reverse_path, total_rotation)
-from geophase import gauge, phases
-from geophase.errors import CurveNotClosed, MethodDisagreement
+from geophase import gauge, phases, regions
+from geophase.errors import (CurveNotClosed, MethodDisagreement,
+                             WindingInconsistent)
+from geophase.sphere import cached_regularize
 from conftest import (COIN_RADII, FROZEN, TABLE_RADII, affine_lap,
                       backtracking_sampled_path, closed_motions, gallery)
 from test_acceptance import random_closed_motion
@@ -204,6 +206,35 @@ def test_area_route_is_epsilon_robust():
             -1.5 * PI, abs=1e-5)
 
 
+@pytest.mark.parametrize("name", ["iv", "vi"])
+def test_area_route_reads_no_curvature_or_junction_angle(name, monkeypatch):
+    """With the curvature integral, the junction-angle sum and the sampled
+    kappa_g all garbage, the area route still matches line and the
+    curvature route, which reads them, moves."""
+    path = gallery(name)
+    line = geometric_phase_line(path)
+    curvature = geometric_phase_curvature(path)
+    for module in (regions, phases):
+        monkeypatch.setattr(module, "curvature_integral", lambda curve: 1e3)
+        monkeypatch.setattr(module, "turning_angle_sum", lambda curve: -7.0)
+    cached_regularize(path, DEFAULT_EPSILON).kappa_g[:] = np.nan
+    assert geometric_phase_area(path) == pytest.approx(
+        line, abs=Tolerances().analytic)
+    assert abs(geometric_phase_curvature(path) - curvature) > 1.0
+
+
+def test_swapped_pole_sides_trip_the_two_fan_check():
+    # vi has one pole on each side, so the swap moves each fan by 4 pi
+    path = gallery("vi")
+    curve = cached_regularize(path, DEFAULT_EPSILON)
+    classify_poles(curve)
+    north_in, south_in = curve._cache["pole_sides"]
+    curve._cache["pole_sides"] = (south_in, north_in)
+    with pytest.raises(WindingInconsistent,
+                       match=r"disagree by \d\.\d{3}e[+-]\d\d "):
+        geometric_phase_area(path)
+
+
 def test_monte_carlo_area_route():
     value = geometric_phase_area(gallery("iv"), area_method="monte_carlo",
                                  seed=2026)
@@ -244,8 +275,8 @@ def test_total_rotation_rejects_unknown_method():
 
 
 def test_total_rotation_flags_disagreement_under_tight_tolerances():
-    # the area route carries ~1e-7 extrapolation residue; a 1e-9 budget
-    # turns that residue into a hard failure
+    # the area route carries the inscribed polygon's 2.3e-8 residue on this
+    # circle; a 1e-9 budget turns that residue into a hard failure
     with pytest.raises(MethodDisagreement):
         total_rotation(gallery("i"), methods=("line", "area"),
                        tolerances=Tolerances(analytic=1e-9))

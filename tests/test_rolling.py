@@ -8,8 +8,7 @@ from hypothesis import given, settings
 
 from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
                       ScalarPath, dynamical_phase, geometric_phase_line,
-                      reverse_path, rigid_configuration, simulate_rolling,
-                      solve_body_rates)
+                      reverse_path, simulate_rolling)
 from geophase import rolling
 from geophase.errors import ClosureMismatch, DriftExceeded
 from geophase.sphere import frame_vectors, gauss_vector
@@ -20,20 +19,15 @@ PI = math.pi
 TWO_PI = 2.0 * PI
 
 
-def test_rigid_configuration_landmarks():
-    cfg = rigid_configuration(0.0, PI / 2.0, Radii(1.0, 1.0))
-    np.testing.assert_allclose(cfg.center, [1.0, 0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(cfg.contact, [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(cfg.normal, [1.0, 0.0, 0.0], atol=1e-15)
-
-    cfg = rigid_configuration(0.0, PI / 2.0, Radii(2.0, 1.0))
-    np.testing.assert_allclose(cfg.center, [2.0, 0.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(cfg.contact, [2.0, 0.0, 0.0], atol=1e-15)
-
-    # fully flipped disc tucked inside: center crosses the origin
-    cfg = rigid_configuration(PI, PI, Radii(2.0, 1.0))
-    np.testing.assert_allclose(cfg.center, [-1.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(cfg.normal, [0.0, 0.0, 1.0], atol=1e-12)
+def solve_body_rates(path, t):
+    """(omega, spin about g, no-slip residual) at one instant, from the
+    constraint rows and the normal solve that simulate_rolling runs."""
+    rows, rhs, g = rolling._constraint_rows(
+        path.theta.value(t), path.beta.value(t), path.theta.slope(t),
+        path.beta.slope(t), path.radii.a, path.radii.b)
+    omega, residual = rolling._normal_solve(rows, rhs)
+    omega = np.array(omega)[:, 0]
+    return omega, float(omega @ np.array(g)[:, 0]), float(residual[0])
 
 
 def test_body_rates_spin_about_the_tilt_axis():

@@ -7,14 +7,12 @@ import pytest
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
-                      clamp_path,
-                      connection_forms, curvature_integral, detect_cusps,
-                      frame_vectors, gauss_frame, gauss_vector,
-                      geodesic_curvature_at, offset_length,
-                      offset_length_derivative, regularize)
+                      curvature_integral, detect_cusps, frame_vectors,
+                      gauss_vector, offset_length, offset_length_derivative,
+                      regularize)
 from geophase import sphere
-from geophase.errors import AtCusp, CurveHasCusps, EpsilonOutOfRange
-from conftest import gallery
+from geophase.errors import CurveHasCusps, EpsilonOutOfRange
+from conftest import clamp_path, gallery
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -64,22 +62,6 @@ def test_metric_matches_finite_differences():
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
-def test_connection_forms_closed_forms():
-    th, be = 0.7, 1.1
-    forms = connection_forms(th, be, dtheta=1.3, dbeta=-0.4, check=True)
-    assert forms.omega_12 == pytest.approx(-math.cos(be) * 1.3)
-    assert forms.omega_13 == pytest.approx(-math.sin(be) * 1.3)
-    assert forms.omega_23 == pytest.approx(0.4)
-
-
-def test_gauss_frame_consistency():
-    f = gauss_frame(0.3, 0.9)
-    e1, e2, e3 = frame_vectors(0.3, 0.9)
-    np.testing.assert_allclose(f.e1, e1, atol=1e-15)
-    np.testing.assert_allclose(f.e2, e2, atol=1e-15)
-    np.testing.assert_allclose(f.e3, e3, atol=1e-15)
-
-
 def test_epsilon_domain():
     with pytest.raises(EpsilonOutOfRange):
         regularize(gallery("i"), eps=0.0)
@@ -118,21 +100,14 @@ def test_sampling_density_cap():
 def test_geodesic_curvature_on_latitudes_and_meridians():
     curve = regularize(gallery("iv"))   # latitude beta0 = pi/3, theta rising
     mid = len(curve.t) // 2
-    assert geodesic_curvature_at(curve, mid) == pytest.approx(
+    assert curve.kappa_g[mid] == pytest.approx(
         -1.0 / math.tan(PI / 3.0), rel=1e-6)
 
     # pure meridian sweep: a great-circle arc, kappa_g = 0
     theta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 0.0)])
     beta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.5, 2.0)])
     arc = regularize(MotionPath(theta, beta, Radii(1.0, 1.0)))
-    assert abs(geodesic_curvature_at(arc, len(arc.t) // 2)) < 1e-9
-
-
-def test_curvature_query_at_junction_refuses():
-    curve = regularize(gallery("v"))
-    junction = curve.junctions[0]
-    with pytest.raises(AtCusp):
-        geodesic_curvature_at(curve, junction.out_index)
+    assert abs(arc.kappa_g[len(arc.t) // 2]) < 1e-9
 
 
 def test_cusp_detection_on_square_wave_motions():
