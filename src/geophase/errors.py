@@ -92,7 +92,18 @@ class MethodDisagreement(GeophaseError):
 # --- gauge channels ---
 
 class GaugeInconsistency(GeophaseError):
-    """The equivalent holonomy expressions disagree beyond tolerance."""
+    """The equivalent holonomy expressions disagree beyond tolerance, or a
+    sample interval turns theta too far for the transport route.
+
+    ``value`` is the number that tripped the check (the spread of the
+    forms, or the offending |dtheta|) and ``tol`` the bound it failed.
+    """
+
+    def __init__(self, message: str, value: float | None = None,
+                 tol: float | None = None):
+        super().__init__(message)
+        self.value = value
+        self.tol = tol
 
 
 class OnSingularAxis(GeophaseError):

@@ -6,8 +6,10 @@ away from the south ray, one away from the north ray) along the clamped
 curve of the tilt vector, each piece by fixed-order Gauss-Legendre
 quadrature in one array pass. The second transports the eigenstates of the
 two-level Hamiltonian H = [[-cos b, e^{-i th} sin b], [e^{i th} sin b,
-cos b]] around the loop and accumulates the phase of successive state
-overlaps. Each route carries an internal cross-gauge consistency check.
+cos b]] around the loop and takes, per sample interval, the phase of the
+product of its sub-step state overlaps (a discrete Bargmann invariant),
+which cannot wrap while the interval turns theta by less than pi. Each
+route carries an internal cross-gauge consistency check.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     spread = max(forms) - min(forms)
     if spread > tol:
         raise GaugeInconsistency(
-            f"monopole holonomy forms spread {spread:.3e} at eps={eps:.4f}")
+            f"monopole holonomy forms spread {spread:.3e} at eps={eps:.4f}",
+            value=spread, tol=tol)
     return eps_limit(path, forms[0], eps, extrapolate)
 
 
@@ -170,37 +173,65 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
 _OVERLAP_REFINE = 8
 
 
-def _refined(theta, beta, refine):
-    # (theta, beta) are affine between consecutive curve samples, so linear
-    # interpolation adds exact intermediate points; the closure pair carrying
-    # the 2 pi n jump is never interpolated.
-    if refine <= 1 or theta.size < 2:
-        return theta, beta
-    f = np.linspace(0.0, 1.0, refine, endpoint=False)
-    th = (theta[:-1, None] * (1.0 - f) + theta[1:, None] * f).ravel()
-    be = (beta[:-1, None] * (1.0 - f) + beta[1:, None] * f).ravel()
-    return np.append(th, theta[-1]), np.append(be, beta[-1])
-
-
 def _overlap_phase_sums(theta, beta, refine: int = _OVERLAP_REFINE):
     """(gamma_plus, gamma_minus): summed overlap phases of consecutive
     gauge-fixed states in both gauges, loop closed.
 
     With s = sin(beta/2), c = cos(beta/2) and d = theta' - theta, the
-    overlap <psi_k|psi_k+1> is s s' + e^{i d} c c' in the plus gauge and
-    c c' + e^{-i d} s s' in the minus gauge; their phases are taken as
-    real atan2s of the same products.
+    overlap <psi|psi'> is s s' + e^{i d} c c' in the plus gauge and
+    c c' + e^{-i d} s s' in the minus gauge. (theta, beta) are affine
+    between samples, so each interval is split into refine sub-steps: the
+    phasor c + i s of the sample is rotated by e^{i dbeta / (2 refine)} per
+    sub-step, ending on the exact next sample, and d = dtheta / refine.
+    The sub-step overlaps are multiplied, one contiguous row per sub-step,
+    and one atan2 per interval and gauge takes the phase of the product.
+    As s, c >= 0, an overlap's phase lies between 0 and +-d, so an
+    interval's phases sum to less than |dtheta|: while |dtheta| < pi the
+    product's phase is that sum and cannot wrap. A larger step raises
+    GaugeInconsistency. The closure pair last -> first, which carries the
+    2 pi n jump, is one uninterpolated overlap.
     """
-    theta, beta = _refined(theta, beta, refine)
+    if theta.size < 2:
+        return 0.0, 0.0
+    dtheta = np.diff(theta)
+    k = int(np.argmax(np.abs(dtheta)))
+    jump = abs(float(dtheta[k]))
+    if not jump < np.pi:
+        raise GaugeInconsistency(
+            f"theta step {jump:.3e} between samples {k} and {k + 1} is not "
+            f"below pi, so its overlap product could wrap",
+            value=jump, tol=np.pi)
     half = 0.5 * beta
-    s, c = np.sin(half), np.cos(half)
-    wrap = np.concatenate([np.arange(1, theta.size), [0]])
-    step = theta[wrap] - theta
-    ss, cc = s * s[wrap], c * c[wrap]
-    sin_d, cos_d = np.sin(step), np.cos(step)
-    gamma_plus = np.sum(np.arctan2(cc * sin_d, ss + cc * cos_d))
-    gamma_minus = np.sum(np.arctan2(-ss * sin_d, cc + ss * cos_d))
+    c_all, s_all = np.cos(half), np.sin(half)
+    rot = np.diff(half) / refine
+    rc, rs = np.cos(rot), np.sin(rot)
+    step = dtheta / refine
+    ec, es = np.cos(step), np.sin(step)
+    c0, s0 = c_all[:-1], s_all[:-1]
+    plus = minus = (1.0, 0.0)
+    for j in range(1, refine + 1):
+        if j < refine:
+            c1, s1 = c0 * rc - s0 * rs, s0 * rc + c0 * rs
+        else:
+            c1, s1 = c_all[1:], s_all[1:]
+        cc, ss = c0 * c1, s0 * s1
+        sub_plus = (ss + cc * ec, cc * es)
+        sub_minus = (cc + ss * ec, -ss * es)
+        plus = _complex_product(plus, sub_plus)
+        minus = _complex_product(minus, sub_minus)
+        c0, s0 = c1, s1
+    close = float(theta[0] - theta[-1])
+    cc, ss = c_all[-1] * c_all[0], s_all[-1] * s_all[0]
+    gamma_plus = (np.sum(np.arctan2(plus[1], plus[0]))
+                  + np.arctan2(cc * np.sin(close), ss + cc * np.cos(close)))
+    gamma_minus = (np.sum(np.arctan2(minus[1], minus[0]))
+                   + np.arctan2(-ss * np.sin(close), cc + ss * np.cos(close)))
     return float(gamma_plus), float(gamma_minus)
+
+
+def _complex_product(a, b):
+    """(re, im) of the elementwise product of a = (re, im) and b = (re, im)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
@@ -208,8 +239,10 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     """Geometric phase from discrete parallel transport of the eigenstates.
 
     Works entirely from state overlaps between curve samples (no closed-form
-    connection), in both gauges, evaluated in one real pass over the
-    refined samples (see _overlap_phase_sums); the combined form
+    connection), in both gauges: each sample interval contributes the phase
+    of the product of its _OVERLAP_REFINE sub-step overlaps, which equals
+    the sum of their phases because the interval turns theta by less than
+    pi (see _overlap_phase_sums). The combined form
     gamma_plus + gamma_minus and the single-gauge forms
     2 gamma_plus - 2 pi n, 2 gamma_minus + 2 pi n must agree within tol
     (GaugeInconsistency otherwise). Returns the combined form, carried to
@@ -224,5 +257,6 @@ def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
     spread = max(forms) - min(forms)
     if spread > tol:
         raise GaugeInconsistency(
-            f"transport holonomy forms spread {spread:.3e} at eps={eps:.4f}")
+            f"transport holonomy forms spread {spread:.3e} at eps={eps:.4f}",
+            value=spread, tol=tol)
     return eps_limit(path, forms[0], eps, extrapolate)

@@ -306,7 +306,7 @@ def _monte_carlo_south_face_area(curve: RegularizedCurve, samples: int,
     clamped affine pieces, so there is no sampling error beyond the
     Monte-Carlo variance itself.
     """
-    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, samples)
     lam = rng.uniform(0.0, TWO_PI, samples)
     beta_p = np.arccos(-z)
@@ -372,7 +372,9 @@ def region_areas(curve: RegularizedCurve, method: str = "solid_angle",
 
     method is "solid_angle" (the polygon's signed solid angle), "monte_carlo"
     (samples seeded points) or "gauss_bonnet" (2 pi minus the geodesic
-    curvature integral and the junction angles).
+    curvature integral and the junction angles). The Monte-Carlo area is
+    cached on the curve per (samples, seed) when seed is None
+    (default_seed()) or an integer.
     """
     if not curve.closed:
         raise CurveNotClosed("region areas need a closed curve")
@@ -383,7 +385,17 @@ def region_areas(curve: RegularizedCurve, method: str = "solid_angle",
     elif method == "monte_carlo":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
-        south_face = _monte_carlo_south_face_area(curve, samples, seed)
+        seed = default_seed() if seed is None else seed
+        if isinstance(seed, (int, np.integer)):
+            # an integer seed fixes the draw, so the area is cached on the
+            # curve; a Generator's next draw differs, so it is not
+            key = ("monte_carlo_south_face_area", samples, int(seed))
+            if key not in curve._cache:
+                curve._cache[key] = _monte_carlo_south_face_area(
+                    curve, samples, seed)
+            south_face = curve._cache[key]
+        else:
+            south_face = _monte_carlo_south_face_area(curve, samples, seed)
         a_plus = south_face if _pole_sides(curve)[1] else 4.0 * pi - south_face
     elif method == "gauss_bonnet":
         # boundary of the left region, Euler characteristic 1, K = 1

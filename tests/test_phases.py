@@ -241,6 +241,35 @@ def test_monte_carlo_area_route():
     assert value == pytest.approx(PI, abs=0.05)
 
 
+def test_monte_carlo_area_runs_once_per_total_rotation(monkeypatch):
+    calls = []
+    draw = regions._monte_carlo_south_face_area
+
+    def counted(*args):
+        calls.append(args[1:])
+        return draw(*args)
+
+    monkeypatch.setattr(regions, "_monte_carlo_south_face_area", counted)
+    result = total_rotation(gallery("vi"), methods=("line", "area", "curvature"),
+                            area_method="monte_carlo", mc_samples=20_000)
+    assert calls == [(20_000, regions.default_seed())]
+    region = result.region
+    assert result.delta_g_by_method["area"] == pytest.approx(
+        region.A_plus - TWO_PI * region.I_plus, abs=1e-12)
+
+
+def test_monte_carlo_area_is_not_cached_for_a_generator():
+    curve = cached_regularize(gallery("iv"), DEFAULT_EPSILON)
+    rng = np.random.default_rng(7)
+    one = regions.region_areas(curve, "monte_carlo", samples=2000, seed=rng)
+    two = regions.region_areas(curve, "monte_carlo", samples=2000, seed=rng)
+    assert one != two
+    seeded = regions.region_areas(curve, "monte_carlo", samples=2000, seed=7)
+    assert seeded == one
+    assert regions.region_areas(curve, "monte_carlo", samples=2000,
+                                seed=np.int64(7)) == seeded
+
+
 def test_closed_curve_required():
     theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, PI)])
     beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, PI / 2.0)])
