@@ -29,6 +29,7 @@ from .motion import (GALLERY_NAMES, MotionPath, Radii, build_path,
                      example_gallery, topology_report)
 from .phases import METHOD_NAMES, Tolerances, total_rotation
 from .regions import MC_SAMPLES, default_seed
+from .rolling import DEFAULT_STEPS
 from .sphere import DEFAULT_EPSILON, regularize
 
 EXIT_OK = 0
@@ -315,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of " + ",".join(METHOD_NAMES))
     c.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="pole clamp parameter (default pi/16)")
-    c.add_argument("--steps", type=int, default=100_000,
-                   help="oracle integration steps")
+    c.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                   help="oracle rate evaluations, two per Magnus interval")
     c.add_argument("--samples", type=int, default=1_000_000,
                    help="mesh size for the bounds method")
     c.add_argument("--mc-samples", type=int, default=MC_SAMPLES,

@@ -10,6 +10,17 @@ class GeophaseError(Exception):
     """Base class for all errors raised by geophase."""
 
 
+class _BoundExceeded(GeophaseError):
+    """A measured figure failed its bound: ``value`` is the number that
+    tripped the check and ``tol`` the bound it failed."""
+
+    def __init__(self, message: str, value: float | None = None,
+                 tol: float | None = None):
+        super().__init__(message)
+        self.value = value
+        self.tol = tol
+
+
 # --- motion path construction / evaluation ---
 
 class GapOrOverlap(GeophaseError):
@@ -91,19 +102,12 @@ class MethodDisagreement(GeophaseError):
 
 # --- gauge channels ---
 
-class GaugeInconsistency(GeophaseError):
+class GaugeInconsistency(_BoundExceeded):
     """The equivalent holonomy expressions disagree beyond tolerance, or a
     sample interval turns theta too far for the transport route.
 
-    ``value`` is the number that tripped the check (the spread of the
-    forms, or the offending |dtheta|) and ``tol`` the bound it failed.
+    ``value`` is the spread of the forms, or the offending |dtheta|.
     """
-
-    def __init__(self, message: str, value: float | None = None,
-                 tol: float | None = None):
-        super().__init__(message)
-        self.value = value
-        self.tol = tol
 
 
 class OnSingularAxis(GeophaseError):
@@ -112,12 +116,14 @@ class OnSingularAxis(GeophaseError):
 
 # --- rolling oracle ---
 
-class DriftExceeded(GeophaseError):
-    """Orientation orthogonality drift above threshold."""
+class DriftExceeded(_BoundExceeded):
+    """Orientation orthogonality drift above threshold; ``value`` is the
+    worst drift | |q|^4 - 1 |."""
 
 
-class ClosureMismatch(GeophaseError):
-    """Final orientation fails the mod-2pi residual-rotation check."""
+class ClosureMismatch(_BoundExceeded):
+    """Final orientation fails the mod-2pi residual-rotation check;
+    ``value`` is the larger of the axis error and the twist mismatch."""
 
 
 # --- navigation tracks ---

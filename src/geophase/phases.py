@@ -35,6 +35,7 @@ from .sphere import (DEFAULT_EPSILON, _check_epsilon, cached_regularize,
                      clamped_affine_pieces)
 from .regions import (MC_SAMPLES, RegionReport, classify_poles,
                       curvature_integral, region_areas, turning_angle_sum)
+from .rolling import DEFAULT_STEPS
 
 METHOD_NAMES = ("line", "baumkuchen", "area", "curvature",
                 "monopole", "berry", "oracle")
@@ -302,7 +303,7 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
                    eps: float = DEFAULT_EPSILON, extrapolate: bool = True,
                    area_method: str = "solid_angle",
                    baumkuchen_n: int = 1_000_000,
-                   oracle_steps: int = 100_000,
+                   oracle_steps: int = DEFAULT_STEPS,
                    mc_samples: int = MC_SAMPLES, seed=None) -> PhaseResult:
     """Run the requested geometric-phase methods and reconcile them.
 

@@ -8,20 +8,22 @@ modules beyond the shared frame definitions, which makes the result an
 independent check on the phase decomposition.
 
 The orientation is a unit quaternion (Euler-Rodrigues parameters; Shoemake,
-SIGGRAPH 1985) held per component as a (4, n) array. Each step is the
-exact half-angle quaternion of the midpoint rate, and the steps are
-composed by a blocked recursive scan. Orthonormality drift is read off the
-norm, | |q|^4 - 1 |, and the spin comes from quaternion differences, so no
+SIGGRAPH 1985) held per component as a (4, n) array. Each affine piece of
+the motion gets its own uniform grid, so no interval straddles a knot, and
+each interval is one fourth-order two-point Gauss Magnus step: the rates at
+the two Gauss nodes give the step's rotation vector, whose exact half-angle
+quaternion is the step. The steps are composed by a blocked recursive scan.
+Orthonormality drift is read off the norm, | |q|^4 - 1 |, and the spin
+comes from fourth-order quaternion differences within each piece, so no
 3x3 matrix is formed except on request (OracleTrace.orientations) and for
-the closure check on the final orientation.
+the closure check on the final orientation. `steps` counts rate
+evaluations (constraint solves), two per interval.
 
-The schedule is read from the affine pieces of the motion: the step grid
-holds every knot, so each instant's piece index comes from the step counts
-per piece, and theta, beta and their slopes are one multiply-add away.
-Each instant's sines and cosines are taken once and give the frame, the
-normal and their derivatives. The pointwise chain (constraint rows, normal
-solve, step quaternions) and the spin recovery run in chunks of _CHUNK
-instants, so their temporaries stay in cache.
+Within a piece theta, beta and their slopes are one multiply-add away from
+the piece's affine data. Each instant's sines and cosines are taken once
+and give the frame, the normal and their derivatives. The pointwise chain
+(constraint rows, normal solve) runs in chunks of _CHUNK rate evaluations,
+so its temporaries stay in cache.
 
 Geometry: the fixed disc has radius a in the z = 0 plane, centered at the
 origin. The moving disc has radius b, touches the fixed rim at
@@ -33,7 +35,7 @@ the direction perpendicular to the rim tangent and to g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .errors import ClosureMismatch, DriftExceeded
 from .motion import TWO_PI, MotionPath, topology_report
 from .sphere import frame_vectors
 
+DEFAULT_STEPS = 4000   # oracle rate evaluations, two per Magnus interval
 DRIFT_TOL = 1e-6
 _MIN_STEPS_PER_SEGMENT = 10
 _CLOSURE_TOL = 1e-2
@@ -95,9 +98,16 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
 class OracleTrace:
     """Output of the orientation integration.
 
-    quaternions[:, k] is the orientation at t[k] as a quaternion (w, x, y,
-    z) of norm 1 up to rounding (never renormalized); orientations is the
-    same history as (len(t), 3, 3) rotation matrices, built on access.
+    t is the per-piece node grid: the nodes of each affine piece's uniform
+    grid in turn, so an interior knot appears twice, as the end of one piece
+    and the start of the next. quaternions[:, k] is the orientation at t[k]
+    as a quaternion (w, x, y, z) of norm 1 up to rounding (never
+    renormalized), and spin_rates[k] the spin about the normal there, read
+    from the quaternions of t[k]'s own piece; orientations is the same
+    history as (len(t), 3, 3) rotation matrices, built on access. steps
+    counts the rate evaluations, two per interval, and noslip_residuals
+    holds, per interval, the larger of the constraint residuals at its two
+    Gauss nodes.
     """
 
     steps: int
@@ -113,7 +123,7 @@ class OracleTrace:
 
 
 _BLOCK = 32   # scan block length: passes per level vs. levels of carries
-_CHUNK = 8192  # instants per pass of the pointwise pipeline: fits in cache
+_CHUNK = 8192  # rate evaluations per pass of the constraint solve: fits in cache
 
 
 def _qmul(p, q):
@@ -216,66 +226,84 @@ def _normal_solve(rows, rhs):
     return omega, residual
 
 
-def simulate_rolling(path: MotionPath, steps: int = 100_000,
+def _magnus_steps(w1, w2, h):
+    """Step quaternions (4, len(h)) of R' = hat(w) R over intervals of
+    lengths h, from the rates w1 and w2 at the two Gauss nodes of each
+    interval, given per component; _compose turns them into orientations.
+
+    Each step is the fourth-order two-point Gauss Magnus step
+    Omega = h/2 (w1 + w2) - (sqrt3/12) h^2 (w1 x w2) (Iserles & Norsett,
+    Phil. Trans. R. Soc. A 357 (1999) 983; Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009) 151), taken exactly as the half-angle quaternion
+    of exp(hat(Omega)).
+    """
+    bend = (sqrt(3.0) / 12.0) * h * h
+    omega = tuple(0.5 * h * (u + v) - bend * c
+                  for u, v, c in zip(w1, w2, _cross(w1, w2)))
+    return _rodrigues_steps(omega, 1.0)
+
+
+def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
                      drift_tol: float = DRIFT_TOL,
                      closure_tol: float = _CLOSURE_TOL) -> OracleTrace:
     """Integrate the disc orientation over the whole motion.
 
-    Midpoint rule: the constraint system is solved at each interval
-    midpoint and each step is the exact rotation generated by that rate, so
-    the scheme is second order in the step. theta, beta and their slopes
-    come from path.affine_pieces, indexed by the piece each instant lies in.
-    Rates, steps and the spin recovery are computed per vector component in
-    chunks of _CHUNK instants (one trig pass per instant, temporaries that
-    fit in cache), and the 3x3 normal equations are solved by cofactors.
-    steps below 1 raises ValueError, and so does a segment that gets fewer
-    than _MIN_STEPS_PER_SEGMENT steps. The orientation
-    is carried as a unit quaternion: each step is the exact half-angle
-    quaternion of its rotation, and the orientations are the prefix products
-    of the steps, composed by a blocked recursive scan (see _scan). Every
-    orientation's drift | |q|^4 - 1 |, which equals max |R^T R - I| of the
-    matrix built from the unnormalized quaternion, is checked (DriftExceeded
-    above drift_tol, 1e-6 by default); nothing is renormalized. The returned
-    spin history is recovered from central differences of the quaternions
-    themselves, not from the solved rates, as the component along the
-    normal of the rate 2 vec(qdot conj(q)), and delta_oracle is minus its
-    time integral. For a closed motion the final orientation must be a pure
-    twist about the starting normal by minus the dynamical phase mod 2 pi
-    (ClosureMismatch otherwise).
+    steps counts constraint solves (rate evaluations), two per interval;
+    below 1 it raises ValueError. Each affine piece of path.affine_pieces
+    gets its own uniform grid of an even number of intervals, proportional
+    to its length (steps / 2 intervals per unit time) and at least
+    _MIN_STEPS_PER_SEGMENT, so no interval straddles a knot; the first piece
+    is stretched back to t = 0 and the last on to t = 1, which covers
+    schedules that start or end up to TILE_TOL inside [0, 1]. The
+    constraint system is solved at the two Gauss nodes of each interval
+    (3x3 normal equations by cofactors) and the intervals are stepped by the
+    fourth-order Magnus rule of _magnus_steps, so the scheme is
+    fourth order in the interval length. The orientation is carried as a
+    unit quaternion and the orientations are the prefix products of the
+    steps (a blocked recursive scan, see _scan). Every orientation's drift
+    | |q|^4 - 1 |, which equals max |R^T R - I| of the matrix built from the
+    unnormalized quaternion, is checked (DriftExceeded above drift_tol, 1e-6
+    by default); nothing is renormalized. The spin history is recovered
+    from the quaternions themselves, not from the solved rates, as the
+    component along the normal of the rate 2 vec(qdot conj(q)), with qdot
+    from fourth-order five-point differences inside each piece (one-sided
+    at its two ends; Fornberg, Math. Comp. 51 (1988) 699), and delta_oracle
+    is minus its time integral by composite Simpson per piece. For a closed
+    motion the final orientation must be a pure twist about the starting
+    normal by minus the dynamical phase mod 2 pi (ClosureMismatch
+    otherwise).
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     radii = path.radii
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, steps + 1),
-                                     path.knots]))
-    starts = np.searchsorted(grid, path.knots)
-    counts = np.diff(starts)
-    if counts.min() < _MIN_STEPS_PER_SEGMENT:
-        raise ValueError(
-            f"only {counts.min()} steps on the shortest segment; "
-            f"need at least {_MIN_STEPS_PER_SEGMENT}")
-    n = grid.size - 1
-    dt = np.diff(grid)
-    tm = grid[:-1] + 0.5 * dt
-    # the grid holds every knot, so interval k lies in affine piece piece[k];
-    # grid points before the first knot (a start up to TILE_TOL after 0)
-    # belong to the first piece, and the end point t = 1 to the last
     t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
-    starts[0], starts[-1] = 0, n + 1
-    piece = np.repeat(np.arange(counts.size), np.diff(starts))
-
-    S = np.empty((4, n))
-    noslip = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n))
-        p = piece[sl]
-        since = tm[sl] - t0[p]
-        omega, noslip[sl] = _normal_solve(*_constraint_rows(
-            th0[p] + dth[p] * since, b0[p] + db[p] * since, dth[p], db[p],
-            radii.a, radii.b)[:2])
-        S[:, sl] = _rodrigues_steps(omega, dt[sl])
-
-    q = _compose(S)
+    bounds = np.array(path.knots)
+    bounds[0], bounds[-1] = 0.0, 1.0
+    counts = np.maximum(2 * np.ceil(np.diff(bounds) * (0.25 * steps)).astype(int),
+                        _MIN_STEPS_PER_SEGMENT)
+    h = np.diff(bounds) / counts
+    # interval k is interval local[k] of piece piece[k]; its Gauss nodes sit
+    # h / (2 sqrt3) either side of its midpoint, given as times since the
+    # piece's own start t0
+    piece = np.repeat(np.arange(counts.size), counts)
+    n = piece.size
+    local = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    hk = h[piece]
+    mid = bounds[piece] - t0[piece] + (local + 0.5) * hk
+    off = hk / (2.0 * sqrt(3.0))
+    # instants [0, n) are the first Gauss nodes, [n, 2n) the second ones
+    at = np.concatenate([piece, piece])
+    since = np.concatenate([mid - off, mid + off])
+    omega = np.empty((3, 2 * n))
+    residual = np.empty(2 * n)
+    for lo in range(0, 2 * n, _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, 2 * n))
+        p = at[sl]
+        omega[:, sl], residual[sl] = _normal_solve(*_constraint_rows(
+            th0[p] + dth[p] * since[sl], b0[p] + db[p] * since[sl],
+            dth[p], db[p], radii.a, radii.b)[:2])
+    noslip = np.maximum(residual[:n], residual[n:])
+    q = _compose(_magnus_steps(omega[:, :n], omega[:, n:], hk))
     # orthonormality drift of every orientation: max |R^T R - I| of the
     # matrix _matrices builds from the unnormalized quaternion is | |q|^4 - 1 |
     norm2 = np.einsum("ij,ij->j", q, q)
@@ -283,30 +311,35 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
     worst = int(np.argmax(drift))
     if drift[worst] > drift_tol:
         raise DriftExceeded(
-            f"orthonormality drift {drift[worst]:.3e} after {worst} steps")
+            f"orthonormality drift {drift[worst]:.3e} after {worst} intervals",
+            value=float(drift[worst]), tol=drift_tol)
+
+    # the per-piece node grid: each piece's counts + 1 nodes in turn, so an
+    # interior knot appears twice, as the end of one piece and the start of
+    # the next, with the orientation it has there both times
+    node_piece = np.repeat(np.arange(counts.size), counts + 1)
+    first = np.cumsum(counts + 1) - (counts + 1)
+    last = first + counts
+    j = np.arange(node_piece.size) - first[node_piece]   # node j of its piece
+    t = bounds[node_piece] + j * h[node_piece]
+    t[last] = bounds[1:]
+    qn = q[:, np.arange(node_piece.size) - node_piece]
 
     # spin about the instantaneous normal, recovered from the orientations:
-    # qdot by central differences (one-sided at the two ends), the spatial
-    # rate is 2 vec(qdot conj(q)) and the spin is its component along g
-    spin_rates = np.empty(n + 1)
-    for lo in range(0, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n + 1)
-        # the differences at lo..hi-1 read one neighbour on each side
-        near = slice(max(lo - 1, 0), min(hi + 1, n + 1))
-        own = slice(lo - near.start, hi - near.start)
-        dq = _central_differences(q[:, near])[:, own]
-        qk = q[:, lo:hi]
-        p = piece[lo:hi]
-        since = grid[lo:hi] - t0[p]
-        theta, beta = th0[p] + dth[p] * since, b0[p] + db[p] * since
-        sb = np.sin(beta)
-        g = (sb * np.cos(theta), sb * np.sin(theta), -np.cos(beta))
-        # vec(dq conj(q)) = q0 vec(dq) - dq0 vec(q) - vec(dq) x vec(q)
-        cross = _cross(dq[1:], qk[1:])
-        rate = [qk[0] * dq[k + 1] - dq[0] * qk[k + 1] - cross[k] for k in range(3)]
-        spin_rates[lo:hi] = (2.0 * _dot(g, rate)
-                             / _central_differences(grid[near])[own])
-    delta_oracle = -float(np.trapezoid(spin_rates, grid))
+    # the spatial rate is 2 vec(qdot conj(q)) and the spin its component
+    # along g; vec(dq conj(q)) = q0 vec(dq) - dq0 vec(q) - vec(dq) x vec(q)
+    dq = _piecewise_differences(qn, first, last)
+    since = t - t0[node_piece]
+    theta = th0[node_piece] + dth[node_piece] * since
+    beta = b0[node_piece] + db[node_piece] * since
+    sb = np.sin(beta)
+    g = (sb * np.cos(theta), sb * np.sin(theta), -np.cos(beta))
+    cross = _cross(dq[1:], qn[1:])
+    rate = [qn[0] * dq[k + 1] - dq[0] * qn[k + 1] - cross[k] for k in range(3)]
+    spin_rates = _dot(g, rate) / (6.0 * h[node_piece])
+    simpson = np.where(j % 2 == 1, 4.0, 2.0)
+    simpson[first] = simpson[last] = 1.0
+    delta_oracle = -float(np.dot(simpson * h[node_piece], spin_rates)) / 3.0
 
     report = topology_report(path)
     if report.closed:
@@ -325,20 +358,28 @@ def simulate_rolling(path: MotionPath, steps: int = 100_000,
         if axis_err > closure_tol or mismatch > closure_tol:
             raise ClosureMismatch(
                 f"closed motion: axis error {axis_err:.3e}, "
-                f"twist angle mismatch {mismatch:.3e}")
+                f"twist angle mismatch {mismatch:.3e}",
+                value=max(axis_err, mismatch), tol=closure_tol)
 
-    return OracleTrace(steps=n, t=grid, quaternions=q,
+    return OracleTrace(steps=2 * n, t=t, quaternions=qn,
                        spin_rates=spin_rates, noslip_residuals=noslip,
                        delta_oracle=delta_oracle)
 
 
-def _central_differences(x):
-    """x[..., k + 1] - x[..., k - 1] along the last axis, one-sided at the
-    two ends."""
+def _piecewise_differences(x, first, last):
+    """12 h times the derivative of x along the last axis, to fourth order,
+    for pieces of uniform spacing h that run from first[i] to last[i]
+    (inclusive, at least 5 nodes each): the five-point central stencil
+    inside each piece and the one-sided fourth-order stencils at its two
+    ends (Fornberg, Math. Comp. 51 (1988) 699)."""
     d = np.empty_like(x)
-    d[..., 1:-1] = x[..., 2:] - x[..., :-2]
-    d[..., 0] = x[..., 1] - x[..., 0]
-    d[..., -1] = x[..., -1] - x[..., -2]
+    d[..., 2:-2] = x[..., :-4] - x[..., 4:] + 8.0 * (x[..., 3:-1] - x[..., 1:-3])
+    for end, step in ((first, 1), (last, -1)):
+        f0, f1, f2, f3, f4 = (x[..., end + step * k] for k in range(5))
+        d[..., end] = step * (-25.0 * f0 + 48.0 * f1 - 36.0 * f2
+                              + 16.0 * f3 - 3.0 * f4)
+        d[..., end + step] = step * (-3.0 * f0 - 10.0 * f1 + 18.0 * f2
+                                     - 6.0 * f3 + f4)
     return d
 
 

@@ -210,7 +210,7 @@ def test_report_states_the_area_method_and_sample_counts(tmp_path, capsys):
     assert code == 0
     inp = json.loads(out)["input"]
     assert (inp["area_method"], inp["mc_samples"], inp["steps"],
-            inp["samples"]) == ("solid_angle", 200_000, 100_000, 1_000_000)
+            inp["samples"]) == ("solid_angle", 200_000, 4000, 1_000_000)
 
 
 def test_motion_file_that_is_not_an_object_is_a_validation_error(tmp_path,

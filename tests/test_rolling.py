@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 
 from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
-                      ScalarPath, dynamical_phase, geometric_phase_line,
-                      reverse_path, simulate_rolling)
+                      SampledSegment, ScalarPath, dynamical_phase,
+                      geometric_phase_line, reverse_path, simulate_rolling)
 from geophase import rolling
 from geophase.errors import ClosureMismatch, DriftExceeded
 from geophase.sphere import frame_vectors, gauss_vector
-from conftest import (TABLE_RADII, backtracking_sampled_path, closed_motions,
-                      gallery)
+from conftest import (COIN_RADII, TABLE_RADII, backtracking_sampled_path,
+                      closed_motions, gallery)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -79,13 +79,21 @@ def test_simulation_is_radius_independent_in_the_geometric_part():
         assert geometric == pytest.approx(PI / 2.0, abs=1e-4)
 
 
-def test_simulation_convergence_is_second_order():
+def test_simulation_convergence_is_fourth_order():
     path = gallery("iv", TABLE_RADII)
     expected = dynamical_phase(path) + geometric_phase_line(path)
     errors = [abs(simulate_rolling(path, steps=n).delta_oracle - expected)
               for n in (1000, 2000, 4000)]
-    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
-    assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.5)
+    assert errors[0] / errors[1] == pytest.approx(16.0, abs=2.0)
+    assert errors[1] / errors[2] == pytest.approx(16.0, abs=2.0)
+
+
+@pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
+@pytest.mark.parametrize("name", ["i", "ii", "iii", "iv", "v", "vi"])
+def test_default_steps_match_the_line_route_on_the_gallery(name, radii):
+    path = gallery(name, radii)
+    expected = dynamical_phase(path) + geometric_phase_line(path)
+    assert abs(simulate_rolling(path).delta_oracle - expected) <= 1e-7
 
 
 def test_final_orientation_is_a_twist_about_the_start_axis():
@@ -99,18 +107,42 @@ def test_final_orientation_is_a_twist_about_the_start_axis():
 
 
 def test_unreasonable_drift_budget_trips_the_guard():
-    with pytest.raises(DriftExceeded):
+    with pytest.raises(DriftExceeded) as info:
         simulate_rolling(gallery("ii"), steps=5000, drift_tol=1e-18)
+    assert info.value.tol == 1e-18
+    assert info.value.value > info.value.tol
 
 
 def test_unreasonable_closure_budget_trips_the_guard():
-    with pytest.raises(ClosureMismatch):
+    with pytest.raises(ClosureMismatch) as info:
         simulate_rolling(gallery("ii"), steps=5000, closure_tol=1e-15)
+    assert info.value.tol == 1e-15
+    assert info.value.value > info.value.tol
 
 
-def test_step_budget_must_resolve_every_segment():
-    with pytest.raises(ValueError):
-        simulate_rolling(gallery("v"), steps=20)
+def test_every_piece_gets_the_minimum_number_of_intervals():
+    # steps=20 asks for 10 intervals in all; each of motion v's pieces
+    # still gets its own floor of intervals
+    path = gallery("v")
+    trace = simulate_rolling(path, steps=20)
+    starts = np.flatnonzero(np.diff(trace.t) == 0.0) + 1   # knots repeat
+    nodes = np.diff(np.concatenate([[0], starts, [trace.t.size]]))
+    assert nodes.size == len(path.affine_pieces)
+    assert np.all(nodes - 1 >= rolling._MIN_STEPS_PER_SEGMENT)
+    assert trace.steps == 2 * int(np.sum(nodes - 1))
+    expected = dynamical_phase(path) + geometric_phase_line(path)
+    assert trace.delta_oracle == pytest.approx(expected, abs=1e-4)
+
+
+def test_a_finely_sampled_tilt_matches_the_line_route_at_default_steps():
+    # 400 knots: every short piece gets at least the floor of intervals
+    knots = np.linspace(0.0, 1.0, 400)
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, TWO_PI)])
+    beta = ScalarPath.from_segments([SampledSegment(
+        0.0, 1.0, knots, 1.3 + 0.6 * np.sin(3.0 * TWO_PI * knots))])
+    path = MotionPath(theta, beta, TABLE_RADII)
+    expected = dynamical_phase(path) + geometric_phase_line(path)
+    assert simulate_rolling(path).delta_oracle == pytest.approx(expected, abs=1e-6)
 
 
 def test_open_motions_are_simulated_without_closure_check():
@@ -230,27 +262,66 @@ def test_blocked_prefix_products_match_a_sequential_product(steps):
                                rtol=0.0, atol=1e-12)
 
 
+def _fornberg_weights(offsets):
+    """Weights w with sum_j w[j] f(offsets[j]) ~ f'(0), exact for quartics."""
+    offsets = np.asarray(offsets, dtype=float)
+    vandermonde = offsets[None, :] ** np.arange(offsets.size)[:, None]
+    return np.linalg.solve(vandermonde, np.eye(offsets.size)[1])
+
+
 def _whole_array_oracle(path, steps):
-    """Reference: the oracle over whole arrays, with the schedule from
-    ScalarPath.values/slopes and the spin from the Hamilton product
+    """Reference: the Magnus oracle over whole arrays, piece by piece, with
+    the schedule from ScalarPath.values/slopes, the Magnus rotation vector
+    from np.cross, stencil weights solved from Vandermonde systems, Simpson
+    written out per piece and the spin from the Hamilton product
     2 vec(qdot conj(q)). Returns (quaternions, no-slip residuals, spin
     rates, delta_oracle)."""
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, steps + 1),
-                                     path.knots]))
-    dt = np.diff(grid)
-    tm = grid[:-1] + 0.5 * dt
-    rows, rhs, _ = rolling._constraint_rows(
-        path.theta.values(tm), path.beta.values(tm),
-        path.theta.slopes(tm), path.beta.slopes(tm),
-        path.radii.a, path.radii.b)
-    omega, noslip = rolling._normal_solve(rows, rhs)
-    q = rolling._compose(rolling._rodrigues_steps(omega, dt))
-    dq = rolling._central_differences(q)
-    rate = rolling._qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
-    g = gauss_vector(path.theta.values(grid), path.beta.values(grid))
-    spin = (2.0 * np.einsum("ki,ik->k", g, np.array(rate))
-            / rolling._central_differences(grid))
-    return q, noslip, spin, -float(np.trapezoid(spin, grid))
+    bounds = np.array(path.knots)
+    bounds[0], bounds[-1] = 0.0, 1.0
+    grids, spacings = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m = max(rolling._MIN_STEPS_PER_SEGMENT, 2 * math.ceil((hi - lo) * steps / 4))
+        spacings.append((hi - lo) / m)
+        grids.append(lo + spacings[-1] * np.arange(m + 1))
+        grids[-1][-1] = hi
+    h = np.concatenate([np.full(g.size - 1, step) for g, step in zip(grids, spacings)])
+    tm = np.concatenate([g[:-1] for g in grids]) + 0.5 * h
+    rates, residuals = [], []
+    for node in (tm - h / (2.0 * math.sqrt(3.0)), tm + h / (2.0 * math.sqrt(3.0))):
+        rows, rhs, _ = rolling._constraint_rows(
+            path.theta.values(node), path.beta.values(node),
+            path.theta.slopes(node), path.beta.slopes(node),
+            path.radii.a, path.radii.b)
+        omega, noslip = rolling._normal_solve(rows, rhs)
+        rates.append(np.array(omega).T)
+        residuals.append(noslip)
+    w1, w2 = rates
+    magnus = (0.5 * h[:, None] * (w1 + w2)
+              - math.sqrt(3.0) / 12.0 * h[:, None] ** 2 * np.cross(w1, w2))
+    q_unique = rolling._compose(rolling._rodrigues_steps(tuple(magnus.T), 1.0))
+
+    qs, spins, delta, done = [], [], 0.0, 0
+    for g, step in zip(grids, spacings):
+        m = g.size - 1
+        q = q_unique[:, done:done + m + 1]
+        done += m
+        dq = np.empty_like(q)
+        for j in range(m + 1):
+            lo = min(max(j - 2, 0), m - 4)
+            window = np.arange(lo, lo + 5)
+            dq[:, j] = q[:, window] @ _fornberg_weights(window - j) / step
+        rate = rolling._qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
+        # the ends of a piece take its own one-sided limits of the schedule
+        inside = np.clip(g, g[0] + 0.25 * step, g[-1] - 0.25 * step)
+        beta = path.beta.values(inside) + path.beta.slopes(inside) * (g - inside)
+        theta = path.theta.values(inside) + path.theta.slopes(inside) * (g - inside)
+        spin = 2.0 * np.einsum("ki,ik->k", gauss_vector(theta, beta), np.array(rate))
+        delta -= step / 3.0 * (spin[0] + 4.0 * spin[1:-1:2].sum()
+                               + 2.0 * spin[2:-1:2].sum() + spin[-1])
+        qs.append(q)
+        spins.append(spin)
+    return (np.concatenate(qs, axis=1), np.maximum(*residuals),
+            np.concatenate(spins), delta)
 
 
 @pytest.mark.parametrize("steps,chunk", [
@@ -283,7 +354,8 @@ def test_a_schedule_starting_just_after_zero_is_covered():
     path = MotionPath(theta, beta, TABLE_RADII)
     trace = simulate_rolling(path, steps=1000)
     q, noslip, spin, delta = _whole_array_oracle(path, 1000)
-    assert trace.t[0] == 0.0 and trace.t[1] == 1e-13
+    # the first piece is stretched back to 0: no sliver interval before 1e-13
+    assert trace.t[0] == 0.0 and trace.t[1] == 0.5 / 250
     np.testing.assert_allclose(trace.quaternions, q, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(trace.spin_rates, spin, rtol=0.0, atol=1e-10)
     assert trace.delta_oracle == pytest.approx(delta, abs=1e-12)
