@@ -77,16 +77,25 @@ class DegenerateArc(GeophaseError):
     left-side seed point, or every classification arc grazed the curve."""
 
 
-class WindingInconsistent(GeophaseError):
+class WindingInconsistent(_BoundExceeded):
     """The pole sides contradict the azimuthal winding, or the solid-angle
-    fans from the two poles disagree about the left-region area."""
+    fans from the two poles disagree about the left-region area.
+
+    ``value`` is the spread of the two fans; a pole split that contradicts
+    the winding has no such number, and there ``value`` and ``tol`` are
+    None.
+    """
 
 
 # --- quadrature / reconciliation ---
 
-class QuadratureFailure(GeophaseError):
+class QuadratureFailure(_BoundExceeded):
     """A quadrature missed its error target: the adaptive rule at maximum
-    depth, or the two Gauss-Legendre orders of the monopole route."""
+    depth, or the two Gauss-Legendre orders of the monopole route.
+
+    ``value`` is the adaptive rule's residual estimate, or the gap between
+    the two Gauss-Legendre results on the worst piece.
+    """
 
 
 class MethodDisagreement(GeophaseError):

@@ -126,7 +126,8 @@ def _patch_circulation(path: MotionPath, eps: float, sign: int) -> float:
         raise QuadratureFailure(
             f"Gauss-Legendre orders {_QUAD_ORDERS[0]} and {_QUAD_ORDERS[1]} "
             f"differ by {diff[k]:.3e} on [{pieces[k].t0!r}, {pieces[k].t1!r}] "
-            f"(tolerance {_QUAD_TOL:.1e})")
+            f"(tolerance {_QUAD_TOL:.1e})",
+            value=float(diff[k]), tol=_QUAD_TOL)
     return float(np.sum(high))
 
 

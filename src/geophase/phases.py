@@ -6,7 +6,8 @@ only on the trace of the tilt vector. The geometric part is computed by
 several independent routes:
 
 * line: the time integral of cos(beta) theta' (the reference method),
-* baumkuchen: rigorous lower/upper Riemann-style bounds plus a midpoint sum,
+* baumkuchen: rigorous lower/upper Riemann-style bounds plus the
+  left-endpoint Riemann sum (mid),
 * area: left-region area minus 2 pi per enclosed pole, the area measured
   as the signed solid angle of the sampled curve (no frame, curvature or
   junction angle) or by Monte-Carlo,

@@ -41,7 +41,8 @@ def _recurse(f, a, b, fa, fm, fb, whole, tol, depth):
     if depth <= 0:
         raise QuadratureFailure(
             f"interval [{a!r}, {b!r}] not converged at depth {MAX_DEPTH}; "
-            f"residual {abs(err) / 15.0:.3e} exceeds {tol:.3e}")
+            f"residual {abs(err) / 15.0:.3e} exceeds {tol:.3e}",
+            value=abs(err) / 15.0, tol=tol)
     half = 0.5 * tol
     return (_recurse(f, a, m, fa, flm, fm, left, half, depth - 1)
             + _recurse(f, m, b, fm, frm, fb, right, half, depth - 1))

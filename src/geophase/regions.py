@@ -20,9 +20,10 @@ import numpy as np
 from .errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
                      PoleOnCurve, WindingInconsistent)
 from .motion import TWO_PI
-from .sphere import CUSP_ANGLE_TOL, RegularizedCurve
+from .sphere import CUSP_ANGLE_TOL, RegularizedCurve, frame_vectors
 
 SIMPLE_TOL = 1e-9
+_RUN = 8                # chords per run box in is_simple's far-pair search
 MC_SAMPLES = 200_000
 DEFAULT_SEED = 0x5EED
 
@@ -91,6 +92,13 @@ def _segment_pair_distance(p1, q1, p2, q2):
     return np.linalg.norm(diff, axis=1)
 
 
+def _overlap(lo, hi, a, b):
+    """Whether boxes a and b overlap, for component-major bounds lo, hi of
+    shape (3, n); a and b are index arrays or slices of equal length."""
+    return np.logical_and.reduce([(lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
+                                  for lo_k, hi_k in zip(lo, hi)])
+
+
 def _box_pairs(lo, hi):
     """Index pairs i < j of overlapping axis-aligned boxes [lo, hi], each once.
 
@@ -135,8 +143,7 @@ def _box_pairs(lo, hi):
     low_corner = sum(s * np.maximum(f[i], f[j]) for s, f in zip(stride, first))
     keep = keys[left] == low_corner
     i, j = i[keep], j[keep]
-    keep = np.logical_and.reduce([(lo_k[i] <= hi_k[j]) & (lo_k[j] <= hi_k[i])
-                                  for lo_k, hi_k in zip(lo, hi)])
+    keep = _overlap(lo, hi, i, j)
     return i[keep], j[keep]
 
 
@@ -146,9 +153,15 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     Non-adjacent chord pairs closer than tol count as a self-intersection;
     chords sharing an endpoint (consecutive along the curve, including the
     closure pair of a closed curve) are exempt. Candidate pairs are the
-    chords whose tol-expanded bounding boxes overlap, found through a
-    uniform grid (see _box_pairs); only those get the exact segment
-    distance. The answer is cached on the curve per tol.
+    chords whose tol-expanded bounding boxes overlap; only those get the
+    exact segment distance. Near pairs, index offsets 2 to 2R - 1 with
+    R = _RUN, are compared offset by offset as whole arrays. Far pairs come
+    from runs of R consecutive chords: the run boxes go through a uniform
+    grid (see _box_pairs), and each overlapping run pair at least two runs
+    apart is expanded into its chord pairs. Two overlapping chord boxes lie
+    in overlapping run boxes, and chords 2R or more apart lie in runs at
+    least two apart, so no overlapping pair is missed. The answer is cached
+    on the curve per tol.
     """
     key = ("simple", tol)
     if key in curve._cache:
@@ -157,11 +170,32 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     m = P.shape[0]
     simple = True
     if m >= 3:
-        i, j = _box_pairs(np.minimum(P, Q) - tol, np.maximum(P, Q) + tol)
-        keep = j - i > 1
+        # component-major (3, m): each comparison runs over contiguous rows
+        lo = np.ascontiguousarray(np.minimum(P, Q).T) - tol
+        hi = np.ascontiguousarray(np.maximum(P, Q).T) + tol
+        i, j = [], []
+        for d in range(2, min(2 * _RUN, m)):
+            near = np.flatnonzero(_overlap(lo, hi, slice(None, -d), slice(d, None)))
+            i.append(near)
+            j.append(near + d)
+        starts = np.arange(0, m, _RUN)
+        if starts.size >= 3:
+            a, b = _box_pairs(np.minimum.reduceat(lo, starts, axis=1).T,
+                              np.maximum.reduceat(hi, starts, axis=1).T)
+            keep = b - a >= 2
+            a, b = a[keep], b[keep]
+            u, v = np.divmod(np.arange(_RUN * _RUN), _RUN)
+            fi = (_RUN * a[:, None] + u).ravel()
+            fj = (_RUN * b[:, None] + v).ravel()
+            keep = fj < m
+            fi, fj = fi[keep], fj[keep]
+            keep = (fj - fi >= 2 * _RUN) & _overlap(lo, hi, fi, fj)
+            i.append(fi[keep])
+            j.append(fj[keep])
+        i, j = np.concatenate(i), np.concatenate(j)
         if curve.closed:
-            keep &= j - i != m - 1
-        i, j = i[keep], j[keep]
+            keep = j - i != m - 1
+            i, j = i[keep], j[keep]
         if i.size:
             d = _segment_pair_distance(P[i], Q[i], P[j], Q[j])
             simple = bool(np.all(d >= tol))
@@ -175,17 +209,21 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
 
 def _left_seed(curve: RegularizedCurve):
     """A point certified to lie in the left region, just off a mid-arc sample."""
-    nu = curve.left_normals()
     g = curve.g
     boundary = curve._cusp_sample_indices()
     n = len(curve)
-    candidates = [int(k) for k in np.linspace(0, n - 1, min(n, 64)).astype(int)
-                  if int(k) not in boundary]
+    idx = np.array([k for k in np.linspace(0, n - 1, min(n, 64)).astype(int)
+                    if int(k) not in boundary], dtype=int)
     # prefer samples far from the poles: more room for the sideways step
-    candidates.sort(key=lambda k: -abs(np.sin(curve.beta_eps[k])))
+    order = np.argsort(-np.abs(np.sin(curve.beta_eps[idx])), kind="stable")
+    idx = idx[order]
+    # left normals g x T at the candidates only, T = cos(phi) e1 + sin(phi) e2
+    e1, e2, _ = frame_vectors(curve.theta[idx], curve.beta_eps[idx])
+    phi = curve.phi[idx][:, None]
+    nu = np.cross(g[idx], np.cos(phi) * e1 + np.sin(phi) * e2)
     for delta in (1e-3, 3e-4, 1e-4):
-        for k in candidates:
-            seed = g[k] + delta * nu[k]
+        for k, nu_k in zip(idx, nu):
+            seed = g[k] + delta * nu_k
             seed /= np.linalg.norm(seed)
             dist = np.linalg.norm(g - seed, axis=1)
             near = int(np.argmin(dist))
@@ -252,8 +290,10 @@ def classify_poles(curve: RegularizedCurve):
         raise CurveNotClosed("pole classification needs a closed curve")
     if not is_simple(curve):
         raise CurveNotSimple("pole classification needs a simple curve")
-    for pole in (NORTH, SOUTH):
-        clearance = float(np.min(np.linalg.norm(curve.g - pole, axis=1)))
+    x, y, z = curve.g.T
+    r2 = x * x + y * y
+    for pole_z in (1.0, -1.0):
+        clearance = float(np.sqrt(np.min(r2 + (z - pole_z) ** 2)))
         if clearance < SIMPLE_TOL:
             raise PoleOnCurve(f"curve passes within {clearance:.2e} of a pole")
     seed = _left_seed(curve)
@@ -361,7 +401,7 @@ def _solid_angle_area(curve: RegularizedCurve) -> float:
     if not spread <= 1e-9:
         raise WindingInconsistent(
             f"solid-angle fans from the two poles disagree by {spread:.3e} "
-            f"(tolerance 1.0e-09)")
+            f"(tolerance 1.0e-09)", value=spread, tol=1e-9)
     curve._cache[key] = from_north
     return from_north
 

@@ -240,7 +240,9 @@ def _piece_samples(piece: ClampedPiece):
 
 def _arc_geometry(t_arr, theta_arr, beta_arr, u_arr, v_arr, periodic: bool):
     """Arc length (Richardson-corrected chords), phi, kappa for one smooth arc."""
-    g = gauss_vector(theta_arr, beta_arr)
+    ct, st = np.cos(theta_arr), np.sin(theta_arr)
+    cb, sb = np.cos(beta_arr), np.sin(beta_arr)
+    g = np.stack([sb * ct, sb * st, -cb], axis=-1)
     g /= np.linalg.norm(g, axis=1, keepdims=True)   # re-projection to the sphere
 
     chords = np.linalg.norm(np.diff(g, axis=0), axis=1)
@@ -258,9 +260,10 @@ def _arc_geometry(t_arr, theta_arr, beta_arr, u_arr, v_arr, periodic: bool):
     phi = np.unwrap(np.arctan2(v_arr, u_arr))
 
     # geodesic curvature: second differences of g in s, dotted with the left
-    # normal nu = -sin(phi) e1 + cos(phi) e2
-    e1, e2, _ = frame_vectors(theta_arr, beta_arr)
-    nu = -np.sin(phi)[:, None] * e1 + np.cos(phi)[:, None] * e2
+    # normal nu = -sin(phi) e1 + cos(phi) e2, written out per component
+    sp, cp = np.sin(phi), np.cos(phi)
+    nu = np.stack([sp * st + cp * (cb * ct), cp * (cb * st) - sp * ct, cp * sb],
+                  axis=-1)
     n = g.shape[0]
     kappa = np.empty(n)
     if periodic and n >= 3:

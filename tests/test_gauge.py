@@ -259,8 +259,10 @@ def test_gauss_legendre_circulation_matches_simpson_on_random_motions(path):
 def test_disagreeing_quadrature_orders_raise(monkeypatch):
     monkeypatch.setattr(gauge, "_QUAD_TOL", -1.0)
     with pytest.raises(QuadratureFailure,
-                       match=r"orders 16 and 24 differ by \d\.\d{3}e[+-]\d\d "):
+                       match=r"orders 16 and 24 differ by \d\.\d{3}e[+-]\d\d ") as info:
         monopole_holonomy(gallery("vi"))
+    assert 0.0 <= info.value.value < 1e-11
+    assert info.value.tol == -1.0
 
 
 def refined_reference(theta, beta, refine):

@@ -231,8 +231,10 @@ def test_swapped_pole_sides_trip_the_two_fan_check():
     north_in, south_in = curve._cache["pole_sides"]
     curve._cache["pole_sides"] = (south_in, north_in)
     with pytest.raises(WindingInconsistent,
-                       match=r"disagree by \d\.\d{3}e[+-]\d\d "):
+                       match=r"disagree by \d\.\d{3}e[+-]\d\d ") as info:
         geometric_phase_area(path)
+    assert info.value.value == pytest.approx(8.0 * PI, abs=1e-9)
+    assert info.value.tol == 1e-9
 
 
 def test_monte_carlo_area_route():

@@ -33,5 +33,9 @@ def test_additivity_over_subintervals():
 
 
 def test_depth_exhaustion_raises():
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure) as info:
         adaptive_simpson(math.exp, 0.0, 1.0, 1e-15, max_depth=3)
+    # the first interval to fail is the leftmost, after three halvings of tol
+    assert info.value.tol == 1e-15 / 8.0
+    assert info.value.value > info.value.tol
+    assert f"residual {info.value.value:.3e} exceeds 1.250e-16" in str(info.value)

@@ -12,9 +12,10 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
                       regularize, region_areas, turning_angle_sum)
 from geophase import regions, total_rotation
 from geophase.regions import SIMPLE_TOL
-from geophase.sphere import MAX_SAMPLE_STEP
-from geophase.errors import CurveNotClosed, CurveNotSimple, DegenerateArc
-from conftest import gallery
+from geophase.sphere import MAX_SAMPLE_STEP, RegularizedCurve
+from geophase.errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
+                             WindingInconsistent)
+from conftest import COIN_RADII, TABLE_RADII, gallery
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -59,6 +60,45 @@ def test_pole_counts_stable_under_smaller_clamp():
         full = classify_poles(regularize(path, EPS))[:2]
         half = classify_poles(regularize(path, EPS / 2.0))[:2]
         assert full == half, name
+
+
+def test_pole_split_against_winding_carries_no_number(monkeypatch):
+    # both poles on one side, while vi winds once about the axis
+    monkeypatch.setattr(regions, "_pole_in_left_region",
+                        lambda curve, seed, pole: True)
+    with pytest.raises(WindingInconsistent, match="pole split True/True") as info:
+        classify_poles(regularize(gallery("vi")))
+    assert info.value.value is None
+    assert info.value.tol is None
+
+
+def left_seed_reference(curve):
+    """The left-seed rule applied to the left normals at every sample."""
+    nu = curve.left_normals()
+    g = curve.g
+    boundary = curve._cusp_sample_indices()
+    n = len(curve)
+    candidates = [int(k) for k in np.linspace(0, n - 1, min(n, 64)).astype(int)
+                  if int(k) not in boundary]
+    candidates.sort(key=lambda k: -abs(np.sin(curve.beta_eps[k])))
+    for delta in (1e-3, 3e-4, 1e-4):
+        for k in candidates:
+            seed = g[k] + delta * nu[k]
+            seed /= np.linalg.norm(seed)
+            dist = np.linalg.norm(g - seed, axis=1)
+            near = int(np.argmin(dist))
+            if dist[near] >= 0.6 * delta and abs(curve.s[near] - curve.s[k]) <= 4.0 * delta:
+                return seed
+    return None
+
+
+@pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
+def test_left_seed_matches_the_all_samples_reference(radii):
+    for name in EXPECTED_COUNTS:
+        curve = regularize(gallery(name, radii))
+        expected = left_seed_reference(curve)
+        assert expected is not None, name
+        assert np.array_equal(regions._left_seed(curve), expected), name
 
 
 def test_open_curve_rejected():
@@ -151,9 +191,9 @@ def test_degenerate_classification_raises_degenerate_arc(monkeypatch):
     assert set(result.delta_g_by_method) == {"line"}
 
 
-def _all_pairs_simple(curve, tol=SIMPLE_TOL):
-    """Reference for is_simple: the exact distance of every non-adjacent
-    chord pair."""
+def _touching_pairs(curve, tol=SIMPLE_TOL):
+    """Non-adjacent chord pairs that are not at least tol apart, by the
+    exact distance of every pair."""
     P, Q = regions._curve_segments(curve)
     m = P.shape[0]
     i, j = np.triu_indices(m, 2)
@@ -161,7 +201,14 @@ def _all_pairs_simple(curve, tol=SIMPLE_TOL):
         keep = j - i != m - 1
         i, j = i[keep], j[keep]
     d = regions._segment_pair_distance(P[i], Q[i], P[j], Q[j])
-    return bool(np.all(d >= tol))
+    touching = ~(d >= tol)
+    return set(zip(i[touching].tolist(), j[touching].tolist()))
+
+
+def _all_pairs_simple(curve, tol=SIMPLE_TOL):
+    """Reference for is_simple: the exact distance of every non-adjacent
+    chord pair."""
+    return not _touching_pairs(curve, tol)
 
 
 @st.composite
@@ -239,6 +286,76 @@ def test_box_pairs_of_tiny_boxes_spread_wide():
     assert overlap.sum() >= 50
     assert sorted(zip(i.tolist(), j.tolist())) == list(zip(a[overlap].tolist(),
                                                           b[overlap].tolist()))
+
+
+RUN = regions._RUN
+UNIT = 1e-6   # planar unit of the polylines below: 1000 x SIMPLE_TOL
+
+
+def polyline_curve(points):
+    """An open one-arc curve through the planar points (x, y), in UNITs,
+    carried onto the sphere near (1, 0, 0) by central projection. Only g,
+    arcs and closed, which is all is_simple reads, are meaningful. Chord
+    sag at this scale is about 1e-13, so chords that cross in the plane
+    touch on the sphere and strands half a unit apart stay 5e-7 apart."""
+    xy = UNIT * np.asarray(points, dtype=float)
+    g = np.column_stack([np.ones(len(xy)), xy])
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    zeros = np.zeros(len(g))
+    return RegularizedCurve(
+        epsilon=EPS, t=np.linspace(0.0, 1.0, len(g)), s=zeros, theta=zeros,
+        beta_eps=zeros, g=g, phi=zeros, kappa_g=zeros, arcs=((0, len(g)),),
+        junctions=(), total_length=0.0, closed=False, pieces=())
+
+
+def crossing_polyline(i, j, m, cross=True):
+    """m chords along y = 0 up to chord i, then a loop whose chord j runs
+    down x = i + 1/2 across chord i (or stops short of it). The crossing
+    pair (i, j) is the only touching pair."""
+    points = [(x, 0.0) for x in range(i + 2)]
+    up = (j - i - 2) // 2                  # loop: up, one step left, down
+    down = j - i - 2 - up
+    points += [(i + 1.0, float(y)) for y in range(1, up + 1)]
+    points += [(i + 0.5, up - (up - 0.5) * k / down) for k in range(down + 1)]
+    if cross:   # chord j and a tail straight down
+        points += [(i + 0.5, -0.5 - y) for y in range(m - j)]
+    else:       # chord j stops above y = 0; the tail runs left above it
+        points += [(i + 0.5 - x, 0.25) for x in range(m - j)]
+    assert len(points) == m + 1
+    return polyline_curve(points)
+
+
+def retrace_polyline():
+    """20 chords right, 5 back along them, then 20 up: every touching pair
+    lies 2 to 11 chords apart, inside the near offsets."""
+    points = ([(x, 0.0) for x in range(21)] + [(x, 0.0) for x in range(19, 14, -1)]
+              + [(15.0, float(y)) for y in range(1, 21)])
+    return polyline_curve(points)
+
+
+def test_retrace_touches_at_near_offsets_only():
+    curve = retrace_polyline()
+    offsets = {j - i for i, j in _touching_pairs(curve)}
+    assert min(offsets) == 2 and max(offsets) < 2 * RUN
+    assert len(curve) - 1 >= 2 * RUN
+    assert not is_simple(curve) and not _all_pairs_simple(curve)
+
+
+@pytest.mark.parametrize("i,j,m", [
+    (RUN - 1, 3 * RUN - 1, 4 * RUN),      # runs 0 and 2, both run ends
+    (RUN, 3 * RUN, 4 * RUN),              # runs 1 and 3, both run starts
+    (RUN - 1, 3 * RUN - 2, 4 * RUN),      # runs 0 and 2, the last near offset
+    (RUN, 3 * RUN + 2, 3 * RUN + 3),      # the last, partial run
+    (0, 2 * RUN + 1, 2 * RUN + 2),        # three runs, the fewest with far pairs
+    (1, RUN + 3, 2 * RUN - 1),            # fewer than 2 RUN chords
+    (0, 4, 7),                            # fewer than RUN chords
+])
+@pytest.mark.parametrize("cross", [True, False])
+def test_is_simple_at_run_boundaries(i, j, m, cross):
+    curve = crossing_polyline(i, j, m, cross)
+    assert len(curve) - 1 == m
+    assert _touching_pairs(curve) == ({(i, j)} if cross else set())
+    assert is_simple(curve) == _all_pairs_simple(curve) == (not cross)
 
 
 def lap_spiral(beta0, separation):
