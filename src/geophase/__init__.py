@@ -28,10 +28,10 @@ from .regions import (RegionReport, classify_poles, curvature_integral,
                       default_seed, is_simple, region_areas,
                       turning_angle_sum)
 from .phases import (BaumkuchenBounds, PhaseResult, Tolerances,
-                     dynamical_phase, eps_extrapolate,
-                     extrapolated_region_report, geometric_phase_area,
-                     geometric_phase_baumkuchen, geometric_phase_curvature,
-                     geometric_phase_line, total_rotation)
+                     dynamical_phase, extrapolated_region_report,
+                     geometric_phase_area, geometric_phase_baumkuchen,
+                     geometric_phase_curvature, geometric_phase_line,
+                     total_rotation)
 from .gauge import (MINUS_PATCH, PLUS_PATCH, GaugePatch, berry_holonomy,
                     curl_check, monopole_holonomy, monopole_potential,
                     patch_circulation)

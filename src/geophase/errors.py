@@ -112,10 +112,10 @@ class MethodDisagreement(GeophaseError):
 # --- gauge channels ---
 
 class GaugeInconsistency(_BoundExceeded):
-    """The equivalent holonomy expressions disagree beyond tolerance, or a
-    sample interval turns theta too far for the transport route.
+    """The two-level transport carried the normal off the curve.
 
-    ``value`` is the spread of the forms, or the offending |dtheta|.
+    ``value`` is the summed miss of the transported normal at the ends of
+    the transport intervals.
     """
 
 

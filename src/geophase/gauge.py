@@ -1,15 +1,17 @@
-"""Monopole potentials and two-level-system connections.
+"""Monopole potentials and two-level-system transport.
 
 Two more independent routes to the geometric phase. The first integrates
 the classic unit-charge monopole vector potentials (one gauge patch regular
 away from the south ray, one away from the north ray) along the clamped
 curve of the tilt vector, each piece by fixed-order Gauss-Legendre
-quadrature in one array pass. The second transports the eigenstates of the
-two-level Hamiltonian H = [[-cos b, e^{-i th} sin b], [e^{i th} sin b,
-cos b]] around the loop and takes, per sample interval, the phase of the
-product of its sub-step state overlaps (a discrete Bargmann invariant),
-which cannot wrap while the interval turns theta by less than pi. Each
-route carries an internal cross-gauge consistency check.
+quadrature in one array pass, checked against a rule of higher order. The
+second carries the eigenstate of the two-level Hamiltonian
+H = [[-cos b, e^{-i th} sin b], [e^{i th} sin b, cos b]] around the loop
+by Kato's adiabatic transport (Kato, J. Phys. Soc. Jpn. 5 (1950) 435;
+Berry, Proc. R. Soc. A 392 (1984) 45): a rotation integrated by Magnus
+steps on the raw affine pieces, reading the phase off the turn of a
+transported tangent vector against the gauge frame. It needs no clamp and
+no curve samples, and checks that the transported normal stays on the curve.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GaugeInconsistency, OnSingularAxis, QuadratureFailure
-from .motion import TWO_PI, MotionPath
-from .sphere import DEFAULT_EPSILON, cached_regularize, clamped_affine_pieces
+from .motion import MotionPath
+from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, clamped_affine_pieces,
+                     frame_vectors)
 from .phases import closed_topology, eps_limit
+from .rolling import _magnus_steps, _matrices
 
 AXIS_CLEARANCE = 1e-9
 _QUAD_ORDERS = (16, 24)   # Gauss-Legendre node counts compared per piece
@@ -109,13 +113,9 @@ def _patch_circulation(path: MotionPath, eps: float, sign: int) -> float:
         *((0.5 * (p.t1 - p.t0), p.th0, p.dth, p.b0, p.db) for p in pieces)))
     rules = [_gauss_legendre(n) for n in _QUAD_ORDERS]
     dt = half * (1.0 + np.concatenate([x for x, _ in rules]))
-    th, b = th0 + dth * dt, b0 + db * dt
-    sb, cb = np.sin(b), np.cos(b)
-    st, ct = np.sin(th), np.cos(th)
-    g = np.stack([sb * ct, sb * st, -cb], axis=-1)
-    g_dot = np.stack([db * cb * ct - dth * sb * st,
-                      db * cb * st + dth * sb * ct,
-                      db * sb], axis=-1)
+    b = b0 + db * dt
+    e1, e2, g = frame_vectors(th0 + dth * dt, b)
+    g_dot = db[..., None] * e2 + (dth * np.sin(b))[..., None] * e1
     f = np.sum(monopole_potential(GaugePatch(sign), g) * g_dot, axis=-1)
     split = rules[0][0].size
     low = half[:, 0] * (f[:, :split] @ rules[0][1])
@@ -143,121 +143,79 @@ def patch_circulation(path: MotionPath, patch: GaugePatch,
 
 
 def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
-                      tol: float = 1e-6, extrapolate: bool = True) -> float:
+                      extrapolate: bool = True) -> float:
     """Geometric phase from the monopole potentials (r = 1).
 
-    Evaluates the averaged-patch circulation and both single-patch forms
-    shifted by the 2 pi n winding term; the three must agree within tol
-    (GaugeInconsistency otherwise). Each circulation is a Gauss-Legendre
-    sum over the moving clamped pieces (see _patch_circulation). Returns
-    the averaged form, carried to the eps -> 0 limit unless extrapolate is
-    False.
+    The average of the two patch circulations, in which the 2 pi n winding
+    terms of the single patches cancel. Each circulation is a Gauss-Legendre
+    sum over the moving clamped pieces, checked against a rule of higher
+    order (see _patch_circulation). Returns the average carried to the
+    eps -> 0 limit unless extrapolate is False.
     """
-    shift = TWO_PI * closed_topology(path).n
-    circ_plus = _patch_circulation(path, eps, +1)
-    circ_minus = _patch_circulation(path, eps, -1)
-    forms = (0.5 * (circ_plus + circ_minus),
-             circ_plus - shift,
-             circ_minus + shift)
-    spread = max(forms) - min(forms)
-    if spread > tol:
-        raise GaugeInconsistency(
-            f"monopole holonomy forms spread {spread:.3e} at eps={eps:.4f}",
-            value=spread, tol=tol)
-    return eps_limit(path, forms[0], eps, extrapolate)
+    closed_topology(path)
+    both = _patch_circulation(path, eps, +1) + _patch_circulation(path, eps, -1)
+    return eps_limit(path, 0.5 * both, eps, extrapolate)
 
 
 # ---------------------------------------------------------------------------
 # two-level system
 
 
-_OVERLAP_REFINE = 8
+_TRANSPORT_STEP = 0.01   # most radians of tilt sweep, |dtheta| + |dbeta|, per interval
 
 
-def _overlap_phase_sums(theta, beta, refine: int = _OVERLAP_REFINE):
-    """(gamma_plus, gamma_minus): summed overlap phases of consecutive
-    gauge-fixed states in both gauges, loop closed.
+def _transport_rate(theta, beta, dtheta, dbeta):
+    """g x gdot = -beta' e1 + theta' sin(beta) e2, shape (3, n): the rate
+    whose rotation carries g along the curve and moves tangent vectors only
+    along g, which is parallel transport."""
+    e1, e2, _ = frame_vectors(theta, beta)
+    return (-dbeta[:, None] * e1 + (dtheta * np.sin(beta))[:, None] * e2).T
 
-    With s = sin(beta/2), c = cos(beta/2) and d = theta' - theta, the
-    overlap <psi|psi'> is s s' + e^{i d} c c' in the plus gauge and
-    c c' + e^{-i d} s s' in the minus gauge. (theta, beta) are affine
-    between samples, so each interval is split into refine sub-steps: the
-    phasor c + i s of the sample is rotated by e^{i dbeta / (2 refine)} per
-    sub-step, ending on the exact next sample, and d = dtheta / refine.
-    The sub-step overlaps are multiplied, one contiguous row per sub-step,
-    and one atan2 per interval and gauge takes the phase of the product.
-    As s, c >= 0, an overlap's phase lies between 0 and +-d, so an
-    interval's phases sum to less than |dtheta|: while |dtheta| < pi the
-    product's phase is that sum and cannot wrap. A larger step raises
-    GaugeInconsistency. The closure pair last -> first, which carries the
-    2 pi n jump, is one uninterpolated overlap.
+
+def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
+    """Geometric phase from Kato's adiabatic transport of the eigenstate.
+
+    In SU(2) the transport of the +1 eigenstate is the rotation at rate
+    g x gdot (_transport_rate). Each moving raw affine piece gets
+    max(4, ceil((|theta'| + |beta'|)(t1 - t0) / _TRANSPORT_STEP)) uniform
+    intervals, each one fourth-order Gauss Magnus step
+    (rolling._magnus_steps). Per interval, e2 at its start is transported
+    and its turn against the gauge frame (e1, e2) at its end read by one
+    atan2; a turn is at most the interval's sweep, so none wraps, and
+    Delta_g is minus their sum. The rate and frame are regular at the
+    poles, so nothing is clamped. The transported g must land on g at each
+    interval's end; a summed miss above tol raises GaugeInconsistency.
+    More than MAX_PIECE_SAMPLES intervals in all raise ValueError.
     """
-    if theta.size < 2:
-        return 0.0, 0.0
-    dtheta = np.diff(theta)
-    k = int(np.argmax(np.abs(dtheta)))
-    jump = abs(float(dtheta[k]))
-    if not jump < np.pi:
+    closed_topology(path)
+    pieces = [p for p in path.affine_pieces if p[3] != 0.0 or p[5] != 0.0]
+    if not pieces:
+        return 0.0
+    t0, t1, th0, dth, b0, db = np.array(pieces).T
+    counts = np.maximum(4, np.ceil((np.abs(dth) + np.abs(db)) * (t1 - t0)
+                                   / _TRANSPORT_STEP))
+    if not counts.sum() <= MAX_PIECE_SAMPLES:
+        raise ValueError(f"the transport needs {counts.sum():.3g} intervals, "
+                         f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
+    counts = counts.astype(int)
+    piece = np.repeat(np.arange(counts.size), counts)
+    h = ((t1 - t0) / counts)[piece]
+    start = (np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)) * h
+    th0, dth, b0, db = th0[piece], dth[piece], b0[piece], db[piece]
+
+    def at(since):
+        return th0 + dth * since, b0 + db * since
+
+    off = (0.5 - 0.5 / np.sqrt(3.0)) * h   # the Gauss nodes, from either end
+    R = _matrices(_magnus_steps(_transport_rate(*at(start + off), dth, db),
+                                _transport_rate(*at(start + h - off), dth, db), h))
+    _, e2, g = frame_vectors(*at(start))
+    e1_end, e2_end, g_end = frame_vectors(*at(start + h))
+    moved = np.einsum("ijk,kj->ki", R, e2)
+    turn = np.arctan2(np.sum(moved * e1_end, axis=1), np.sum(moved * e2_end, axis=1))
+    miss = float(np.sum(np.linalg.norm(np.einsum("ijk,kj->ki", R, g) - g_end, axis=1)))
+    if miss > tol:
         raise GaugeInconsistency(
-            f"theta step {jump:.3e} between samples {k} and {k + 1} is not "
-            f"below pi, so its overlap product could wrap",
-            value=jump, tol=np.pi)
-    half = 0.5 * beta
-    c_all, s_all = np.cos(half), np.sin(half)
-    rot = np.diff(half) / refine
-    rc, rs = np.cos(rot), np.sin(rot)
-    step = dtheta / refine
-    ec, es = np.cos(step), np.sin(step)
-    c0, s0 = c_all[:-1], s_all[:-1]
-    plus = minus = (1.0, 0.0)
-    for j in range(1, refine + 1):
-        if j < refine:
-            c1, s1 = c0 * rc - s0 * rs, s0 * rc + c0 * rs
-        else:
-            c1, s1 = c_all[1:], s_all[1:]
-        cc, ss = c0 * c1, s0 * s1
-        sub_plus = (ss + cc * ec, cc * es)
-        sub_minus = (cc + ss * ec, -ss * es)
-        plus = _complex_product(plus, sub_plus)
-        minus = _complex_product(minus, sub_minus)
-        c0, s0 = c1, s1
-    close = float(theta[0] - theta[-1])
-    cc, ss = c_all[-1] * c_all[0], s_all[-1] * s_all[0]
-    gamma_plus = (np.sum(np.arctan2(plus[1], plus[0]))
-                  + np.arctan2(cc * np.sin(close), ss + cc * np.cos(close)))
-    gamma_minus = (np.sum(np.arctan2(minus[1], minus[0]))
-                   + np.arctan2(-ss * np.sin(close), cc + ss * np.cos(close)))
-    return float(gamma_plus), float(gamma_minus)
-
-
-def _complex_product(a, b):
-    """(re, im) of the elementwise product of a = (re, im) and b = (re, im)."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def berry_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
-                   extrapolate: bool = True, tol: float = 1e-6) -> float:
-    """Geometric phase from discrete parallel transport of the eigenstates.
-
-    Works entirely from state overlaps between curve samples (no closed-form
-    connection), in both gauges: each sample interval contributes the phase
-    of the product of its _OVERLAP_REFINE sub-step overlaps, which equals
-    the sum of their phases because the interval turns theta by less than
-    pi (see _overlap_phase_sums). The combined form
-    gamma_plus + gamma_minus and the single-gauge forms
-    2 gamma_plus - 2 pi n, 2 gamma_minus + 2 pi n must agree within tol
-    (GaugeInconsistency otherwise). Returns the combined form, carried to
-    the eps -> 0 limit unless extrapolate is False.
-    """
-    shift = TWO_PI * closed_topology(path).n
-    curve = cached_regularize(path, eps)
-    gamma_plus, gamma_minus = _overlap_phase_sums(curve.theta, curve.beta_eps)
-    forms = (gamma_plus + gamma_minus,
-             2.0 * gamma_plus - shift,
-             2.0 * gamma_minus + shift)
-    spread = max(forms) - min(forms)
-    if spread > tol:
-        raise GaugeInconsistency(
-            f"transport holonomy forms spread {spread:.3e} at eps={eps:.4f}",
-            value=spread, tol=tol)
-    return eps_limit(path, forms[0], eps, extrapolate)
+            f"transported normal misses the curve by {miss:.3e} in sum",
+            value=miss, tol=tol)
+    return -float(np.sum(turn))

@@ -14,15 +14,15 @@ several independent routes:
 * curvature: total turning decomposition (tangent angle, geodesic curvature,
   cusp angles).
 
-Routes that work on the pole-clamped curve (area, curvature, monopole,
-berry and the region report) are evaluated at one clamp level, eps, and
-carried to the eps -> 0 limit by adding the exact clipped sliver, the
-integral of (cos beta_raw - cos beta_clamped) theta' dt (eps_limit). Inside
-the clamp band the sliver comes from the raw tilt schedule, so there every
-clamped route is anchored to the line integrand; outside the band the
-sliver is zero and the routes stay independent of it. total_rotation is
-the one place that runs the routes, including the monopole, two-level and
-rigid-body ones, and reconciles them.
+Routes that work on the pole-clamped curve (area, curvature, monopole and
+the region report) are evaluated at one clamp level, eps, and carried to
+the eps -> 0 limit by adding the exact clipped sliver, the integral of
+(cos beta_raw - cos beta_clamped) theta' dt (eps_limit). Inside the clamp
+band the sliver comes from the raw tilt schedule, so there every clamped
+route is anchored to the line integrand; outside the band the sliver is
+zero and the routes stay independent of it. The two-level (berry) and
+rigid-body (oracle) routes run on the raw motion and are never clamped.
+total_rotation is the one place that runs the routes and reconciles them.
 """
 
 from __future__ import annotations
@@ -190,19 +190,6 @@ def _cos_sum(a: float, d: float, n: int) -> float:
 # clamped-curve routes with the eps -> 0 limit handling
 
 
-def eps_extrapolate(eps: float, value_full: float, value_half: float) -> float:
-    """Linear extrapolation to eps = 0 in the variable u = 1 - cos(eps).
-
-    Exact only where the clamped curve runs along the clamp circle: cap
-    areas and cap circulation integrals clipped there are affine in u. A
-    tilt with a corner inside the clamp band clips a sliver that is not, so
-    the routes use eps_limit instead.
-    """
-    u_full = 1.0 - cos(eps)
-    u_half = 1.0 - cos(eps / 2.0)
-    return value_half + (value_half - value_full) * u_half / (u_full - u_half)
-
-
 def eps_limit(path: MotionPath, value: float, eps: float,
               extrapolate: bool = True) -> float:
     """value, a clamped-curve quantity at eps, carried to the eps -> 0 limit.
@@ -336,7 +323,7 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
             path, eps, extrapolate, area_method, samples=mc_samples, seed=seed),
         "curvature": lambda: geometric_phase_curvature(path, eps, extrapolate),
         "monopole": lambda: monopole_holonomy(path, eps, extrapolate=extrapolate),
-        "berry": lambda: berry_holonomy(path, eps, extrapolate=extrapolate),
+        "berry": lambda: berry_holonomy(path),
         "oracle": lambda: (simulate_rolling(path, oracle_steps)
                            .delta_oracle - delta_d),
     }

@@ -25,10 +25,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth, max_depth)
 
 
-def _recurse(f, a, b, fa, fm, fb, whole, tol, depth):
+def _recurse(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -40,9 +40,9 @@ def _recurse(f, a, b, fa, fm, fb, whole, tol, depth):
         return left + right + err / 15.0
     if depth <= 0:
         raise QuadratureFailure(
-            f"interval [{a!r}, {b!r}] not converged at depth {MAX_DEPTH}; "
+            f"interval [{a!r}, {b!r}] not converged at depth {max_depth}; "
             f"residual {abs(err) / 15.0:.3e} exceeds {tol:.3e}",
             value=abs(err) / 15.0, tol=tol)
     half = 0.5 * tol
-    return (_recurse(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _recurse(f, m, b, fm, frm, fb, right, half, depth - 1))
+    return (_recurse(f, a, m, fa, flm, fm, left, half, depth - 1, max_depth)
+            + _recurse(f, m, b, fm, frm, fb, right, half, depth - 1, max_depth))

@@ -175,16 +175,10 @@ class RegularizedCurve:
     def cusps(self) -> tuple:
         return detect_cusps(self, CUSP_ANGLE_TOL)
 
-    def frames(self):
-        return frame_vectors(self.theta, self.beta_eps)
-
     def tangents(self) -> np.ndarray:
         """Unit tangents T(s); within arcs T = cos(phi) e1 + sin(phi) e2."""
-        e1, e2, _ = self.frames()
+        e1, e2, _ = frame_vectors(self.theta, self.beta_eps)
         return (np.cos(self.phi)[:, None] * e1 + np.sin(self.phi)[:, None] * e2)
-
-    def left_normals(self) -> np.ndarray:
-        return np.cross(self.g, self.tangents())
 
     def __len__(self):
         return self.t.size
@@ -399,9 +393,10 @@ def _smooth_or_raise(curve: RegularizedCurve):
             f"operation needs a smooth curve; found {len(curve.cusps)} cusp(s)")
 
 
-def _normal_derivative(curve: RegularizedCurve) -> np.ndarray:
-    """d(nu)/ds by central differences, periodic when the curve closes smoothly."""
-    nu = curve.left_normals()
+def _normal_derivative(curve: RegularizedCurve, tangents) -> np.ndarray:
+    """d(nu)/ds of the left normals nu = g x T by central differences,
+    periodic when the curve closes smoothly; tangents are curve.tangents()."""
+    nu = np.cross(curve.g, tangents)
     s = curve.s
     n = len(curve)
     out = np.empty_like(nu)
@@ -428,9 +423,16 @@ def offset_length(curve: RegularizedCurve, q: float) -> float:
     length is the integral of |g'(s) - q nu'(s)|, evaluated by the composite
     trapezoid rule over the stored samples.
     """
+    return _offset_length(curve)(q)
+
+
+def _offset_length(curve: RegularizedCurve):
+    """q -> offset_length(curve, q), with the tangents and d(nu)/ds built once."""
     _smooth_or_raise(curve)
-    integrand = np.linalg.norm(curve.tangents() - q * _normal_derivative(curve), axis=1)
-    return float(np.trapezoid(integrand, curve.s))
+    tangents = curve.tangents()
+    dnu = _normal_derivative(curve, tangents)
+    return lambda q: float(np.trapezoid(np.linalg.norm(tangents - q * dnu, axis=1),
+                                        curve.s))
 
 
 def offset_length_derivative(curve: RegularizedCurve, h: float = 1e-3) -> float:
@@ -439,7 +441,7 @@ def offset_length_derivative(curve: RegularizedCurve, h: float = 1e-3) -> float:
     For smooth closed curves this equals the integral of the geodesic
     curvature along the curve.
     """
-    _smooth_or_raise(curve)
-    d_h = (offset_length(curve, +h) - offset_length(curve, -h)) / (2.0 * h)
-    d_h2 = (offset_length(curve, +h / 2) - offset_length(curve, -h / 2)) / h
+    length = _offset_length(curve)
+    d_h = (length(+h) - length(-h)) / (2.0 * h)
+    d_h2 = (length(+h / 2) - length(-h / 2)) / h
     return (4.0 * d_h2 - d_h) / 3.0

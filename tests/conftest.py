@@ -123,3 +123,17 @@ def clamp_path(path, eps):
     theta = ScalarPath.from_segments([seg(p.t0, p.t1, p.th0, p.dth) for p in pieces])
     beta = ScalarPath.from_segments([seg(p.t0, p.t1, p.b0, p.db) for p in pieces])
     return MotionPath(theta, beta, path.radii)
+
+
+def eps_extrapolate(eps, value_full, value_half):
+    """Linear extrapolation to eps = 0 in the variable u = 1 - cos(eps).
+
+    Exact only where the clamped curve runs along the clamp circle: cap
+    areas and cap circulation integrals clipped there are affine in u. A
+    tilt with a corner inside the clamp band clips a sliver that is not,
+    which is why the package carries its routes to the limit by
+    phases.eps_limit instead.
+    """
+    u_full = 1.0 - math.cos(eps)
+    u_half = 1.0 - math.cos(eps / 2.0)
+    return value_half + (value_half - value_full) * u_half / (u_full - u_half)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geophase import (DEFAULT_EPSILON, MINUS_PATCH, PLUS_PATCH, GaugePatch,
-                      berry_holonomy, curl_check, monopole_holonomy,
-                      monopole_potential, patch_circulation)
+                      berry_holonomy, curl_check, geometric_phase_line,
+                      monopole_holonomy, monopole_potential,
+                      patch_circulation)
 from geophase import gauge
 from geophase.errors import (CurveNotClosed, GaugeInconsistency,
                              OnSingularAxis, QuadratureFailure)
 from geophase.quadrature import adaptive_simpson
-from geophase.sphere import clamped_affine_pieces, regularize
-from conftest import FROZEN, closed_motions, gallery
+from geophase.sphere import clamped_affine_pieces, frame_vectors
+from conftest import COIN_RADII, FROZEN, TABLE_RADII, closed_motions, gallery
 from test_acceptance import random_closed_motion
 
 PI = math.pi
@@ -30,8 +31,9 @@ def hamiltonian(theta, beta):
 
 def berry_state(sign, theta, beta):
     """The +1 eigenstate of hamiltonian(theta, beta) in the plus gauge
-    (singular at beta = 0) or the minus gauge (singular at beta = pi); the
-    states whose overlaps gauge._overlap_phase_sums takes in closed form."""
+    (singular at beta = 0) or the minus gauge (singular at beta = pi). Its
+    connection is the monopole potential; gauge.berry_holonomy transports
+    the state without fixing a gauge."""
     half = 0.5 * beta
     if sign > 0:
         return np.array([math.sin(half), np.exp(1j * theta) * math.cos(half)])
@@ -156,23 +158,6 @@ def test_monopole_holonomy_needs_closure():
         monopole_holonomy(MotionPath(theta, beta, Radii(1.0, 1.0)))
 
 
-def test_gauge_consistency_guard_can_fire():
-    # a zero tolerance rejects even the roundoff-level spread of the forms
-    with pytest.raises(GaugeInconsistency):
-        monopole_holonomy(gallery("vi"), tol=0.0)
-
-
-@pytest.mark.parametrize("route", [monopole_holonomy, berry_holonomy])
-def test_gauge_inconsistency_carries_the_spread_and_the_tolerance(route):
-    # the spread is >= 0, so a negative tolerance always trips the check
-    with pytest.raises(GaugeInconsistency, match="forms spread") as info:
-        route(gallery("vi"), tol=-1.0)
-    exc = info.value
-    assert exc.tol == -1.0
-    assert 0.0 <= exc.value < 1e-9
-    assert f"spread {exc.value:.3e} " in str(exc)
-
-
 def test_berry_state_is_a_unit_plus_eigenvector():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -213,6 +198,48 @@ def test_connection_equals_potential_pullback():
 def test_berry_holonomy_matches_line_values(name):
     assert berry_holonomy(gallery(name)) == pytest.approx(
         FROZEN[name][3], abs=1e-6)
+
+
+def test_berry_transport_matches_the_line_integral():
+    paths = [gallery(name, radii) for radii in (TABLE_RADII, COIN_RADII)
+             for name in FROZEN]
+    rng = np.random.default_rng(20261017)
+    paths += [random_closed_motion(rng) for _ in range(10)]
+    for path in paths:
+        assert berry_holonomy(path) == pytest.approx(
+            geometric_phase_line(path), abs=1e-9)
+
+
+def test_gauge_inconsistency_carries_the_transport_miss_and_the_tolerance():
+    # the miss is >= 0, so a negative tolerance always trips the check
+    with pytest.raises(GaugeInconsistency, match="misses the curve") as info:
+        berry_holonomy(gallery("vi"), tol=-1.0)
+    exc = info.value
+    assert exc.tol == -1.0
+    assert 0.0 <= exc.value < 1e-9
+    assert f"by {exc.value:.3e} " in str(exc)
+
+
+def test_a_transport_rate_without_sin_beta_trips_the_miss_check(monkeypatch):
+    def unscaled(theta, beta, dtheta, dbeta):
+        e1, e2, _ = frame_vectors(theta, beta)
+        return (-dbeta[:, None] * e1 + dtheta[:, None] * e2).T
+
+    monkeypatch.setattr(gauge, "_transport_rate", unscaled)
+    with pytest.raises(GaugeInconsistency) as info:
+        berry_holonomy(gallery("vi"))
+    assert info.value.tol == 1e-6
+    assert info.value.value > info.value.tol
+
+
+def test_a_sweep_past_the_interval_cap_raises_before_transporting():
+    # ten thousand laps need 6.3e6 transport intervals
+    from geophase import AffineSegment, ConstantSegment, MotionPath, Radii, ScalarPath
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, 2e4 * PI)])
+    beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"6\.28e\+06 intervals, more than "
+                       "MAX_PIECE_SAMPLES"):
+        berry_holonomy(MotionPath(theta, beta, Radii(1.0, 1.0)))
 
 
 def simpson_circulation(path, eps, sign):
@@ -263,74 +290,3 @@ def test_disagreeing_quadrature_orders_raise(monkeypatch):
         monopole_holonomy(gallery("vi"))
     assert 0.0 <= info.value.value < 1e-11
     assert info.value.tol == -1.0
-
-
-def refined_reference(theta, beta, refine):
-    """The samples with refine - 1 points interpolated into every interval;
-    (theta, beta) are affine between samples, so the points are exact."""
-    if refine <= 1 or theta.size < 2:
-        return theta, beta
-    f = np.linspace(0.0, 1.0, refine, endpoint=False)
-    th = (theta[:-1, None] * (1.0 - f) + theta[1:, None] * f).ravel()
-    be = (beta[:-1, None] * (1.0 - f) + beta[1:, None] * f).ravel()
-    return np.append(th, theta[-1]), np.append(be, beta[-1])
-
-
-def overlap_phase_sums_reference(theta, beta, refine=gauge._OVERLAP_REFINE):
-    """The overlap phases point by point: one atan2 per refined sub-step and
-    gauge, summed, with the closure pair uninterpolated. The reference for
-    the one-phase-per-interval products of gauge._overlap_phase_sums."""
-    theta, beta = refined_reference(theta, beta, refine)
-    half = 0.5 * beta
-    s, c = np.sin(half), np.cos(half)
-    wrap = np.concatenate([np.arange(1, theta.size), [0]])
-    step = theta[wrap] - theta
-    ss, cc = s * s[wrap], c * c[wrap]
-    sin_d, cos_d = np.sin(step), np.cos(step)
-    gamma_plus = np.sum(np.arctan2(cc * sin_d, ss + cc * cos_d))
-    gamma_minus = np.sum(np.arctan2(-ss * sin_d, cc + ss * cos_d))
-    return float(gamma_plus), float(gamma_minus)
-
-
-def assert_sums_match_reference(theta, beta):
-    got = gauge._overlap_phase_sums(theta, beta)
-    want = overlap_phase_sums_reference(theta, beta)
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-@pytest.mark.parametrize("eps", [DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0])
-@pytest.mark.parametrize("name", list(FROZEN))
-def test_overlap_products_match_the_per_point_sums(name, eps):
-    curve = regularize(gallery(name), eps)
-    assert_sums_match_reference(curve.theta, curve.beta_eps)
-
-
-def test_overlap_products_match_the_per_point_sums_on_held_out_motions():
-    rng = np.random.default_rng(20261017)
-    for _ in range(10):
-        curve = regularize(random_closed_motion(rng), DEFAULT_EPSILON)
-        assert_sums_match_reference(curve.theta, curve.beta_eps)
-
-
-@settings(max_examples=10, deadline=None)
-@given(closed_motions(dip=True) | closed_motions())
-def test_overlap_products_match_the_per_point_sums_on_random_motions(path):
-    for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
-        curve = regularize(path, eps)
-        assert_sums_match_reference(curve.theta, curve.beta_eps)
-
-
-def test_overlap_sums_of_one_and_two_samples():
-    assert gauge._overlap_phase_sums(np.array([0.4]), np.array([1.0])) == (
-        0.0, 0.0)
-    assert_sums_match_reference(np.array([0.0, 0.5]), np.array([1.0, 1.4]))
-
-
-def test_a_theta_step_of_pi_or_more_trips_the_wrap_guard():
-    theta = np.array([0.0, 0.1, 3.3, 3.4])
-    beta = np.array([1.0, 1.1, 1.2, 1.0])
-    with pytest.raises(GaugeInconsistency, match=r"theta step 3\.200e\+00 "
-                       r"between samples 1 and 2") as info:
-        gauge._overlap_phase_sums(theta, beta)
-    assert info.value.value == pytest.approx(3.2, abs=1e-12)
-    assert info.value.tol == PI

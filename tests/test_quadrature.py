@@ -39,3 +39,5 @@ def test_depth_exhaustion_raises():
     assert info.value.tol == 1e-15 / 8.0
     assert info.value.value > info.value.tol
     assert f"residual {info.value.value:.3e} exceeds 1.250e-16" in str(info.value)
+    # the message names the depth the caller asked for, not MAX_DEPTH
+    assert "not converged at depth 3;" in str(info.value)

@@ -205,6 +205,15 @@ def test_offset_derivative_equals_curvature_integral():
         assert lhs == pytest.approx(rhs, abs=1e-5 * max(abs(rhs), 1.0))
 
 
+def test_offset_length_derivative_equals_the_four_call_formula():
+    # the shared tangents and d(nu)/ds give the very same four lengths
+    curve = regularize(gallery("iv"))
+    h = 1e-3
+    d_h = (offset_length(curve, +h) - offset_length(curve, -h)) / (2.0 * h)
+    d_h2 = (offset_length(curve, +h / 2) - offset_length(curve, -h / 2)) / h
+    assert offset_length_derivative(curve, h) == (4.0 * d_h2 - d_h) / 3.0
+
+
 def test_offset_refuses_cusped_curves():
     curve = regularize(gallery("v"))
     with pytest.raises(CurveHasCusps):
