@@ -27,11 +27,11 @@ print(f"  sum of turning      {turning_angle_sum(curve) / PI:+.3f} pi")
 
 i_plus, i_minus, _ = classify_poles(curve)
 a_plus, a_minus = region_areas(curve)   # signed solid angle
-gb_plus, _ = region_areas(curve, "gauss_bonnet")
-mc_plus, _ = region_areas(curve, "monte_carlo", samples=400_000, seed=42)
+# Gauss-Bonnet on the boundary of the left region (Euler characteristic 1)
+gb_plus = 2.0 * PI - curvature_integral(curve) - turning_angle_sum(curve)
 print(f"  poles left/right    {i_plus} / {i_minus}")
 print(f"  area left region    {a_plus / PI:.4f} pi  "
-      f"(Gauss-Bonnet {gb_plus / PI:.4f} pi, Monte-Carlo {mc_plus / PI:.4f} pi)")
+      f"(Gauss-Bonnet {gb_plus / PI:.4f} pi)")
 print(f"  area right region   {a_minus / PI:.4f} pi")
 print(f"  areas total         {(a_plus + a_minus) / PI:.4f} pi")
 

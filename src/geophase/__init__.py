@@ -25,8 +25,7 @@ from .sphere import (DEFAULT_EPSILON, Cusp, RegularizedCurve, detect_cusps,
                      frame_vectors, gauss_vector, offset_length,
                      offset_length_derivative, regularize)
 from .regions import (RegionReport, classify_poles, curvature_integral,
-                      default_seed, is_simple, region_areas,
-                      turning_angle_sum)
+                      is_simple, region_areas, turning_angle_sum)
 from .phases import (BaumkuchenBounds, PhaseResult, Tolerances,
                      dynamical_phase, extrapolated_region_report,
                      geometric_phase_area, geometric_phase_baumkuchen,

@@ -10,9 +10,8 @@ Subcommands:
 * ``examples``: list the stock motions.
 
 Exit codes: 0 success, 2 validation error, 3 method disagreement,
-4 I/O error. Output is deterministic: the Monte-Carlo seed is pinned by
-the --seed flag, the GEOPHASE_SEED environment variable, or a fixed
-default, in that order of precedence.
+4 I/O error. Output is deterministic: every route is a fixed computation
+on the motion, with no random draw to seed.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .errors import GeophaseError, MethodDisagreement
 from .motion import (GALLERY_NAMES, MotionPath, Radii, build_path,
                      example_gallery, topology_report)
 from .phases import METHOD_NAMES, Tolerances, total_rotation
-from .regions import MC_SAMPLES, default_seed
 from .rolling import DEFAULT_STEPS
 from .sphere import DEFAULT_EPSILON, regularize
 
@@ -78,6 +76,8 @@ def _load_motion(args) -> tuple[MotionPath, str]:
         if args.beta0 is not None:
             label += f" (beta0={_fmt(args.beta0)})"
         return path, label
+    if args.beta0 is not None:
+        raise ValueError("--beta0 only applies to --example iv, not to --motion")
     try:
         with open(args.motion, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -107,12 +107,11 @@ def _route_record(result, name: str) -> dict:
     return {"value": result.delta_g_by_method[name]}
 
 
-def _report(result, path: MotionPath, label: str, args, methods, seed) -> dict:
+def _report(result, path: MotionPath, label: str, args, methods) -> dict:
     rr = result.region
     region = None if rr is None else {
         "simple": rr.simple, "I_plus": rr.I_plus, "I_minus": rr.I_minus,
-        "A_plus": rr.A_plus, "A_minus": rr.A_minus,
-        "area_method": rr.area_method}
+        "A_plus": rr.A_plus, "A_minus": rr.A_minus}
     return {
         "input": {
             "source": label,
@@ -120,13 +119,10 @@ def _report(result, path: MotionPath, label: str, args, methods, seed) -> dict:
             "epsilon": args.epsilon,
             "beta0": args.beta0,
             "methods": list(methods),
-            "seed": int(seed),
             "tolerances": asdict(Tolerances()),
             "segments": len(path.theta.segments),
-            "area_method": args.area_method,
             "steps": args.steps,
             "samples": args.samples,
-            "mc_samples": args.mc_samples,
         },
         "n": result.n,
         "closed": topology_report(path).closed,
@@ -148,11 +144,9 @@ def run_compute(args) -> int:
         methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
         if not methods:
             raise ValueError(f"--methods names no method; choose from {METHOD_NAMES}")
-        seed = args.seed if args.seed is not None else default_seed()
         result = total_rotation(
-            path, methods, eps=args.epsilon, area_method=args.area_method,
-            baumkuchen_n=args.samples, oracle_steps=args.steps,
-            mc_samples=args.mc_samples, seed=seed)
+            path, methods, eps=args.epsilon, baumkuchen_n=args.samples,
+            oracle_steps=args.steps)
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -162,7 +156,7 @@ def run_compute(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    _emit_report(_report(result, path, label, args, methods, seed), args.format)
+    _emit_report(_report(result, path, label, args, methods), args.format)
     if disagreement is not None:
         print(f"error: MethodDisagreement: {disagreement}", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -207,7 +201,7 @@ def _emit_report(doc, fmt: str):
         r = doc["region"]
         print(f"region: I+={r['I_plus']} I-={r['I_minus']} "
               f"A+={_fmt(r['A_plus'])} A-={_fmt(r['A_minus'])} "
-              f"({r['area_method']}, simple={'yes' if r['simple'] else 'no'})")
+              f"(simple={'yes' if r['simple'] else 'no'})")
     if doc["max_discrepancy"] is not None:
         print(f"max pairwise discrepancy: {doc['max_discrepancy']:.3e}")
     for w in doc["warnings"]:
@@ -320,14 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle rate evaluations, two per Magnus interval")
     c.add_argument("--samples", type=int, default=1_000_000,
                    help="mesh size for the bounds method")
-    c.add_argument("--mc-samples", type=int, default=MC_SAMPLES,
-                   help="Monte-Carlo area sample count")
-    c.add_argument("--area-method", choices=("solid_angle", "monte_carlo"),
-                   default="solid_angle",
-                   help="left-region area measure of the area route "
-                        "(default solid_angle)")
-    c.add_argument("--seed", type=int, default=None,
-                   help="Monte-Carlo seed (default: GEOPHASE_SEED or fixed)")
     c.add_argument("--format", choices=("text", "json", "csv"), default="text")
     c.set_defaults(func=run_compute)
 

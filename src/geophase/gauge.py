@@ -142,19 +142,18 @@ def patch_circulation(path: MotionPath, patch: GaugePatch,
     return _patch_circulation(path, eps, patch.sign)
 
 
-def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON,
-                      extrapolate: bool = True) -> float:
+def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON) -> float:
     """Geometric phase from the monopole potentials (r = 1).
 
     The average of the two patch circulations, in which the 2 pi n winding
     terms of the single patches cancel. Each circulation is a Gauss-Legendre
     sum over the moving clamped pieces, checked against a rule of higher
     order (see _patch_circulation). Returns the average carried to the
-    eps -> 0 limit unless extrapolate is False.
+    eps -> 0 limit.
     """
     closed_topology(path)
     both = _patch_circulation(path, eps, +1) + _patch_circulation(path, eps, -1)
-    return eps_limit(path, 0.5 * both, eps, extrapolate)
+    return eps_limit(path, 0.5 * both, eps)
 
 
 # ---------------------------------------------------------------------------

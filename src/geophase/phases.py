@@ -10,7 +10,7 @@ several independent routes:
   left-endpoint Riemann sum (mid),
 * area: left-region area minus 2 pi per enclosed pole, the area measured
   as the signed solid angle of the sampled curve (no frame, curvature or
-  junction angle) or by Monte-Carlo,
+  junction angle),
 * curvature: total turning decomposition (tangent angle, geodesic curvature,
   cusp angles).
 
@@ -34,8 +34,8 @@ from .errors import CurveNotClosed, GeophaseError, MethodDisagreement
 from .motion import TWO_PI, MotionPath, topology_report
 from .sphere import (DEFAULT_EPSILON, _check_epsilon, cached_regularize,
                      clamped_affine_pieces)
-from .regions import (MC_SAMPLES, RegionReport, classify_poles,
-                      curvature_integral, region_areas, turning_angle_sum)
+from .regions import (RegionReport, classify_poles, curvature_integral,
+                      region_areas, turning_angle_sum)
 from .rolling import DEFAULT_STEPS
 
 METHOD_NAMES = ("line", "baumkuchen", "area", "curvature",
@@ -47,7 +47,6 @@ class Tolerances:
     """Reconciliation tolerances per method class."""
 
     analytic: float = 1e-4
-    monte_carlo: float = 1e-2
     oracle: float = 1e-3
 
 
@@ -136,9 +135,11 @@ def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
     decreases, so on every interval of a piece the larger endpoint value of
     cos(beta) sits on the same side; each piece's lower and upper bounds are
     therefore exactly the smaller and the larger of those two sums.
+    N must lie in [1, 2**53]: beyond 2**53 the nodes k / N no longer name
+    distinct floats, so the mesh cannot be located.
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    if not 1 <= N <= 2**53:
+        raise ValueError(f"N must be in [1, 2**53], got {N}")
     step = 1.0 / N   # np.linspace's node k is k * step, node N is 1.0
     lower = mid = upper = 0.0
     for (t0, t1, _th0, dth, b0, db) in path.affine_pieces:
@@ -190,19 +191,16 @@ def _cos_sum(a: float, d: float, n: int) -> float:
 # clamped-curve routes with the eps -> 0 limit handling
 
 
-def eps_limit(path: MotionPath, value: float, eps: float,
-              extrapolate: bool = True) -> float:
+def eps_limit(path: MotionPath, value: float, eps: float) -> float:
     """value, a clamped-curve quantity at eps, carried to the eps -> 0 limit.
 
     The clamp moves the curve by the clipped sliver, the integral of
     (cos beta_raw - cos beta_clamped) theta' dt, which is exact piece by
     piece: the line sum over the raw pieces minus the one over
     clamped_affine_pieces(path, eps). It is zero where the tilt stays in
-    [eps, pi - eps]. With extrapolate False, value is returned as it is.
-    Every clamped-curve route and the region report go through here.
+    [eps, pi - eps]. Every clamped-curve route and the region report go
+    through here.
     """
-    if not extrapolate:
-        return value
     sliver = (_line_sum(path.affine_pieces)
               - _line_sum(clamped_affine_pieces(path, eps)))
     return value + sliver
@@ -216,29 +214,24 @@ def closed_topology(path: MotionPath):
     return report
 
 
-def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON,
-                         extrapolate: bool = True,
-                         area_method: str = "solid_angle",
-                         samples: int = MC_SAMPLES, seed=None) -> float:
+def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON) -> float:
     """Geometric phase as left-region area minus 2 pi per enclosed pole.
 
-    By default the area is the signed solid angle of the sampled clamped
-    curve, fanned from both poles (regions._solid_angle_area), so this
-    route reads no frame, geodesic curvature or junction angle and checks
-    the Gauss-Bonnet claim instead of restating it; the two fans must
-    agree within 1e-9 (WindingInconsistent otherwise). area_method
-    "monte_carlo" counts samples seeded points instead. The value is
-    carried to the eps -> 0 limit unless extrapolate is False.
+    The area is the signed solid angle of the sampled clamped curve, fanned
+    from both poles (regions.region_areas), so this route reads no frame,
+    geodesic curvature or junction angle and checks the Gauss-Bonnet claim
+    instead of restating it; the two fans must agree within 1e-9
+    (WindingInconsistent otherwise). The value is carried to the eps -> 0
+    limit.
     """
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, _, _ = classify_poles(curve)
-    a_plus, _ = region_areas(curve, area_method, samples=samples, seed=seed)
-    return eps_limit(path, a_plus - TWO_PI * i_plus, eps, extrapolate)
+    a_plus, _ = region_areas(curve)
+    return eps_limit(path, a_plus - TWO_PI * i_plus, eps)
 
 
-def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
-                              extrapolate: bool = True) -> float:
+def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) -> float:
     """Geometric phase from the total-turning decomposition.
 
     The tangent-angle circulation of a simple closed curve is -pi (I+ - I-);
@@ -250,35 +243,27 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON,
     i_plus, i_minus, _ = classify_poles(curve)
     value = (-pi * (i_plus - i_minus) - curvature_integral(curve)
              - turning_angle_sum(curve))
-    return eps_limit(path, value, eps, extrapolate)
+    return eps_limit(path, value, eps)
 
 
-def extrapolated_region_report(path: MotionPath, eps: float = DEFAULT_EPSILON,
-                               extrapolate: bool = True,
-                               area_method: str = "solid_angle",
-                               samples: int = MC_SAMPLES,
-                               seed=None) -> RegionReport:
+def extrapolated_region_report(path: MotionPath,
+                               eps: float = DEFAULT_EPSILON) -> RegionReport:
     """RegionReport with areas carried to the eps -> 0 limit."""
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, i_minus, seed_point = classify_poles(curve)
-    a_plus = eps_limit(path, region_areas(curve, area_method, samples=samples,
-                                          seed=seed)[0], eps, extrapolate)
+    a_plus = eps_limit(path, region_areas(curve)[0], eps)
     return RegionReport(simple=True, I_plus=i_plus, I_minus=i_minus,
                         A_plus=a_plus, A_minus=4.0 * pi - a_plus,
-                        area_method=area_method, seed_point=seed_point)
+                        seed_point=seed_point)
 
 
 # ---------------------------------------------------------------------------
 # reconciliation
 
 
-def _method_tolerance(name: str, tol: Tolerances, area_method: str) -> float:
-    if name == "oracle":
-        return tol.oracle
-    if name == "area" and area_method == "monte_carlo":
-        return tol.monte_carlo
-    return tol.analytic
+def _method_tolerance(name: str, tol: Tolerances) -> float:
+    return tol.oracle if name == "oracle" else tol.analytic
 
 
 def _describe(row: dict) -> str:
@@ -288,11 +273,9 @@ def _describe(row: dict) -> str:
 
 def total_rotation(path: MotionPath, methods=("line", "area"),
                    tolerances: Tolerances | None = None,
-                   eps: float = DEFAULT_EPSILON, extrapolate: bool = True,
-                   area_method: str = "solid_angle",
+                   eps: float = DEFAULT_EPSILON,
                    baumkuchen_n: int = 1_000_000,
-                   oracle_steps: int = DEFAULT_STEPS,
-                   mc_samples: int = MC_SAMPLES, seed=None) -> PhaseResult:
+                   oracle_steps: int = DEFAULT_STEPS) -> PhaseResult:
     """Run the requested geometric-phase methods and reconcile them.
 
     The line integral always runs and anchors delta_total. The oracle entry
@@ -319,10 +302,9 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     delta_d = dynamical_phase(path)
     runners = {
         "baumkuchen": lambda: geometric_phase_baumkuchen(path, baumkuchen_n).mid,
-        "area": lambda: geometric_phase_area(
-            path, eps, extrapolate, area_method, samples=mc_samples, seed=seed),
-        "curvature": lambda: geometric_phase_curvature(path, eps, extrapolate),
-        "monopole": lambda: monopole_holonomy(path, eps, extrapolate=extrapolate),
+        "area": lambda: geometric_phase_area(path, eps),
+        "curvature": lambda: geometric_phase_curvature(path, eps),
+        "monopole": lambda: monopole_holonomy(path, eps),
         "berry": lambda: berry_holonomy(path),
         "oracle": lambda: (simulate_rolling(path, oracle_steps)
                            .delta_oracle - delta_d),
@@ -340,9 +322,7 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     region = None
     if "area" in values or "curvature" in values:
         try:
-            region = extrapolated_region_report(
-                path, eps, extrapolate, area_method, samples=mc_samples,
-                seed=seed)
+            region = extrapolated_region_report(path, eps)
         except GeophaseError:
             pass
 
@@ -351,8 +331,8 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     for i, first in enumerate(names):
         for second in names[i + 1:]:
             diff = abs(values[first] - values[second])
-            allowed = max(_method_tolerance(first, tol, area_method),
-                          _method_tolerance(second, tol, area_method))
+            allowed = max(_method_tolerance(first, tol),
+                          _method_tolerance(second, tol))
             rows.append({"first": first, "second": second, "difference": diff,
                          "tolerance": allowed, "ok": diff <= allowed})
 

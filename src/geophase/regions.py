@@ -3,15 +3,14 @@
 A simple closed curve splits the sphere into two faces. We call the face
 lying to the left of the traversal (direction g x T) the left region. This
 module decides simplicity, locates the two poles (0,0,+-1) relative to the
-left region, and measures the region areas three ways: the signed solid
-angle of the sampled polygon (the default; no frame, curvature or junction
-angle), Monte-Carlo point classification, and Gauss-Bonnet on the boundary
-data.
+left region, and measures the region areas as the signed solid angle of the
+sampled polygon, which reads no frame, curvature or junction angle. The
+boundary data that Gauss-Bonnet needs (the geodesic curvature integral and
+the junction angles) are exposed for the curvature route.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import pi
 
@@ -24,8 +23,6 @@ from .sphere import CUSP_ANGLE_TOL, RegularizedCurve, frame_vectors
 
 SIMPLE_TOL = 1e-9
 _RUN = 8                # chords per run box in is_simple's far-pair search
-MC_SAMPLES = 200_000
-DEFAULT_SEED = 0x5EED
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -38,14 +35,6 @@ _RETRY_DIRS = np.array([
 _RETRY_DIRS /= np.linalg.norm(_RETRY_DIRS, axis=1, keepdims=True)
 
 
-def default_seed() -> int:
-    """Monte-Carlo seed: GEOPHASE_SEED env var if set, else a fixed constant."""
-    raw = os.environ.get("GEOPHASE_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    return int(raw, 0)
-
-
 @dataclass(frozen=True)
 class RegionReport:
     simple: bool
@@ -53,7 +42,6 @@ class RegionReport:
     I_minus: int
     A_plus: float
     A_minus: float
-    area_method: str
     seed_point: np.ndarray
 
 
@@ -265,11 +253,11 @@ def _arc_crossings(curve: RegularizedCurve, a, b):
     return count
 
 
-def _pole_in_left_region(curve: RegularizedCurve, seed, pole) -> bool:
+def _pole_in_left_region(curve: RegularizedCurve, seed_point, pole) -> bool:
     targets = [pole] + [pole + 1e-3 * d for d in _RETRY_DIRS]
     for raw in targets:
         target = raw / np.linalg.norm(raw)
-        crossings = _arc_crossings(curve, seed, target)
+        crossings = _arc_crossings(curve, seed_point, target)
         if crossings is not None:
             return crossings % 2 == 0
     raise DegenerateArc("pole classification stayed degenerate after retries")
@@ -336,42 +324,8 @@ def turning_angle_sum(curve: RegularizedCurve) -> float:
                      if abs(j.alpha) > CUSP_ANGLE_TOL))
 
 
-def _monte_carlo_south_face_area(curve: RegularizedCurve, samples: int,
-                                 seed) -> float:
-    """Area of the face containing the south pole, by meridian-ray parity.
-
-    Classifies uniform random sphere points: a point is in the south face
-    iff the meridian arc from it down to the south pole crosses the curve an
-    even number of times. Crossings are counted in closed form on the
-    clamped affine pieces, so there is no sampling error beyond the
-    Monte-Carlo variance itself.
-    """
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, samples)
-    lam = rng.uniform(0.0, TWO_PI, samples)
-    beta_p = np.arccos(-z)
-    parity = np.zeros(samples, dtype=bool)
-    for piece in curve.pieces:
-        if piece.dth == 0.0 or not piece.moving:
-            continue
-        th_a = piece.th0
-        th_b = piece.th0 + piece.dth * (piece.t1 - piece.t0)
-        lo, hi = min(th_a, th_b), max(th_a, th_b)
-        for k in range(int(np.floor(lo / TWO_PI)) - 1,
-                       int(np.ceil(hi / TWO_PI)) + 1):
-            lam_k = lam + TWO_PI * k
-            inside = (lam_k > lo) & (lam_k < hi)
-            if not np.any(inside):
-                continue
-            t_star = piece.t0 + (lam_k - piece.th0) / piece.dth
-            b_star = piece.b0 + piece.db * (t_star - piece.t0)
-            parity ^= inside & (b_star < beta_p)
-    frac_even = float(np.count_nonzero(~parity)) / samples
-    return 4.0 * pi * frac_even
-
-
-def _solid_angle_area(curve: RegularizedCurve) -> float:
-    """Area of the left region from the signed solid angle of the polygon.
+def region_areas(curve: RegularizedCurve):
+    """(A_plus, A_minus) in steradians for the left and right regions.
 
     The closed chord polygon through the samples g (closed by the chord
     g[-1] -> g[0]) is fanned from each pole by the Van Oosterom-Strackee
@@ -381,66 +335,26 @@ def _solid_angle_area(curve: RegularizedCurve) -> float:
     q_z). The north fan falls short of the area by 4 pi when the south
     pole lies in the left region, and the south fan when the north pole
     does, so A+ = fan_N + 4 pi [south in left] = fan_S + 4 pi [north in
-    left], with the sides from classify_poles; the clamp keeps both apexes
-    at least eps from the curve. Two fans that disagree beyond 1e-9 mean a
-    wrong pole side and raise WindingInconsistent. The area is cached on
-    the curve.
+    left], with the sides from classify_poles (which needs a closed,
+    simple curve); the clamp keeps both apexes at least eps from the
+    curve. Two fans that disagree beyond 1e-9 mean a wrong pole side and
+    raise WindingInconsistent. A+ is cached on the curve.
     """
     key = "solid_angle_area"
-    if key in curve._cache:
-        return curve._cache[key]
-    north_in, south_in = _pole_sides(curve)
-    p = curve.g.T.copy()          # rows x, y, z
-    q = np.roll(p, -1, axis=1)    # chord k runs from p[:, k] to q[:, k]
-    num = p[0] * q[1] - p[1] * q[0]
-    d = 1.0 + p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-    z = p[2] + q[2]
-    from_north = 2.0 * float(np.sum(np.arctan2(num, d + z))) + 4.0 * pi * south_in
-    from_south = -2.0 * float(np.sum(np.arctan2(num, d - z))) + 4.0 * pi * north_in
-    spread = abs(from_north - from_south)
-    if not spread <= 1e-9:
-        raise WindingInconsistent(
-            f"solid-angle fans from the two poles disagree by {spread:.3e} "
-            f"(tolerance 1.0e-09)", value=spread, tol=1e-9)
-    curve._cache[key] = from_north
-    return from_north
-
-
-def region_areas(curve: RegularizedCurve, method: str = "solid_angle",
-                 samples: int = MC_SAMPLES, seed=None):
-    """(A_plus, A_minus) in steradians for the left and right regions.
-
-    method is "solid_angle" (the polygon's signed solid angle), "monte_carlo"
-    (samples seeded points) or "gauss_bonnet" (2 pi minus the geodesic
-    curvature integral and the junction angles). The Monte-Carlo area is
-    cached on the curve per (samples, seed) when seed is None
-    (default_seed()) or an integer.
-    """
-    if not curve.closed:
-        raise CurveNotClosed("region areas need a closed curve")
-    if not is_simple(curve):
-        raise CurveNotSimple("region areas need a simple curve")
-    if method == "solid_angle":
-        a_plus = _solid_angle_area(curve)
-    elif method == "monte_carlo":
-        if samples < 1:
-            raise ValueError(f"samples must be positive, got {samples}")
-        seed = default_seed() if seed is None else seed
-        if isinstance(seed, (int, np.integer)):
-            # an integer seed fixes the draw, so the area is cached on the
-            # curve; a Generator's next draw differs, so it is not
-            key = ("monte_carlo_south_face_area", samples, int(seed))
-            if key not in curve._cache:
-                curve._cache[key] = _monte_carlo_south_face_area(
-                    curve, samples, seed)
-            south_face = curve._cache[key]
-        else:
-            south_face = _monte_carlo_south_face_area(curve, samples, seed)
-        a_plus = south_face if _pole_sides(curve)[1] else 4.0 * pi - south_face
-    elif method == "gauss_bonnet":
-        # boundary of the left region, Euler characteristic 1, K = 1
-        a_plus = TWO_PI - curvature_integral(curve) - turning_angle_sum(curve)
-    else:
-        raise ValueError(f"unknown area method {method!r}")
-    return float(a_plus), float(4.0 * pi - a_plus)
-
+    if key not in curve._cache:
+        north_in, south_in = _pole_sides(curve)
+        p = curve.g.T.copy()          # rows x, y, z
+        q = np.roll(p, -1, axis=1)    # chord k runs from p[:, k] to q[:, k]
+        num = p[0] * q[1] - p[1] * q[0]
+        d = 1.0 + p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+        z = p[2] + q[2]
+        from_north = 2.0 * float(np.sum(np.arctan2(num, d + z))) + 4.0 * pi * south_in
+        from_south = -2.0 * float(np.sum(np.arctan2(num, d - z))) + 4.0 * pi * north_in
+        spread = abs(from_north - from_south)
+        if not spread <= 1e-9:
+            raise WindingInconsistent(
+                f"solid-angle fans from the two poles disagree by {spread:.3e} "
+                f"(tolerance 1.0e-09)", value=spread, tol=1e-9)
+        curve._cache[key] = from_north
+    a_plus = curve._cache[key]
+    return a_plus, 4.0 * pi - a_plus

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ClosureMismatch, DriftExceeded
 from .motion import TWO_PI, MotionPath, topology_report
-from .sphere import frame_vectors
+from .sphere import MAX_PIECE_SAMPLES, frame_vectors
 
 DEFAULT_STEPS = 4000   # oracle rate evaluations, two per Magnus interval
 DRIFT_TOL = 1e-6
@@ -249,7 +249,8 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     """Integrate the disc orientation over the whole motion.
 
     steps counts constraint solves (rate evaluations), two per interval;
-    below 1 it raises ValueError. Each affine piece of path.affine_pieces
+    below 1, or asking for more than MAX_PIECE_SAMPLES intervals in all, it
+    raises ValueError before anything is allocated. Each affine piece of path.affine_pieces
     gets its own uniform grid of an even number of intervals, proportional
     to its length (steps / 2 intervals per unit time) and at least
     _MIN_STEPS_PER_SEGMENT, so no interval straddles a knot; the first piece
@@ -279,8 +280,12 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
     bounds = np.array(path.knots)
     bounds[0], bounds[-1] = 0.0, 1.0
-    counts = np.maximum(2 * np.ceil(np.diff(bounds) * (0.25 * steps)).astype(int),
+    counts = np.maximum(2 * np.ceil(np.diff(bounds) * (0.25 * steps)),
                         _MIN_STEPS_PER_SEGMENT)
+    if not counts.sum() <= MAX_PIECE_SAMPLES:
+        raise ValueError(f"the oracle needs {counts.sum():.3g} intervals, "
+                         f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
+    counts = counts.astype(int)
     h = np.diff(bounds) / counts
     # interval k is interval local[k] of piece piece[k]; its Gauss nodes sit
     # h / (2 sqrt3) either side of its midpoint, given as times since the

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
-                      example_gallery)
+                      curvature_integral, example_gallery, turning_angle_sum)
 from geophase.sphere import clamped_affine_pieces
 
 PI = math.pi
@@ -123,6 +123,12 @@ def clamp_path(path, eps):
     theta = ScalarPath.from_segments([seg(p.t0, p.t1, p.th0, p.dth) for p in pieces])
     beta = ScalarPath.from_segments([seg(p.t0, p.t1, p.b0, p.db) for p in pieces])
     return MotionPath(theta, beta, path.radii)
+
+
+def gauss_bonnet_area(curve):
+    """Left-region area by Gauss-Bonnet on its boundary (Euler
+    characteristic 1, K = 1): the reference for the solid-angle area."""
+    return 2.0 * PI - curvature_integral(curve) - turning_angle_sum(curve)
 
 
 def eps_extrapolate(eps, value_full, value_half):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -56,6 +57,15 @@ def test_compute_all_methods_agree(capsys):
     assert doc["delta_total"] == pytest.approx(-3.5 * PI, abs=1e-9)
     assert doc["n"] == -1
     assert doc["max_discrepancy"] < 1e-3
+
+
+def test_compute_output_is_deterministic(capsys):
+    argv = ("compute", "--example", "vi", "--methods",
+            "line,baumkuchen,area,curvature,monopole,berry,oracle",
+            "--format", "json")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
 
 
 def test_json_report_validates_against_the_shipped_schema(capsys):
@@ -179,7 +189,7 @@ def test_report_states_the_radii_the_motion_file_supplies(tmp_path, capsys):
     assert doc["delta_d"] == pytest.approx(4.0 * PI)
 
 
-def test_report_states_the_area_method_and_sample_counts(tmp_path, capsys):
+def test_report_states_the_sample_counts(tmp_path, capsys):
     # two laps under a tilt tent cross themselves: the area route fails and
     # the report has no region, so only the input block says how it ran
     desc = {"radii": {"a": 1.0, "b": 1.0},
@@ -194,23 +204,24 @@ def test_report_states_the_area_method_and_sample_counts(tmp_path, capsys):
     target = tmp_path / "spiral.json"
     target.write_text(json.dumps(desc))
     code, out, _ = run(capsys, "compute", "--motion", str(target),
-                       "--methods", "line,area", "--area-method",
-                       "monte_carlo", "--mc-samples", "2000", "--steps",
-                       "20000", "--samples", "50000", "--format", "json")
+                       "--methods", "line,area", "--steps", "20000",
+                       "--samples", "50000", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, load_report_schema())
     assert doc["region"] is None
     assert doc["delta_g"]["area"]["error"] == "CurveNotSimple"
     inp = doc["input"]
-    assert (inp["area_method"], inp["mc_samples"], inp["steps"],
-            inp["samples"]) == ("monte_carlo", 2000, 20000, 50000)
+    assert (inp["steps"], inp["samples"]) == (20000, 50000)
 
     code, out, _ = run(capsys, "compute", "--example", "ii", "--format", "json")
     assert code == 0
     inp = json.loads(out)["input"]
-    assert (inp["area_method"], inp["mc_samples"], inp["steps"],
-            inp["samples"]) == ("solid_angle", 200_000, 4000, 1_000_000)
+    assert (inp["steps"], inp["samples"]) == (4000, 1_000_000)
+    # the report states the inputs the run used and nothing else
+    assert set(inp) == {"source", "radii", "epsilon", "beta0", "methods",
+                        "tolerances", "segments", "steps", "samples"}
+    assert set(inp["tolerances"]) == {"analytic", "oracle"}
 
 
 def test_motion_file_that_is_not_an_object_is_a_validation_error(tmp_path,
@@ -235,17 +246,33 @@ def test_line_route_always_anchors_the_report(capsys):
         ("line", "curvature")]
 
 
-def test_disagreement_exits_3_after_printing_the_report(capsys):
-    code, out, err = run(capsys, "compute", "--example", "iv",
-                         "--beta0", "1.0471975512", "--methods", "line,area",
-                         "--area-method", "monte_carlo", "--mc-samples", "100",
+# one lap under a tilt tent, pi/3 up to pi/3 + 2/3 and back
+TENT_DESC = {"radii": {"a": 1.0, "b": 1.0},
+             "segments": [
+                 {"t0": 0.0, "t1": 0.5,
+                  "theta": {"kind": "affine", "start": 0.0, "slope": 2 * PI},
+                  "beta": {"kind": "affine", "start": PI / 3.0,
+                           "slope": 4.0 / 3.0}},
+                 {"t0": 0.5, "t1": 1.0,
+                  "theta": {"kind": "affine", "start": PI, "slope": 2 * PI},
+                  "beta": {"kind": "affine", "start": PI / 3.0 + 2.0 / 3.0,
+                           "slope": -4.0 / 3.0}}]}
+
+
+def test_disagreement_exits_3_after_printing_the_report(tmp_path, capsys):
+    # a one-interval mesh leaves the bounds route 4.352e-2 off the line
+    target = tmp_path / "tent.json"
+    target.write_text(json.dumps(TENT_DESC))
+    code, out, err = run(capsys, "compute", "--motion", str(target),
+                         "--methods", "line,baumkuchen", "--samples", "1",
                          "--format", "json")
     assert code == 3
     doc = json.loads(out)
     jsonschema.validate(doc, load_report_schema())
     bad = [row for row in doc["discrepancies"] if not row["ok"]]
-    assert [(r["first"], r["second"]) for r in bad] == [("line", "area")]
-    assert bad[0]["difference"] == pytest.approx(0.503, abs=1e-3)
+    assert [(r["first"], r["second"]) for r in bad] == [("line", "baumkuchen")]
+    assert bad[0]["difference"] == pytest.approx(4.352e-2, abs=1e-5)
+    assert bad[0]["tolerance"] == 1e-4
     assert "MethodDisagreement" in err
 
 
@@ -358,11 +385,34 @@ def test_foucault_track_with_non_finite_field_exits_2(tmp_path, capsys,
     assert "Traceback" not in err and out == ""
 
 
-def test_zero_monte_carlo_samples_exit_2(capsys):
-    code, out, err = run(capsys, "compute", "--example", "ii",
-                         "--area-method", "monte_carlo", "--mc-samples", "0")
+@pytest.mark.parametrize("argv,bound", [
+    (("--methods", "line,baumkuchen", "--samples", str(10**24)), "2**53"),
+    (("--methods", "line,oracle", "--steps", str(10**11)), "MAX_PIECE_SAMPLES"),
+])
+def test_mesh_and_oracle_sizes_past_their_caps_exit_2(capsys, monkeypatch,
+                                                      argv, bound):
+    # past 2**53 the mesh nodes k / N are no longer distinct floats; 10**11
+    # steps would be hundreds of GiB of oracle interval arrays, which start
+    # with np.repeat, so the cap must refuse them before that
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interval arrays were allocated")
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    code, out, err = run(capsys, "compute", "--example", "vi", *argv)
     assert code == 2
-    assert "ValueError" in err and "samples" in err
+    assert "ValueError" in err and bound in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["compute", "trace"])
+def test_beta0_with_a_motion_file_exits_2(tmp_path, capsys, command):
+    # the file fixes the tilt, so a --beta0 would be reported but not used
+    target = tmp_path / "tent.json"
+    target.write_text(json.dumps(TENT_DESC))
+    code, out, err = run(capsys, command, "--motion", str(target),
+                         "--beta0", "0.3")
+    assert code == 2
+    assert "ValueError" in err and "--beta0" in err
     assert "Traceback" not in err and out == ""
 
 

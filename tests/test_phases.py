@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
                       Tolerances, berry_holonomy, classify_poles,
-                      concatenate_paths, dynamical_phase, example_gallery,
+                      concatenate_paths, dynamical_phase,
                       geometric_phase_area, geometric_phase_baumkuchen,
                       geometric_phase_curvature, geometric_phase_line,
                       monopole_holonomy,
@@ -169,6 +169,14 @@ def test_baumkuchen_rejects_empty_mesh():
         geometric_phase_baumkuchen(gallery("i"), 0)
 
 
+def test_baumkuchen_rejects_a_mesh_finer_than_the_floats():
+    # past 2**53 the nodes k / N stop being distinct floats
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        geometric_phase_baumkuchen(gallery("vi"), 10**24)
+    assert geometric_phase_baumkuchen(gallery("vi"), 2**53).mid == \
+        pytest.approx(-1.5 * PI, abs=1e-9)
+
+
 def test_eps_extrapolation_recovers_affine_functions_of_cap_height():
     # f(eps) = c0 + c1 (1 - cos eps) must extrapolate to c0 exactly
     c0, c1, eps = 0.7, -2.3, DEFAULT_EPSILON
@@ -192,12 +200,16 @@ def test_curvature_route_matches_frozen_values(name):
 
 
 def test_area_route_without_extrapolation_shows_the_clamp_bias():
-    # tilt pinned at 0 rides the clamp circle; the bias is the clipped cap
+    # tilt pinned at 0 rides the clamp circle; the bias is the clipped cap,
+    # which eps_limit adds back as the sliver
     eps = DEFAULT_EPSILON
-    at_eps = geometric_phase_area(gallery("i"), extrapolate=False)
+    path = gallery("i")
+    curve = cached_regularize(path, eps)
+    i_plus, _, _ = classify_poles(curve)
+    at_eps = regions.region_areas(curve)[0] - TWO_PI * i_plus
     assert at_eps == pytest.approx(TWO_PI * math.cos(eps), abs=2e-6)
-    assert geometric_phase_area(gallery("i")) == pytest.approx(
-        TWO_PI, abs=1e-5)
+    assert phases.eps_limit(path, at_eps, eps) == geometric_phase_area(path)
+    assert geometric_phase_area(path) == pytest.approx(TWO_PI, abs=1e-5)
 
 
 def test_area_route_is_epsilon_robust():
@@ -235,41 +247,6 @@ def test_swapped_pole_sides_trip_the_two_fan_check():
         geometric_phase_area(path)
     assert info.value.value == pytest.approx(8.0 * PI, abs=1e-9)
     assert info.value.tol == 1e-9
-
-
-def test_monte_carlo_area_route():
-    value = geometric_phase_area(gallery("iv"), area_method="monte_carlo",
-                                 seed=2026)
-    assert value == pytest.approx(PI, abs=0.05)
-
-
-def test_monte_carlo_area_runs_once_per_total_rotation(monkeypatch):
-    calls = []
-    draw = regions._monte_carlo_south_face_area
-
-    def counted(*args):
-        calls.append(args[1:])
-        return draw(*args)
-
-    monkeypatch.setattr(regions, "_monte_carlo_south_face_area", counted)
-    result = total_rotation(gallery("vi"), methods=("line", "area", "curvature"),
-                            area_method="monte_carlo", mc_samples=20_000)
-    assert calls == [(20_000, regions.default_seed())]
-    region = result.region
-    assert result.delta_g_by_method["area"] == pytest.approx(
-        region.A_plus - TWO_PI * region.I_plus, abs=1e-12)
-
-
-def test_monte_carlo_area_is_not_cached_for_a_generator():
-    curve = cached_regularize(gallery("iv"), DEFAULT_EPSILON)
-    rng = np.random.default_rng(7)
-    one = regions.region_areas(curve, "monte_carlo", samples=2000, seed=rng)
-    two = regions.region_areas(curve, "monte_carlo", samples=2000, seed=rng)
-    assert one != two
-    seeded = regions.region_areas(curve, "monte_carlo", samples=2000, seed=7)
-    assert seeded == one
-    assert regions.region_areas(curve, "monte_carlo", samples=2000,
-                                seed=np.int64(7)) == seeded
 
 
 def test_closed_curve_required():
@@ -321,21 +298,26 @@ def test_total_rotation_oracle_entry_is_comparable():
 
 
 def test_disagreement_carries_the_finished_result():
-    # 100 Monte-Carlo samples leave the area route ~0.5 off the line value
-    path = example_gallery("iv", beta0=1.0471975512, radii=Radii(1.0, 1.0))
+    # a one-interval mesh leaves the bounds route 4.352e-2 off the line and
+    # area values on the tent lap
     with pytest.raises(MethodDisagreement) as info:
-        total_rotation(path, methods=("line", "area"),
-                       area_method="monte_carlo", mc_samples=100)
+        total_rotation(tent_path(), methods=("line", "baumkuchen", "area"),
+                       baumkuchen_n=1)
     result = info.value.result
-    (row,) = result.discrepancies
-    assert (row["first"], row["second"], row["ok"]) == ("line", "area", False)
-    assert row["tolerance"] == Tolerances().monte_carlo
-    assert row["difference"] == pytest.approx(0.503, abs=1e-3)
+    bad = [r for r in result.discrepancies if not r["ok"]]
+    assert [(r["first"], r["second"]) for r in bad] == [
+        ("line", "baumkuchen"), ("baumkuchen", "area")]
+    row = bad[0]
+    assert row["tolerance"] == Tolerances().analytic
+    assert row["difference"] == pytest.approx(4.352e-2, abs=1e-5)
     assert row["difference"] == abs(result.delta_g_by_method["line"]
-                                    - result.delta_g_by_method["area"])
-    assert result.max_discrepancy == row["difference"]
-    assert result.region is not None
-    assert "line vs area" in str(info.value)
+                                    - result.delta_g_by_method["baumkuchen"])
+    assert result.max_discrepancy == max(r["difference"] for r in bad)
+    # the area value and the region report come from one solid angle
+    region = result.region
+    assert result.delta_g_by_method["area"] == pytest.approx(
+        region.A_plus - TWO_PI * region.I_plus, abs=1e-12)
+    assert "baumkuchen vs area" in str(info.value)
 
 
 def test_route_failures_are_recorded_not_raised():

@@ -120,6 +120,19 @@ def test_unreasonable_closure_budget_trips_the_guard():
     assert info.value.value > info.value.tol
 
 
+def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
+    # 10**11 steps ask for 5e10 intervals, hundreds of GiB of arrays; the
+    # interval arrays start with np.repeat, which must never be reached
+    path = gallery("vi")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interval arrays were allocated")
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    with pytest.raises(ValueError, match="MAX_PIECE_SAMPLES"):
+        simulate_rolling(path, steps=10**11)
+
+
 def test_every_piece_gets_the_minimum_number_of_intervals():
     # steps=20 asks for 10 intervals in all; each of motion v's pieces
     # still gets its own floor of intervals
