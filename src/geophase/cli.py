@@ -68,14 +68,16 @@ def _parse_radii(text: str) -> Radii:
     return Radii(float(parts[0]), float(parts[1]))
 
 
-def _load_motion(args) -> tuple[MotionPath, str]:
+def _load_motion(args) -> tuple[MotionPath, dict]:
+    """The motion, and its source and segment count for the report."""
     radii = _parse_radii(args.radii)
     if args.example is not None:
         path = example_gallery(args.example, beta0=args.beta0, radii=radii)
         label = f"example {args.example}"
         if args.beta0 is not None:
             label += f" (beta0={_fmt(args.beta0)})"
-        return path, label
+        # each stock segment is a single affine piece
+        return path, {"source": label, "segments": len(path.theta.rates)}
     if args.beta0 is not None:
         raise ValueError("--beta0 only applies to --example iv, not to --motion")
     try:
@@ -89,7 +91,8 @@ def _load_motion(args) -> tuple[MotionPath, str]:
         raise ValueError(f"{args.motion}: invalid JSON: {exc}") from exc
     if isinstance(desc, dict):
         desc.setdefault("radii", {"a": radii.a, "b": radii.b})
-    return build_path(desc), f"file {args.motion}"
+    return build_path(desc), {"source": f"file {args.motion}",
+                              "segments": len(desc["segments"])}
 
 
 class _IOFailure(Exception):
@@ -107,20 +110,19 @@ def _route_record(result, name: str) -> dict:
     return {"value": result.delta_g_by_method[name]}
 
 
-def _report(result, path: MotionPath, label: str, args, methods) -> dict:
+def _report(result, path: MotionPath, source: dict, args, methods) -> dict:
     rr = result.region
     region = None if rr is None else {
-        "simple": rr.simple, "I_plus": rr.I_plus, "I_minus": rr.I_minus,
+        "I_plus": rr.I_plus, "I_minus": rr.I_minus,
         "A_plus": rr.A_plus, "A_minus": rr.A_minus}
     return {
         "input": {
-            "source": label,
+            **source,
             "radii": {"a": path.radii.a, "b": path.radii.b},
             "epsilon": args.epsilon,
             "beta0": args.beta0,
             "methods": list(methods),
             "tolerances": asdict(Tolerances()),
-            "segments": len(path.theta.segments),
             "steps": args.steps,
             "samples": args.samples,
         },
@@ -140,7 +142,7 @@ def _report(result, path: MotionPath, label: str, args, methods) -> dict:
 def run_compute(args) -> int:
     disagreement = None
     try:
-        path, label = _load_motion(args)
+        path, source = _load_motion(args)
         methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
         if not methods:
             raise ValueError(f"--methods names no method; choose from {METHOD_NAMES}")
@@ -156,7 +158,7 @@ def run_compute(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    _emit_report(_report(result, path, label, args, methods), args.format)
+    _emit_report(_report(result, path, source, args, methods), args.format)
     if disagreement is not None:
         print(f"error: MethodDisagreement: {disagreement}", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -200,8 +202,7 @@ def _emit_report(doc, fmt: str):
     if doc["region"] is not None:
         r = doc["region"]
         print(f"region: I+={r['I_plus']} I-={r['I_minus']} "
-              f"A+={_fmt(r['A_plus'])} A-={_fmt(r['A_minus'])} "
-              f"(simple={'yes' if r['simple'] else 'no'})")
+              f"A+={_fmt(r['A_plus'])} A-={_fmt(r['A_minus'])}")
     if doc["max_discrepancy"] is not None:
         print(f"max pairwise discrepancy: {doc['max_discrepancy']:.3e}")
     for w in doc["warnings"]:

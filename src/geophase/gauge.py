@@ -187,7 +187,7 @@ def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
     More than MAX_PIECE_SAMPLES intervals in all raise ValueError.
     """
     closed_topology(path)
-    pieces = [p for p in path.affine_pieces if p[3] != 0.0 or p[5] != 0.0]
+    pieces = [p for p in path.affine_pieces if p.moving]
     if not pieces:
         return 0.0
     t0, t1, th0, dth, b0, db = np.array(pieces).T

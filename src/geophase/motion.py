@@ -3,9 +3,11 @@
 A motion is two scalar schedules: the revolution angle ``theta`` of the contact
 point around the fixed disc and the tilt ``beta`` of the rolling disc, both
 functions of a normalized time t in [0, 1]. Segments are constant, affine, or
-sampled-with-linear-interpolation, which keeps every derived integral piecewise
-elementary: downstream code consumes the exact piecewise-affine decomposition
-returned by :meth:`MotionPath.affine_pieces`.
+sampled-with-linear-interpolation; ScalarPath.from_segments lowers each one
+to affine pieces on arrival, so the pieces are the only motion format past
+construction, and every derived integral is piecewise elementary: downstream
+code consumes the exact decomposition returned by
+:meth:`MotionPath.affine_pieces`.
 
 Conventions enforced at construction:
 
@@ -17,10 +19,12 @@ Conventions enforced at construction:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, nan, pi
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +59,7 @@ class Radii:
 
 
 # ---------------------------------------------------------------------------
-# segment kinds
+# segment kinds: input records, lowered to affine pieces by ScalarPath
 
 
 @dataclass(frozen=True)
@@ -64,30 +68,6 @@ class ConstantSegment:
     t1: float
     level: float
 
-    def value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.level) if np.ndim(t) else self.level
-
-    def slope(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-
-    def start_value(self):
-        return self.level
-
-    def end_value(self):
-        return self.level
-
-    def max_abs_slope(self):
-        return 0.0
-
-    def interior_knots(self):
-        return ()
-
-    def reversed(self, span: float):
-        return ConstantSegment(span - self.t1, span - self.t0, self.level)
-
-    def shifted(self, dt: float, dv: float):
-        return ConstantSegment(self.t0 + dt, self.t1 + dt, self.level + dv)
-
 
 @dataclass(frozen=True)
 class AffineSegment:
@@ -95,31 +75,6 @@ class AffineSegment:
     t1: float
     start: float   # value at t0
     rate: float    # d(value)/dt
-
-    def value(self, t):
-        return self.start + self.rate * (np.asarray(t, dtype=float) - self.t0) if np.ndim(t) \
-            else self.start + self.rate * (t - self.t0)
-
-    def slope(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.rate) if np.ndim(t) else self.rate
-
-    def start_value(self):
-        return self.start
-
-    def end_value(self):
-        return self.start + self.rate * (self.t1 - self.t0)
-
-    def max_abs_slope(self):
-        return abs(self.rate)
-
-    def interior_knots(self):
-        return ()
-
-    def reversed(self, span: float):
-        return AffineSegment(span - self.t1, span - self.t0, self.end_value(), -self.rate)
-
-    def shifted(self, dt: float, dv: float):
-        return AffineSegment(self.t0 + dt, self.t1 + dt, self.start + dv, self.rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,37 +98,28 @@ class SampledSegment:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
-    def value(self, t):
-        return np.interp(t, self.knots, self.values)
-
-    def slope(self, t):
-        # derivative of the interpolant; at interior knots this is the
-        # right-hand slope, consistent with the package-wide convention
-        rates = np.diff(self.values) / np.diff(self.knots)
-        idx = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, rates.size - 1)
-        return rates[idx]
-
-    def start_value(self):
-        return float(self.values[0])
-
-    def end_value(self):
-        return float(self.values[-1])
-
-    def max_abs_slope(self):
-        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.knots))))
-
-    def interior_knots(self):
-        return tuple(float(k) for k in self.knots[1:-1])
-
-    def reversed(self, span: float):
-        return SampledSegment(span - self.t1, span - self.t0,
-                              span - self.knots[::-1], self.values[::-1].copy())
-
-    def shifted(self, dt: float, dv: float):
-        return SampledSegment(self.t0 + dt, self.t1 + dt, self.knots + dt, self.values + dv)
-
 
 Segment = ConstantSegment | AffineSegment | SampledSegment
+
+
+def _lowered(seg: Segment) -> tuple:
+    """seg as affine pieces: lists of start knots, start values, slopes and
+    end values. Sampled values become Python floats, so that a slope past
+    the float range is inf without a numpy overflow warning."""
+    if isinstance(seg, ConstantSegment):
+        return [seg.t0], [seg.level], [0.0], [seg.level]
+    if isinstance(seg, AffineSegment):
+        return [seg.t0], [seg.start], [seg.rate], [seg.start + seg.rate * (seg.t1 - seg.t0)]
+    ks, vs = seg.knots.tolist(), seg.values.tolist()
+    rates = [(v1 - v0) / (k1 - k0)
+             for k0, k1, v0, v1 in zip(ks, ks[1:], vs, vs[1:])]
+    return [seg.t0] + ks[1:-1], vs[:-1], rates, vs[1:]
+
+
+def _check_join(left_end: float, right_start: float, t: float):
+    jump = right_start - left_end
+    if abs(jump) > JUMP_TOL:
+        raise DiscontinuousPath(f"value jumps by {jump:.3e} at t={t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +128,17 @@ Segment = ConstantSegment | AffineSegment | SampledSegment
 
 @dataclass(frozen=True, eq=False)
 class ScalarPath:
-    """One continuous piecewise schedule over [0, 1]."""
+    """One continuous schedule over [0, 1], held as affine pieces.
 
-    breakpoints: tuple
-    segments: tuple
-    lipschitz_bound: float
+    Piece k runs from knots[k] to knots[k + 1] (the last knot is 1.0); it
+    starts at starts[k], has slope rates[k] and ends at ends[k]. Build it
+    with from_segments, which checks tiling and continuity once.
+    """
+
+    knots: tuple
+    starts: tuple
+    rates: tuple
+    ends: tuple
 
     @classmethod
     def from_segments(cls, segments) -> "ScalarPath":
@@ -196,80 +148,69 @@ class ScalarPath:
         if abs(segs[0].t0) > TILE_TOL or abs(segs[-1].t1 - 1.0) > TILE_TOL:
             raise GapOrOverlap(
                 f"segments span [{segs[0].t0}, {segs[-1].t1}], expected [0, 1]")
-        for left, right in zip(segs, segs[1:]):
-            if abs(right.t0 - left.t1) > TILE_TOL:
+        knots, starts, rates, ends = [], [], [], []
+        for left, right in zip([None] + segs, segs):
+            if left is not None and abs(right.t0 - left.t1) > TILE_TOL:
                 kind = "overlap" if right.t0 < left.t1 else "gap"
                 raise GapOrOverlap(f"{kind} at t={left.t1!r} / t={right.t0!r}")
-            jump = right.start_value() - left.end_value()
-            if abs(jump) > JUMP_TOL:
-                raise DiscontinuousPath(
-                    f"value jumps by {jump:.3e} at t={right.t0!r}")
-        bps = tuple(s.t0 for s in segs) + (1.0,)
-        lip = max(s.max_abs_slope() for s in segs)
-        return cls(bps, tuple(segs), lip)
+            k, v0, r, v1 = _lowered(right)
+            if left is not None:
+                _check_join(ends[-1], v0[0], right.t0)
+            knots += k
+            starts += v0
+            rates += r
+            ends += v1
+        return cls(tuple(knots) + (1.0,), tuple(starts), tuple(rates), tuple(ends))
 
-    # -- scalar evaluation with one-sided control ---------------------------
-
-    def _segment_index(self, t: float, side: str) -> int:
-        if side not in ("left", "right", "two-sided"):
-            raise ValueError(f"side must be left/right/two-sided, got {side!r}")
-        n = len(self.segments)
-        i = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        i = min(max(i, 0), n - 1)
-        # at an interior breakpoint, searchsorted picked the right segment;
-        # two-sided keeps it (right-limit convention), left backs up one
-        if side == "left" and t <= self.segments[i].t0 and i > 0:
-            i -= 1
-        if t >= 1.0:  # only a left limit exists at the end
-            i = n - 1
-        return i
-
-    def value(self, t: float, side: str = "two-sided") -> float:
-        return float(self.segments[self._segment_index(t, side)].value(t))
-
-    def slope(self, t: float, side: str = "two-sided") -> float:
-        return float(self.segments[self._segment_index(t, side)].slope(t))
+    def _at(self, t: float) -> tuple:
+        """(value, slope) at time t on the piece that starts at or before t."""
+        k = min(max(bisect_right(self.knots, t) - 1, 0), len(self.rates) - 1)
+        return self.starts[k] + self.rates[k] * (t - self.knots[k]), self.rates[k]
 
     # -- vectorized evaluation (right-limit convention, left at t=1) --------
 
+    def _piece_index(self, ts: np.ndarray) -> np.ndarray:
+        return np.clip(np.searchsorted(self.knots, ts, side="right") - 1,
+                       0, len(self.rates) - 1)
+
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
-                      0, len(self.segments) - 1)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if np.any(mask):
-                out[mask] = seg.value(ts[mask])
-        return out
+        k = self._piece_index(ts)
+        return (np.asarray(self.starts)[k]
+                + np.asarray(self.rates)[k] * (ts - np.asarray(self.knots)[k]))
 
     def slopes(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
-                      0, len(self.segments) - 1)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if np.any(mask):
-                out[mask] = seg.slope(ts[mask])
-        return out
-
-    def all_knots(self):
-        """Breakpoints plus interior knots of sampled segments, sorted."""
-        ks = set(self.breakpoints)
-        for seg in self.segments:
-            ks.update(seg.interior_knots())
-        return tuple(sorted(ks))
+        return np.asarray(self.rates)[self._piece_index(np.asarray(ts, dtype=float))]
 
     def start_value(self) -> float:
-        return self.segments[0].start_value()
+        return self.starts[0]
 
     def end_value(self) -> float:
-        return self.segments[-1].end_value()
+        return self.ends[-1]
 
 
 # ---------------------------------------------------------------------------
 # motion path
+
+
+class Piece(NamedTuple):
+    """One interval where theta and beta are both affine in t."""
+
+    t0: float
+    t1: float
+    th0: float
+    dth: float
+    b0: float
+    db: float
+
+    @property
+    def moving(self) -> bool:
+        return self.dth != 0.0 or self.db != 0.0
+
+    def at(self, t):
+        """(theta, beta) at time(s) t inside the piece."""
+        t = np.asarray(t, dtype=float)
+        return self.th0 + self.dth * (t - self.t0), self.b0 + self.db * (t - self.t0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,11 +230,11 @@ class MotionPath:
         th0 = self.theta.start_value()
         if not abs(th0) <= TILE_TOL:
             raise ThetaNonzeroAtStart(f"theta(0) = {th0!r}, expected 0")
-        for t0, t1, b0, brate in _affine_pieces_of(self.beta):
-            ends = (b0, b0 + brate * (t1 - t0))
-            lo, hi = min(ends), max(ends)
+        b = self.beta
+        for t0, t1, b0, b1 in zip(b.knots, b.knots[1:], b.starts, b.ends):
+            lo, hi = min(b0, b1), max(b0, b1)
             # written so that a NaN end fails the check
-            if not all(-TILE_TOL <= b <= pi + TILE_TOL for b in ends):
+            if not all(-TILE_TOL <= v <= pi + TILE_TOL for v in (b0, b1)):
                 raise BetaOutOfRange(
                     f"beta reaches [{lo:.6g}, {hi:.6g}] on [{t0:.6g}, {t1:.6g}], "
                     f"allowed range is [0, pi]")
@@ -305,30 +246,21 @@ class MotionPath:
                 f"{spacing:.3g}, above the closure tolerance {CLOSURE_TOL:g}")
 
     @cached_property
-    def breakpoints(self) -> tuple:
-        return tuple(sorted(set(self.theta.breakpoints) | set(self.beta.breakpoints)))
-
-    @cached_property
     def knots(self) -> tuple:
-        """Common refinement: breakpoints plus every sampled-segment knot."""
-        return tuple(sorted(set(self.theta.all_knots()) | set(self.beta.all_knots())))
+        """Common refinement: the knots of both schedules."""
+        return tuple(sorted(set(self.theta.knots) | set(self.beta.knots)))
 
     @cached_property
     def affine_pieces(self) -> tuple:
-        """Exact decomposition into (t0, t1, theta0, dtheta, beta0, dbeta).
+        """Exact decomposition into Pieces (t0, t1, th0, dth, b0, db).
 
-        On each interval both schedules are affine, so the tuple determines the
-        motion exactly. This is the workhorse representation for integrators.
+        On each interval between adjacent knots both schedules are affine,
+        so the pieces determine the motion exactly. Every route reads the
+        motion from here.
         """
         ks = self.knots
-        pieces = []
-        for t0, t1 in zip(ks, ks[1:]):
-            th = self.theta.value(t0, side="right")
-            dth = self.theta.slope(0.5 * (t0 + t1))
-            b = self.beta.value(t0, side="right")
-            db = self.beta.slope(0.5 * (t0 + t1))
-            pieces.append((t0, t1, th, dth, b, db))
-        return tuple(pieces)
+        return tuple(Piece(t0, t1, *self.theta._at(t0), *self.beta._at(t0))
+                     for t0, t1 in zip(ks, ks[1:]))
 
 
 @dataclass(frozen=True)
@@ -505,11 +437,16 @@ GALLERY_NAMES = ("i", "ii", "iii", "iv", "v", "vi")
 
 def reverse_path(path: MotionPath) -> MotionPath:
     """Time-reversed motion, rebased so theta still starts at 0."""
-    th_end = path.theta.end_value()
-    theta = ScalarPath.from_segments(
-        [s.reversed(1.0).shifted(0.0, -th_end) for s in path.theta.segments])
-    beta = ScalarPath.from_segments([s.reversed(1.0) for s in path.beta.segments])
-    return MotionPath(theta, beta, path.radii)
+
+    def flip(s: ScalarPath, dv: float) -> ScalarPath:
+        # 0.0 - r keeps a flat piece's slope at +0.0
+        return ScalarPath(tuple(1.0 - k for k in s.knots[:0:-1]) + (1.0,),
+                          tuple(v + dv for v in reversed(s.ends)),
+                          tuple(0.0 - r for r in reversed(s.rates)),
+                          tuple(v + dv for v in reversed(s.starts)))
+
+    return MotionPath(flip(path.theta, -path.theta.end_value()),
+                      flip(path.beta, 0.0), path.radii)
 
 
 def concatenate_paths(first: MotionPath, second: MotionPath) -> MotionPath:
@@ -520,30 +457,15 @@ def concatenate_paths(first: MotionPath, second: MotionPath) -> MotionPath:
     """
     if first.radii != second.radii:
         raise ValueError("concatenated motions must share radii")
-    th_mid = first.theta.end_value()
+    _check_join(first.beta.end_value(), second.beta.start_value(), 0.5)
 
-    def squeeze(seg, t_off, dv):
-        # map [t0, t1] -> [t0/2 + t_off, t1/2 + t_off], halving slopes
-        if isinstance(seg, ConstantSegment):
-            return ConstantSegment(seg.t0 / 2 + t_off, seg.t1 / 2 + t_off, seg.level + dv)
-        if isinstance(seg, AffineSegment):
-            return AffineSegment(seg.t0 / 2 + t_off, seg.t1 / 2 + t_off,
-                                 seg.start + dv, 2.0 * seg.rate)
-        return SampledSegment(seg.t0 / 2 + t_off, seg.t1 / 2 + t_off,
-                              seg.knots / 2 + t_off, seg.values + dv)
+    def join(a: ScalarPath, b: ScalarPath, dv: float) -> ScalarPath:
+        # a on [0, 1/2] and b on [1/2, 1], at twice their slopes
+        return ScalarPath(
+            tuple(0.5 * k for k in a.knots[:-1]) + tuple(0.5 * k + 0.5 for k in b.knots),
+            a.starts + tuple(v + dv for v in b.starts),
+            tuple(2.0 * r for r in a.rates + b.rates),
+            a.ends + tuple(v + dv for v in b.ends))
 
-    theta = ScalarPath.from_segments(
-        [squeeze(s, 0.0, 0.0) for s in first.theta.segments]
-        + [squeeze(s, 0.5, th_mid) for s in second.theta.segments])
-    beta = ScalarPath.from_segments(
-        [squeeze(s, 0.0, 0.0) for s in first.beta.segments]
-        + [squeeze(s, 0.5, 0.0) for s in second.beta.segments])
-    return MotionPath(theta, beta, first.radii)
-
-
-def _affine_pieces_of(schedule: ScalarPath):
-    """(t0, t1, value0, slope) per knot interval of a single schedule."""
-    ks = schedule.all_knots()
-    for t0, t1 in zip(ks, ks[1:]):
-        yield (t0, t1, schedule.value(t0, side="right"),
-               schedule.slope(0.5 * (t0 + t1)))
+    return MotionPath(join(first.theta, second.theta, first.theta.end_value()),
+                      join(first.beta, second.beta, 0.0), first.radii)

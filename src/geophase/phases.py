@@ -87,9 +87,8 @@ class PhaseResult:
 
 def dynamical_phase(path: MotionPath) -> float:
     """a/b times the total swept center angle; 2 pi n a/b on closed paths."""
-    th0 = path.theta.value(0.0)
-    th1 = path.theta.value(1.0)
-    return path.radii.a * (th1 - th0) / path.radii.b
+    sweep = path.theta.end_value() - path.theta.start_value()
+    return path.radii.a * sweep / path.radii.b
 
 
 def geometric_phase_line(path: MotionPath) -> float:
@@ -103,7 +102,7 @@ def geometric_phase_line(path: MotionPath) -> float:
 
 def _line_sum(pieces) -> float:
     """The exact line integral over (t0, t1, th0, dth, b0, db) pieces with
-    theta and beta affine on each: raw affine pieces or ClampedPieces."""
+    theta and beta affine on each: raw or clamped Pieces."""
     total = 0.0
     for (t0, t1, _th0, dth, b0, db) in pieces:
         if dth == 0.0:
@@ -253,7 +252,7 @@ def extrapolated_region_report(path: MotionPath,
     curve = cached_regularize(path, eps)
     i_plus, i_minus, seed_point = classify_poles(curve)
     a_plus = eps_limit(path, region_areas(curve)[0], eps)
-    return RegionReport(simple=True, I_plus=i_plus, I_minus=i_minus,
+    return RegionReport(I_plus=i_plus, I_minus=i_minus,
                         A_plus=a_plus, A_minus=4.0 * pi - a_plus,
                         seed_point=seed_point)
 

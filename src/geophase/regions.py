@@ -37,7 +37,6 @@ _RETRY_DIRS /= np.linalg.norm(_RETRY_DIRS, axis=1, keepdims=True)
 
 @dataclass(frozen=True)
 class RegionReport:
-    simple: bool
     I_plus: int
     I_minus: int
     A_plus: float

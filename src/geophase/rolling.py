@@ -249,8 +249,9 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     """Integrate the disc orientation over the whole motion.
 
     steps counts constraint solves (rate evaluations), two per interval;
-    below 1, or asking for more than MAX_PIECE_SAMPLES intervals in all, it
-    raises ValueError before anything is allocated. Each affine piece of path.affine_pieces
+    below 1, above 2 * MAX_PIECE_SAMPLES, or asking for more than
+    MAX_PIECE_SAMPLES intervals in all, it raises ValueError before
+    anything is allocated. Each affine piece of path.affine_pieces
     gets its own uniform grid of an even number of intervals, proportional
     to its length (steps / 2 intervals per unit time) and at least
     _MIN_STEPS_PER_SEGMENT, so no interval straddles a knot; the first piece
@@ -276,6 +277,11 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    # at least steps / 2 intervals follow, so the cap below would refuse this
+    # too; refusing it here keeps an integer past the float range out of it
+    if steps > 2 * MAX_PIECE_SAMPLES:
+        raise ValueError(f"steps must be at most 2 * MAX_PIECE_SAMPLES = "
+                         f"{2 * MAX_PIECE_SAMPLES}, got {steps}")
     radii = path.radii
     t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
     bounds = np.array(path.knots)

@@ -25,7 +25,7 @@ from math import pi
 import numpy as np
 
 from .errors import CurveHasCusps, EpsilonOutOfRange
-from .motion import MotionPath
+from .motion import MotionPath, Piece
 
 DEFAULT_EPSILON = pi / 16.0
 MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
@@ -66,34 +66,6 @@ def frame_vectors(theta, beta):
 # clamping the tilt away from the poles
 
 
-@dataclass(frozen=True)
-class ClampedPiece:
-    """One interval where theta and the clamped tilt are both affine."""
-
-    t0: float
-    t1: float
-    th0: float
-    dth: float
-    b0: float
-    db: float
-
-    @property
-    def moving(self) -> bool:
-        return self.dth != 0.0 or self.db != 0.0
-
-    def at(self, t):
-        """(theta, beta) at time(s) t inside the piece."""
-        t = np.asarray(t, dtype=float)
-        return self.th0 + self.dth * (t - self.t0), self.b0 + self.db * (t - self.t0)
-
-    def end_values(self):
-        return self.at(self.t1)
-
-    def __iter__(self):
-        """Unpacks like a raw affine piece: (t0, t1, th0, dth, b0, db)."""
-        return iter((self.t0, self.t1, self.th0, self.dth, self.b0, self.db))
-
-
 def _check_epsilon(eps: float):
     if not (0.0 < eps < pi / 8.0):
         raise EpsilonOutOfRange(f"epsilon must lie in (0, pi/8), got {eps!r}")
@@ -121,7 +93,7 @@ def clamped_affine_pieces(path: MotionPath, eps: float) -> tuple:
                 bc, dbc = hi, 0.0
             else:
                 bc, dbc = b0 + db * (u0 - t0), db
-            pieces.append(ClampedPiece(u0, u1, th0 + dth * (u0 - t0), dth, bc, dbc))
+            pieces.append(Piece(u0, u1, th0 + dth * (u0 - t0), dth, bc, dbc))
     return tuple(pieces)
 
 
@@ -195,15 +167,15 @@ class RegularizedCurve:
         return out
 
 
-def _tangent_components(piece: ClampedPiece, t):
+def _tangent_components(piece: Piece, t):
     """Unnormalized tangent in the (e1, e2) basis at time(s) t."""
     _, b = piece.at(t)
     return np.sin(b) * piece.dth, np.full_like(np.asarray(t, dtype=float) * 1.0, piece.db)
 
 
-def _junction_angle(p_in: ClampedPiece, p_out: ClampedPiece) -> float:
+def _junction_angle(p_in: Piece, p_out: Piece) -> float:
     """Signed tangent jump where p_in ends and p_out starts (same point)."""
-    _, b_in = p_in.end_values()
+    _, b_in = p_in.at(p_in.t1)
     u1, v1 = np.sin(b_in) * p_in.dth, p_in.db
     u2, v2 = np.sin(p_out.b0) * p_out.dth, p_out.db
     cross = u1 * v2 - v1 * u2
@@ -214,7 +186,7 @@ def _junction_angle(p_in: ClampedPiece, p_out: ClampedPiece) -> float:
     return alpha
 
 
-def _piece_samples(piece: ClampedPiece):
+def _piece_samples(piece: Piece):
     """Sample times for one piece; even step count, density tied to curvature."""
     b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
@@ -315,7 +287,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
 
     g_first = gauss_vector(moving[0].th0, moving[0].b0)
-    g_last = gauss_vector(*moving[-1].end_values())
+    g_last = gauss_vector(*moving[-1].at(moving[-1].t1))
     closed = bool(np.linalg.norm(g_last - g_first) <= GEOM_CLOSE_TOL)
     wrap_alpha = _junction_angle(moving[-1], moving[0]) if closed else None
 

@@ -388,12 +388,14 @@ def test_foucault_track_with_non_finite_field_exits_2(tmp_path, capsys,
 @pytest.mark.parametrize("argv,bound", [
     (("--methods", "line,baumkuchen", "--samples", str(10**24)), "2**53"),
     (("--methods", "line,oracle", "--steps", str(10**11)), "MAX_PIECE_SAMPLES"),
+    (("--methods", "line,oracle", "--steps", str(10**400)), "MAX_PIECE_SAMPLES"),
 ])
 def test_mesh_and_oracle_sizes_past_their_caps_exit_2(capsys, monkeypatch,
                                                       argv, bound):
     # past 2**53 the mesh nodes k / N are no longer distinct floats; 10**11
     # steps would be hundreds of GiB of oracle interval arrays, which start
-    # with np.repeat, so the cap must refuse them before that
+    # with np.repeat, so the cap must refuse them before that; 10**400 steps
+    # are past the float range
     def refuse(*args, **kwargs):
         raise AssertionError("the interval arrays were allocated")
 

@@ -6,14 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
+from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
+                      MotionPath, Radii,
                       SampledSegment, ScalarPath, build_path,
                       concatenate_paths, example_gallery,
                       geometric_phase_line, reverse_path, topology_report)
 from geophase.errors import (BetaOutOfRange, DiscontinuousPath, GapOrOverlap,
                              SweepTooLarge, ThetaNonzeroAtStart,
                              UnknownExample)
-from conftest import gallery
+from geophase.sphere import clamped_affine_pieces
+from conftest import backtracking_sampled_path, gallery
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -45,34 +47,14 @@ def test_segments_must_join_continuously():
                                   ConstantSegment(0.5, 1.0, 0.0)])
 
 
-def test_scalar_path_breakpoint_sides():
-    path = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 2.0),
-                                     AffineSegment(0.5, 1.0, 1.0, -2.0)])
-    assert path.value(0.25) == pytest.approx(0.5)
-    assert path.value(0.5) == pytest.approx(1.0)
-    assert path.slope(0.5, side="left") == pytest.approx(2.0)
-    assert path.slope(0.5, side="right") == pytest.approx(-2.0)
-
-
-def test_vector_queries_match_scalar_queries():
-    path = gallery("vi").theta
-    ts = np.linspace(0.0, 1.0, 257)
-    vals = path.values(ts)
-    slopes = path.slopes(ts)
-    for i, t in enumerate(ts):
-        assert vals[i] == pytest.approx(path.value(float(t)), abs=1e-15)
-        # vectorized slopes use the right-limit convention at breakpoints
-        assert slopes[i] == pytest.approx(
-            path.slope(float(t), side="right" if t < 1.0 else "left"))
-
-
 def test_sampled_segment_interpolates_linearly():
     seg = SampledSegment(0.0, 1.0, knots=np.array([0.0, 0.25, 1.0]),
                          values=np.array([0.0, 1.0, 0.5]))
-    assert seg.value(0.125) == pytest.approx(0.5)
-    assert seg.slope(0.1) == pytest.approx(4.0)
-    assert seg.slope(0.5) == pytest.approx(-1.0 / 1.5)
-    assert seg.interior_knots() == (0.25,)
+    path = ScalarPath.from_segments([seg])
+    assert path.values([0.125])[0] == pytest.approx(0.5)
+    assert path.slopes([0.1])[0] == pytest.approx(4.0)
+    assert path.slopes([0.5])[0] == pytest.approx(-1.0 / 1.5)
+    assert path.knots == (0.0, 0.25, 1.0)
 
 
 def test_motion_path_validation():
@@ -135,8 +117,8 @@ def test_build_path_round_trip():
     }
     path = build_path(desc)
     assert path.radii == Radii(2.0, 1.0)
-    assert path.theta.value(0.75) == pytest.approx(1.5 * PI)
-    assert path.beta.value(0.75) == pytest.approx(1.2)
+    assert path.theta.values([0.75])[0] == pytest.approx(1.5 * PI)
+    assert path.beta.values([0.75])[0] == pytest.approx(1.2)
     assert topology_report(path).closed
 
 
@@ -185,3 +167,39 @@ def test_concatenation_adds_line_phases():
     assert geometric_phase_line(double) == pytest.approx(
         2.0 * geometric_phase_line(path), abs=1e-12)
     assert topology_report(double).n == 2
+
+
+# the path algebra maps affine pieces, which the sampled segments of this
+# path split at knots that do not line up between theta and beta
+
+
+def test_double_reversal_restores_the_pieces():
+    path = backtracking_sampled_path()
+    again = reverse_path(reverse_path(path))
+    assert len(again.affine_pieces) == len(path.affine_pieces)
+    for piece, back in zip(path.affine_pieces, again.affine_pieces):
+        assert back == pytest.approx(piece, abs=1e-15, rel=0.0)
+
+
+def test_each_half_of_a_concatenation_is_its_path_at_double_speed():
+    # the path is open, so it is joined to its own reversal, whose tilt
+    # starts where the path's ends
+    path = backtracking_sampled_path()
+    back = reverse_path(path)
+    pieces = concatenate_paths(path, back).affine_pieces
+    n = len(path.affine_pieces)
+    assert len(pieces) == 2 * n
+    halves = ((path, 0.0, 0.0, pieces[:n]),
+              (back, 0.5, path.theta.end_value(), pieces[n:]))
+    for source, offset, shift, half in halves:
+        for (t0, t1, th0, dth, b0, db), got in zip(source.affine_pieces, half):
+            assert got == pytest.approx(
+                (0.5 * t0 + offset, 0.5 * t1 + offset, th0 + shift,
+                 2.0 * dth, b0, 2.0 * db), abs=1e-15, rel=0.0)
+
+
+def test_clamp_that_does_not_bite_returns_the_raw_pieces():
+    path = backtracking_sampled_path()
+    b = path.beta.starts + path.beta.ends
+    assert DEFAULT_EPSILON < min(b) and max(b) < PI - DEFAULT_EPSILON
+    assert clamped_affine_pieces(path, DEFAULT_EPSILON) == path.affine_pieces

@@ -1,6 +1,7 @@
 """Left/right region analysis: simplicity, pole counts, areas."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -159,7 +160,9 @@ def test_curvature_integral_on_latitudes():
 
 def test_region_report_shape():
     report = extrapolated_region_report(gallery("vi"))
-    assert report.simple
+    assert [f.name for f in fields(report)] == [
+        "I_plus", "I_minus", "A_plus", "A_minus", "seed_point"]
+    assert report.seed_point.shape == (3,)
     assert (report.I_plus, report.I_minus) == (1, 1)
     assert report.A_plus + report.A_minus == pytest.approx(4.0 * PI, abs=1e-12)
 

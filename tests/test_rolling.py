@@ -23,8 +23,8 @@ def solve_body_rates(path, t):
     """(omega, spin about g, no-slip residual) at one instant, from the
     constraint rows and the normal solve that simulate_rolling runs."""
     rows, rhs, g = rolling._constraint_rows(
-        path.theta.value(t), path.beta.value(t), path.theta.slope(t),
-        path.beta.slope(t), path.radii.a, path.radii.b)
+        path.theta.values(t), path.beta.values(t), path.theta.slopes(t),
+        path.beta.slopes(t), path.radii.a, path.radii.b)
     omega, residual = rolling._normal_solve(rows, rhs)
     omega = np.array(omega)[:, 0]
     return omega, float(omega @ np.array(g)[:, 0]), float(residual[0])
@@ -131,6 +131,9 @@ def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
     monkeypatch.setattr(np, "repeat", refuse)
     with pytest.raises(ValueError, match="MAX_PIECE_SAMPLES"):
         simulate_rolling(path, steps=10**11)
+    # an integer past the float range is refused before any float arithmetic
+    with pytest.raises(ValueError, match="MAX_PIECE_SAMPLES"):
+        simulate_rolling(path, 10**400)
 
 
 def test_every_piece_gets_the_minimum_number_of_intervals():
