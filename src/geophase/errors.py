@@ -40,8 +40,9 @@ class ThetaNonzeroAtStart(GeophaseError):
 
 
 class SweepTooLarge(GeophaseError):
-    """The revolution angle ends so far out that float spacing there exceeds
-    the closure tolerance, so whether the motion closes cannot be decided."""
+    """The revolution angle reaches so far out that float spacing there
+    exceeds the closure tolerance, so whether the motion closes cannot be
+    decided."""
 
 
 class UnknownExample(GeophaseError):

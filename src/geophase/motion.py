@@ -217,9 +217,10 @@ class Piece(NamedTuple):
 class MotionPath:
     """Validated pair of schedules plus the disc radii.
 
-    Raises ThetaNonzeroAtStart, BetaOutOfRange, or SweepTooLarge when
-    theta(1) is so large that float spacing there exceeds CLOSURE_TOL, so
-    topology_report could not tell a closed lap.
+    Raises ThetaNonzeroAtStart, BetaOutOfRange, SweepTooLarge when |theta|
+    reaches so far anywhere that float spacing there exceeds CLOSURE_TOL (so
+    topology_report could not tell a closed lap), or ValueError when a
+    piece's slope is not finite (knots a subnormal step apart).
     """
 
     theta: ScalarPath
@@ -238,12 +239,19 @@ class MotionPath:
                 raise BetaOutOfRange(
                     f"beta reaches [{lo:.6g}, {hi:.6g}] on [{t0:.6g}, {t1:.6g}], "
                     f"allowed range is [0, pi]")
-        sweep = self.theta.end_value()
-        spacing = float(np.spacing(abs(sweep)))
-        if not spacing <= CLOSURE_TOL:   # NaN for an infinite sweep
+        # the largest |theta| sits at a piece's start or end; NaN propagates
+        peak = float(np.max(np.abs(self.theta.starts + self.theta.ends)))
+        spacing = float(np.spacing(peak))
+        if not spacing <= CLOSURE_TOL:   # NaN for an infinite peak
             raise SweepTooLarge(
-                f"theta sweeps {sweep:.6g} rad; float spacing there is "
+                f"theta reaches {peak:.6g} rad; float spacing there is "
                 f"{spacing:.3g}, above the closure tolerance {CLOSURE_TOL:g}")
+        for name, s in (("theta", self.theta), ("beta", self.beta)):
+            for t0, t1, rate in zip(s.knots, s.knots[1:], s.rates):
+                if not isfinite(rate):
+                    raise ValueError(
+                        f"{name} slope is {rate} on [{t0:.6g}, {t1:.6g}]; "
+                        f"slopes must be finite")
 
     @cached_property
     def knots(self) -> tuple:

@@ -233,23 +233,22 @@ def _arc_crossings(curve: RegularizedCurve, a, b):
     s = curve.g @ n
     if np.min(np.abs(s)) < 1e-10:
         return None
-    count = 0
-    for i0, i1 in curve.arcs:
-        si = s[i0:i1]
-        flips = np.nonzero(si[:-1] * si[1:] < 0.0)[0]
-        if flips.size == 0:
-            continue
-        p = curve.g[i0 + flips]
-        q = curve.g[i0 + flips + 1]
-        w = (si[flips] / (si[flips] - si[flips + 1]))[:, None]
-        c = p + (q - p) * w
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
-        u = np.cross(a, c) @ n
-        v = np.cross(c, b) @ n
-        if np.any(np.minimum(np.abs(u), np.abs(v)) < 1e-12):
-            return None
-        count += int(np.count_nonzero((u > 0.0) & (v > 0.0)))
-    return count
+    # one pass over the whole curve; a junction sample is stored twice, as
+    # the end of one arc and the start of the next, so the pair across a
+    # junction is no chord of the curve
+    flip = s[:-1] * s[1:] < 0.0
+    flip[[i0 - 1 for i0, _ in curve.arcs[1:]]] = False
+    flips = np.nonzero(flip)[0]
+    p = curve.g[flips]
+    q = curve.g[flips + 1]
+    w = (s[flips] / (s[flips] - s[flips + 1]))[:, None]
+    c = p + (q - p) * w
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    u = np.cross(a, c) @ n
+    v = np.cross(c, b) @ n
+    if np.any(np.minimum(np.abs(u), np.abs(v)) < 1e-12):
+        return None
+    return int(np.count_nonzero((u > 0.0) & (v > 0.0)))
 
 
 def _pole_in_left_region(curve: RegularizedCurve, seed_point, pole) -> bool:

@@ -342,10 +342,31 @@ def _lap_desc(beta_value, slope=repr(2 * PI)):
             f'"beta": {{"kind": "const", "value": {beta_value}}}}}]}}')
 
 
+def _sampled_lap_desc(schedule, t, values):
+    """One lap with the named schedule sampled at (t, values), the other the
+    plain lap's: theta at rate 2 pi, beta constant 1."""
+    plain = {"theta": {"kind": "affine", "start": 0.0, "slope": 2 * PI},
+             "beta": {"kind": "const", "value": 1.0}}
+    plain[schedule] = {"kind": "samples", "t": t, "values": values}
+    return {"radii": {"a": 1.0, "b": 1.0},
+            "segments": [{"t0": 0.0, "t1": 1.0, **plain}]}
+
+
+# theta overflows mid-lap and comes back: theta(1) = 0 is fine, but float
+# spacing at the peak cannot tell a closed lap
+_MID_LAP_OVERFLOW = _sampled_lap_desc("theta", [0.0, 0.5, 1.0], [0.0, 1e308, 0.0])
+# knots a subnormal step apart: the first piece's slope is infinite
+_SUBNORMAL_STEP = {
+    name: _sampled_lap_desc(name, [0.0, 5e-324, 1.0], values)
+    for name, values in (("theta", [0.0, 1.0, 2 * PI]), ("beta", [1.0, 1.2, 1.0]))}
+
+
 @pytest.mark.parametrize("text,field", [
     (_lap_desc("null"), "beta value"),
     (_lap_desc("1.0", slope="Infinity"), "theta slope"),
     (_lap_desc("NaN"), "beta value"),
+    (json.dumps(_SUBNORMAL_STEP["theta"]), "theta slope is inf"),
+    (json.dumps(_SUBNORMAL_STEP["beta"]), "beta slope is inf"),
 ])
 def test_non_finite_motion_numbers_exit_2(tmp_path, capsys, text, field):
     target = tmp_path / "motion.json"
@@ -484,6 +505,16 @@ def test_unresolvable_closure_exits_2_on_the_line_route(tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
+def test_theta_overflow_mid_lap_exits_2(tmp_path, capsys):
+    target = tmp_path / "motion.json"
+    target.write_text(json.dumps(_MID_LAP_OVERFLOW))
+    code, out, err = run(capsys, "compute", "--motion", str(target),
+                         "--methods", "line")
+    assert code == 2
+    assert "SweepTooLarge" in err and "1e+308" in err and "spacing" in err
+    assert "Traceback" not in err and out == ""
+
+
 # sweeps that float spacing still resolves but no sampled curve can follow:
 # ten thousand closed laps for compute's clamped routes; trace samples any
 # motion
@@ -548,6 +579,9 @@ _MOTION = _mostly(st.fixed_dictionaries({
 @given(desc=_MOTION)
 @example(desc=json.loads(_lap_desc("10" + "0" * 400)))
 @example(desc=json.loads(_lap_desc("1.0", slope="1e308")))
+@example(desc=_MID_LAP_OVERFLOW)
+@example(desc=_SUBNORMAL_STEP["theta"])
+@example(desc=_SUBNORMAL_STEP["beta"])
 def test_arbitrary_json_fails_only_with_documented_errors(tmp_path_factory,
                                                          desc):
     try:
@@ -561,6 +595,10 @@ def test_arbitrary_json_fails_only_with_documented_errors(tmp_path_factory,
         code = main(["compute", "--motion", str(target), "--methods", "line"])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    if code == 0:   # a report that exits 0 states finite angles
+        for row in out.getvalue().splitlines():
+            if row.startswith("delta_"):
+                assert math.isfinite(float(row.split()[-1])), row
 
 
 def test_lap_with_a_sampled_dip_to_the_pole_exits_0(tmp_path, capsys):

@@ -78,6 +78,28 @@ def test_motion_path_refuses_unresolvable_sweeps(slope):
         MotionPath(theta, beta, Radii(1.0, 1.0))
 
 
+def test_motion_path_refuses_an_unresolvable_theta_mid_lap():
+    # theta(1) = 0, but the peak between is past any closure test
+    theta = ScalarPath.from_segments(
+        [SampledSegment(0.0, 1.0, [0.0, 0.5, 1.0], [0.0, 1e300, 0.0])])
+    beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
+    with pytest.raises(SweepTooLarge, match="reaches 1e\\+300"):
+        MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+@pytest.mark.parametrize("schedule", ["theta", "beta"])
+def test_motion_path_refuses_non_finite_slopes(schedule):
+    # knots a subnormal step apart make the first piece's slope infinite
+    plain = {"theta": AffineSegment(0.0, 1.0, 0.0, TWO_PI),
+             "beta": ConstantSegment(0.0, 1.0, 1.0)}
+    values = {"theta": [0.0, 1.0, TWO_PI], "beta": [1.0, 1.2, 1.0]}[schedule]
+    plain[schedule] = SampledSegment(0.0, 1.0, [0.0, 5e-324, 1.0], values)
+    paths = {k: ScalarPath.from_segments([seg]) for k, seg in plain.items()}
+    assert paths[schedule].rates[0] == math.inf
+    with pytest.raises(ValueError, match=f"{schedule} slope is inf"):
+        MotionPath(paths["theta"], paths["beta"], Radii(1.0, 1.0))
+
+
 @pytest.mark.parametrize("name,n", [("i", 1), ("ii", 1), ("iii", 1),
                                     ("iv", 1), ("v", 0), ("vi", -1)])
 def test_gallery_topology(name, n):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from geophase.regions import SIMPLE_TOL
 from geophase.sphere import MAX_SAMPLE_STEP, RegularizedCurve
 from geophase.errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
                              WindingInconsistent)
-from conftest import (COIN_RADII, TABLE_RADII, closed_motions, gallery,
-                      gauss_bonnet_area)
+from conftest import (COIN_RADII, TABLE_RADII, backtracking_sampled_path,
+                      closed_motions, gallery, gauss_bonnet_area)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -174,6 +175,77 @@ def test_degenerate_classification_raises_degenerate_arc(monkeypatch):
     result = total_rotation(gallery("ii"), methods=("line", "area"))
     assert isinstance(result.errors["area"], DegenerateArc)
     assert set(result.delta_g_by_method) == {"line"}
+
+
+def _per_arc_crossings(curve, a, b):
+    """Reference for regions._arc_crossings: the same count taken arc by
+    arc, so no pair of samples across a junction is ever compared."""
+    n = np.cross(a, b)
+    nn = np.linalg.norm(n)
+    if nn < 1e-9:
+        return None
+    n = n / nn
+    s = curve.g @ n
+    if np.min(np.abs(s)) < 1e-10:
+        return None
+    count = 0
+    for i0, i1 in curve.arcs:
+        si = s[i0:i1]
+        flips = np.nonzero(si[:-1] * si[1:] < 0.0)[0]
+        if flips.size == 0:
+            continue
+        p = curve.g[i0 + flips]
+        q = curve.g[i0 + flips + 1]
+        w = (si[flips] / (si[flips] - si[flips + 1]))[:, None]
+        c = p + (q - p) * w
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        u = np.cross(a, c) @ n
+        v = np.cross(c, b) @ n
+        if np.any(np.minimum(np.abs(u), np.abs(v)) < 1e-12):
+            return None
+        count += int(np.count_nonzero((u > 0.0) & (v > 0.0)))
+    return count
+
+
+def test_crossings_in_one_pass_match_the_per_arc_count():
+    curves = [regularize(gallery(name, radii))
+              for radii in (COIN_RADII, TABLE_RADII)
+              for name in EXPECTED_COUNTS]
+    curves.append(regularize(backtracking_sampled_path()))
+    assert any(len(curve.arcs) > 1 for curve in curves)
+    rng = np.random.default_rng(20261018)
+    poles = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    counted = 0
+    for curve in curves:
+        seeds = list(rng.normal(size=(3, 3)))
+        if curve.closed:
+            seeds.append(regions._left_seed(curve))
+        targets = poles + [pole + 1e-3 * d for pole in poles for d in regions._RETRY_DIRS]
+        targets += list(rng.normal(size=(8, 3)))
+        for a in seeds:
+            a = a / np.linalg.norm(a)
+            for raw in targets:
+                b = raw / np.linalg.norm(raw)
+                count = regions._arc_crossings(curve, a, b)
+                assert count == _per_arc_crossings(curve, a, b)
+                counted += bool(count)
+    assert counted > 100
+
+
+def test_no_crossing_is_counted_across_a_junction():
+    # the two copies of a junction sample sit 3e-10 either side of the
+    # great circle through a and b (continuity allows jumps up to JUMP_TOL);
+    # neither arc crosses it
+    z = [0.5, 0.2, 3e-10, -3e-10, -0.2, -0.5]
+    g = np.array([[1.0, 0.0, h] for h in z])
+    curve = SimpleNamespace(g=g / np.linalg.norm(g, axis=1, keepdims=True),
+                            arcs=((0, 3), (3, 6)))
+    a, b = np.array([1.0, -0.3, 0.0]), np.array([1.0, 0.3, 0.0])
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    assert _per_arc_crossings(curve, a, b) == 0
+    assert regions._arc_crossings(curve, a, b) == 0
+    curve.arcs = ((0, 6),)   # one arc: now the curve does cross
+    assert regions._arc_crossings(curve, a, b) == 1
 
 
 def _touching_pairs(curve, tol=SIMPLE_TOL):

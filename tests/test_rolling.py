@@ -259,10 +259,14 @@ def test_rodrigues_steps_match_the_stacked_skew_form():
     16, 100,         # one above
     14, 98,          # one below
     1000,
-    31, 32, 33,      # steps + 1 factors fill one scan block, or spill over
-    1023, 1024,      # 32 or 33 blocks: the carries fill one block, or spill
-    32 ** 2 + 1,     # into a third scan level
-    32 ** 3 + 1,     # a fourth scan level
+    31, 32, 33,      # steps + 1 fills 32 elements, or spills over
+    1023, 1024,
+    32 ** 2 + 1,
+    32 ** 3 + 1,
+    6, 7, 8,         # steps + 1 fills one scan block of 8, or spills over
+    62, 63, 64,      # eight blocks: the carries fill one block, or spill
+    8 ** 3 + 1,      # into a fourth scan level
+    8 ** 4 + 1,      # a fifth scan level
 ])
 def test_blocked_prefix_products_match_a_sequential_product(steps):
     rng = np.random.default_rng(steps)
