@@ -25,7 +25,7 @@ for c in curve.cusps:
     print(f"    t = {c.t:6.4f}   exterior angle {c.alpha / PI:+.3f} pi")
 print(f"  sum of turning      {turning_angle_sum(curve) / PI:+.3f} pi")
 
-i_plus, i_minus, _ = classify_poles(curve)
+i_plus, i_minus = classify_poles(curve)
 a_plus, a_minus = region_areas(curve)   # signed solid angle
 # Gauss-Bonnet on the boundary of the left region (Euler characteristic 1)
 gb_plus = 2.0 * PI - curvature_integral(curve) - turning_angle_sum(curve)

@@ -10,11 +10,11 @@ transport in a two-level system, and a rigid-body simulation.
 """
 
 from .errors import (BetaOutOfRange, ClosureMismatch, CurveHasCusps,
-                     CurveNotClosed, CurveNotSimple, DegenerateArc,
-                     DiscontinuousPath, DriftExceeded, EmptyTrack,
-                     EpsilonOutOfRange, GapOrOverlap, GaugeInconsistency,
-                     GeophaseError, LatitudeOutOfRange, MethodDisagreement,
-                     NonMonotoneTime, OnSingularAxis, ParseError, PoleOnCurve,
+                     CurveNotClosed, CurveNotSimple, DiscontinuousPath,
+                     DriftExceeded, EmptyTrack, EpsilonOutOfRange,
+                     GapOrOverlap, GaugeInconsistency, GeophaseError,
+                     LatitudeOutOfRange, MethodDisagreement, NonMonotoneTime,
+                     OnSingularAxis, ParseError, PoleOnCurve,
                      QuadratureFailure, SweepTooLarge, ThetaNonzeroAtStart,
                      UnknownExample, WindingInconsistent)
 from .motion import (GALLERY_NAMES, AffineSegment, ConstantSegment,

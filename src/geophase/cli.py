@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -267,6 +268,9 @@ def run_foucault(args) -> int:
                                lon=np.zeros(2), lat=np.full(2, phi))
             label = f"stationary at latitude {_fmt(args.lat)} deg for {_fmt(args.days)} days"
         result = route_foucault(track)
+        degrees = math.degrees(result.delta_fou)
+        if not math.isfinite(degrees):
+            raise ValueError("the drift in degrees overflows the float range")
     except (GeophaseError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -274,7 +278,7 @@ def run_foucault(args) -> int:
     if args.format == "json":
         doc = {"input": label,
                "delta_fou": result.delta_fou,
-               "delta_fou_deg": float(np.degrees(result.delta_fou)),
+               "delta_fou_deg": degrees,
                "legs": [float(x) for x in result.accumulation]}
         print(json.dumps(doc, sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -285,7 +289,7 @@ def run_foucault(args) -> int:
     else:
         print(f"route: {label}")
         print(f"swing-plane drift: {_fmt(result.delta_fou)} rad "
-              f"({_fmt(float(np.degrees(result.delta_fou)))} deg)")
+              f"({_fmt(degrees)} deg)")
     return EXIT_OK
 
 

@@ -70,12 +70,7 @@ class CurveNotSimple(GeophaseError):
 
 
 class PoleOnCurve(GeophaseError):
-    """A pole lies on the sampled curve; parity classification undefined."""
-
-
-class DegenerateArc(GeophaseError):
-    """Pole classification stayed degenerate after all retries: no certified
-    left-side seed point, or every classification arc grazed the curve."""
+    """A pole lies on the sampled curve, so its side is undefined."""
 
 
 class WindingInconsistent(_BoundExceeded):

@@ -45,7 +45,7 @@ class RouteTrack:
         object.__setattr__(self, 'lon', lon)
         object.__setattr__(self, 'lat', lat)
         # the checks are written so that NaN fails them
-        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+        if not (np.all(np.isfinite(t)) and np.all(t[1:] > t[:-1])):
             raise NonMonotoneTime(
                 "waypoint times must be finite and strictly increase")
         if not np.all(np.abs(lat) <= pi / 2.0 + 1e-12):
@@ -89,18 +89,23 @@ def route_foucault(track: RouteTrack) -> FoucaultResult:
 
         (m + 2 pi) (cos phi0 - cos phi1) / r    if r != 0
         (m + 2 pi) sin(phi0) dt                 if the leg stays at phi0
+
+    A leg or total past the float range raises ValueError.
     """
     if len(track) < 2:
         raise EmptyTrack("need at least two waypoints")
-    dt = np.diff(track.t_days)
-    phi0, phi1 = track.lat[:-1], track.lat[1:]
-    rate_phi = (phi1 - phi0) / dt
-    rate_az = (track.lon[1:] - track.lon[:-1]) / dt + TWO_PI
-    with np.errstate(divide='ignore', invalid='ignore'):
+    with np.errstate(all='ignore'):
+        dt = np.diff(track.t_days)
+        phi0, phi1 = track.lat[:-1], track.lat[1:]
+        rate_phi = (phi1 - phi0) / dt
+        rate_az = (track.lon[1:] - track.lon[:-1]) / dt + TWO_PI
         sloped = rate_az * (np.cos(phi0) - np.cos(phi1)) / rate_phi
-    flat = rate_az * np.sin(phi0) * dt
-    legs = np.where(rate_phi == 0.0, flat, sloped)
-    return FoucaultResult(delta_fou=float(np.sum(legs)), accumulation=legs)
+        flat = rate_az * np.sin(phi0) * dt
+        legs = np.where(rate_phi == 0.0, flat, sloped)
+        total = float(np.sum(legs))
+    if not (np.all(np.isfinite(legs)) and np.isfinite(total)):
+        raise ValueError("the drift on this route overflows the float range")
+    return FoucaultResult(delta_fou=total, accumulation=legs)
 
 
 def ingest_track(text: str) -> RouteTrack:

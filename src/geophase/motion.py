@@ -56,6 +56,9 @@ class Radii:
             raise ValueError(f"fixed-disc radius must be positive, got {self.a}")
         if not (self.b > 0.0 and np.isfinite(self.b)):
             raise ValueError(f"rolling-disc radius must be positive, got {self.b}")
+        if not np.isfinite(float(self.a) / float(self.b)):
+            raise ValueError(f"radius ratio a/b overflows the float range "
+                             f"for a={self.a}, b={self.b}")
 
 
 # ---------------------------------------------------------------------------

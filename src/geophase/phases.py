@@ -28,7 +28,7 @@ total_rotation is the one place that runs the routes and reconciles them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, pi, sin
+from math import cos, isnan, pi, sin
 
 from .errors import CurveNotClosed, GeophaseError, MethodDisagreement
 from .motion import TWO_PI, MotionPath, topology_report
@@ -225,7 +225,7 @@ def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON) -> floa
     """
     closed_topology(path)
     curve = cached_regularize(path, eps)
-    i_plus, _, _ = classify_poles(curve)
+    i_plus, _ = classify_poles(curve)
     a_plus, _ = region_areas(curve)
     return eps_limit(path, a_plus - TWO_PI * i_plus, eps)
 
@@ -239,7 +239,7 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) ->
     """
     closed_topology(path)
     curve = cached_regularize(path, eps)
-    i_plus, i_minus, _ = classify_poles(curve)
+    i_plus, i_minus = classify_poles(curve)
     value = (-pi * (i_plus - i_minus) - curvature_integral(curve)
              - turning_angle_sum(curve))
     return eps_limit(path, value, eps)
@@ -250,11 +250,10 @@ def extrapolated_region_report(path: MotionPath,
     """RegionReport with areas carried to the eps -> 0 limit."""
     closed_topology(path)
     curve = cached_regularize(path, eps)
-    i_plus, i_minus, seed_point = classify_poles(curve)
+    i_plus, i_minus = classify_poles(curve)
     a_plus = eps_limit(path, region_areas(curve)[0], eps)
     return RegionReport(I_plus=i_plus, I_minus=i_minus,
-                        A_plus=a_plus, A_minus=4.0 * pi - a_plus,
-                        seed_point=seed_point)
+                        A_plus=a_plus, A_minus=4.0 * pi - a_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +282,9 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     of the comparison. Every pair of successful routes gets a row in
     ``discrepancies`` and, beyond its tolerance, a warning.
     MethodDisagreement fires when any pair differs by more than ten times
-    its tolerance; it names the worst such pair and carries the finished
-    PhaseResult as ``exc.result``. An eps outside (0, pi/8) raises
-    EpsilonOutOfRange before any route runs.
+    its tolerance, or by NaN; it names the worst such pair (a NaN one
+    first) and carries the finished PhaseResult as ``exc.result``. An eps
+    outside (0, pi/8) raises EpsilonOutOfRange before any route runs.
     """
     from .gauge import berry_holonomy, monopole_holonomy
     from .rolling import simulate_rolling
@@ -342,8 +341,9 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
         region=region, n=report.n,
         warnings=tuple(_describe(r) for r in rows if not r["ok"]),
         errors=errors, discrepancies=tuple(rows))
-    blown = [r for r in rows if r["difference"] > 10.0 * r["tolerance"]]
+    # written so that a NaN difference counts as blown
+    blown = [r for r in rows if not r["difference"] <= 10.0 * r["tolerance"]]
     if blown:
-        worst = max(blown, key=lambda r: r["difference"])
+        worst = max(blown, key=lambda r: (isnan(r["difference"]), r["difference"]))
         raise MethodDisagreement(_describe(worst), result)
     return result

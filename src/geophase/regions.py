@@ -2,11 +2,12 @@
 
 A simple closed curve splits the sphere into two faces. We call the face
 lying to the left of the traversal (direction g x T) the left region. This
-module decides simplicity, locates the two poles (0,0,+-1) relative to the
-left region, and measures the region areas as the signed solid angle of the
-sampled polygon, which reads no frame, curvature or junction angle. The
-boundary data that Gauss-Bonnet needs (the geodesic curvature integral and
-the junction angles) are exposed for the curvature route.
+module decides simplicity and measures the signed solid angle of the
+sampled polygon from each pole, which reads no frame, curvature or junction
+angle; the sign of each fan places the opposite pole (0,0,+-1) relative to
+the left region, and the fans give the region areas. The boundary data that
+Gauss-Bonnet needs (the geodesic curvature integral and the junction
+angles) are exposed for the curvature route.
 """
 
 from __future__ import annotations
@@ -16,23 +17,13 @@ from math import pi
 
 import numpy as np
 
-from .errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
-                     PoleOnCurve, WindingInconsistent)
+from .errors import (CurveNotClosed, CurveNotSimple, PoleOnCurve,
+                     WindingInconsistent)
 from .motion import TWO_PI
-from .sphere import CUSP_ANGLE_TOL, RegularizedCurve, frame_vectors
+from .sphere import CUSP_ANGLE_TOL, RegularizedCurve
 
 SIMPLE_TOL = 1e-9
 _RUN = 8                # chords per run box in is_simple's far-pair search
-
-NORTH = np.array([0.0, 0.0, 1.0])
-SOUTH = np.array([0.0, 0.0, -1.0])
-
-# fixed perturbation directions for degenerate crossing retries
-_RETRY_DIRS = np.array([
-    [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0],
-    [1, 1, 0], [-1, 1, 0], [1, 0, 1], [0, 1, 1],
-], dtype=float)
-_RETRY_DIRS /= np.linalg.norm(_RETRY_DIRS, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,6 @@ class RegionReport:
     I_minus: int
     A_plus: float
     A_minus: float
-    seed_point: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -191,83 +181,28 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pole classification by crossing parity
-
-
-def _left_seed(curve: RegularizedCurve):
-    """A point certified to lie in the left region, just off a mid-arc sample."""
-    g = curve.g
-    boundary = curve._cusp_sample_indices()
-    n = len(curve)
-    idx = np.array([k for k in np.linspace(0, n - 1, min(n, 64)).astype(int)
-                    if int(k) not in boundary], dtype=int)
-    # prefer samples far from the poles: more room for the sideways step
-    order = np.argsort(-np.abs(np.sin(curve.beta_eps[idx])), kind="stable")
-    idx = idx[order]
-    # left normals g x T at the candidates only, T = cos(phi) e1 + sin(phi) e2
-    e1, e2, _ = frame_vectors(curve.theta[idx], curve.beta_eps[idx])
-    phi = curve.phi[idx][:, None]
-    nu = np.cross(g[idx], np.cos(phi) * e1 + np.sin(phi) * e2)
-    for delta in (1e-3, 3e-4, 1e-4):
-        for k, nu_k in zip(idx, nu):
-            seed = g[k] + delta * nu_k
-            seed /= np.linalg.norm(seed)
-            dist = np.linalg.norm(g - seed, axis=1)
-            near = int(np.argmin(dist))
-            if dist[near] >= 0.6 * delta and abs(curve.s[near] - curve.s[k]) <= 4.0 * delta:
-                return seed
-    raise DegenerateArc("could not certify a left-side seed point")
-
-
-def _arc_crossings(curve: RegularizedCurve, a, b):
-    """Transversal crossings of the short great arc a->b with the curve.
-
-    Returns the crossing count, or None when the configuration is too close
-    to degenerate (grazing or near-endpoint hits) and a retry is needed.
-    """
-    n = np.cross(a, b)
-    nn = np.linalg.norm(n)
-    if nn < 1e-9:
-        return None
-    n = n / nn
-    s = curve.g @ n
-    if np.min(np.abs(s)) < 1e-10:
-        return None
-    # one pass over the whole curve; a junction sample is stored twice, as
-    # the end of one arc and the start of the next, so the pair across a
-    # junction is no chord of the curve
-    flip = s[:-1] * s[1:] < 0.0
-    flip[[i0 - 1 for i0, _ in curve.arcs[1:]]] = False
-    flips = np.nonzero(flip)[0]
-    p = curve.g[flips]
-    q = curve.g[flips + 1]
-    w = (s[flips] / (s[flips] - s[flips + 1]))[:, None]
-    c = p + (q - p) * w
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    u = np.cross(a, c) @ n
-    v = np.cross(c, b) @ n
-    if np.any(np.minimum(np.abs(u), np.abs(v)) < 1e-12):
-        return None
-    return int(np.count_nonzero((u > 0.0) & (v > 0.0)))
-
-
-def _pole_in_left_region(curve: RegularizedCurve, seed_point, pole) -> bool:
-    targets = [pole] + [pole + 1e-3 * d for d in _RETRY_DIRS]
-    for raw in targets:
-        target = raw / np.linalg.norm(raw)
-        crossings = _arc_crossings(curve, seed_point, target)
-        if crossings is not None:
-            return crossings % 2 == 0
-    raise DegenerateArc("pole classification stayed degenerate after retries")
+# pole sides and areas from the solid-angle fans
 
 
 def classify_poles(curve: RegularizedCurve):
-    """(I_plus, I_minus, seed_point): pole counts in the left/right regions.
+    """(I_plus, I_minus): pole counts in the left/right regions.
 
     I_plus counts how many of the two poles lie in the left region S+,
-    I_minus in the right region; they always sum to 2. The azimuthal winding
-    number of theta must be consistent with the classification (|winding| = 1
-    exactly when the poles are separated), else WindingInconsistent.
+    I_minus in the right region; they always sum to 2. The closed chord
+    polygon through the samples g (closed by the chord g[-1] -> g[0]) is
+    fanned from each pole by the Van Oosterom-Strackee triangle formula
+    (IEEE TBME 30:125, 1983): for the chord p -> q, with num = p_x q_y -
+    p_y q_x and d = 1 + p.q, the north fan is the sum of 2 atan2(num, d +
+    p_z + q_z) and the south fan the sum of -2 atan2(num, d - p_z - q_z).
+    With A+ in (0, 4 pi), A+ = fan_N + 4 pi [south in left] = fan_S + 4 pi
+    [north in left], so a negative north fan puts the south pole in the
+    left region and a negative south fan the north pole. The curve must be
+    closed, simple and clear of both poles; the clamp keeps both apexes at
+    least eps from it. Two fans whose areas disagree beyond 1e-9 (a
+    non-simple polygon that passed is_simple) raise WindingInconsistent
+    with the spread, and so does a pole split that contradicts the
+    azimuthal winding of theta (|winding| = 1 exactly when the poles are
+    separated), with no number. The sides and A+ are cached on the curve.
     """
     key = "pole_classification"
     if key in curve._cache:
@@ -276,24 +211,33 @@ def classify_poles(curve: RegularizedCurve):
         raise CurveNotClosed("pole classification needs a closed curve")
     if not is_simple(curve):
         raise CurveNotSimple("pole classification needs a simple curve")
-    x, y, z = curve.g.T
-    r2 = x * x + y * y
+    p = curve.g.T.copy()          # rows x, y, z
+    r2 = p[0] * p[0] + p[1] * p[1]
     for pole_z in (1.0, -1.0):
-        clearance = float(np.sqrt(np.min(r2 + (z - pole_z) ** 2)))
+        clearance = float(np.sqrt(np.min(r2 + (p[2] - pole_z) ** 2)))
         if clearance < SIMPLE_TOL:
             raise PoleOnCurve(f"curve passes within {clearance:.2e} of a pole")
-    seed = _left_seed(curve)
-    north_in = _pole_in_left_region(curve, seed, NORTH)
-    south_in = _pole_in_left_region(curve, seed, SOUTH)
+    q = np.roll(p, -1, axis=1)    # chord k runs from p[:, k] to q[:, k]
+    num = p[0] * q[1] - p[1] * q[0]
+    d = 1.0 + p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+    z = p[2] + q[2]
+    fan_north = 2.0 * float(np.sum(np.arctan2(num, d + z)))
+    fan_south = -2.0 * float(np.sum(np.arctan2(num, d - z)))
+    south_in, north_in = fan_north < 0.0, fan_south < 0.0
+    from_north = fan_north + 4.0 * pi * south_in
+    spread = abs(from_north - (fan_south + 4.0 * pi * north_in))
+    if not spread <= 1e-9:
+        raise WindingInconsistent(
+            f"solid-angle fans from the two poles disagree by {spread:.3e} "
+            f"(tolerance 1.0e-09)", value=spread, tol=1e-9)
     winding = int(round((curve.theta[-1] - curve.theta[0]) / TWO_PI))
-    separated = north_in != south_in
-    if separated != (abs(winding) == 1):
+    if (north_in != south_in) != (abs(winding) == 1):
         raise WindingInconsistent(
             f"pole split {north_in}/{south_in} vs azimuthal winding {winding}")
-    result = (int(north_in) + int(south_in),
-              2 - int(north_in) - int(south_in), seed)
+    result = (int(north_in) + int(south_in), 2 - int(north_in) - int(south_in))
     curve._cache[key] = result
     curve._cache["pole_sides"] = (north_in, south_in)
+    curve._cache["solid_angle_area"] = from_north
     return result
 
 
@@ -303,8 +247,19 @@ def _pole_sides(curve: RegularizedCurve):
     return curve._cache["pole_sides"]
 
 
+def region_areas(curve: RegularizedCurve):
+    """(A_plus, A_minus) in steradians for the left and right regions.
+
+    A+ is the signed solid angle of the sampled polygon that classify_poles
+    measured from both poles (see there); it needs a closed, simple curve.
+    """
+    classify_poles(curve)
+    a_plus = curve._cache["solid_angle_area"]
+    return a_plus, 4.0 * pi - a_plus
+
+
 # ---------------------------------------------------------------------------
-# areas
+# boundary data for Gauss-Bonnet
 
 
 def curvature_integral(curve: RegularizedCurve) -> float:
@@ -320,39 +275,3 @@ def turning_angle_sum(curve: RegularizedCurve) -> float:
     """Sum of signed tangent jumps at all junctions above the cusp threshold."""
     return float(sum(j.alpha for j in curve.junctions
                      if abs(j.alpha) > CUSP_ANGLE_TOL))
-
-
-def region_areas(curve: RegularizedCurve):
-    """(A_plus, A_minus) in steradians for the left and right regions.
-
-    The closed chord polygon through the samples g (closed by the chord
-    g[-1] -> g[0]) is fanned from each pole by the Van Oosterom-Strackee
-    triangle formula (IEEE TBME 30:125, 1983): for the chord p -> q, with
-    num = p_x q_y - p_y q_x and d = 1 + p.q, the north fan adds
-    2 atan2(num, d + p_z + q_z) and the south fan -2 atan2(num, d - p_z -
-    q_z). The north fan falls short of the area by 4 pi when the south
-    pole lies in the left region, and the south fan when the north pole
-    does, so A+ = fan_N + 4 pi [south in left] = fan_S + 4 pi [north in
-    left], with the sides from classify_poles (which needs a closed,
-    simple curve); the clamp keeps both apexes at least eps from the
-    curve. Two fans that disagree beyond 1e-9 mean a wrong pole side and
-    raise WindingInconsistent. A+ is cached on the curve.
-    """
-    key = "solid_angle_area"
-    if key not in curve._cache:
-        north_in, south_in = _pole_sides(curve)
-        p = curve.g.T.copy()          # rows x, y, z
-        q = np.roll(p, -1, axis=1)    # chord k runs from p[:, k] to q[:, k]
-        num = p[0] * q[1] - p[1] * q[0]
-        d = 1.0 + p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-        z = p[2] + q[2]
-        from_north = 2.0 * float(np.sum(np.arctan2(num, d + z))) + 4.0 * pi * south_in
-        from_south = -2.0 * float(np.sum(np.arctan2(num, d - z))) + 4.0 * pi * north_in
-        spread = abs(from_north - from_south)
-        if not spread <= 1e-9:
-            raise WindingInconsistent(
-                f"solid-angle fans from the two poles disagree by {spread:.3e} "
-                f"(tolerance 1.0e-09)", value=spread, tol=1e-9)
-        curve._cache[key] = from_north
-    a_plus = curve._cache[key]
-    return a_plus, 4.0 * pi - a_plus

@@ -155,17 +155,6 @@ class RegularizedCurve:
     def __len__(self):
         return self.t.size
 
-    def _cusp_sample_indices(self) -> frozenset:
-        out = self._cache.get("cusp_samples")
-        if out is None:
-            idx = set()
-            for j in self.junctions:
-                if abs(j.alpha) > CUSP_ANGLE_TOL:
-                    idx.update((j.in_index, j.out_index))
-            out = frozenset(idx)
-            self._cache["cusp_samples"] = out
-        return out
-
 
 def _tangent_components(piece: Piece, t):
     """Unnormalized tangent in the (e1, e2) basis at time(s) t."""

@@ -276,6 +276,30 @@ def test_disagreement_exits_3_after_printing_the_report(tmp_path, capsys):
     assert "MethodDisagreement" in err
 
 
+def test_a_nan_route_fails_reconciliation_and_exits_3(capsys, monkeypatch):
+    # NaN compares False both ways, so the checks are written to fail on it
+    monkeypatch.setattr(geophase.phases, "geometric_phase_area",
+                        lambda path, eps: float("nan"))
+    code, out, err = run(capsys, "compute", "--example", "ii",
+                         "--methods", "line,area,curvature", "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert math.isnan(doc["delta_g"]["area"]["value"])
+    assert [(r["first"], r["second"]) for r in doc["discrepancies"]
+            if not r["ok"]] == [("line", "area"), ("area", "curvature")]
+    assert "MethodDisagreement: line vs area differ by nan" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radii_whose_ratio_overflows_exit_2(capsys):
+    code, out, err = run(capsys, "compute", "--example", "ii",
+                         "--radii", "1e308,1e-308", "--methods", "line,oracle",
+                         "--format", "json")
+    assert code == 2
+    assert "ValueError" in err and "ratio a/b" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_trace_equator_samples(capsys):
     code, out, _ = run(capsys, "trace", "--example", "ii", "--samples", "8")
     assert code == 0
@@ -384,9 +408,13 @@ def test_nan_beta0_exits_2(capsys):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,error", [
     (("--lat", "nan"), "LatitudeOutOfRange"),
     (("--lat", "45", "--days", "nan"), "NonMonotoneTime"),
+    # a drift past the float range, in radians and, at 1e306, in degrees
+    (("--lat", "45", "--days", "1e308", "--format", "json"), "ValueError"),
+    (("--lat", "45", "--days", "1e306", "--format", "json"), "ValueError"),
 ])
 def test_foucault_rejects_non_finite_flags(capsys, argv, error):
     code, out, err = run(capsys, "foucault", *argv)

@@ -113,6 +113,20 @@ def test_track_validation_rejects_nan():
                    lat=np.zeros(2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t_days,lat", [
+    ([0.0, 1e308], math.radians(45.0)),
+    ([0.0, 1.6e307, 3.2e307], PI / 2.0),  # finite legs, infinite sum
+    ([-1e308, 1e308], 0.0),               # the time step overflows
+])
+def test_drift_past_the_float_range_raises_without_a_warning(t_days, lat):
+    n = len(t_days)
+    track = RouteTrack(t_days=np.array(t_days), lon=np.zeros(n),
+                       lat=np.full(n, lat))
+    with pytest.raises(ValueError, match="overflows the float range"):
+        route_foucault(track)
+
+
 def test_ingest_parses_comments_blanks_and_unwraps_longitude():
     text = ("# voyage log\n"
             "t_days,lon_deg,lat_deg\n"

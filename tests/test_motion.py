@@ -21,6 +21,7 @@ PI = math.pi
 TWO_PI = 2.0 * PI
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_radii_must_be_positive():
     with pytest.raises(ValueError):
         Radii(0.0, 1.0)
@@ -28,6 +29,11 @@ def test_radii_must_be_positive():
         Radii(1.0, -2.0)
     with pytest.raises(ValueError):
         Radii(1.0, float("nan"))
+    # each radius finite, their ratio not
+    with pytest.raises(ValueError, match="ratio a/b overflows"):
+        Radii(1e308, 1e-308)
+    with pytest.raises(ValueError, match="ratio a/b overflows"):
+        Radii(np.float64(1e200), np.float64(1e-200))
 
 
 def test_segments_must_tile_unit_interval():

@@ -15,8 +15,7 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       monopole_holonomy,
                       reverse_path, total_rotation)
 from geophase import gauge, phases, regions
-from geophase.errors import (CurveNotClosed, MethodDisagreement,
-                             WindingInconsistent)
+from geophase.errors import CurveNotClosed, MethodDisagreement
 from geophase.sphere import cached_regularize
 from conftest import (COIN_RADII, FROZEN, TABLE_RADII, affine_lap,
                       backtracking_sampled_path, closed_motions,
@@ -205,7 +204,7 @@ def test_area_route_without_extrapolation_shows_the_clamp_bias():
     eps = DEFAULT_EPSILON
     path = gallery("i")
     curve = cached_regularize(path, eps)
-    i_plus, _, _ = classify_poles(curve)
+    i_plus, _ = classify_poles(curve)
     at_eps = regions.region_areas(curve)[0] - TWO_PI * i_plus
     assert at_eps == pytest.approx(TWO_PI * math.cos(eps), abs=2e-6)
     assert phases.eps_limit(path, at_eps, eps) == geometric_phase_area(path)
@@ -233,20 +232,6 @@ def test_area_route_reads_no_curvature_or_junction_angle(name, monkeypatch):
     assert geometric_phase_area(path) == pytest.approx(
         line, abs=Tolerances().analytic)
     assert abs(geometric_phase_curvature(path) - curvature) > 1.0
-
-
-def test_swapped_pole_sides_trip_the_two_fan_check():
-    # vi has one pole on each side, so the swap moves each fan by 4 pi
-    path = gallery("vi")
-    curve = cached_regularize(path, DEFAULT_EPSILON)
-    classify_poles(curve)
-    north_in, south_in = curve._cache["pole_sides"]
-    curve._cache["pole_sides"] = (south_in, north_in)
-    with pytest.raises(WindingInconsistent,
-                       match=r"disagree by \d\.\d{3}e[+-]\d\d ") as info:
-        geometric_phase_area(path)
-    assert info.value.value == pytest.approx(8.0 * PI, abs=1e-9)
-    assert info.value.tol == 1e-9
 
 
 def test_closed_curve_required():

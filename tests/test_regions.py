@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +11,12 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
                       ScalarPath, classify_poles, curvature_integral,
                       extrapolated_region_report, is_simple, regularize,
                       region_areas, turning_angle_sum)
-from geophase import regions, total_rotation
+from geophase import regions
 from geophase.regions import SIMPLE_TOL
 from geophase.sphere import MAX_SAMPLE_STEP, RegularizedCurve
-from geophase.errors import (CurveNotClosed, CurveNotSimple, DegenerateArc,
-                             WindingInconsistent)
-from conftest import (COIN_RADII, TABLE_RADII, backtracking_sampled_path,
-                      closed_motions, gallery, gauss_bonnet_area)
+from geophase.errors import CurveNotClosed, CurveNotSimple, WindingInconsistent
+from conftest import (COIN_RADII, TABLE_RADII, closed_motions, gallery,
+                      gauss_bonnet_area)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -52,7 +50,7 @@ def test_self_crossing_curve_detected():
 
 def test_pole_counts_on_gallery():
     for name, (ip, im) in EXPECTED_COUNTS.items():
-        got_p, got_m, _ = classify_poles(regularize(gallery(name)))
+        got_p, got_m = classify_poles(regularize(gallery(name)))
         assert (got_p, got_m) == (ip, im), name
         assert got_p + got_m == 2
 
@@ -60,48 +58,45 @@ def test_pole_counts_on_gallery():
 def test_pole_counts_stable_under_smaller_clamp():
     for name in EXPECTED_COUNTS:
         path = gallery(name)
-        full = classify_poles(regularize(path, EPS))[:2]
-        half = classify_poles(regularize(path, EPS / 2.0))[:2]
+        full = classify_poles(regularize(path, EPS))
+        half = classify_poles(regularize(path, EPS / 2.0))
         assert full == half, name
 
 
-def test_pole_split_against_winding_carries_no_number(monkeypatch):
-    # both poles on one side, while vi winds once about the axis
-    monkeypatch.setattr(regions, "_pole_in_left_region",
-                        lambda curve, seed, pole: True)
-    with pytest.raises(WindingInconsistent, match="pole split True/True") as info:
-        classify_poles(regularize(gallery("vi")))
+def test_pole_split_against_winding_carries_no_number():
+    # vi winds once clockwise, with the south pole on its left; a theta end
+    # moved by a lap makes the winding 0 while the fans are unchanged
+    curve = regularize(gallery("vi"))
+    curve.theta[-1] += TWO_PI
+    with pytest.raises(WindingInconsistent,
+                       match="pole split False/True vs azimuthal winding 0") as info:
+        classify_poles(curve)
     assert info.value.value is None
     assert info.value.tol is None
 
 
-def left_seed_reference(curve):
-    """The left-seed rule applied to the left normals at every sample."""
-    nu = np.cross(curve.g, curve.tangents())
-    g = curve.g
-    boundary = curve._cusp_sample_indices()
-    n = len(curve)
-    candidates = [int(k) for k in np.linspace(0, n - 1, min(n, 64)).astype(int)
-                  if int(k) not in boundary]
-    candidates.sort(key=lambda k: -abs(np.sin(curve.beta_eps[k])))
-    for delta in (1e-3, 3e-4, 1e-4):
-        for k in candidates:
-            seed = g[k] + delta * nu[k]
-            seed /= np.linalg.norm(seed)
-            dist = np.linalg.norm(g - seed, axis=1)
-            near = int(np.argmin(dist))
-            if dist[near] >= 0.6 * delta and abs(curve.s[near] - curve.s[k]) <= 4.0 * delta:
-                return seed
-    return None
-
-
 @pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
-def test_left_seed_matches_the_all_samples_reference(radii):
-    for name in EXPECTED_COUNTS:
-        curve = regularize(gallery(name, radii))
-        expected = left_seed_reference(curve)
-        assert expected is not None, name
-        assert np.array_equal(regions._left_seed(curve), expected), name
+def test_fan_sign_sides_match_the_frozen_counts(radii):
+    # a negative north fan puts the south pole on the left, a negative
+    # south fan the north pole
+    for eps in (PI / 16.0, PI / 32.0):
+        for name, counts in EXPECTED_COUNTS.items():
+            curve = regularize(gallery(name, radii), eps)
+            assert classify_poles(curve) == counts, (name, eps)
+            north_in, south_in = regions._pole_sides(curve)
+            assert int(north_in) + int(south_in) == counts[0]
+
+
+def test_non_simple_polygon_trips_the_two_fan_check():
+    # the spiral crosses itself once; with is_simple's verdict overridden
+    # the two fans' areas land 4 pi apart
+    curve = regularize(double_lap_spiral())
+    curve._cache[("simple", SIMPLE_TOL)] = True
+    with pytest.raises(WindingInconsistent,
+                       match=r"disagree by \d\.\d{3}e[+-]\d\d ") as info:
+        classify_poles(curve)
+    assert info.value.value == pytest.approx(4.0 * PI, abs=1e-9)
+    assert info.value.tol == 1e-9
 
 
 def test_open_curve_rejected():
@@ -162,90 +157,9 @@ def test_curvature_integral_on_latitudes():
 def test_region_report_shape():
     report = extrapolated_region_report(gallery("vi"))
     assert [f.name for f in fields(report)] == [
-        "I_plus", "I_minus", "A_plus", "A_minus", "seed_point"]
-    assert report.seed_point.shape == (3,)
+        "I_plus", "I_minus", "A_plus", "A_minus"]
     assert (report.I_plus, report.I_minus) == (1, 1)
     assert report.A_plus + report.A_minus == pytest.approx(4.0 * PI, abs=1e-12)
-
-
-def test_degenerate_classification_raises_degenerate_arc(monkeypatch):
-    monkeypatch.setattr(regions, "_arc_crossings", lambda curve, a, b: None)
-    with pytest.raises(DegenerateArc):
-        classify_poles(regularize(gallery("ii")))
-    result = total_rotation(gallery("ii"), methods=("line", "area"))
-    assert isinstance(result.errors["area"], DegenerateArc)
-    assert set(result.delta_g_by_method) == {"line"}
-
-
-def _per_arc_crossings(curve, a, b):
-    """Reference for regions._arc_crossings: the same count taken arc by
-    arc, so no pair of samples across a junction is ever compared."""
-    n = np.cross(a, b)
-    nn = np.linalg.norm(n)
-    if nn < 1e-9:
-        return None
-    n = n / nn
-    s = curve.g @ n
-    if np.min(np.abs(s)) < 1e-10:
-        return None
-    count = 0
-    for i0, i1 in curve.arcs:
-        si = s[i0:i1]
-        flips = np.nonzero(si[:-1] * si[1:] < 0.0)[0]
-        if flips.size == 0:
-            continue
-        p = curve.g[i0 + flips]
-        q = curve.g[i0 + flips + 1]
-        w = (si[flips] / (si[flips] - si[flips + 1]))[:, None]
-        c = p + (q - p) * w
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
-        u = np.cross(a, c) @ n
-        v = np.cross(c, b) @ n
-        if np.any(np.minimum(np.abs(u), np.abs(v)) < 1e-12):
-            return None
-        count += int(np.count_nonzero((u > 0.0) & (v > 0.0)))
-    return count
-
-
-def test_crossings_in_one_pass_match_the_per_arc_count():
-    curves = [regularize(gallery(name, radii))
-              for radii in (COIN_RADII, TABLE_RADII)
-              for name in EXPECTED_COUNTS]
-    curves.append(regularize(backtracking_sampled_path()))
-    assert any(len(curve.arcs) > 1 for curve in curves)
-    rng = np.random.default_rng(20261018)
-    poles = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    counted = 0
-    for curve in curves:
-        seeds = list(rng.normal(size=(3, 3)))
-        if curve.closed:
-            seeds.append(regions._left_seed(curve))
-        targets = poles + [pole + 1e-3 * d for pole in poles for d in regions._RETRY_DIRS]
-        targets += list(rng.normal(size=(8, 3)))
-        for a in seeds:
-            a = a / np.linalg.norm(a)
-            for raw in targets:
-                b = raw / np.linalg.norm(raw)
-                count = regions._arc_crossings(curve, a, b)
-                assert count == _per_arc_crossings(curve, a, b)
-                counted += bool(count)
-    assert counted > 100
-
-
-def test_no_crossing_is_counted_across_a_junction():
-    # the two copies of a junction sample sit 3e-10 either side of the
-    # great circle through a and b (continuity allows jumps up to JUMP_TOL);
-    # neither arc crosses it
-    z = [0.5, 0.2, 3e-10, -3e-10, -0.2, -0.5]
-    g = np.array([[1.0, 0.0, h] for h in z])
-    curve = SimpleNamespace(g=g / np.linalg.norm(g, axis=1, keepdims=True),
-                            arcs=((0, 3), (3, 6)))
-    a, b = np.array([1.0, -0.3, 0.0]), np.array([1.0, 0.3, 0.0])
-    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    assert _per_arc_crossings(curve, a, b) == 0
-    assert regions._arc_crossings(curve, a, b) == 0
-    curve.arcs = ((0, 6),)   # one arc: now the curve does cross
-    assert regions._arc_crossings(curve, a, b) == 1
 
 
 def _touching_pairs(curve, tol=SIMPLE_TOL):
