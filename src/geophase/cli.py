@@ -166,9 +166,21 @@ def run_compute(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_null(x):
+    """x with every non-finite float replaced by None: JSON has no NaN."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _finite_or_null(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(value) for value in x]
+    return x
+
+
 def _emit_report(doc, fmt: str):
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(_finite_or_null(doc), sort_keys=True, indent=2,
+                         allow_nan=False))
         return
     if fmt == "csv":
         lines = ["quantity,method,value,error"]

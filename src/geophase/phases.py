@@ -65,9 +65,10 @@ class PhaseResult:
     delta_g_by_method maps each route that succeeded to its value, errors
     maps each route that failed to its GeophaseError. discrepancies has one
     row per pair of succeeded routes, a dict with first, second, difference,
-    tolerance and ok; max_discrepancy is the largest difference, None when
-    only the line route succeeded. region is None when neither area nor
-    curvature succeeded or the region report could not be built.
+    tolerance and ok; max_discrepancy is the largest difference, NaN when
+    any difference is NaN and None when only the line route succeeded.
+    region is None when neither area nor curvature succeeded or the region
+    report could not be built.
     """
 
     delta_d: float
@@ -337,7 +338,8 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     result = PhaseResult(
         delta_d=delta_d, delta_g_by_method=values,
         delta_total=delta_d + values["line"],
-        max_discrepancy=max((r["difference"] for r in rows), default=None),
+        max_discrepancy=max((r["difference"] for r in rows),
+                            key=lambda d: (isnan(d), d), default=None),
         region=region, n=report.n,
         warnings=tuple(_describe(r) for r in rows if not r["ok"]),
         errors=errors, discrepancies=tuple(rows))

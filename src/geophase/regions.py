@@ -38,18 +38,6 @@ class RegionReport:
 # segment geometry helpers
 
 
-def _curve_segments(curve: RegularizedCurve):
-    """Chord segments (P, Q) per smooth arc, with sequential position ids."""
-    starts, ends = [], []
-    for i0, i1 in curve.arcs:
-        if i1 - i0 >= 2:
-            starts.append(curve.g[i0:i1 - 1])
-            ends.append(curve.g[i0 + 1:i1])
-    if not starts:
-        return np.empty((0, 3)), np.empty((0, 3))
-    return np.vstack(starts), np.vstack(ends)
-
-
 def _segment_pair_distance(p1, q1, p2, q2):
     """Minimum distance between 3D segment batches [p1,q1] and [p2,q2]."""
     d1 = q1 - p1
@@ -72,8 +60,12 @@ def _segment_pair_distance(p1, q1, p2, q2):
 def _overlap(lo, hi, a, b):
     """Whether boxes a and b overlap, for component-major bounds lo, hi of
     shape (3, n); a and b are index arrays or slices of equal length."""
-    return np.logical_and.reduce([(lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
-                                  for lo_k, hi_k in zip(lo, hi)])
+    out = lo[0][a] <= hi[0][b]
+    out &= lo[0][b] <= hi[0][a]
+    for lo_k, hi_k in zip(lo[1:], hi[1:]):
+        out &= lo_k[a] <= hi_k[b]
+        out &= lo_k[b] <= hi_k[a]
+    return out
 
 
 def _box_pairs(lo, hi):
@@ -143,22 +135,35 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     key = ("simple", tol)
     if key in curve._cache:
         return curve._cache[key]
-    P, Q = _curve_segments(curve)
-    m = P.shape[0]
+    # chords run between consecutive samples of one arc, numbered along the
+    # arcs; the step from one arc's last sample to the next arc's first is
+    # no chord
+    w = curve.g.T                 # rows x, y, z
+    lo = np.minimum(w[:, :-1], w[:, 1:])
+    hi = np.maximum(w[:, :-1], w[:, 1:])
+    if len(curve.arcs) > 1:
+        chord = np.ones(lo.shape[1], dtype=bool)
+        chord[[i1 - 1 for _, i1 in curve.arcs[:-1]]] = False
+        lo, hi = lo.compress(chord, axis=1), hi.compress(chord, axis=1)
+    lo -= tol
+    hi += tol
+    m = lo.shape[1]
     simple = True
     if m >= 3:
-        # component-major (3, m): each comparison runs over contiguous rows
-        lo = np.ascontiguousarray(np.minimum(P, Q).T) - tol
-        hi = np.ascontiguousarray(np.maximum(P, Q).T) + tol
         i, j = [], []
         for d in range(2, min(2 * _RUN, m)):
             near = np.flatnonzero(_overlap(lo, hi, slice(None, -d), slice(d, None)))
             i.append(near)
             j.append(near + d)
-        starts = np.arange(0, m, _RUN)
-        if starts.size >= 3:
-            a, b = _box_pairs(np.minimum.reduceat(lo, starts, axis=1).T,
-                              np.maximum.reduceat(hi, starts, axis=1).T)
+        if m > 2 * _RUN:     # three runs or more
+            # run boxes, from _RUN strided passes (ufunc.reduceat is
+            # several times slower on runs this short)
+            run_lo, run_hi = lo[:, ::_RUN].copy(), hi[:, ::_RUN].copy()
+            for r in range(1, _RUN):
+                k = lo[:, r::_RUN].shape[1]
+                np.minimum(run_lo[:, :k], lo[:, r::_RUN], out=run_lo[:, :k])
+                np.maximum(run_hi[:, :k], hi[:, r::_RUN], out=run_hi[:, :k])
+            a, b = _box_pairs(run_lo.T, run_hi.T)
             keep = b - a >= 2
             a, b = a[keep], b[keep]
             u, v = np.divmod(np.arange(_RUN * _RUN), _RUN)
@@ -174,7 +179,12 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
             keep = j - i != m - 1
             i, j = i[keep], j[keep]
         if i.size:
-            d = _segment_pair_distance(P[i], Q[i], P[j], Q[j])
+            # chord c of arc k starts at sample c + k
+            first = np.array([i0 for i0, _ in curve.arcs]) - np.arange(len(curve.arcs))
+            i = i + np.searchsorted(first, i, side="right") - 1
+            j = j + np.searchsorted(first, j, side="right") - 1
+            g = curve.g
+            d = _segment_pair_distance(g[i], g[i + 1], g[j], g[j + 1])
             simple = bool(np.all(d >= tol))
     curve._cache[key] = simple
     return simple
@@ -211,7 +221,7 @@ def classify_poles(curve: RegularizedCurve):
         raise CurveNotClosed("pole classification needs a closed curve")
     if not is_simple(curve):
         raise CurveNotSimple("pole classification needs a simple curve")
-    p = curve.g.T.copy()          # rows x, y, z
+    p = curve.g.T                 # rows x, y, z
     r2 = p[0] * p[0] + p[1] * p[1]
     for pole_z in (1.0, -1.0):
         clearance = float(np.sqrt(np.min(r2 + (p[2] - pole_z) ** 2)))

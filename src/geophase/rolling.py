@@ -110,7 +110,9 @@ class OracleTrace:
     history as (len(t), 3, 3) rotation matrices, built on access. steps
     counts the rate evaluations, two per interval, and noslip_residuals
     holds, per interval, the larger of the constraint residuals at its two
-    Gauss nodes.
+    Gauss nodes. The constraints are solved in units of the rolling radius
+    b, so the contact-velocity part of a residual is a velocity divided by
+    b (the normal's part is a rate either way).
     """
 
     steps: int
@@ -218,7 +220,10 @@ def _normal_solve(rows, rhs):
 
     The 3x3 normal equations N w = A^T rhs are solved by cofactors. The
     row set {e2, -e1, b g, 0} keeps N = A^T A uniformly well conditioned
-    (eigenvalues 1, 1, b^2), even at stationary instants.
+    (eigenvalues 1, 1, b^2), even at stationary instants. simulate_rolling
+    passes the radii in units of the rolling radius (a / b and 1), on
+    which the rates depend alone, so N is the identity up to rounding and
+    holds no b^2 to overflow.
     """
     n00, n11, n22, n01, n02, n12 = (
         sum(row[p] * row[q] for row in rows)
@@ -321,7 +326,7 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
         p = at[sl]
         omega[:, sl], residual[sl] = _normal_solve(*_constraint_rows(
             th0[p] + dth[p] * since[sl], b0[p] + db[p] * since[sl],
-            dth[p], db[p], radii.a, radii.b)[:2])
+            dth[p], db[p], radii.a / radii.b, 1.0)[:2])
     noslip = np.maximum(residual[:n], residual[n:])
     q = _compose(_magnus_steps(omega[:, :n], omega[:, n:], hk))
     # orthonormality drift of every orientation: max |R^T R - I| of the

@@ -122,10 +122,14 @@ class RegularizedCurve:
     """Densely sampled pole-avoiding curve of the Gauss vector.
 
     Treat instances as immutable. Arrays are aligned: sample k has time t[k],
-    arc length s[k], position g[k], unwrapped tangent angle phi[k] and
-    geodesic curvature kappa_g[k]. ``arcs`` lists half-open index ranges of
-    maximal smooth sub-arcs; shared junction points appear once per adjacent
-    arc so phi stays continuous within each arc.
+    arc length s[k], position g[k], tangent angle phi[k] and geodesic
+    curvature kappa_g[k]. g has shape (n, 3) and is the transposed view of
+    a (3, n) buffer of component rows, so g.T[0], g.T[1], g.T[2] are
+    contiguous. phi is continuous within each smooth arc: it is unwrapped
+    only in the arcs where the raw tangent angle jumps by pi or more.
+    ``arcs`` lists half-open index ranges of maximal smooth sub-arcs;
+    shared junction points appear once per adjacent arc so phi stays
+    continuous within each arc.
     """
 
     epsilon: float
@@ -154,12 +158,6 @@ class RegularizedCurve:
 
     def __len__(self):
         return self.t.size
-
-
-def _tangent_components(piece: Piece, t):
-    """Unnormalized tangent in the (e1, e2) basis at time(s) t."""
-    _, b = piece.at(t)
-    return np.sin(b) * piece.dth, np.full_like(np.asarray(t, dtype=float) * 1.0, piece.db)
 
 
 def _junction_angle(p_in: Piece, p_out: Piece) -> float:
@@ -193,54 +191,43 @@ def _piece_samples(piece: Piece):
     return np.linspace(piece.t0, piece.t1, 2 * half + 1)
 
 
-def _arc_geometry(t_arr, theta_arr, beta_arr, u_arr, v_arr, periodic: bool):
-    """Arc length (Richardson-corrected chords), phi, kappa for one smooth arc."""
-    ct, st = np.cos(theta_arr), np.sin(theta_arr)
-    cb, sb = np.cos(beta_arr), np.sin(beta_arr)
-    g = np.stack([sb * ct, sb * st, -cb], axis=-1)
-    g /= np.linalg.norm(g, axis=1, keepdims=True)   # re-projection to the sphere
+def _row_dot(u, v):
+    """Dot products of vectors given per component, as rows."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    chords = np.linalg.norm(np.diff(g, axis=0), axis=1)
-    ds = chords.copy()
-    if chords.size >= 2 and chords.size % 2 == 0:
-        c1, c2 = chords[0::2], chords[1::2]
-        coarse = np.linalg.norm(g[2::2] - g[:-2:2], axis=1)
-        pair = c1 + c2 + (c1 + c2 - coarse) / 3.0
-        total = c1 + c2
-        scale = np.where(total > 0.0, pair / np.where(total > 0.0, total, 1.0), 1.0)
-        ds[0::2] = c1 * scale
-        ds[1::2] = c2 * scale
-    s = np.concatenate([[0.0], np.cumsum(ds)])
 
-    phi = np.unwrap(np.arctan2(v_arr, u_arr))
+def _sample_rows(moving, times, arcs):
+    """t, theta, beta, g (3, n), phi and the left normal nu (3, n) at the
+    sample times of the moving pieces, one piece after another."""
+    piece = np.repeat(np.arange(len(moving)), [tp.size for tp in times])
+    t0, _, th0, dth, b0, db = np.array(moving).T
+    t = np.concatenate(times)
+    since = t - t0[piece]
+    theta = th0[piece] + dth[piece] * since
+    beta = b0[piece] + db[piece] * since
+    ct, st = np.cos(theta), np.sin(theta)
+    cb, sb = np.cos(beta), np.sin(beta)
+    g = np.empty((3, t.size))
+    np.multiply(sb, ct, out=g[0])
+    np.multiply(sb, st, out=g[1])
+    np.negative(cb, out=g[2])
+    g /= np.sqrt(_row_dot(g, g))   # re-projection to the sphere
 
-    # geodesic curvature: second differences of g in s, dotted with the left
-    # normal nu = -sin(phi) e1 + cos(phi) e2, written out per component
+    # the tangent angle in the (e1, e2) frame, unwrapped within each arc;
+    # np.unwrap changes nothing in an arc without a step of pi or more
+    phi = np.arctan2(db[piece], sb * dth[piece])
+    jumps = np.abs(np.diff(phi)) >= pi
+    for i0, i1 in arcs:
+        if jumps[i0:i1 - 1].any():
+            phi[i0:i1] = np.unwrap(phi[i0:i1])
+
+    # nu = -sin(phi) e1 + cos(phi) e2, written out per component
     sp, cp = np.sin(phi), np.cos(phi)
-    nu = np.stack([sp * st + cp * (cb * ct), cp * (cb * st) - sp * ct, cp * sb],
-                  axis=-1)
-    n = g.shape[0]
-    kappa = np.empty(n)
-    if periodic and n >= 3:
-        gp = np.vstack([g[-2], g, g[1]])
-        sp = np.concatenate([[s[0] - ds[-1]], s, [s[-1] + ds[0]]])
-        h1 = np.diff(sp)[:-1]
-        h2 = np.diff(sp)[1:]
-        gpp = 2.0 * ((gp[2:] - gp[1:-1]) / h2[:, None]
-                     - (gp[1:-1] - gp[:-2]) / h1[:, None]) / (h1 + h2)[:, None]
-        kappa[:] = np.einsum("ij,ij->i", gpp, nu)
-    elif n >= 3:
-        h1 = np.diff(s)[:-1]
-        h2 = np.diff(s)[1:]
-        gpp = 2.0 * ((g[2:] - g[1:-1]) / h2[:, None]
-                     - (g[1:-1] - g[:-2]) / h1[:, None]) / (h1 + h2)[:, None]
-        kappa[1:-1] = np.einsum("ij,ij->i", gpp, nu[1:-1])
-        # ends: the 3-point parabola estimate dotted with the end normal
-        kappa[0] = float(gpp[0] @ nu[0])
-        kappa[-1] = float(gpp[-1] @ nu[-1])
-    else:
-        kappa[:] = 0.0
-    return g, s, phi, kappa
+    nu = np.empty((3, t.size))
+    nu[0] = sp * st + cp * (cb * ct)
+    nu[1] = cp * (cb * st) - sp * ct
+    nu[2] = cp * sb
+    return t, theta, beta, g, phi, nu
 
 
 def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
@@ -251,8 +238,14 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     at least 16 samples, and adjacent samples subtend at most
     MAX_SAMPLE_STEP = 1e-3 radians, less near the clamp circles where
     curvature is large. Arc length comes from chord sums with pairwise
-    Richardson correction; phi is unwrapped per smooth arc; kappa_g uses
-    symmetric second differences in s.
+    Richardson correction; phi is unwrapped only in the smooth arcs where it
+    jumps by pi or more between samples; kappa_g uses symmetric second
+    differences in s.
+
+    Every per-sample quantity is computed in one pass over the whole curve
+    on component rows: g is built in a (3, n) buffer and stored as its
+    (n, 3) transposed view. Per arc only the running sums of arc length
+    and the unwrap of phi remain.
 
     Parameters
     ----------
@@ -266,7 +259,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     if not moving:
         # the whole motion is stationary after clamping: a one-point curve
         p = all_pieces[0]
-        g = gauss_vector(p.th0, p.b0)[None, :]
+        g = gauss_vector(p.th0, p.b0).reshape(3, 1).T
         return RegularizedCurve(
             epsilon=eps, t=np.array([p.t0]), s=np.array([0.0]),
             theta=np.array([p.th0]), beta_eps=np.array([p.b0]), g=g,
@@ -287,32 +280,78 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             groups.append([piece])
         else:
             groups[-1].append(piece)
-    single_smooth_loop = closed and len(groups) == 1 and (
+    periodic = closed and len(groups) == 1 and (
         wrap_alpha is not None and abs(wrap_alpha) <= CUSP_ANGLE_TOL)
 
-    arc_columns = []   # per arc: t, theta, beta, g, s, phi, kappa
+    # sample times; within an arc the junction sample is shared, and every
+    # piece adds an even number of chords, so each arc has an even number
+    times = []
     arcs = []
-    s_off = 0.0
     first_index, last_index = [], []   # per moving piece, global sample index
-    n_total = 0
+    n = 0
     for group in groups:
-        parts = []
-        i0 = n_total
+        i0 = n
         for k, piece in enumerate(group):
             tp = _piece_samples(piece)
             if k > 0:
-                tp = tp[1:]   # the junction sample is shared within the arc
-            first_index.append(n_total - 1 if k > 0 else n_total)
-            n_total += tp.size
-            last_index.append(n_total - 1)
-            parts.append((tp, *piece.at(tp), *_tangent_components(piece, tp)))
-        t_arr, th_arr, b_arr, u_arr, v_arr = (np.concatenate(c) for c in zip(*parts))
-        g_arr, s_arr, phi_arr, kap_arr = _arc_geometry(
-            t_arr, th_arr, b_arr, u_arr, v_arr, periodic=single_smooth_loop)
-        arcs.append((i0, n_total))
-        arc_columns.append((t_arr, th_arr, b_arr, g_arr, s_arr + s_off,
-                            phi_arr, kap_arr))
-        s_off += float(s_arr[-1])
+                tp = tp[1:]
+            first_index.append(n - 1 if k > 0 else n)
+            n += tp.size
+            last_index.append(n - 1)
+            times.append(tp)
+        arcs.append((i0, n))
+    t, theta, beta, G, phi, nu = _sample_rows(moving, times, arcs)
+
+    # chords, Richardson-corrected in pairs (2k, 2k + 1) counted from each
+    # arc's start; the step from one arc's end to the next arc's start is
+    # no chord and goes unused
+    step = np.diff(G)
+    ds = np.sqrt(_row_dot(step, step))
+    first = np.concatenate([np.arange(i0, i1 - 1, 2) for i0, i1 in arcs])
+    c1, c2 = ds[first], ds[first + 1]
+    coarse = G[:, first + 2] - G[:, first]
+    coarse = np.sqrt(_row_dot(coarse, coarse))
+    pair = c1 + c2 + (c1 + c2 - coarse) / 3.0
+    total = c1 + c2
+    scale = np.where(total > 0.0, pair / np.where(total > 0.0, total, 1.0), 1.0)
+    ds[first] = c1 * scale
+    ds[first + 1] = c2 * scale
+
+    # arc length from each arc's own start, and from the curve's start
+    local = np.empty(n)
+    s = np.empty(n)
+    s_off = 0.0
+    for i0, i1 in arcs:
+        local[i0] = 0.0
+        np.cumsum(ds[i0:i1 - 1], out=local[i0 + 1:i1])
+        np.add(local[i0:i1], s_off, out=s[i0:i1])
+        s_off += float(local[i1 - 1])
+
+    # geodesic curvature: second differences of g in s, dotted with the
+    # left normal; g'' at sample k is 2 (slope k - slope k-1) / (h k-1 + h k)
+    # with slope k = step k / h k
+    ends = np.array([i1 for _, i1 in arcs])
+    h = np.diff(local)
+    h[ends[:-1] - 1] = 1.0   # steps across arc boundaries: unused, safe to divide by
+    step /= h
+    gpp = step[:, 1:] - step[:, :-1]
+    gpp *= 2.0
+    gpp /= h[:-1] + h[1:]
+    kappa = np.empty(n)
+    kappa[1:-1] = _row_dot(gpp, nu[:, 1:-1])
+    if periodic:
+        # the neighbours of the two ends are across the closure
+        h_in, h_out = ds[-1], (local[-1] + ds[0]) - local[-1]
+        into = (G[:, 0] - G[:, -2]) / h_in
+        out_of = (G[:, 1] - G[:, -1]) / h_out
+        kappa[0] = _row_dot(2.0 * (step[:, 0] - into) / (h_in + h[0]), nu[:, 0])
+        kappa[-1] = _row_dot(2.0 * (out_of - step[:, -1]) / (h[-1] + h_out),
+                             nu[:, -1])
+    else:
+        # arc ends: the 3-point parabola estimate dotted with the end normal
+        starts = np.array([i0 for i0, _ in arcs])
+        kappa[starts] = _row_dot(gpp[:, starts], nu[:, starts])
+        kappa[ends - 1] = _row_dot(gpp[:, ends - 3], nu[:, ends - 1])
 
     junctions = [Junction(t=float(p_in.t1), alpha=alpha, in_index=last_index[k],
                           out_index=first_index[k + 1])
@@ -321,9 +360,8 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         junctions.append(Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha),
                                   in_index=last_index[-1], out_index=0))
 
-    t, theta, beta, g, s, phi, kappa = (np.concatenate(c) for c in zip(*arc_columns))
     return RegularizedCurve(
-        epsilon=eps, t=t, s=s, theta=theta, beta_eps=beta, g=g, phi=phi,
+        epsilon=eps, t=t, s=s, theta=theta, beta_eps=beta, g=G.T, phi=phi,
         kappa_g=kappa, arcs=tuple(arcs), junctions=tuple(junctions),
         total_length=float(s_off), closed=closed, pieces=tuple(all_pieces))
 

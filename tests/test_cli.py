@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import geophase
-from geophase import GeophaseError, build_path
+from geophase import GeophaseError, Tolerances, build_path
 from geophase.cli import main
 from geophase.data import load_report_schema
 
@@ -283,11 +283,31 @@ def test_a_nan_route_fails_reconciliation_and_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "compute", "--example", "ii",
                          "--methods", "line,area,curvature", "--format", "json")
     assert code == 3
-    doc = json.loads(out)
-    assert math.isnan(doc["delta_g"]["area"]["value"])
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["delta_g"]["area"]["value"] is None
+    assert doc["max_discrepancy"] is None
     assert [(r["first"], r["second"]) for r in doc["discrepancies"]
             if not r["ok"]] == [("line", "area"), ("area", "curvature")]
+    assert [r["difference"] for r in doc["discrepancies"]][::2] == [None, None]
+    jsonschema.validate(doc, load_report_schema())
     assert "MethodDisagreement: line vs area differ by nan" in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_at_huge_equal_radii_exits_0(capsys):
+    # the constraints are solved in units of the rolling radius, so no b^2
+    # overflows; the routes do not depend on the radius scale
+    code, out, err = run(capsys, "compute", "--example", "ii",
+                         "--radii", "1e200,1e200", "--methods", "line,oracle",
+                         "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    oracle = doc["delta_g"]["oracle"]["value"]
+    assert abs(oracle - doc["delta_g"]["line"]["value"]) <= Tolerances().oracle
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

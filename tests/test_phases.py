@@ -305,6 +305,16 @@ def test_disagreement_carries_the_finished_result():
     assert "baumkuchen vs area" in str(info.value)
 
 
+@pytest.mark.parametrize("nan_route", ["area", "curvature"])
+def test_max_discrepancy_is_nan_whatever_the_row_order(nan_route, monkeypatch):
+    # a NaN curvature's first row comes after the finite line-area row
+    monkeypatch.setattr(phases, f"geometric_phase_{nan_route}",
+                        lambda path, eps: float("nan"))
+    with pytest.raises(MethodDisagreement) as info:
+        total_rotation(gallery("ii"), methods=("line", "area", "curvature"))
+    assert math.isnan(info.value.result.max_discrepancy)
+
+
 def test_route_failures_are_recorded_not_raised():
     # two laps with a tilt tent cross themselves: the clamped-curve routes
     # refuse, the line and bounds routes still compare

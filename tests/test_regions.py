@@ -1,7 +1,7 @@
 """Left/right region analysis: simplicity, pole counts, areas."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -162,10 +162,22 @@ def test_region_report_shape():
     assert report.A_plus + report.A_minus == pytest.approx(4.0 * PI, abs=1e-12)
 
 
+def _curve_segments(curve):
+    """Chord segments (P, Q) per smooth arc, with sequential position ids."""
+    starts, ends = [], []
+    for i0, i1 in curve.arcs:
+        if i1 - i0 >= 2:
+            starts.append(curve.g[i0:i1 - 1])
+            ends.append(curve.g[i0 + 1:i1])
+    if not starts:
+        return np.empty((0, 3)), np.empty((0, 3))
+    return np.vstack(starts), np.vstack(ends)
+
+
 def _touching_pairs(curve, tol=SIMPLE_TOL):
     """Non-adjacent chord pairs that are not at least tol apart, by the
     exact distance of every pair."""
-    P, Q = regions._curve_segments(curve)
+    P, Q = _curve_segments(curve)
     m = P.shape[0]
     i, j = np.triu_indices(m, 2)
     if curve.closed:
@@ -344,3 +356,33 @@ def lap_spiral(beta0, separation):
                                                (0.0, False)])
 def test_two_lap_spiral_is_simple_only_above_tol(beta0, separation, simple):
     assert is_simple(regularize(lap_spiral(beta0, separation))) is simple
+
+
+def _relaid(curve, rows):
+    """The curve with a fresh cache and g laid out as (3, n) rows seen
+    through their transpose (rows=True) or as a C-ordered (n, 3) array."""
+    g = np.ascontiguousarray(curve.g.T).T if rows else np.ascontiguousarray(curve.g)
+    return replace(curve, g=g, _cache={})
+
+
+@pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
+def test_both_layouts_of_g_give_the_same_regions(radii):
+    # regularize stores g as the transposed view of a (3, n) buffer
+    for name in EXPECTED_COUNTS:
+        curve = regularize(gallery(name, radii))
+        assert curve.g.T.flags.c_contiguous
+        c_ordered = _relaid(curve, rows=False)
+        assert c_ordered.g.flags.c_contiguous
+        assert is_simple(c_ordered) and is_simple(curve)
+        assert classify_poles(c_ordered) == classify_poles(curve)
+        assert region_areas(c_ordered) == region_areas(curve)
+    spiral = regularize(double_lap_spiral())
+    assert not is_simple(_relaid(spiral, rows=False)) and not is_simple(spiral)
+
+
+@pytest.mark.parametrize("cross", [True, False])
+def test_hand_built_polylines_read_the_same_as_rows(cross):
+    for curve in (crossing_polyline(RUN, 3 * RUN, 4 * RUN, cross),
+                  crossing_polyline(0, 4, 7, cross), retrace_polyline()):
+        assert curve.g.flags.c_contiguous
+        assert is_simple(_relaid(curve, rows=True)) == is_simple(curve)

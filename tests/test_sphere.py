@@ -12,7 +12,8 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       regularize)
 from geophase import sphere
 from geophase.errors import CurveHasCusps, EpsilonOutOfRange
-from conftest import clamp_path, gallery
+from conftest import COIN_RADII, TABLE_RADII, clamp_path, gallery
+from test_acceptance import random_closed_motion
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -238,3 +239,149 @@ def test_absurd_sweeps_are_refused_before_sampling(slope, monkeypatch):
     path = MotionPath(theta, beta, Radii(1.0, 1.0))
     with pytest.raises(ValueError, match=r"piece \[0.0, 1.0\] needs .* samples"):
         regularize(path)
+
+
+def _arc_geometry_reference(t_arr, theta_arr, beta_arr, u_arr, v_arr, periodic):
+    """Arc length, phi and kappa_g of one smooth arc on (n, 3) arrays, as
+    regularize computed them arc by arc before its pass on component rows."""
+    ct, st = np.cos(theta_arr), np.sin(theta_arr)
+    cb, sb = np.cos(beta_arr), np.sin(beta_arr)
+    g = np.stack([sb * ct, sb * st, -cb], axis=-1)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+
+    chords = np.linalg.norm(np.diff(g, axis=0), axis=1)
+    ds = chords.copy()
+    if chords.size >= 2 and chords.size % 2 == 0:
+        c1, c2 = chords[0::2], chords[1::2]
+        coarse = np.linalg.norm(g[2::2] - g[:-2:2], axis=1)
+        pair = c1 + c2 + (c1 + c2 - coarse) / 3.0
+        total = c1 + c2
+        scale = np.where(total > 0.0, pair / np.where(total > 0.0, total, 1.0), 1.0)
+        ds[0::2] = c1 * scale
+        ds[1::2] = c2 * scale
+    s = np.concatenate([[0.0], np.cumsum(ds)])
+
+    phi = np.unwrap(np.arctan2(v_arr, u_arr))
+
+    sp, cp = np.sin(phi), np.cos(phi)
+    nu = np.stack([sp * st + cp * (cb * ct), cp * (cb * st) - sp * ct, cp * sb],
+                  axis=-1)
+    n = g.shape[0]
+    kappa = np.empty(n)
+    if periodic and n >= 3:
+        gp = np.vstack([g[-2], g, g[1]])
+        sp = np.concatenate([[s[0] - ds[-1]], s, [s[-1] + ds[0]]])
+        h1 = np.diff(sp)[:-1]
+        h2 = np.diff(sp)[1:]
+        gpp = 2.0 * ((gp[2:] - gp[1:-1]) / h2[:, None]
+                     - (gp[1:-1] - gp[:-2]) / h1[:, None]) / (h1 + h2)[:, None]
+        kappa[:] = np.einsum("ij,ij->i", gpp, nu)
+    elif n >= 3:
+        h1 = np.diff(s)[:-1]
+        h2 = np.diff(s)[1:]
+        gpp = 2.0 * ((g[2:] - g[1:-1]) / h2[:, None]
+                     - (g[1:-1] - g[:-2]) / h1[:, None]) / (h1 + h2)[:, None]
+        kappa[1:-1] = np.einsum("ij,ij->i", gpp, nu[1:-1])
+        kappa[0] = float(gpp[0] @ nu[0])
+        kappa[-1] = float(gpp[-1] @ nu[-1])
+    else:
+        kappa[:] = 0.0
+    return g, s, phi, kappa
+
+
+def regularize_reference(path, eps):
+    """The sampled curve built arc by arc and concatenated: a dict of the
+    RegularizedCurve fields that the whole-curve pass must reproduce."""
+    moving = [p for p in sphere.clamped_affine_pieces(path, eps) if p.moving]
+    alphas = [sphere._junction_angle(a, b) for a, b in zip(moving, moving[1:])]
+    g_first = gauss_vector(moving[0].th0, moving[0].b0)
+    g_last = gauss_vector(*moving[-1].at(moving[-1].t1))
+    closed = bool(np.linalg.norm(g_last - g_first) <= sphere.GEOM_CLOSE_TOL)
+    wrap_alpha = sphere._junction_angle(moving[-1], moving[0]) if closed else None
+    groups = [[moving[0]]]
+    for piece, alpha in zip(moving[1:], alphas):
+        if abs(alpha) > sphere.CUSP_ANGLE_TOL:
+            groups.append([piece])
+        else:
+            groups[-1].append(piece)
+    periodic = closed and len(groups) == 1 and abs(wrap_alpha) <= sphere.CUSP_ANGLE_TOL
+
+    columns, arcs, first_index, last_index = [], [], [], []
+    s_off, n_total = 0.0, 0
+    for group in groups:
+        parts = []
+        i0 = n_total
+        for k, piece in enumerate(group):
+            tp = sphere._piece_samples(piece)
+            if k > 0:
+                tp = tp[1:]
+            first_index.append(n_total - 1 if k > 0 else n_total)
+            n_total += tp.size
+            last_index.append(n_total - 1)
+            th, b = piece.at(tp)
+            parts.append((tp, th, b, np.sin(b) * piece.dth, np.full_like(tp, piece.db)))
+        t, th, b, u, v = (np.concatenate(c) for c in zip(*parts))
+        g, s, phi, kappa = _arc_geometry_reference(t, th, b, u, v, periodic)
+        arcs.append((i0, n_total))
+        columns.append((t, th, b, g, s + s_off, phi, kappa))
+        s_off += float(s[-1])
+    junctions = [sphere.Junction(t=float(p.t1), alpha=alpha, in_index=last_index[k],
+                                 out_index=first_index[k + 1])
+                 for k, (p, alpha) in enumerate(zip(moving, alphas))]
+    if closed:
+        junctions.append(sphere.Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha),
+                                         in_index=last_index[-1], out_index=0))
+    names = ("t", "theta", "beta_eps", "g", "s", "phi", "kappa_g")
+    ref = dict(zip(names, (np.concatenate(c) for c in zip(*columns))))
+    ref.update(arcs=tuple(arcs), junctions=tuple(junctions), closed=closed,
+               total_length=s_off)
+    return ref
+
+
+def phi_wrapping_arc():
+    """One smooth open arc with theta falling and the tilt slope turning
+    from +1e-12 to -1e-12 at the junction: phi crosses from just below pi to
+    just above -pi between the two pieces, so it has to be unwrapped."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, -1.0),
+                                      AffineSegment(0.5, 1.0, -0.5, -1.0)])
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 1.0, 1e-12),
+                                     AffineSegment(0.5, 1.0, 1.0 + 0.5e-12, -1e-12)])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+def reference_motions():
+    paths = [gallery(name, radii) for radii in (TABLE_RADII, COIN_RADII)
+             for name in ("i", "ii", "iii", "iv", "v", "vi")]
+    for seed in (20260823, 20261017):
+        rng = np.random.default_rng(seed)
+        paths += [random_closed_motion(rng) for _ in range(32)]
+    return paths + [phi_wrapping_arc()]
+
+
+def test_phi_wrapping_arc_is_unwrapped():
+    curve = regularize(phi_wrapping_arc())
+    assert len(curve.arcs) == 1
+    assert abs(curve.junctions[0].alpha) <= sphere.CUSP_ANGLE_TOL
+    assert curve.phi[0] == pytest.approx(PI, abs=1e-9)
+    assert curve.phi[-1] == pytest.approx(PI, abs=1e-9)
+    assert float(np.max(np.abs(np.diff(curve.phi)))) < 1e-9
+
+
+def test_regularize_matches_the_per_arc_reference():
+    # the arithmetic is unchanged except the order of the three-term dot
+    # product in kappa_g
+    for path in reference_motions():
+        for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
+            curve = regularize(path, eps)
+            ref = regularize_reference(path, eps)
+            for name in ("t", "theta", "beta_eps", "g", "s", "phi"):
+                np.testing.assert_array_equal(getattr(curve, name), ref[name],
+                                              err_msg=name)
+            np.testing.assert_allclose(curve.kappa_g, ref["kappa_g"],
+                                       rtol=0.0, atol=1e-15)
+            assert curve.arcs == ref["arcs"]
+            assert curve.junctions == ref["junctions"]
+            assert curve.closed == ref["closed"]
+            assert curve.total_length == ref["total_length"]
+            assert curve.g.shape == (len(curve), 3)
+            assert curve.g.T.flags.c_contiguous
