@@ -52,7 +52,7 @@ class UnknownExample(GeophaseError):
 # --- regularized curve ---
 
 class EpsilonOutOfRange(GeophaseError):
-    """Clamp parameter outside (0, pi/8)."""
+    """Clamp parameter outside [MIN_EPSILON, pi/8) = [1e-100, pi/8)."""
 
 
 class CurveHasCusps(GeophaseError):

@@ -285,7 +285,7 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     MethodDisagreement fires when any pair differs by more than ten times
     its tolerance, or by NaN; it names the worst such pair (a NaN one
     first) and carries the finished PhaseResult as ``exc.result``. An eps
-    outside (0, pi/8) raises EpsilonOutOfRange before any route runs.
+    outside [1e-100, pi/8) raises EpsilonOutOfRange before any route runs.
     """
     from .gauge import berry_holonomy, monopole_holonomy
     from .rolling import simulate_rolling

@@ -116,6 +116,23 @@ def _box_pairs(lo, hi):
     return i[keep], j[keep]
 
 
+def _chords_apart(curve: RegularizedCurve, m: int, i, j, tol: float) -> bool:
+    """Whether every chord pair (i, j), i < j, of the m chords lies at least
+    tol apart; the closure pair of a closed curve is exempt."""
+    if curve.closed:
+        keep = j - i != m - 1
+        i, j = i[keep], j[keep]
+    if not i.size:
+        return True
+    # chord c of arc k starts at sample c + k
+    first = np.array([i0 for i0, _ in curve.arcs]) - np.arange(len(curve.arcs))
+    i = i + np.searchsorted(first, i, side="right") - 1
+    j = j + np.searchsorted(first, j, side="right") - 1
+    g = curve.g
+    d = _segment_pair_distance(g[i], g[i + 1], g[j], g[j + 1])
+    return bool(np.all(d >= tol))
+
+
 def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     """True when the sampled curve never touches itself within tol.
 
@@ -124,13 +141,14 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     closure pair of a closed curve) are exempt. Candidate pairs are the
     chords whose tol-expanded bounding boxes overlap; only those get the
     exact segment distance. Near pairs, index offsets 2 to 2R - 1 with
-    R = _RUN, are compared offset by offset as whole arrays. Far pairs come
-    from runs of R consecutive chords: the run boxes go through a uniform
-    grid (see _box_pairs), and each overlapping run pair at least two runs
-    apart is expanded into its chord pairs. Two overlapping chord boxes lie
-    in overlapping run boxes, and chords 2R or more apart lie in runs at
-    least two apart, so no overlapping pair is missed. The answer is cached
-    on the curve per tol.
+    R = _RUN, are compared offset by offset as whole arrays, and measured
+    before any far pair is formed: a touch among them settles the answer.
+    Far pairs come from runs of R consecutive chords: the run boxes go
+    through a uniform grid (see _box_pairs), and each overlapping run pair
+    at least two runs apart is expanded into its chord pairs. Two
+    overlapping chord boxes lie in overlapping run boxes, and chords 2R or
+    more apart lie in runs at least two apart, so no overlapping pair is
+    missed. The answer is cached on the curve per tol.
     """
     key = ("simple", tol)
     if key in curve._cache:
@@ -155,7 +173,10 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
             near = np.flatnonzero(_overlap(lo, hi, slice(None, -d), slice(d, None)))
             i.append(near)
             j.append(near + d)
-        if m > 2 * _RUN:     # three runs or more
+        # near pairs first: a stretch of curve shorter than tol puts all its
+        # chords in each other's boxes, and its far pairs grow as its square
+        simple = _chords_apart(curve, m, np.concatenate(i), np.concatenate(j), tol)
+        if simple and m > 2 * _RUN:     # three runs or more
             # run boxes, from _RUN strided passes (ufunc.reduceat is
             # several times slower on runs this short)
             run_lo, run_hi = lo[:, ::_RUN].copy(), hi[:, ::_RUN].copy()
@@ -172,20 +193,7 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
             keep = fj < m
             fi, fj = fi[keep], fj[keep]
             keep = (fj - fi >= 2 * _RUN) & _overlap(lo, hi, fi, fj)
-            i.append(fi[keep])
-            j.append(fj[keep])
-        i, j = np.concatenate(i), np.concatenate(j)
-        if curve.closed:
-            keep = j - i != m - 1
-            i, j = i[keep], j[keep]
-        if i.size:
-            # chord c of arc k starts at sample c + k
-            first = np.array([i0 for i0, _ in curve.arcs]) - np.arange(len(curve.arcs))
-            i = i + np.searchsorted(first, i, side="right") - 1
-            j = j + np.searchsorted(first, j, side="right") - 1
-            g = curve.g
-            d = _segment_pair_distance(g[i], g[i + 1], g[j], g[j + 1])
-            simple = bool(np.all(d >= tol))
+            simple = _chords_apart(curve, m, fi[keep], fj[keep], tol)
     curve._cache[key] = simple
     return simple
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import pi
+from math import inf, nextafter, pi
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import CurveHasCusps, EpsilonOutOfRange
 from .motion import MotionPath, Piece
 
 DEFAULT_EPSILON = pi / 16.0
+MIN_EPSILON = 1e-100            # below ~1e-154 squared clamp-circle chords underflow
 MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
 MAX_PIECE_SAMPLES = 1_000_000   # about 160 laps at MAX_SAMPLE_STEP
@@ -67,8 +68,9 @@ def frame_vectors(theta, beta):
 
 
 def _check_epsilon(eps: float):
-    if not (0.0 < eps < pi / 8.0):
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, pi/8), got {eps!r}")
+    if not (MIN_EPSILON <= eps < pi / 8.0):
+        raise EpsilonOutOfRange(
+            f"epsilon must lie in [{MIN_EPSILON!r}, pi/8), got {eps!r}")
 
 
 def clamped_affine_pieces(path: MotionPath, eps: float) -> tuple:
@@ -92,7 +94,12 @@ def clamped_affine_pieces(path: MotionPath, eps: float) -> tuple:
             elif bmid >= hi:
                 bc, dbc = hi, 0.0
             else:
-                bc, dbc = b0 + db * (u0 - t0), db
+                # a crossing within 1e-14 of an end is not cut, so anchor
+                # both end tilts in [lo, hi]: clip the start, then step the
+                # slope by ulps until the end no longer rounds outside
+                bc, dbc = min(max(b0 + db * (u0 - t0), lo), hi), db
+                while not lo <= (end := bc + dbc * (u1 - u0)) <= hi:
+                    dbc = nextafter(dbc, inf if end < lo else -inf)
             pieces.append(Piece(u0, u1, th0 + dth * (u0 - t0), dth, bc, dbc))
     return tuple(pieces)
 
@@ -174,14 +181,24 @@ def _junction_angle(p_in: Piece, p_out: Piece) -> float:
 
 
 def _piece_samples(piece: Piece):
-    """Sample times for one piece; even step count, density tied to curvature."""
+    """Sample times for one piece, an even number of equal steps.
+
+    Adjacent samples subtend at most MAX_SAMPLE_STEP, or
+    _KAPPA_STEP * sin(beta_min) for a piece that turns in theta: that bound
+    keeps finite-difference kappa_g within _KAPPA_REL_TOL on a latitude
+    circle of radius sin(beta). A meridian piece (theta' = 0) is a great
+    circle, radius 1, where kappa_g vanishes at any step, so it gets
+    MAX_SAMPLE_STEP. Every piece gets at least _MIN_PIECE_SAMPLES steps.
+    """
     b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     sin_min = min(np.sin(b_lo), np.sin(b_hi))
     sin_max = 1.0 if b_lo <= pi / 2.0 <= b_hi else max(np.sin(b_lo), np.sin(b_hi))
     speed_max = float(np.hypot(sin_max * piece.dth, piece.db))
     extent = speed_max * (piece.t1 - piece.t0)
-    step = min(MAX_SAMPLE_STEP, _KAPPA_STEP * float(sin_min))
+    step = MAX_SAMPLE_STEP
+    if piece.dth != 0.0:
+        step = min(step, _KAPPA_STEP * float(sin_min))
     needed = extent / step   # inf, not an error, past the float range
     if not needed <= MAX_PIECE_SAMPLES:
         raise ValueError(
@@ -235,12 +252,14 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
 
     The tilt is clamped to [eps, pi-eps]; intervals where the clamped point
     does not move collapse to a single shared sample. Each smooth piece gets
-    at least 16 samples, and adjacent samples subtend at most
-    MAX_SAMPLE_STEP = 1e-3 radians, less near the clamp circles where
-    curvature is large. Arc length comes from chord sums with pairwise
-    Richardson correction; phi is unwrapped only in the smooth arcs where it
-    jumps by pi or more between samples; kappa_g uses symmetric second
-    differences in s.
+    at least 16 steps of equal time; adjacent samples subtend at most
+    MAX_SAMPLE_STEP = 1e-3 radians, or _KAPPA_STEP * sin(beta_min) on a
+    piece that turns in theta, where finite-difference kappa_g needs the
+    finer step near the clamp circles. Meridian pieces (theta' = 0) are
+    great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
+    sums with pairwise Richardson correction; phi is unwrapped only in the
+    smooth arcs where it jumps by pi or more between samples; kappa_g uses
+    symmetric second differences in s.
 
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
@@ -251,7 +270,8 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     ----------
     path : MotionPath
     eps : float
-        Clamp margin, in (0, pi/8).
+        Clamp margin, in [MIN_EPSILON, pi/8) = [1e-100, pi/8); below about
+        1e-154 the squared chords of the clamp circle underflow.
     """
     all_pieces = clamped_affine_pieces(path, eps)
     moving = [p for p in all_pieces if p.moving]

@@ -511,13 +511,33 @@ def test_a_fresh_interpreter_never_imports_scipy(code):
 
 
 @pytest.mark.parametrize("methods", ["line", "line,area"])
-@pytest.mark.parametrize("eps", ["0", "-1", "nan", repr(PI / 8.0), "0.5"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", repr(PI / 8.0), "0.5",
+                                 "1e-200", "1e-300"])
 def test_epsilon_outside_the_clamp_range_exits_2(capsys, eps, methods):
     code, out, err = run(capsys, "compute", "--example", "vi",
                          "--epsilon", eps, "--methods", methods)
     assert code == 2
     assert "EpsilonOutOfRange" in err
     assert "Traceback" not in err and out == ""
+
+
+# the raw tilt of v and vi meets a tiny eps within 1e-14 of a piece end;
+# the clamped curve still keeps off the poles, and every route either
+# returns a value or records its GeophaseError
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", ["1e-20", "1e-100"])
+@pytest.mark.parametrize("name", ["v", "vi"])
+def test_tiny_epsilon_on_the_meridian_motions_exits_0(capsys, name, eps):
+    code, out, err = run(capsys, "compute", "--example", name, "--epsilon", eps,
+                         "--methods", "line,area,curvature,monopole,berry",
+                         "--format", "json")
+    assert code == 0, err
+    assert "Traceback" not in err
+    report = json.loads(out)
+    jsonschema.validate(report, load_report_schema())
+    assert report["input"]["epsilon"] == float(eps)
+    assert set(report["delta_g"]) == {"line", "area", "curvature", "monopole",
+                                      "berry"}
 
 
 @pytest.mark.parametrize("steps", ["-5", "0"])

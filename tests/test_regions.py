@@ -324,6 +324,23 @@ def test_retrace_touches_at_near_offsets_only():
     assert not is_simple(curve) and not _all_pairs_simple(curve)
 
 
+@pytest.mark.parametrize("name", ["i", "iii", "vi"])
+def test_a_curve_shorter_than_tol_measures_only_near_pairs(name, monkeypatch):
+    # at eps = 1e-20 the clamp circle, thousands of chords, lies within
+    # 1e-19 of the pole: its far pairs would number tens of millions
+    measured = []
+    distance = regions._segment_pair_distance
+
+    def counted(p1, q1, p2, q2):
+        measured.append(len(p1))
+        return distance(p1, q1, p2, q2)
+
+    monkeypatch.setattr(regions, "_segment_pair_distance", counted)
+    curve = regularize(gallery(name), 1e-20)
+    assert not is_simple(curve)
+    assert len(measured) == 1 and measured[0] <= 2 * RUN * len(curve)
+
+
 @pytest.mark.parametrize("i,j,m", [
     (RUN - 1, 3 * RUN - 1, 4 * RUN),      # runs 0 and 2, both run ends
     (RUN, 3 * RUN, 4 * RUN),              # runs 1 and 3, both run starts

@@ -385,3 +385,79 @@ def test_regularize_matches_the_per_arc_reference():
             assert curve.total_length == ref["total_length"]
             assert curve.g.shape == (len(curve), 3)
             assert curve.g.T.flags.c_contiguous
+
+
+def _sample_times(piece, curvature_step):
+    """Sample times of one piece, an even number of equal steps, each at
+    most MAX_SAMPLE_STEP and, with curvature_step, at most
+    _KAPPA_STEP * sin(beta_min): the rule every piece had before meridian
+    pieces kept the plain step."""
+    b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
+    b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
+    sin_min = min(np.sin(b_lo), np.sin(b_hi))
+    sin_max = 1.0 if b_lo <= PI / 2.0 <= b_hi else max(np.sin(b_lo), np.sin(b_hi))
+    extent = float(np.hypot(sin_max * piece.dth, piece.db)) * (piece.t1 - piece.t0)
+    step = sphere.MAX_SAMPLE_STEP
+    if curvature_step:
+        step = min(step, sphere._KAPPA_STEP * float(sin_min))
+    half = max(2, int(np.ceil(0.5 * extent / step)),
+               (sphere._MIN_PIECE_SAMPLES + 1) // 2)
+    return np.linspace(piece.t0, piece.t1, 2 * half + 1)
+
+
+def test_only_meridian_pieces_leave_the_curvature_step():
+    meridians = 0
+    for path in reference_motions():
+        for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
+            for piece in sphere.clamped_affine_pieces(path, eps):
+                if piece.moving:
+                    meridians += piece.dth == 0.0
+                    np.testing.assert_array_equal(
+                        sphere._piece_samples(piece),
+                        _sample_times(piece, curvature_step=piece.dth != 0.0))
+    assert meridians == 16   # two on v and two on vi, both radii, both eps
+    assert len(regularize(gallery("v"))) == 5762
+    assert len(regularize(gallery("vi"))) == 8630
+
+
+def test_kappa_g_matches_the_closed_form_of_each_piece():
+    # on an affine piece kappa_g = -theta' cos(b) (2 b'^2 + theta'^2 sin^2 b)
+    # / (b'^2 + theta'^2 sin^2 b)^(3/2); its finite-difference estimate at
+    # the interior samples of a piece is held within 2e-7 relative, and on
+    # meridians (great circles) it is zero to rounding
+    for path in reference_motions():
+        for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
+            curve = regularize(path, eps)
+            for piece in curve.pieces:
+                if not piece.moving:
+                    continue
+                inside = (curve.t > piece.t0) & (curve.t < piece.t1)
+                kappa = curve.kappa_g[inside]
+                assert kappa.size >= sphere._MIN_PIECE_SAMPLES - 1
+                if piece.dth == 0.0:
+                    assert float(np.max(np.abs(kappa))) <= 1e-20
+                    continue
+                b = curve.beta_eps[inside]
+                turn = (piece.dth * np.sin(b)) ** 2
+                exact = (-piece.dth * np.cos(b) * (2.0 * piece.db ** 2 + turn)
+                         / (piece.db ** 2 + turn) ** 1.5)
+                assert np.all(np.abs(kappa - exact)
+                              <= 2e-7 * np.maximum(1.0, np.abs(exact)))
+
+
+@pytest.mark.parametrize("eps", [1e-20, 1e-100, DEFAULT_EPSILON])
+def test_clamped_pieces_end_inside_the_clamp_range(eps):
+    # the raw tilt of v and vi crosses a tiny eps within 1e-14 of a piece
+    # end, where no cut is made; both end tilts still lie in [eps, pi - eps]
+    for radii in (TABLE_RADII, COIN_RADII):
+        for name in ("i", "ii", "iii", "iv", "v", "vi"):
+            for piece in sphere.clamped_affine_pieces(gallery(name, radii), eps):
+                for beta in piece.at([piece.t0, piece.t1])[1]:
+                    assert eps <= beta <= PI - eps, (name, piece)
+
+
+def test_epsilon_below_the_floor_is_refused():
+    regularize(gallery("i"), eps=sphere.MIN_EPSILON)
+    for eps in (1e-101, 1e-200, 5e-324):
+        with pytest.raises(EpsilonOutOfRange):
+            regularize(gallery("i"), eps=eps)
