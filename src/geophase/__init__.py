@@ -7,37 +7,64 @@ both, with the geometric part cross-checked by several independent
 routes: a line integral, sandwiching arc-length bounds, oriented spherical
 area, geodesic curvature and turning angles, monopole potentials, state
 transport in a two-level system, and a rigid-body simulation.
+
+The names below load from their submodules on first use (PEP 562), so
+``import geophase`` and the line route need no numpy.
 """
 
-from .errors import (BetaOutOfRange, ClosureMismatch, CurveHasCusps,
-                     CurveNotClosed, CurveNotSimple, DiscontinuousPath,
-                     DriftExceeded, EmptyTrack, EpsilonOutOfRange,
-                     GapOrOverlap, GaugeInconsistency, GeophaseError,
-                     LatitudeOutOfRange, MethodDisagreement, NonMonotoneTime,
-                     OnSingularAxis, ParseError, PoleOnCurve,
-                     QuadratureFailure, SweepTooLarge, ThetaNonzeroAtStart,
-                     UnknownExample, WindingInconsistent)
-from .motion import (GALLERY_NAMES, AffineSegment, ConstantSegment,
-                     MotionPath, Radii, SampledSegment, ScalarPath,
-                     TopologyReport, build_path, concatenate_paths,
-                     example_gallery, reverse_path, topology_report)
-from .sphere import (DEFAULT_EPSILON, Cusp, RegularizedCurve, detect_cusps,
-                     frame_vectors, gauss_vector, offset_length,
-                     offset_length_derivative, regularize)
-from .regions import (RegionReport, classify_poles, curvature_integral,
-                      is_simple, region_areas, turning_angle_sum)
-from .phases import (BaumkuchenBounds, PhaseResult, Tolerances,
-                     dynamical_phase, extrapolated_region_report,
-                     geometric_phase_area, geometric_phase_baumkuchen,
-                     geometric_phase_curvature, geometric_phase_line,
-                     total_rotation)
-from .gauge import (MINUS_PATCH, PLUS_PATCH, GaugePatch, berry_holonomy,
-                    curl_check, monopole_holonomy, monopole_potential,
-                    patch_circulation)
-from .rolling import OracleTrace, simulate_rolling
-from .foucault import (FoucaultResult, RouteTrack, foucault_from_motion,
-                       ingest_track, route_foucault, to_earth_coords)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "errors": (
+        "BetaOutOfRange", "ClosureMismatch", "CurveHasCusps", "CurveNotClosed",
+        "CurveNotSimple", "DiscontinuousPath", "DriftExceeded", "EmptyTrack",
+        "EpsilonOutOfRange", "GapOrOverlap", "GaugeInconsistency",
+        "GeophaseError", "LatitudeOutOfRange", "MethodDisagreement",
+        "NonMonotoneTime", "OnSingularAxis", "ParseError", "PoleOnCurve",
+        "QuadratureFailure", "SweepTooLarge", "ThetaNonzeroAtStart",
+        "UnknownExample", "WindingInconsistent"),
+    "motion": (
+        "DEFAULT_EPSILON", "GALLERY_NAMES", "AffineSegment", "ConstantSegment",
+        "MotionPath", "Radii", "SampledSegment", "ScalarPath", "TopologyReport",
+        "build_path", "concatenate_paths", "example_gallery", "reverse_path",
+        "topology_report"),
+    "sphere": (
+        "Cusp", "RegularizedCurve", "detect_cusps", "frame_vectors",
+        "gauss_vector", "offset_length", "offset_length_derivative",
+        "regularize"),
+    "regions": (
+        "RegionReport", "classify_poles", "curvature_integral", "is_simple",
+        "region_areas", "turning_angle_sum"),
+    "phases": (
+        "BaumkuchenBounds", "PhaseResult", "Tolerances", "dynamical_phase",
+        "extrapolated_region_report", "geometric_phase_area",
+        "geometric_phase_baumkuchen", "geometric_phase_curvature",
+        "geometric_phase_line", "total_rotation"),
+    "gauge": (
+        "MINUS_PATCH", "PLUS_PATCH", "GaugePatch", "berry_holonomy",
+        "curl_check", "monopole_holonomy", "monopole_potential",
+        "patch_circulation"),
+    "rolling": ("OracleTrace", "simulate_rolling"),
+    "foucault": (
+        "FoucaultResult", "RouteTrack", "foucault_from_motion", "ingest_track",
+        "route_foucault", "to_earth_coords"),
+}
+# exported name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    # not cached here: a name rebound in its home module reads through
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,14 +22,10 @@ import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .errors import GeophaseError, MethodDisagreement
-from .motion import (GALLERY_NAMES, MotionPath, Radii, build_path,
-                     example_gallery, topology_report)
-from .phases import METHOD_NAMES, Tolerances, total_rotation
-from .rolling import DEFAULT_STEPS
-from .sphere import DEFAULT_EPSILON, regularize
+from .motion import (DEFAULT_EPSILON, GALLERY_NAMES, MotionPath, Radii,
+                     build_path, example_gallery, topology_report)
+from .phases import DEFAULT_STEPS, METHOD_NAMES, Tolerances, total_rotation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -227,6 +223,10 @@ def _emit_report(doc, fmt: str):
 
 
 def run_trace(args) -> int:
+    import numpy as np
+
+    from .sphere import regularize
+
     try:
         if args.samples is not None and args.samples < 0:
             raise ValueError(f"--samples must not be negative, got {args.samples}")
@@ -258,6 +258,8 @@ def run_trace(args) -> int:
 
 
 def run_foucault(args) -> int:
+    import numpy as np
+
     from .foucault import RouteTrack, ingest_track, route_foucault
 
     if (args.track is None) == (args.lat is None):

@@ -55,7 +55,8 @@ MINUS_PATCH = GaugePatch(-1)
 def monopole_potential(patch: GaugePatch, x) -> np.ndarray:
     """Unit-charge monopole potential of one gauge patch at points x.
 
-    A_sign(x) = sign (-y, x, 0) / (r (r + sign z)); both patches have curl
+    A_sign(x) = sign (-y, x, 0) / (r (r + sign z)), with r + sign z taken
+    as (x^2 + y^2)/(r - sign z) where sign z < 0; both patches have curl
     e3/r^2, and their difference is twice the azimuth gradient, which is
     what quantizes the holonomy difference to 4 pi n. Finite everywhere
     except the patch's excluded ray. x has shape (..., 3) and so has the
@@ -71,7 +72,9 @@ def monopole_potential(patch: GaugePatch, x) -> np.ndarray:
     if worst <= AXIS_CLEARANCE:
         raise OnSingularAxis(
             f"point within {worst:.2e} rad of the {patch.excluded_axis}")
-    denom = r * (r + patch.sign * x2)
+    z = patch.sign * x2
+    # where z < 0, r + z would cancel and r + |z| = r - z
+    denom = r * np.where(z < 0.0, (x0 * x0 + x1 * x1) / (r + np.abs(z)), r + z)
     return (patch.sign * np.stack([-x1, x0, np.zeros_like(x0)], axis=-1)
             / denom[..., None])
 

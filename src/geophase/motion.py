@@ -7,7 +7,9 @@ sampled-with-linear-interpolation; ScalarPath.from_segments lowers each one
 to affine pieces on arrival, so the pieces are the only motion format past
 construction, and every derived integral is piecewise elementary: downstream
 code consumes the exact decomposition returned by
-:meth:`MotionPath.affine_pieces`.
+:meth:`MotionPath.affine_pieces`. The pole clamp of those pieces
+(clamped_affine_pieces) is plain arithmetic on them and lives here too, so
+the line route and its inputs need no numpy.
 
 Conventions enforced at construction:
 
@@ -22,26 +24,31 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite, nan, pi
+from math import inf, isfinite, isnan, nan, nextafter, pi, ulp
 from numbers import Real
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     BetaOutOfRange,
     DiscontinuousPath,
+    EpsilonOutOfRange,
     GapOrOverlap,
     SweepTooLarge,
     ThetaNonzeroAtStart,
     UnknownExample,
 )
 
+if TYPE_CHECKING:   # numpy loads only where sampled segments are built
+    import numpy as np
+
 TILE_TOL = 1e-12      # segment interval bookkeeping
 JUMP_TOL = 1e-9       # continuity across breakpoints
 CLOSURE_TOL = 1e-9    # default closure tolerance
 
 TWO_PI = 2.0 * pi
+
+DEFAULT_EPSILON = pi / 16.0
+MIN_EPSILON = 1e-100            # below ~1e-154 squared clamp-circle chords underflow
 
 
 @dataclass(frozen=True)
@@ -52,11 +59,11 @@ class Radii:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and np.isfinite(self.a)):
+        if not (self.a > 0.0 and isfinite(self.a)):
             raise ValueError(f"fixed-disc radius must be positive, got {self.a}")
-        if not (self.b > 0.0 and np.isfinite(self.b)):
+        if not (self.b > 0.0 and isfinite(self.b)):
             raise ValueError(f"rolling-disc radius must be positive, got {self.b}")
-        if not np.isfinite(float(self.a) / float(self.b)):
+        if not isfinite(float(self.a) / float(self.b)):
             raise ValueError(f"radius ratio a/b overflows the float range "
                              f"for a={self.a}, b={self.b}")
 
@@ -90,6 +97,8 @@ class SampledSegment:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         knots = np.asarray(self.knots, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
@@ -170,21 +179,6 @@ class ScalarPath:
         k = min(max(bisect_right(self.knots, t) - 1, 0), len(self.rates) - 1)
         return self.starts[k] + self.rates[k] * (t - self.knots[k]), self.rates[k]
 
-    # -- vectorized evaluation (right-limit convention, left at t=1) --------
-
-    def _piece_index(self, ts: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.knots, ts, side="right") - 1,
-                       0, len(self.rates) - 1)
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        k = self._piece_index(ts)
-        return (np.asarray(self.starts)[k]
-                + np.asarray(self.rates)[k] * (ts - np.asarray(self.knots)[k]))
-
-    def slopes(self, ts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.rates)[self._piece_index(np.asarray(ts, dtype=float))]
-
     def start_value(self) -> float:
         return self.starts[0]
 
@@ -211,8 +205,7 @@ class Piece(NamedTuple):
         return self.dth != 0.0 or self.db != 0.0
 
     def at(self, t):
-        """(theta, beta) at time(s) t inside the piece."""
-        t = np.asarray(t, dtype=float)
+        """(theta, beta) at time t inside the piece; t may be a float array."""
         return self.th0 + self.dth * (t - self.t0), self.b0 + self.db * (t - self.t0)
 
 
@@ -242,10 +235,12 @@ class MotionPath:
                 raise BetaOutOfRange(
                     f"beta reaches [{lo:.6g}, {hi:.6g}] on [{t0:.6g}, {t1:.6g}], "
                     f"allowed range is [0, pi]")
-        # the largest |theta| sits at a piece's start or end; NaN propagates
-        peak = float(np.max(np.abs(self.theta.starts + self.theta.ends)))
-        spacing = float(np.spacing(peak))
-        if not spacing <= CLOSURE_TOL:   # NaN for an infinite peak
+        # the largest |theta| sits at a piece's start or end; a NaN ranks
+        # above every number, and its spacing (like inf's) fails the check
+        peak = max(map(abs, self.theta.starts + self.theta.ends),
+                   key=lambda v: (isnan(v), v))
+        spacing = ulp(peak)
+        if not spacing <= CLOSURE_TOL:
             raise SweepTooLarge(
                 f"theta reaches {peak:.6g} rad; float spacing there is "
                 f"{spacing:.3g}, above the closure tolerance {CLOSURE_TOL:g}")
@@ -296,6 +291,47 @@ def topology_report(path: MotionPath, tol: float = CLOSURE_TOL) -> TopologyRepor
 
 
 # ---------------------------------------------------------------------------
+# clamping the tilt away from the poles
+
+
+def _check_epsilon(eps: float):
+    if not (MIN_EPSILON <= eps < pi / 8.0):
+        raise EpsilonOutOfRange(
+            f"epsilon must lie in [{MIN_EPSILON!r}, pi/8), got {eps!r}")
+
+
+def clamped_affine_pieces(path: MotionPath, eps: float) -> tuple:
+    """Exact piecewise-affine form of the motion with tilt clamped to [eps, pi-eps]."""
+    _check_epsilon(eps)
+    lo, hi = eps, pi - eps
+    pieces = []
+    for (t0, t1, th0, dth, b0, db) in path.affine_pieces:
+        # split at the times the raw tilt crosses a clamp level
+        cuts = [t0, t1]
+        if db != 0.0:
+            for level in (lo, hi):
+                tc = t0 + (level - b0) / db
+                if t0 + 1e-14 < tc < t1 - 1e-14:
+                    cuts.append(tc)
+        cuts.sort()
+        for u0, u1 in zip(cuts, cuts[1:]):
+            bmid = b0 + db * (0.5 * (u0 + u1) - t0)
+            if bmid <= lo:
+                bc, dbc = lo, 0.0
+            elif bmid >= hi:
+                bc, dbc = hi, 0.0
+            else:
+                # a crossing within 1e-14 of an end is not cut, so anchor
+                # both end tilts in [lo, hi]: clip the start, then step the
+                # slope by ulps until the end no longer rounds outside
+                bc, dbc = min(max(b0 + db * (u0 - t0), lo), hi), db
+                while not lo <= (end := bc + dbc * (u1 - u0)) <= hi:
+                    dbc = nextafter(dbc, inf if end < lo else -inf)
+            pieces.append(Piece(u0, u1, th0 + dth * (u0 - t0), dth, bc, dbc))
+    return tuple(pieces)
+
+
+# ---------------------------------------------------------------------------
 # construction from a structured description
 
 
@@ -311,6 +347,8 @@ def _finite(value, what: str) -> float:
 
 
 def _finite_list(values, what: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(values, (list, tuple, np.ndarray)):
         raise ValueError(f"{what} must be a list of finite numbers")
     return np.array([_finite(v, f"{what}[{i}]") for i, v in enumerate(values)])

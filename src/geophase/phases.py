@@ -29,15 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, isnan, pi, sin
+from typing import TYPE_CHECKING
 
 from .errors import CurveNotClosed, GeophaseError, MethodDisagreement
-from .motion import TWO_PI, MotionPath, topology_report
-from .sphere import (DEFAULT_EPSILON, _check_epsilon, cached_regularize,
-                     clamped_affine_pieces)
-from .regions import (RegionReport, classify_poles, curvature_integral,
-                      region_areas, turning_angle_sum)
-from .rolling import DEFAULT_STEPS
+from .motion import (DEFAULT_EPSILON, TWO_PI, MotionPath, _check_epsilon,
+                     clamped_affine_pieces, topology_report)
 
+if TYPE_CHECKING:
+    from .regions import RegionReport
+
+DEFAULT_STEPS = 4000   # oracle rate evaluations, two per Magnus interval
 METHOD_NAMES = ("line", "baumkuchen", "area", "curvature",
                 "monopole", "berry", "oracle")
 
@@ -103,7 +104,9 @@ def geometric_phase_line(path: MotionPath) -> float:
 
 def _line_sum(pieces) -> float:
     """The exact line integral over (t0, t1, th0, dth, b0, db) pieces with
-    theta and beta affine on each: raw or clamped Pieces."""
+    theta and beta affine on each: raw or clamped Pieces. The difference
+    sin(b1) - sin(b0) is taken as 2 cos(b0 + h) sin(h), h = (b1 - b0)/2,
+    which keeps its precision when the tilt barely moves on a piece."""
     total = 0.0
     for (t0, t1, _th0, dth, b0, db) in pieces:
         if dth == 0.0:
@@ -111,8 +114,8 @@ def _line_sum(pieces) -> float:
         if db == 0.0:
             total += cos(b0) * dth * (t1 - t0)
         else:
-            b1 = b0 + db * (t1 - t0)
-            total += dth * (sin(b1) - sin(b0)) / db
+            h = 0.5 * db * (t1 - t0)
+            total += 2.0 * dth * cos(b0 + h) * sin(h) / db
     return total
 
 
@@ -224,6 +227,9 @@ def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON) -> floa
     (WindingInconsistent otherwise). The value is carried to the eps -> 0
     limit.
     """
+    from .regions import classify_poles, region_areas
+    from .sphere import cached_regularize
+
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, _ = classify_poles(curve)
@@ -238,6 +244,9 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) ->
     subtracting the geodesic-curvature integral and the cusp angles leaves
     the geometric phase.
     """
+    from .regions import classify_poles, curvature_integral, turning_angle_sum
+    from .sphere import cached_regularize
+
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, i_minus = classify_poles(curve)
@@ -249,6 +258,9 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) ->
 def extrapolated_region_report(path: MotionPath,
                                eps: float = DEFAULT_EPSILON) -> RegionReport:
     """RegionReport with areas carried to the eps -> 0 limit."""
+    from .regions import RegionReport, classify_poles, region_areas
+    from .sphere import cached_regularize
+
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, i_minus = classify_poles(curve)
@@ -287,9 +299,6 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     first) and carries the finished PhaseResult as ``exc.result``. An eps
     outside [1e-100, pi/8) raises EpsilonOutOfRange before any route runs.
     """
-    from .gauge import berry_holonomy, monopole_holonomy
-    from .rolling import simulate_rolling
-
     tol = tolerances or Tolerances()
     _check_epsilon(eps)
     methods = tuple(methods)
@@ -297,6 +306,11 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
         if name not in METHOD_NAMES:
             raise ValueError(f"unknown method {name!r}; "
                              f"choose from {', '.join(METHOD_NAMES)}")
+    # the numeric modules load only for the routes that need them
+    if "monopole" in methods or "berry" in methods:
+        from .gauge import berry_holonomy, monopole_holonomy
+    if "oracle" in methods:
+        from .rolling import simulate_rolling
     report = topology_report(path)
     delta_d = dynamical_phase(path)
     runners = {

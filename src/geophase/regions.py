@@ -211,7 +211,9 @@ def classify_poles(curve: RegularizedCurve):
     fanned from each pole by the Van Oosterom-Strackee triangle formula
     (IEEE TBME 30:125, 1983): for the chord p -> q, with num = p_x q_y -
     p_y q_x and d = 1 + p.q, the north fan is the sum of 2 atan2(num, d +
-    p_z + q_z) and the south fan the sum of -2 atan2(num, d - p_z - q_z).
+    p_z + q_z) and the south fan the sum of -2 atan2(num, d - p_z - q_z);
+    d +- (p_z + q_z) is formed as (1 +- p_z)(1 +- q_z) + p_x q_x + p_y q_y,
+    so it keeps its digits on chords close to the pole where it vanishes.
     With A+ in (0, 4 pi), A+ = fan_N + 4 pi [south in left] = fan_S + 4 pi
     [north in left], so a negative north fan puts the south pole in the
     left region and a negative south fan the north pole. The curve must be
@@ -237,10 +239,14 @@ def classify_poles(curve: RegularizedCurve):
             raise PoleOnCurve(f"curve passes within {clearance:.2e} of a pole")
     q = np.roll(p, -1, axis=1)    # chord k runs from p[:, k] to q[:, k]
     num = p[0] * q[1] - p[1] * q[0]
-    d = 1.0 + p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-    z = p[2] + q[2]
-    fan_north = 2.0 * float(np.sum(np.arctan2(num, d + z)))
-    fan_south = -2.0 * float(np.sum(np.arctan2(num, d - z)))
+    flat = p[0] * q[0] + p[1] * q[1]
+    # 1 + z and 1 - z; in the hemisphere where one would cancel it is
+    # r^2/(1 + |z|) instead
+    far = r2 / (1.0 + np.abs(p[2]))
+    up = np.where(p[2] < 0.0, far, 1.0 + p[2])
+    down = np.where(p[2] > 0.0, far, 1.0 - p[2])
+    fan_north = 2.0 * float(np.sum(np.arctan2(num, up * np.roll(up, -1) + flat)))
+    fan_south = -2.0 * float(np.sum(np.arctan2(num, down * np.roll(down, -1) + flat)))
     south_in, north_in = fan_north < 0.0, fan_south < 0.0
     from_north = fan_north + 4.0 * pi * south_in
     spread = abs(from_north - (fan_south + 4.0 * pi * north_in))

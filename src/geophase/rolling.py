@@ -44,9 +44,9 @@ import numpy as np
 
 from .errors import ClosureMismatch, DriftExceeded
 from .motion import TWO_PI, MotionPath, topology_report
+from .phases import DEFAULT_STEPS
 from .sphere import MAX_PIECE_SAMPLES, frame_vectors
 
-DEFAULT_STEPS = 4000   # oracle rate evaluations, two per Magnus interval
 DRIFT_TOL = 1e-6
 _MIN_STEPS_PER_SEGMENT = 10
 _CLOSURE_TOL = 1e-2

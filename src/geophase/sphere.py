@@ -20,15 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import inf, nextafter, pi
+from math import pi
 
 import numpy as np
 
-from .errors import CurveHasCusps, EpsilonOutOfRange
-from .motion import MotionPath, Piece
+from .errors import CurveHasCusps
+from .motion import (DEFAULT_EPSILON, MIN_EPSILON, MotionPath, Piece,
+                     clamped_affine_pieces)
 
-DEFAULT_EPSILON = pi / 16.0
-MIN_EPSILON = 1e-100            # below ~1e-154 squared clamp-circle chords underflow
 MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
 MAX_PIECE_SAMPLES = 1_000_000   # about 160 laps at MAX_SAMPLE_STEP
@@ -61,47 +60,6 @@ def frame_vectors(theta, beta):
     e2 = np.stack([cb * ct, cb * st, sb], axis=-1)
     e3 = np.stack([sb * ct, sb * st, -cb], axis=-1)
     return e1, e2, e3
-
-
-# ---------------------------------------------------------------------------
-# clamping the tilt away from the poles
-
-
-def _check_epsilon(eps: float):
-    if not (MIN_EPSILON <= eps < pi / 8.0):
-        raise EpsilonOutOfRange(
-            f"epsilon must lie in [{MIN_EPSILON!r}, pi/8), got {eps!r}")
-
-
-def clamped_affine_pieces(path: MotionPath, eps: float) -> tuple:
-    """Exact piecewise-affine form of the motion with tilt clamped to [eps, pi-eps]."""
-    _check_epsilon(eps)
-    lo, hi = eps, pi - eps
-    pieces = []
-    for (t0, t1, th0, dth, b0, db) in path.affine_pieces:
-        # split at the times the raw tilt crosses a clamp level
-        cuts = [t0, t1]
-        if db != 0.0:
-            for level in (lo, hi):
-                tc = t0 + (level - b0) / db
-                if t0 + 1e-14 < tc < t1 - 1e-14:
-                    cuts.append(tc)
-        cuts.sort()
-        for u0, u1 in zip(cuts, cuts[1:]):
-            bmid = b0 + db * (0.5 * (u0 + u1) - t0)
-            if bmid <= lo:
-                bc, dbc = lo, 0.0
-            elif bmid >= hi:
-                bc, dbc = hi, 0.0
-            else:
-                # a crossing within 1e-14 of an end is not cut, so anchor
-                # both end tilts in [lo, hi]: clip the start, then step the
-                # slope by ulps until the end no longer rounds outside
-                bc, dbc = min(max(b0 + db * (u0 - t0), lo), hi), db
-                while not lo <= (end := bc + dbc * (u1 - u0)) <= hi:
-                    dbc = nextafter(dbc, inf if end < lo else -inf)
-            pieces.append(Piece(u0, u1, th0 + dth * (u0 - t0), dth, bc, dbc))
-    return tuple(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,18 @@ def backtracking_sampled_path():
     return MotionPath(theta, beta, COIN_RADII)
 
 
+def schedule_at(schedule, ts):
+    """(values, slopes) of a ScalarPath at the times ts, an array of any
+    shape: ScalarPath._at over whole arrays (the piece that starts at or
+    before t, the last piece at t = 1)."""
+    ts = np.asarray(ts, dtype=float)
+    k = np.clip(np.searchsorted(schedule.knots, ts, side="right") - 1,
+                0, len(schedule.rates) - 1)
+    rates = np.asarray(schedule.rates)[k]
+    return (np.asarray(schedule.starts)[k]
+            + rates * (ts - np.asarray(schedule.knots)[k])), rates
+
+
 def clamp_path(path, eps):
     """The motion with its tilt clamped to [eps, pi - eps], rebuilt as a
     MotionPath from its clamped affine pieces."""

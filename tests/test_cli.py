@@ -510,6 +510,80 @@ def test_a_fresh_interpreter_never_imports_scipy(code):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_line_only_runs_never_import_numpy():
+    """import geophase, line-only compute in every format and examples load
+    no numpy; a run with all seven routes after them still succeeds."""
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import geophase",
+        "from geophase.cli import main",
+        "loaded = ['numpy' in sys.modules]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for fmt in ('json', 'text', 'csv'):",
+        "        assert main(['compute', '--example', 'vi', '--methods', 'line',",
+        "                     '--format', fmt]) == 0",
+        "        loaded.append('numpy' in sys.modules)",
+        "    assert main(['examples']) == 0",
+        "    loaded.append('numpy' in sys.modules)",
+        "    assert main(['compute', '--example', 'vi', '--methods',",
+        "                 ','.join(geophase.phases.METHOD_NAMES)]) == 0",
+        "print(loaded, 'numpy' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geophase.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, False] True"
+
+
+# the package's exported names, as they stood when every submodule loaded
+# on import
+EXPORTED = {
+    "AffineSegment", "BaumkuchenBounds", "BetaOutOfRange", "ClosureMismatch",
+    "ConstantSegment", "CurveHasCusps", "CurveNotClosed", "CurveNotSimple",
+    "Cusp", "DEFAULT_EPSILON", "DiscontinuousPath", "DriftExceeded",
+    "EmptyTrack", "EpsilonOutOfRange", "FoucaultResult", "GALLERY_NAMES",
+    "GapOrOverlap", "GaugeInconsistency", "GaugePatch", "GeophaseError",
+    "LatitudeOutOfRange", "MINUS_PATCH", "MethodDisagreement", "MotionPath",
+    "NonMonotoneTime", "OnSingularAxis", "OracleTrace", "PLUS_PATCH",
+    "ParseError", "PhaseResult", "PoleOnCurve", "QuadratureFailure", "Radii",
+    "RegionReport", "RegularizedCurve", "RouteTrack", "SampledSegment",
+    "ScalarPath", "SweepTooLarge", "ThetaNonzeroAtStart", "Tolerances",
+    "TopologyReport", "UnknownExample", "WindingInconsistent",
+    "berry_holonomy", "build_path", "classify_poles", "concatenate_paths",
+    "curl_check", "curvature_integral", "detect_cusps", "dynamical_phase",
+    "errors", "example_gallery", "extrapolated_region_report", "foucault",
+    "foucault_from_motion", "frame_vectors", "gauge", "gauss_vector",
+    "geometric_phase_area", "geometric_phase_baumkuchen",
+    "geometric_phase_curvature", "geometric_phase_line", "ingest_track",
+    "is_simple", "monopole_holonomy", "monopole_potential", "motion",
+    "offset_length", "offset_length_derivative", "patch_circulation",
+    "phases", "region_areas", "regions", "regularize", "reverse_path",
+    "rolling", "route_foucault", "simulate_rolling", "sphere",
+    "to_earth_coords", "topology_report", "total_rotation",
+    "turning_angle_sum",
+}
+SUBMODULES = {"errors", "motion", "sphere", "regions", "phases", "gauge",
+              "rolling", "foucault"}
+
+
+def test_lazy_exports_resolve_to_their_home_modules():
+    assert set(geophase.__all__) == EXPORTED
+    assert EXPORTED <= set(dir(geophase))
+    for name in sorted(EXPORTED):
+        value = getattr(geophase, name)
+        if name in SUBMODULES:
+            assert value is sys.modules[f"geophase.{name}"]
+            continue
+        home = sys.modules[f"geophase.{geophase._HOME[name]}"]
+        assert value is getattr(home, name), name
+        # a class or function is exported from the module that defines it
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        geophase.no_such_name
+
+
 @pytest.mark.parametrize("methods", ["line", "line,area"])
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", repr(PI / 8.0), "0.5",
                                  "1e-200", "1e-300"])

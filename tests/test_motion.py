@@ -57,9 +57,9 @@ def test_sampled_segment_interpolates_linearly():
     seg = SampledSegment(0.0, 1.0, knots=np.array([0.0, 0.25, 1.0]),
                          values=np.array([0.0, 1.0, 0.5]))
     path = ScalarPath.from_segments([seg])
-    assert path.values([0.125])[0] == pytest.approx(0.5)
-    assert path.slopes([0.1])[0] == pytest.approx(4.0)
-    assert path.slopes([0.5])[0] == pytest.approx(-1.0 / 1.5)
+    assert path._at(0.125)[0] == pytest.approx(0.5)
+    assert path._at(0.1)[1] == pytest.approx(4.0)
+    assert path._at(0.5)[1] == pytest.approx(-1.0 / 1.5)
     assert path.knots == (0.0, 0.25, 1.0)
 
 
@@ -90,6 +90,16 @@ def test_motion_path_refuses_an_unresolvable_theta_mid_lap():
         [SampledSegment(0.0, 1.0, [0.0, 0.5, 1.0], [0.0, 1e300, 0.0])])
     beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
     with pytest.raises(SweepTooLarge, match="reaches 1e\\+300"):
+        MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+@pytest.mark.parametrize("last", [math.nan, math.inf, -math.inf])
+def test_motion_path_refuses_a_non_finite_theta_after_finite_ones(last):
+    # built directly, so nothing checked the end values; a NaN listed after
+    # finite values must not drop out of the peak
+    theta = ScalarPath((0.0, 0.5, 1.0), (0.0, 1.0), (2.0, 0.0), (1.0, last))
+    beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
+    with pytest.raises(SweepTooLarge, match="spacing"):
         MotionPath(theta, beta, Radii(1.0, 1.0))
 
 
@@ -145,8 +155,8 @@ def test_build_path_round_trip():
     }
     path = build_path(desc)
     assert path.radii == Radii(2.0, 1.0)
-    assert path.theta.values([0.75])[0] == pytest.approx(1.5 * PI)
-    assert path.beta.values([0.75])[0] == pytest.approx(1.2)
+    assert path.theta._at(0.75)[0] == pytest.approx(1.5 * PI)
+    assert path.beta._at(0.75)[0] == pytest.approx(1.2)
     assert topology_report(path).closed
 
 

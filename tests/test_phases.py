@@ -14,12 +14,12 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       geometric_phase_curvature, geometric_phase_line,
                       monopole_holonomy,
                       reverse_path, total_rotation)
-from geophase import gauge, phases, regions
+from geophase import gauge, phases, regions, sphere
 from geophase.errors import CurveNotClosed, MethodDisagreement
 from geophase.sphere import cached_regularize
 from conftest import (COIN_RADII, FROZEN, TABLE_RADII, affine_lap,
                       backtracking_sampled_path, closed_motions,
-                      eps_extrapolate, gallery)
+                      eps_extrapolate, gallery, schedule_at)
 from test_acceptance import random_closed_motion
 
 PI = math.pi
@@ -98,12 +98,12 @@ def test_baumkuchen_brackets_and_converges():
 
 def merged_mesh_bounds(path, N):
     """(lower, mid, upper) on np.unique(uniform mesh + knots), read back
-    through ScalarPath.values: the definition the bounds route follows."""
+    through ScalarPath._at: the definition the bounds route follows."""
     mesh = np.unique(np.concatenate([np.linspace(0.0, 1.0, N + 1),
                                      np.asarray(path.knots)]))
-    dtheta = np.diff(path.theta.values(mesh))
-    b_left = path.beta.values(mesh[:-1])
-    b_right = path.beta.values(mesh[1:])
+    dtheta = np.diff(schedule_at(path.theta, mesh)[0])
+    beta = schedule_at(path.beta, mesh)[0]
+    b_left, b_right = beta[:-1], beta[1:]
     cos_hi = np.cos(np.minimum(b_left, b_right))
     cos_lo = np.cos(np.maximum(b_left, b_right))
     pos = dtheta >= 0.0
@@ -225,9 +225,9 @@ def test_area_route_reads_no_curvature_or_junction_angle(name, monkeypatch):
     path = gallery(name)
     line = geometric_phase_line(path)
     curvature = geometric_phase_curvature(path)
-    for module in (regions, phases):
-        monkeypatch.setattr(module, "curvature_integral", lambda curve: 1e3)
-        monkeypatch.setattr(module, "turning_angle_sum", lambda curve: -7.0)
+    # the routes import these from regions when they run
+    monkeypatch.setattr(regions, "curvature_integral", lambda curve: 1e3)
+    monkeypatch.setattr(regions, "turning_angle_sum", lambda curve: -7.0)
     cached_regularize(path, DEFAULT_EPSILON).kappa_g[:] = np.nan
     assert geometric_phase_area(path) == pytest.approx(
         line, abs=Tolerances().analytic)
@@ -359,7 +359,7 @@ def test_total_rotation_asks_for_eps_half_only_where_the_clamp_bites(
             return fn(path, eps)
         return wrapper
 
-    for module, attr in ((phases, "cached_regularize"),
+    for module, attr in ((sphere, "cached_regularize"),
                          (phases, "clamped_affine_pieces"),
                          (gauge, "clamped_affine_pieces")):
         monkeypatch.setattr(module, attr, spy(getattr(module, attr)))
@@ -428,6 +428,30 @@ def test_delta_g_does_not_depend_on_eps_on_the_gallery(name):
 def test_delta_g_does_not_depend_on_eps(path):
     for route, spread in _eps_spread(path).items():
         assert spread <= 1e-6, route
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4])
+@pytest.mark.parametrize("name", ["i", "v"])
+def test_clamped_routes_agree_with_line_at_small_eps(name, eps):
+    """With the clamped curve eps from a pole, the two pole fans still agree
+    and the far-side monopole potential keeps its digits."""
+    path = gallery(name)
+    line = geometric_phase_line(path)
+    for route_name, route in CLAMPED_ROUTES.items():
+        assert route(path, eps=eps) == pytest.approx(
+            line, abs=Tolerances().analytic), route_name
+
+
+def test_line_keeps_its_digits_on_a_nearly_flat_tilt_piece():
+    # the middle piece's tilt moves by one ulp; as a plain difference,
+    # sin(b1) - sin(b0) lost every digit there and line was off by 4e-2
+    b, end = 2.935425635697963, 3.043417883165112
+    knots = [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0, TWO_PI]
+    nearly = affine_lap(knots, [end, b, math.nextafter(b, 0.0), end])
+    flat = affine_lap(knots, [end, b, b, end])
+    assert nearly.beta.rates[1] != 0.0
+    assert geometric_phase_line(nearly) == pytest.approx(
+        geometric_phase_line(flat), abs=1e-12)
 
 
 @settings(max_examples=10, deadline=None)

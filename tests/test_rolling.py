@@ -13,7 +13,7 @@ from geophase import rolling
 from geophase.errors import ClosureMismatch, DriftExceeded
 from geophase.sphere import frame_vectors, gauss_vector
 from conftest import (COIN_RADII, TABLE_RADII, backtracking_sampled_path,
-                      closed_motions, gallery)
+                      closed_motions, gallery, schedule_at)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -22,9 +22,9 @@ TWO_PI = 2.0 * PI
 def solve_body_rates(path, t):
     """(omega, spin about g, no-slip residual) at one instant, from the
     constraint rows and the normal solve that simulate_rolling runs."""
-    rows, rhs, g = rolling._constraint_rows(
-        path.theta.values(t), path.beta.values(t), path.theta.slopes(t),
-        path.beta.slopes(t), path.radii.a, path.radii.b)
+    (theta, dtheta), (beta, dbeta) = schedule_at(path.theta, t), schedule_at(path.beta, t)
+    rows, rhs, g = rolling._constraint_rows(theta, beta, dtheta, dbeta,
+                                            path.radii.a, path.radii.b)
     omega, residual = rolling._normal_solve(rows, rhs)
     omega = np.array(omega)[:, 0]
     return omega, float(omega @ np.array(g)[:, 0]), float(residual[0])
@@ -291,7 +291,7 @@ def _fornberg_weights(offsets):
 
 def _whole_array_oracle(path, steps):
     """Reference: the Magnus oracle over whole arrays, piece by piece, with
-    the schedule from ScalarPath.values/slopes, the Magnus rotation vector
+    the schedule from conftest.schedule_at, the Magnus rotation vector
     from np.cross, stencil weights solved from Vandermonde systems, Simpson
     written out per piece and the spin from the Hamilton product
     2 vec(qdot conj(q)). Returns (quaternions, no-slip residuals, spin
@@ -308,10 +308,10 @@ def _whole_array_oracle(path, steps):
     tm = np.concatenate([g[:-1] for g in grids]) + 0.5 * h
     rates, residuals = [], []
     for node in (tm - h / (2.0 * math.sqrt(3.0)), tm + h / (2.0 * math.sqrt(3.0))):
-        rows, rhs, _ = rolling._constraint_rows(
-            path.theta.values(node), path.beta.values(node),
-            path.theta.slopes(node), path.beta.slopes(node),
-            path.radii.a, path.radii.b)
+        (theta, dtheta), (beta, dbeta) = (schedule_at(path.theta, node),
+                                          schedule_at(path.beta, node))
+        rows, rhs, _ = rolling._constraint_rows(theta, beta, dtheta, dbeta,
+                                                path.radii.a, path.radii.b)
         omega, noslip = rolling._normal_solve(rows, rhs)
         rates.append(np.array(omega).T)
         residuals.append(noslip)
@@ -333,8 +333,9 @@ def _whole_array_oracle(path, steps):
         rate = rolling._qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
         # the ends of a piece take its own one-sided limits of the schedule
         inside = np.clip(g, g[0] + 0.25 * step, g[-1] - 0.25 * step)
-        beta = path.beta.values(inside) + path.beta.slopes(inside) * (g - inside)
-        theta = path.theta.values(inside) + path.theta.slopes(inside) * (g - inside)
+        beta, dbeta = schedule_at(path.beta, inside)
+        theta, dtheta = schedule_at(path.theta, inside)
+        beta, theta = beta + dbeta * (g - inside), theta + dtheta * (g - inside)
         spin = 2.0 * np.einsum("ki,ik->k", gauss_vector(theta, beta), np.array(rate))
         delta -= step / 3.0 * (spin[0] + 4.0 * spin[1:-1:2].sum()
                                + 2.0 * spin[2:-1:2].sum() + spin[-1])

@@ -74,7 +74,7 @@ def test_clamp_path_limits_beta():
     eps = DEFAULT_EPSILON
     clamped = clamp_path(gallery("v"), eps)
     ts = np.linspace(0.0, 1.0, 1001)
-    be = clamped.beta.values(ts)
+    be = np.array([clamped.beta._at(t)[0] for t in ts.tolist()])
     assert float(be.min()) >= eps - 1e-12
     assert float(be.max()) <= PI - eps + 1e-12
 
@@ -452,7 +452,7 @@ def test_clamped_pieces_end_inside_the_clamp_range(eps):
     for radii in (TABLE_RADII, COIN_RADII):
         for name in ("i", "ii", "iii", "iv", "v", "vi"):
             for piece in sphere.clamped_affine_pieces(gallery(name, radii), eps):
-                for beta in piece.at([piece.t0, piece.t1])[1]:
+                for beta in (piece.at(piece.t0)[1], piece.at(piece.t1)[1]):
                     assert eps <= beta <= PI - eps, (name, piece)
 
 
