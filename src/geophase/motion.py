@@ -21,12 +21,13 @@ Conventions enforced at construction:
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite, isnan, nan, nextafter, pi, ulp
 from numbers import Real
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     BetaOutOfRange,
@@ -37,9 +38,6 @@ from .errors import (
     ThetaNonzeroAtStart,
     UnknownExample,
 )
-
-if TYPE_CHECKING:   # numpy loads only where sampled segments are built
-    import numpy as np
 
 TILE_TOL = 1e-12      # segment interval bookkeeping
 JUMP_TOL = 1e-9       # continuity across breakpoints
@@ -89,21 +87,25 @@ class AffineSegment:
 
 @dataclass(frozen=True, eq=False)
 class SampledSegment:
-    """Linear interpolation through (knots, values); knots span [t0, t1]."""
+    """Linear interpolation through (knots, values); knots span [t0, t1].
+
+    Any 1-d sequences of numbers are accepted; both are stored as tuples of
+    floats."""
 
     t0: float
     t1: float
-    knots: np.ndarray
-    values: np.ndarray
+    knots: tuple
+    values: tuple
 
     def __post_init__(self):
-        import numpy as np
-
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
+        try:
+            knots = tuple(float(k) for k in self.knots)
+            values = tuple(float(v) for v in self.values)
+        except TypeError:   # a scalar, or a sequence of sequences
+            knots = values = ()
+        if len(knots) != len(values) or len(knots) < 2:
             raise ValueError("sampled segment needs matching 1-d knot/value arrays, length >= 2")
-        if np.any(np.diff(knots) <= 0.0):
+        if not all(k0 < k1 for k0, k1 in zip(knots, knots[1:])):
             raise ValueError("sampled segment knots must be strictly increasing")
         if abs(knots[0] - self.t0) > TILE_TOL or abs(knots[-1] - self.t1) > TILE_TOL:
             raise ValueError("sampled segment knots must start at t0 and end at t1")
@@ -116,13 +118,13 @@ Segment = ConstantSegment | AffineSegment | SampledSegment
 
 def _lowered(seg: Segment) -> tuple:
     """seg as affine pieces: lists of start knots, start values, slopes and
-    end values. Sampled values become Python floats, so that a slope past
-    the float range is inf without a numpy overflow warning."""
+    end values. Sampled values are Python floats, so a slope past the float
+    range is inf without an overflow warning."""
     if isinstance(seg, ConstantSegment):
         return [seg.t0], [seg.level], [0.0], [seg.level]
     if isinstance(seg, AffineSegment):
         return [seg.t0], [seg.start], [seg.rate], [seg.start + seg.rate * (seg.t1 - seg.t0)]
-    ks, vs = seg.knots.tolist(), seg.values.tolist()
+    ks, vs = list(seg.knots), list(seg.values)
     rates = [(v1 - v0) / (k1 - k0)
              for k0, k1, v0, v1 in zip(ks, ks[1:], vs, vs[1:])]
     return [seg.t0] + ks[1:-1], vs[:-1], rates, vs[1:]
@@ -346,12 +348,14 @@ def _finite(value, what: str) -> float:
     return number
 
 
-def _finite_list(values, what: str) -> np.ndarray:
-    import numpy as np
-
-    if not isinstance(values, (list, tuple, np.ndarray)):
+def _finite_list(values, what: str) -> tuple:
+    """values as a tuple of floats; ValueError unless it is a list, tuple or
+    numpy array of finite real numbers."""
+    numpy = sys.modules.get("numpy")   # no array can exist before numpy loads
+    kinds = (list, tuple) if numpy is None else (list, tuple, numpy.ndarray)
+    if not isinstance(values, kinds):
         raise ValueError(f"{what} must be a list of finite numbers")
-    return np.array([_finite(v, f"{what}[{i}]") for i, v in enumerate(values)])
+    return tuple(_finite(v, f"{what}[{i}]") for i, v in enumerate(values))
 
 
 def _build_segment(desc: dict, t0: float, t1: float, what: str) -> Segment:

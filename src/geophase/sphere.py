@@ -28,11 +28,13 @@ from .errors import CurveHasCusps
 from .motion import (DEFAULT_EPSILON, MIN_EPSILON, MotionPath, Piece,
                      clamped_affine_pieces)
 
-MAX_SAMPLE_STEP = 1e-3          # cap on the angle subtended by adjacent samples
+MAX_SAMPLE_STEP = 4e-3          # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
-MAX_PIECE_SAMPLES = 1_000_000   # about 160 laps at MAX_SAMPLE_STEP
-_KAPPA_REL_TOL = 1e-7           # target relative error of finite-difference kappa
-_KAPPA_STEP = (12.0 * _KAPPA_REL_TOL) ** 0.5   # step/sin(beta) achieving it
+MAX_PIECE_SAMPLES = 1_000_000   # about 640 laps at MAX_SAMPLE_STEP
+# cap on step / sin(beta) on pieces that turn in theta: 4 sqrt(1.2e-6), about
+# 4.4e-3, four times the cap a second-order kappa_g needed for 1e-7 relative;
+# the fourth-order kappa_g stays within about 1e-9 relative at it
+_KAPPA_STEP = 4.0 * 1.2e-6 ** 0.5
 CUSP_ANGLE_TOL = 1e-8
 GEOM_CLOSE_TOL = 1e-9
 
@@ -72,8 +74,6 @@ class Junction:
 
     t: float
     alpha: float
-    in_index: int
-    out_index: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class RegularizedCurve:
     junctions: tuple
     total_length: float
     closed: bool
-    pieces: tuple
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -141,12 +140,14 @@ def _junction_angle(p_in: Piece, p_out: Piece) -> float:
 def _piece_samples(piece: Piece):
     """Sample times for one piece, an even number of equal steps.
 
-    Adjacent samples subtend at most MAX_SAMPLE_STEP, or
-    _KAPPA_STEP * sin(beta_min) for a piece that turns in theta: that bound
-    keeps finite-difference kappa_g within _KAPPA_REL_TOL on a latitude
-    circle of radius sin(beta). A meridian piece (theta' = 0) is a great
-    circle, radius 1, where kappa_g vanishes at any step, so it gets
-    MAX_SAMPLE_STEP. Every piece gets at least _MIN_PIECE_SAMPLES steps.
+    Adjacent samples subtend at most MAX_SAMPLE_STEP = 4e-3, or
+    _KAPPA_STEP * sin(beta_min) for a piece that turns in theta: on a
+    latitude circle of radius sin(beta) that bound keeps the angle turned
+    per step, and with it the error of the fourth-order kappa_g, the same
+    near the clamp circles as at the equator. A meridian piece (theta' = 0)
+    is a great circle, radius 1, where kappa_g vanishes at any step, so it
+    gets MAX_SAMPLE_STEP. Every piece gets at least _MIN_PIECE_SAMPLES
+    steps, so at least 17 samples.
     """
     b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
@@ -169,6 +170,58 @@ def _piece_samples(piece: Piece):
 def _row_dot(u, v):
     """Dot products of vectors given per component, as rows."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _richardson_trapezoid(y, s) -> float:
+    """Integral of y ds by the trapezoid rule over all samples, T_h, and over
+    every other sample, T_2h, combined as (4 T_h - T_2h) / 3. Both ends
+    count, so y and s have an odd length; where every piece has an even
+    number of equal steps in t this cancels the h^2 error (Richardson,
+    Phil. Trans. R. Soc. A 210 (1911) 307)."""
+    fine = np.trapezoid(y, s)
+    return float(fine + (fine - np.trapezoid(y[::2], s[::2])) / 3.0)
+
+
+def _kappa_g(G, nu, first, last, ds):
+    """Geodesic curvature nu . g_tt / |g_t|^2 at every sample (the time step
+    cancels), from fourth-order differences on each piece's own uniform
+    grid; first and last are the pieces' end samples, ds the chords.
+
+    Inside a piece g_t and g_tt come from 5-point central stencils; at the
+    two samples next to each piece end from one-sided 5- and 6-point
+    stencils, which stay inside the piece since it has at least 17 samples.
+    A junction sample shared by two pieces of one arc gets the mean of the
+    pieces' values weighted by the chords on either side, so the trapezoid
+    across it integrates each piece's own curvature to full order.
+    """
+    d1 = 8.0 * (G[:, 3:-1] - G[:, 1:-3]) - (G[:, 4:] - G[:, :-4])
+    d2 = 16.0 * (G[:, 1:-3] + G[:, 3:-1]) - (G[:, :-4] + G[:, 4:])
+    d2 -= 30.0 * G[:, 2:-2]
+    den = _row_dot(d1, d1)
+    near = np.concatenate([first, first + 1, last - 1, last]) - 2
+    den[near[(near >= 0) & (near < den.size)]] = 1.0   # stencils across piece ends
+    kappa = np.empty(G.shape[1])
+    kappa[2:-2] = 12.0 * _row_dot(nu[:, 2:-2], d2) / den
+    # one-sided weights for the end sample and its neighbour, in the order
+    # of the six samples from the end inward
+    w1 = np.array([[-25.0, -3.0], [48.0, -10.0], [-36.0, 18.0],
+                   [16.0, -6.0], [-3.0, 1.0], [0.0, 0.0]])
+    w2 = np.array([[45.0, 10.0], [-154.0, -15.0], [214.0, -4.0],
+                   [-156.0, 14.0], [61.0, -6.0], [-10.0, 1.0]])
+    sides = []
+    for ends, way in ((first, 1), (last, -1)):
+        at = ends[:, None] + way * np.arange(6)
+        rows = G[:, at]
+        e1, e2 = rows @ w1, rows @ w2
+        side = 12.0 * _row_dot(nu[:, at[:, :2]], e2) / _row_dot(e1, e1)
+        kappa[at[:, :2]] = side
+        sides.append(side[:, 0])
+    # a junction shared by pieces k and k + 1 of one arc
+    shared = np.flatnonzero(first[1:] == last[:-1])
+    j = last[shared]
+    h_in, h_out = ds[j - 1], ds[j]
+    kappa[j] = (h_in * sides[1][shared] + h_out * sides[0][shared + 1]) / (h_in + h_out)
+    return kappa
 
 
 def _sample_rows(moving, times, arcs):
@@ -210,14 +263,16 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
 
     The tilt is clamped to [eps, pi-eps]; intervals where the clamped point
     does not move collapse to a single shared sample. Each smooth piece gets
-    at least 16 steps of equal time; adjacent samples subtend at most
-    MAX_SAMPLE_STEP = 1e-3 radians, or _KAPPA_STEP * sin(beta_min) on a
-    piece that turns in theta, where finite-difference kappa_g needs the
+    an even number, at least 16, of steps of equal time; adjacent samples
+    subtend at most MAX_SAMPLE_STEP = 4e-3 radians, or _KAPPA_STEP *
+    sin(beta_min) on a piece that turns in theta, where kappa_g needs the
     finer step near the clamp circles. Meridian pieces (theta' = 0) are
     great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
     sums with pairwise Richardson correction; phi is unwrapped only in the
-    smooth arcs where it jumps by pi or more between samples; kappa_g uses
-    symmetric second differences in s.
+    smooth arcs where it jumps by pi or more between samples; kappa_g comes
+    from fourth-order differences in t on each piece's own grid (see
+    _kappa_g), within about 1e-9 relative of the closed form inside the
+    pieces.
 
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
@@ -242,7 +297,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             epsilon=eps, t=np.array([p.t0]), s=np.array([0.0]),
             theta=np.array([p.th0]), beta_eps=np.array([p.b0]), g=g,
             phi=np.array([0.0]), kappa_g=np.array([0.0]), arcs=((0, 1),),
-            junctions=(), total_length=0.0, closed=False, pieces=all_pieces)
+            junctions=(), total_length=0.0, closed=False)
 
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
 
@@ -258,14 +313,12 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             groups.append([piece])
         else:
             groups[-1].append(piece)
-    periodic = closed and len(groups) == 1 and (
-        wrap_alpha is not None and abs(wrap_alpha) <= CUSP_ANGLE_TOL)
 
     # sample times; within an arc the junction sample is shared, and every
     # piece adds an even number of chords, so each arc has an even number
     times = []
     arcs = []
-    first_index, last_index = [], []   # per moving piece, global sample index
+    first_index, last_index = [], []   # per moving piece, its end samples
     n = 0
     for group in groups:
         i0 = n
@@ -305,43 +358,17 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         np.add(local[i0:i1], s_off, out=s[i0:i1])
         s_off += float(local[i1 - 1])
 
-    # geodesic curvature: second differences of g in s, dotted with the
-    # left normal; g'' at sample k is 2 (slope k - slope k-1) / (h k-1 + h k)
-    # with slope k = step k / h k
-    ends = np.array([i1 for _, i1 in arcs])
-    h = np.diff(local)
-    h[ends[:-1] - 1] = 1.0   # steps across arc boundaries: unused, safe to divide by
-    step /= h
-    gpp = step[:, 1:] - step[:, :-1]
-    gpp *= 2.0
-    gpp /= h[:-1] + h[1:]
-    kappa = np.empty(n)
-    kappa[1:-1] = _row_dot(gpp, nu[:, 1:-1])
-    if periodic:
-        # the neighbours of the two ends are across the closure
-        h_in, h_out = ds[-1], (local[-1] + ds[0]) - local[-1]
-        into = (G[:, 0] - G[:, -2]) / h_in
-        out_of = (G[:, 1] - G[:, -1]) / h_out
-        kappa[0] = _row_dot(2.0 * (step[:, 0] - into) / (h_in + h[0]), nu[:, 0])
-        kappa[-1] = _row_dot(2.0 * (out_of - step[:, -1]) / (h[-1] + h_out),
-                             nu[:, -1])
-    else:
-        # arc ends: the 3-point parabola estimate dotted with the end normal
-        starts = np.array([i0 for i0, _ in arcs])
-        kappa[starts] = _row_dot(gpp[:, starts], nu[:, starts])
-        kappa[ends - 1] = _row_dot(gpp[:, ends - 3], nu[:, ends - 1])
+    kappa = _kappa_g(G, nu, np.array(first_index), np.array(last_index), ds)
 
-    junctions = [Junction(t=float(p_in.t1), alpha=alpha, in_index=last_index[k],
-                          out_index=first_index[k + 1])
-                 for k, (p_in, alpha) in enumerate(zip(moving, inner_alphas))]
+    junctions = [Junction(t=float(p_in.t1), alpha=alpha)
+                 for p_in, alpha in zip(moving, inner_alphas)]
     if closed:
-        junctions.append(Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha),
-                                  in_index=last_index[-1], out_index=0))
+        junctions.append(Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha)))
 
     return RegularizedCurve(
         epsilon=eps, t=t, s=s, theta=theta, beta_eps=beta, g=G.T, phi=phi,
         kappa_g=kappa, arcs=tuple(arcs), junctions=tuple(junctions),
-        total_length=float(s_off), closed=closed, pieces=tuple(all_pieces))
+        total_length=float(s_off), closed=closed)
 
 
 @lru_cache(maxsize=8)
@@ -371,34 +398,32 @@ def _smooth_or_raise(curve: RegularizedCurve):
 
 
 def _normal_derivative(curve: RegularizedCurve, tangents) -> np.ndarray:
-    """d(nu)/ds of the left normals nu = g x T by central differences,
-    periodic when the curve closes smoothly; tangents are curve.tangents()."""
+    """d(nu)/ds of the left normals nu = g x T, fourth order: the Richardson
+    combination (4 D_1 - D_2) / 3 of the divided differences D_k between
+    the samples k before and k after, periodic when the curve closes
+    smoothly; tangents are curve.tangents(). On an open curve the two
+    samples next to each end keep D_1 and one-sided differences."""
     nu = np.cross(curve.g, tangents)
     s = curve.s
-    n = len(curve)
-    out = np.empty_like(nu)
-    if curve.closed and n >= 3:
-        ds_wrap_lo = s[-1] - s[-2]
-        nup = np.vstack([nu[-2], nu, nu[1]])
-        sp = np.concatenate([[s[0] - ds_wrap_lo], s, [s[-1] + (s[1] - s[0])]])
-        h1 = (sp[1:-1] - sp[:-2])[:, None]
-        h2 = (sp[2:] - sp[1:-1])[:, None]
-        # non-uniform central first derivative
-        out = (nup[2:] * h1 ** 2 - nup[:-2] * h2 ** 2
-               + nup[1:-1] * (h2 ** 2 - h1 ** 2)) / (h1 * h2 * (h1 + h2))
-    else:
-        out[1:-1] = (nu[2:] - nu[:-2]) / (s[2:] - s[:-2])[:, None]
-        out[0] = (nu[1] - nu[0]) / (s[1] - s[0])
-        out[-1] = (nu[-1] - nu[-2]) / (s[-1] - s[-2])
-    return out
+    if curve.closed:
+        # samples 1, 2 follow the last one and n-3, n-2 precede the first
+        nu = np.concatenate([nu[-3:-1], nu, nu[1:3]])
+        s = np.concatenate([s[-3:-1] - s[-1], s, s[1:3] + s[-1]])
+    d1 = (nu[2:] - nu[:-2]) / (s[2:] - s[:-2])[:, None]
+    d2 = (nu[4:] - nu[:-4]) / (s[4:] - s[:-4])[:, None]
+    inner = (4.0 * d1[1:-1] - d2) / 3.0
+    if curve.closed:
+        return inner
+    ends = (nu[[1, -1]] - nu[[0, -2]]) / (s[[1, -1]] - s[[0, -2]])[:, None]
+    return np.concatenate([ends[:1], d1[:1], inner, d1[-1:], ends[1:]])
 
 
 def offset_length(curve: RegularizedCurve, q: float) -> float:
     """Length of the parallel curve at signed offset q.
 
     The offset curve displaces each point by q against the left normal; its
-    length is the integral of |g'(s) - q nu'(s)|, evaluated by the composite
-    trapezoid rule over the stored samples.
+    length is the integral of |g'(s) - q nu'(s)|, with nu' of fourth order
+    (see _normal_derivative), by _richardson_trapezoid over the samples.
     """
     return _offset_length(curve)(q)
 
@@ -408,8 +433,8 @@ def _offset_length(curve: RegularizedCurve):
     _smooth_or_raise(curve)
     tangents = curve.tangents()
     dnu = _normal_derivative(curve, tangents)
-    return lambda q: float(np.trapezoid(np.linalg.norm(tangents - q * dnu, axis=1),
-                                        curve.s))
+    return lambda q: _richardson_trapezoid(
+        np.linalg.norm(tangents - q * dnu, axis=1), curve.s)
 
 
 def offset_length_derivative(curve: RegularizedCurve, h: float = 1e-3) -> float:

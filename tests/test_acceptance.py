@@ -227,8 +227,8 @@ def test_region_area_identities():
         gb_plus = gauss_bonnet_area(curve)
         sa_plus, sa_minus = region_areas(curve)
         assert abs(sa_plus + sa_minus - 4.0 * PI) <= 1e-12, name
-        # the inscribed polygon and the boundary quadrature differ by at
-        # most 6.4e-7 on the gallery (i, iii)
+        # the Richardson-corrected polygon area and boundary quadrature
+        # differ by at most 1.2e-10 on the gallery (i, iii)
         assert abs(sa_plus - gb_plus) <= 2e-6, name
 
         if (i_plus, i_minus) == (1, 1) and _pole_sides(curve)[0]:

@@ -537,6 +537,35 @@ def test_line_only_runs_never_import_numpy():
     assert proc.stdout.splitlines()[-1] == "[False, False, False, False, False] True"
 
 
+# a motion with all three segment kinds, the last one sampled
+MIXED_MOTION = {"radii": {"a": 2.0, "b": 1.0}, "segments": [
+    {"t0": 0.0, "t1": 0.5,
+     "theta": {"kind": "affine", "start": 0.0, "slope": 2.0 * PI},
+     "beta": {"kind": "const", "value": 1.0}},
+    {"t0": 0.5, "t1": 1.0,
+     "theta": {"kind": "affine", "start": PI, "slope": 2.0 * PI},
+     "beta": {"kind": "samples", "t": [0.5, 0.75, 1.0], "values": [1.0, 1.2, 1.0]}}]}
+
+
+def test_a_line_only_run_on_a_sampled_motion_file_never_imports_numpy(tmp_path):
+    motion = tmp_path / "motion.json"
+    motion.write_text(json.dumps(MIXED_MOTION))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from geophase.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main(['compute', '--motion', {str(motion)!r}, '--methods', 'line',",
+        "                 '--format', 'json']) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geophase.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # the package's exported names, as they stood when every submodule loaded
 # on import
 EXPORTED = {

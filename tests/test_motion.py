@@ -63,6 +63,22 @@ def test_sampled_segment_interpolates_linearly():
     assert path.knots == (0.0, 0.25, 1.0)
 
 
+def test_sampled_segment_values_are_float_tuples():
+    # lists, tuples and numpy arrays all arrive as tuples of floats
+    for knots in ([0.0, 0.5, 1.0], (0, 0.5, 1), np.array([0.0, 0.5, 1.0])):
+        seg = SampledSegment(0.0, 1.0, knots, np.array([1, 2, 1]))
+        assert seg.knots == (0.0, 0.5, 1.0) and seg.values == (1.0, 2.0, 1.0)
+        assert all(type(x) is float for x in seg.knots + seg.values)
+    for knots, values, message in (
+            (0.5, 1.0, "matching 1-d"), ([[0.0, 1.0]], [[1.0, 2.0]], "matching 1-d"),
+            ([0.0, 1.0], [1.0], "matching 1-d"), ([0.0], [1.0], "matching 1-d"),
+            ([0.0, 0.5, 0.5, 1.0], [1.0] * 4, "strictly increasing"),
+            ([0.0, math.nan, 1.0], [1.0] * 3, "strictly increasing"),
+            ([0.1, 1.0], [1.0] * 2, "start at t0")):
+        with pytest.raises(ValueError, match=message):
+            SampledSegment(0.0, 1.0, knots, values)
+
+
 def test_motion_path_validation():
     theta_ok = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, TWO_PI)])
     beta_bad = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 3.0, 1.0)])

@@ -118,8 +118,9 @@ def test_latitude_areas_match_cap_formula(name, a_plus_eps):
     curve = regularize(gallery(name))
     a_sa, a_sa_minus = region_areas(curve)
     a_gb = gauss_bonnet_area(curve)
-    # the inscribed polygon misses the cap by at most 2.4e-7 (iv), the
-    # boundary integral by its curvature quadrature bias, at most 6.2e-7
+    # the Richardson-corrected polygon area misses the cap by at most
+    # 1.8e-11 (iv), the Richardson-corrected boundary integral by at most
+    # 1.2e-10 (i, iii)
     assert a_sa == pytest.approx(a_plus_eps, abs=5e-7)
     assert a_gb == pytest.approx(a_plus_eps, abs=2e-6)
     assert a_sa + a_sa_minus == pytest.approx(4.0 * PI, abs=1e-12)
@@ -129,7 +130,7 @@ def test_latitude_areas_match_cap_formula(name, a_plus_eps):
 @given(closed_motions(dip=True) | closed_motions())
 def test_solid_angle_area_matches_gauss_bonnet(path):
     # the polygon's solid angle and Gauss-Bonnet on the boundary data share
-    # no formula; they differ by at most 6.5e-7 on 300 generated laps
+    # no formula; they differ by at most 1.3e-10 on 1200 generated laps
     curve = regularize(path)
     a_plus, a_minus = region_areas(curve)
     assert a_plus == pytest.approx(gauss_bonnet_area(curve), abs=2e-6)
@@ -288,7 +289,7 @@ def polyline_curve(points):
     return RegularizedCurve(
         epsilon=EPS, t=np.linspace(0.0, 1.0, len(g)), s=zeros, theta=zeros,
         beta_eps=zeros, g=g, phi=zeros, kappa_g=zeros, arcs=((0, len(g)),),
-        junctions=(), total_length=0.0, closed=False, pieces=())
+        junctions=(), total_length=0.0, closed=False)
 
 
 def crossing_polyline(i, j, m, cross=True):
