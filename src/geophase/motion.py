@@ -98,11 +98,7 @@ class SampledSegment:
     values: tuple
 
     def __post_init__(self):
-        try:
-            knots = tuple(float(k) for k in self.knots)
-            values = tuple(float(v) for v in self.values)
-        except TypeError:   # a scalar, or a sequence of sequences
-            knots = values = ()
+        knots, values = _float_tuple(self.knots), _float_tuple(self.values)
         if len(knots) != len(values) or len(knots) < 2:
             raise ValueError("sampled segment needs matching 1-d knot/value arrays, length >= 2")
         if not all(k0 < k1 for k0, k1 in zip(knots, knots[1:])):
@@ -111,6 +107,20 @@ class SampledSegment:
             raise ValueError("sampled segment knots must start at t0 and end at t1")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
+
+
+def _float_tuple(items) -> tuple:
+    """items as a tuple of floats; () unless items is a 1-d sequence of real
+    numbers (a string, a scalar or rows of numbers give ())."""
+    if isinstance(items, (str, bytes)):
+        return ()
+    try:
+        items = tuple(items)
+    except TypeError:   # a scalar
+        return ()
+    if not all(isinstance(x, Real) for x in items):
+        return ()
+    return tuple(float(x) for x in items)
 
 
 Segment = ConstantSegment | AffineSegment | SampledSegment

@@ -172,27 +172,43 @@ def _row_dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _richardson_trapezoid(y, s) -> float:
-    """Integral of y ds by the trapezoid rule over all samples, T_h, and over
-    every other sample, T_2h, combined as (4 T_h - T_2h) / 3. Both ends
-    count, so y and s have an odd length; where every piece has an even
-    number of equal steps in t this cancels the h^2 error (Richardson,
-    Phil. Trans. R. Soc. A 210 (1911) 307)."""
+def _coarse_grid(arcs, ends: bool = True):
+    """Every other sample of each arc from its start, as one index array:
+    the coarse grid of the Richardson corrections (chord pairs, area,
+    curvature and offset-length integrals). regularize gives every piece
+    an even number of equal steps in t, so each arc has an odd number of
+    samples and its grid keeps both ends; with ends=False the last sample
+    of each arc is left out. An arc of even length raises ValueError."""
+    for i0, i1 in arcs:
+        if (i1 - i0) % 2 != 1:
+            raise ValueError(f"arc [{i0}, {i1}) has an even number of samples; "
+                             f"the Richardson corrections need an odd number")
+    return np.concatenate([np.arange(i0, i1 - (not ends), 2) for i0, i1 in arcs])
+
+
+def _richardson_trapezoid(y, s, arcs) -> float:
+    """Integral of y ds over the arcs by the trapezoid rule over all
+    samples, T_h, and over the coarse grid, T_2h (see _coarse_grid),
+    combined as (4 T_h - T_2h) / 3; this cancels the h^2 error
+    (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307). s does not
+    advance from one arc's last sample to the next arc's first, so both
+    sums run over the whole array."""
     fine = np.trapezoid(y, s)
-    return float(fine + (fine - np.trapezoid(y[::2], s[::2])) / 3.0)
+    coarse = _coarse_grid(arcs)
+    return float(fine + (fine - np.trapezoid(y[coarse], s[coarse])) / 3.0)
 
 
-def _kappa_g(G, nu, first, last, ds):
+def _kappa_g(G, nu, first, last):
     """Geodesic curvature nu . g_tt / |g_t|^2 at every sample (the time step
     cancels), from fourth-order differences on each piece's own uniform
-    grid; first and last are the pieces' end samples, ds the chords.
+    grid; first and last are the pieces' end samples.
 
     Inside a piece g_t and g_tt come from 5-point central stencils; at the
     two samples next to each piece end from one-sided 5- and 6-point
     stencils, which stay inside the piece since it has at least 17 samples.
-    A junction sample shared by two pieces of one arc gets the mean of the
-    pieces' values weighted by the chords on either side, so the trapezoid
-    across it integrates each piece's own curvature to full order.
+    A junction sample shared by two pieces of one arc keeps the incoming
+    piece's value: the two pieces run along one line in the (theta, beta)
+    plane there, and kappa_g depends only on its direction and on beta.
     """
     d1 = 8.0 * (G[:, 3:-1] - G[:, 1:-3]) - (G[:, 4:] - G[:, :-4])
     d2 = 16.0 * (G[:, 1:-3] + G[:, 3:-1]) - (G[:, :-4] + G[:, 4:])
@@ -208,19 +224,12 @@ def _kappa_g(G, nu, first, last, ds):
                    [16.0, -6.0], [-3.0, 1.0], [0.0, 0.0]])
     w2 = np.array([[45.0, 10.0], [-154.0, -15.0], [214.0, -4.0],
                    [-156.0, 14.0], [61.0, -6.0], [-10.0, 1.0]])
-    sides = []
+    # the piece ends run second, so a shared junction keeps the incoming value
     for ends, way in ((first, 1), (last, -1)):
         at = ends[:, None] + way * np.arange(6)
         rows = G[:, at]
         e1, e2 = rows @ w1, rows @ w2
-        side = 12.0 * _row_dot(nu[:, at[:, :2]], e2) / _row_dot(e1, e1)
-        kappa[at[:, :2]] = side
-        sides.append(side[:, 0])
-    # a junction shared by pieces k and k + 1 of one arc
-    shared = np.flatnonzero(first[1:] == last[:-1])
-    j = last[shared]
-    h_in, h_out = ds[j - 1], ds[j]
-    kappa[j] = (h_in * sides[1][shared] + h_out * sides[0][shared + 1]) / (h_in + h_out)
+        kappa[at[:, :2]] = 12.0 * _row_dot(nu[:, at[:, :2]], e2) / _row_dot(e1, e1)
     return kappa
 
 
@@ -338,7 +347,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     # no chord and goes unused
     step = np.diff(G)
     ds = np.sqrt(_row_dot(step, step))
-    first = np.concatenate([np.arange(i0, i1 - 1, 2) for i0, i1 in arcs])
+    first = _coarse_grid(arcs, ends=False)
     c1, c2 = ds[first], ds[first + 1]
     coarse = G[:, first + 2] - G[:, first]
     coarse = np.sqrt(_row_dot(coarse, coarse))
@@ -358,7 +367,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         np.add(local[i0:i1], s_off, out=s[i0:i1])
         s_off += float(local[i1 - 1])
 
-    kappa = _kappa_g(G, nu, np.array(first_index), np.array(last_index), ds)
+    kappa = _kappa_g(G, nu, np.array(first_index), np.array(last_index))
 
     junctions = [Junction(t=float(p_in.t1), alpha=alpha)
                  for p_in, alpha in zip(moving, inner_alphas)]
@@ -434,7 +443,7 @@ def _offset_length(curve: RegularizedCurve):
     tangents = curve.tangents()
     dnu = _normal_derivative(curve, tangents)
     return lambda q: _richardson_trapezoid(
-        np.linalg.norm(tangents - q * dnu, axis=1), curve.s)
+        np.linalg.norm(tangents - q * dnu, axis=1), curve.s, curve.arcs)
 
 
 def offset_length_derivative(curve: RegularizedCurve, h: float = 1e-3) -> float:

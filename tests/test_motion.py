@@ -71,6 +71,9 @@ def test_sampled_segment_values_are_float_tuples():
         assert all(type(x) is float for x in seg.knots + seg.values)
     for knots, values, message in (
             (0.5, 1.0, "matching 1-d"), ([[0.0, 1.0]], [[1.0, 2.0]], "matching 1-d"),
+            (np.array([[0.0], [1.0]]), np.array([[1.0], [2.0]]), "matching 1-d"),
+            ("01", [1.0, 2.0], "matching 1-d"), (b"01", [1.0, 2.0], "matching 1-d"),
+            ([0.0, 1.0], ["1", "2"], "matching 1-d"),
             ([0.0, 1.0], [1.0], "matching 1-d"), ([0.0], [1.0], "matching 1-d"),
             ([0.0, 0.5, 0.5, 1.0], [1.0] * 4, "strictly increasing"),
             ([0.0, math.nan, 1.0], [1.0] * 3, "strictly increasing"),

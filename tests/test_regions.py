@@ -222,13 +222,29 @@ def short_motions(draw):
 
 
 def hairpin():
-    """A hairpin whose strands come within tol across the gap between arcs;
-    its closest pair is listed in a grid cell with the later chord first."""
-    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 0.0625),
-                                      AffineSegment(0.5, 1.0, 0.03125, -0.25)])
-    beta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 1.0, 0.0),
-                                     AffineSegment(0.5, 1.0, 1.0, 2.103677462019741e-07)])
+    """A hooked hairpin: out along beta = 1 to theta 1/8, up 2^-20 along a
+    meridian, back to theta 1/16 while dropping to 0.5 x SIMPLE_TOL above
+    the outgoing strand. Its end sample sits 5e-10 from a sample of the
+    first arc, 47 chords away: a far pair, and in its grid cell the later
+    run is listed first."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1 / 3, 0.0, 0.375),
+                                      AffineSegment(1 / 3, 2 / 3, 0.125, 0.0),
+                                      AffineSegment(2 / 3, 1.0, 0.125, -0.1875)])
+    rise, gap = 2.0 ** -20, 0.5 * SIMPLE_TOL
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 1 / 3, 1.0, 0.0),
+                                     AffineSegment(1 / 3, 2 / 3, 1.0, 3.0 * rise),
+                                     AffineSegment(2 / 3, 1.0, 1.0 + rise, 3.0 * (gap - rise))])
     return MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+def test_hairpin_touches_only_across_far_chords():
+    # the example below guards the far-pair search only while its touch is
+    # a far pair; a change of the sampling rule could move it
+    curve = regularize(hairpin())
+    touching = _touching_pairs(curve, SIMPLE_TOL)
+    assert touching
+    assert all(j - i >= 2 * regions._RUN for i, j in touching)
+    assert not is_simple(curve)
 
 
 @settings(max_examples=60, deadline=None)

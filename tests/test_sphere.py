@@ -283,9 +283,8 @@ def closed_form_kappa(piece, beta):
 def regularize_reference(path, eps):
     """The sampled curve built arc by arc and concatenated: a dict of the
     RegularizedCurve fields that the whole-curve pass must reproduce, with
-    kappa_g in closed form: each piece's own value, and at a junction
-    sample shared by two pieces of one arc the mean of both weighted by the
-    chords on either side."""
+    kappa_g in closed form: each piece's own value, the incoming piece's
+    at a junction sample shared by two pieces of one arc."""
     moving = [p for p in sphere.clamped_affine_pieces(path, eps) if p.moving]
     alphas = [sphere._junction_angle(a, b) for a, b in zip(moving, moving[1:])]
     g_first = gauss_vector(moving[0].th0, moving[0].b0)
@@ -302,24 +301,18 @@ def regularize_reference(path, eps):
     columns, arcs = [], []
     s_off, n_total = 0.0, 0
     for group in groups:
-        parts, shared = [], []
+        parts = []
         i0 = n_total
         for k, piece in enumerate(group):
             tp = sphere._piece_samples(piece)
             if k > 0:
                 tp = tp[1:]
-                # (sample in the arc, incoming value, outgoing value)
-                shared.append((n_total - 1 - i0, parts[-1][5][-1],
-                               closed_form_kappa(piece, piece.b0)))
             n_total += tp.size
             th, b = piece.at(tp)
             parts.append((tp, th, b, np.sin(b) * piece.dth,
                           np.full_like(tp, piece.db), closed_form_kappa(piece, b)))
         t, th, b, u, v, kappa = (np.concatenate(c) for c in zip(*parts))
         g, s, phi = _arc_geometry_reference(t, th, b, u, v)
-        for at, k_in, k_out in shared:
-            h_in, h_out = s[at] - s[at - 1], s[at + 1] - s[at]
-            kappa[at] = (h_in * k_in + h_out * k_out) / (h_in + h_out)
         arcs.append((i0, n_total))
         columns.append((t, th, b, g, s + s_off, phi, kappa))
         s_off += float(s[-1])
@@ -361,6 +354,14 @@ def test_phi_wrapping_arc_is_unwrapped():
     assert curve.phi[0] == pytest.approx(PI, abs=1e-9)
     assert curve.phi[-1] == pytest.approx(PI, abs=1e-9)
     assert float(np.max(np.abs(np.diff(curve.phi)))) < 1e-9
+
+
+def test_coarse_grid_keeps_arc_ends_and_refuses_even_arcs():
+    arcs = ((0, 5), (5, 8))
+    assert sphere._coarse_grid(arcs).tolist() == [0, 2, 4, 5, 7]
+    assert sphere._coarse_grid(arcs, ends=False).tolist() == [0, 2, 5]
+    with pytest.raises(ValueError, match="even number of samples"):
+        sphere._coarse_grid(((0, 5), (5, 9)))
 
 
 def test_regularize_matches_the_per_arc_reference():
