@@ -8,8 +8,8 @@ quadrature in one array pass, checked against a rule of higher order. The
 second carries the eigenstate of the two-level Hamiltonian
 H = [[-cos b, e^{-i th} sin b], [e^{i th} sin b, cos b]] around the loop
 by Kato's adiabatic transport (Kato, J. Phys. Soc. Jpn. 5 (1950) 435;
-Berry, Proc. R. Soc. A 392 (1984) 45): a rotation integrated by Magnus
-steps on the raw affine pieces, reading the phase off the turn of a
+Berry, Proc. R. Soc. A 392 (1984) 45): a rotation integrated by sixth-order
+Magnus steps on the raw affine pieces, reading the phase off the turn of a
 transported tangent vector against the gauge frame. It needs no clamp and
 no curve samples, and checks that the transported normal stays on the curve.
 """
@@ -163,7 +163,7 @@ def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON) -> float:
 # two-level system
 
 
-_TRANSPORT_STEP = 0.01   # most radians of tilt sweep, |dtheta| + |dbeta|, per interval
+_TRANSPORT_STEP = 0.05   # most radians of tilt sweep, |dtheta| + |dbeta|, per interval
 
 
 def _transport_rate(theta, beta, dtheta, dbeta):
@@ -180,7 +180,7 @@ def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
     In SU(2) the transport of the +1 eigenstate is the rotation at rate
     g x gdot (_transport_rate). Each moving raw affine piece gets
     max(4, ceil((|theta'| + |beta'|)(t1 - t0) / _TRANSPORT_STEP)) uniform
-    intervals, each one fourth-order Gauss Magnus step
+    intervals, each one sixth-order three-point Gauss Magnus step
     (rolling._magnus_steps). Per interval, e2 at its start is transported
     and its turn against the gauge frame (e1, e2) at its end read by one
     atan2; a turn is at most the interval's sweep, so none wraps, and
@@ -208,8 +208,9 @@ def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
     def at(since):
         return th0 + dth * since, b0 + db * since
 
-    off = (0.5 - 0.5 / np.sqrt(3.0)) * h   # the Gauss nodes, from either end
+    off = (0.5 - np.sqrt(15.0) / 10.0) * h   # the outer Gauss nodes, from each end
     R = _matrices(_magnus_steps(_transport_rate(*at(start + off), dth, db),
+                                _transport_rate(*at(start + 0.5 * h), dth, db),
                                 _transport_rate(*at(start + h - off), dth, db), h))
     _, e2, g = frame_vectors(*at(start))
     e1_end, e2_end, g_end = frame_vectors(*at(start + h))

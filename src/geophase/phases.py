@@ -38,7 +38,11 @@ from .motion import (DEFAULT_EPSILON, TWO_PI, MotionPath, _check_epsilon,
 if TYPE_CHECKING:
     from .regions import RegionReport
 
-DEFAULT_STEPS = 4000   # oracle rate evaluations, two per Magnus interval
+# oracle rate evaluations, three per Magnus interval; the smallest round
+# count whose worst error against delta_d + line on the gallery and 64
+# seeded random laps (2.1e-8) stays within that of 4000 evaluations of the
+# fourth-order two-node step it replaced (2.4e-8)
+DEFAULT_STEPS = 1200
 METHOD_NAMES = ("line", "baumkuchen", "area", "curvature",
                 "monopole", "berry", "oracle")
 

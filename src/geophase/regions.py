@@ -228,7 +228,7 @@ def classify_poles(curve: RegularizedCurve):
     every other sample of each arc, which keeps each arc's ends, as A_h +
     (A_h - A_2h) / 3. Every piece has an even number of equal steps in t,
     so this cancels the polygon's h^2 error (Richardson, Phil. Trans. R.
-    Soc. A 210 (1911) 307). The sides and A+ are cached on the curve.
+    Soc. A 210 (1911) 307). The counts and A+ are cached on the curve.
     """
     key = "pole_classification"
     if key in curve._cache:
@@ -266,7 +266,6 @@ def classify_poles(curve: RegularizedCurve):
             f"pole split {north_in}/{south_in} vs azimuthal winding {winding}")
     result = (int(north_in) + int(south_in), 2 - int(north_in) - int(south_in))
     curve._cache[key] = result
-    curve._cache["pole_sides"] = (north_in, south_in)
     curve._cache["solid_angle_area"] = from_north + (fan_north - fan_coarse) / 3.0
     return result
 
@@ -279,12 +278,6 @@ def _fan_sum(p, lift):
     num = p[0] * q[1] - p[1] * q[0]
     return float(np.sum(np.arctan2(num, lift * np.roll(lift, -1)
                                    + (p[0] * q[0] + p[1] * q[1]))))
-
-
-def _pole_sides(curve: RegularizedCurve):
-    """(north in left, south in left), as classify_poles found them."""
-    classify_poles(curve)
-    return curve._cache["pole_sides"]
 
 
 def region_areas(curve: RegularizedCurve):

@@ -10,17 +10,17 @@ independent check on the phase decomposition.
 The orientation is a unit quaternion (Euler-Rodrigues parameters; Shoemake,
 SIGGRAPH 1985) held per component as a (4, n) array. Each affine piece of
 the motion gets its own uniform grid, so no interval straddles a knot, and
-each interval is one fourth-order two-point Gauss Magnus step: the rates at
-the two Gauss nodes give the step's rotation vector, whose exact half-angle
-quaternion is the step. The steps are composed by a blocked recursive scan
-(Blelloch, CMU-CS-90-190) with log-depth scans inside blocks of 8 (Hillis &
-Steele, CACM 29 (1986) 1170): four whole-array passes per level, 15 in all
-for the default 2000 intervals.
+each interval is one sixth-order three-point Gauss Magnus step: the rates at
+the three Gauss nodes give the step's rotation vector, whose exact
+half-angle quaternion is the step. The steps are composed by a blocked
+recursive scan (Blelloch, CMU-CS-90-190) with log-depth scans inside blocks
+of 8 (Hillis & Steele, CACM 29 (1986) 1170): four whole-array passes per
+level, 11 in all for the 400-odd intervals of the default.
 Orthonormality drift is read off the norm, | |q|^4 - 1 |, and the spin
-comes from fourth-order quaternion differences within each piece, so no
+comes from sixth-order quaternion differences within each piece, so no
 3x3 matrix is formed except on request (OracleTrace.orientations) and for
 the closure check on the final orientation. `steps` counts rate
-evaluations (constraint solves), two per interval.
+evaluations (constraint solves), three per interval.
 
 Within a piece theta, beta and their slopes are one multiply-add away from
 the piece's affine data. Each instant's sines and cosines are taken once
@@ -48,7 +48,7 @@ from .phases import DEFAULT_STEPS
 from .sphere import MAX_PIECE_SAMPLES, frame_vectors
 
 DRIFT_TOL = 1e-6
-_MIN_STEPS_PER_SEGMENT = 10
+_MIN_STEPS_PER_SEGMENT = 8   # intervals per piece, a multiple of 4 for Boole
 _CLOSURE_TOL = 1e-2
 
 
@@ -108,11 +108,11 @@ class OracleTrace:
     renormalized), and spin_rates[k] the spin about the normal there, read
     from the quaternions of t[k]'s own piece; orientations is the same
     history as (len(t), 3, 3) rotation matrices, built on access. steps
-    counts the rate evaluations, two per interval, and noslip_residuals
-    holds, per interval, the larger of the constraint residuals at its two
-    Gauss nodes. The constraints are solved in units of the rolling radius
-    b, so the contact-velocity part of a residual is a velocity divided by
-    b (the normal's part is a rate either way).
+    counts the rate evaluations, three per interval, and noslip_residuals
+    holds, per interval, the largest of the constraint residuals at its
+    three Gauss nodes. The constraints are solved in units of the rolling
+    radius b, so the contact-velocity part of a residual is a velocity
+    divided by b (the normal's part is a rate either way).
     """
 
     steps: int
@@ -239,21 +239,28 @@ def _normal_solve(rows, rhs):
     return omega, residual
 
 
-def _magnus_steps(w1, w2, h):
+def _magnus_steps(w1, w2, w3, h):
     """Step quaternions (4, len(h)) of R' = hat(w) R over intervals of
-    lengths h, from the rates w1 and w2 at the two Gauss nodes of each
-    interval, given per component; _compose turns them into orientations.
+    lengths h, from the rates w1, w2 and w3, each (3, len(h)), at the Gauss
+    nodes 1/2 - sqrt15/10, 1/2 and 1/2 + sqrt15/10 of each interval;
+    _compose turns them into orientations.
 
-    Each step is the fourth-order two-point Gauss Magnus step
-    Omega = h/2 (w1 + w2) - (sqrt3/12) h^2 (w1 x w2) (Iserles & Norsett,
-    Phil. Trans. R. Soc. A 357 (1999) 983; Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470 (2009) 151), taken exactly as the half-angle quaternion
-    of exp(hat(Omega)).
+    Each step is the sixth-order three-point Gauss Magnus step (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151; Iserles & Norsett, Phil.
+    Trans. R. Soc. A 357 (1999) 983), in which the commutator of hat(u) and
+    hat(v) is hat(u x v):
+    a1 = h w2, a2 = (sqrt15 h / 3)(w3 - w1), a3 = (10 h / 3)(w3 - 2 w2 + w1),
+    c1 = a1 x a2, c2 = -(1/60) a1 x (2 a3 + c1),
+    Omega = a1 + a3 / 12 + (1/240)(-20 a1 - a3 + c1) x (a2 + c2),
+    taken exactly as the half-angle quaternion of exp(hat(Omega)).
     """
-    bend = (sqrt(3.0) / 12.0) * h * h
-    omega = tuple(0.5 * h * (u + v) - bend * c
-                  for u, v, c in zip(w1, w2, _cross(w1, w2)))
-    return _rodrigues_steps(omega, 1.0)
+    a1 = h * w2
+    a2 = (sqrt(15.0) / 3.0) * h * (w3 - w1)
+    a3 = (10.0 / 3.0) * h * (w3 - 2.0 * w2 + w1)
+    c1 = np.array(_cross(a1, a2))
+    c2 = np.array(_cross(a1, 2.0 * a3 + c1)) / -60.0
+    bend = np.array(_cross(-20.0 * a1 - a3 + c1, a2 + c2))
+    return _rodrigues_steps(a1 + a3 / 12.0 + bend / 240.0, 1.0)
 
 
 def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
@@ -261,19 +268,19 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
                      closure_tol: float = _CLOSURE_TOL) -> OracleTrace:
     """Integrate the disc orientation over the whole motion.
 
-    steps counts constraint solves (rate evaluations), two per interval;
-    below 1, above 2 * MAX_PIECE_SAMPLES, or asking for more than
+    steps counts constraint solves (rate evaluations), three per interval;
+    below 1, above 3 * MAX_PIECE_SAMPLES, or asking for more than
     MAX_PIECE_SAMPLES intervals in all, it raises ValueError before
     anything is allocated. Each affine piece of path.affine_pieces
-    gets its own uniform grid of an even number of intervals, proportional
-    to its length (steps / 2 intervals per unit time) and at least
+    gets its own uniform grid of a multiple of 4 intervals, proportional
+    to its length (steps / 3 intervals per unit time) and at least
     _MIN_STEPS_PER_SEGMENT, so no interval straddles a knot; the first piece
     is stretched back to t = 0 and the last on to t = 1, which covers
     schedules that start or end up to TILE_TOL inside [0, 1]. The
-    constraint system is solved at the two Gauss nodes of each interval
+    constraint system is solved at the three Gauss nodes of each interval
     (3x3 normal equations by cofactors) and the intervals are stepped by the
-    fourth-order Magnus rule of _magnus_steps, so the scheme is
-    fourth order in the interval length. The orientation is carried as a
+    sixth-order Magnus rule of _magnus_steps, so the scheme is
+    sixth order in the interval length. The orientation is carried as a
     unit quaternion and the orientations are the prefix products of the
     steps (a blocked recursive scan with Hillis & Steele passes inside each
     block, see _scan). Every orientation's drift
@@ -282,53 +289,55 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     by default); nothing is renormalized. The spin history is recovered
     from the quaternions themselves, not from the solved rates, as the
     component along the normal of the rate 2 vec(qdot conj(q)), with qdot
-    from fourth-order five-point differences inside each piece (one-sided
-    at its two ends; Fornberg, Math. Comp. 51 (1988) 699), and delta_oracle
-    is minus its time integral by composite Simpson per piece. For a closed
-    motion the final orientation must be a pure twist about the starting
-    normal by minus the dynamical phase mod 2 pi (ClosureMismatch
-    otherwise).
+    from sixth-order seven-point differences inside each piece (one-sided
+    at the three nodes next to each end; Fornberg, Math. Comp. 51 (1988)
+    699), and delta_oracle is minus its time integral by composite Boole
+    per piece. For a closed motion the final orientation must be a pure
+    twist about the starting normal by minus the dynamical phase mod 2 pi
+    (ClosureMismatch otherwise).
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    # at least steps / 2 intervals follow, so the cap below would refuse this
+    # at least steps / 3 intervals follow, so the cap below would refuse this
     # too; refusing it here keeps an integer past the float range out of it
-    if steps > 2 * MAX_PIECE_SAMPLES:
-        raise ValueError(f"steps must be at most 2 * MAX_PIECE_SAMPLES = "
-                         f"{2 * MAX_PIECE_SAMPLES}, got {steps}")
+    if steps > 3 * MAX_PIECE_SAMPLES:
+        raise ValueError(f"steps must be at most 3 * MAX_PIECE_SAMPLES = "
+                         f"{3 * MAX_PIECE_SAMPLES}, got {steps}")
     radii = path.radii
     t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
     bounds = np.array(path.knots)
     bounds[0], bounds[-1] = 0.0, 1.0
-    counts = np.maximum(2 * np.ceil(np.diff(bounds) * (0.25 * steps)),
+    counts = np.maximum(4 * np.ceil(np.diff(bounds) * (steps / 12.0)),
                         _MIN_STEPS_PER_SEGMENT)
     if not counts.sum() <= MAX_PIECE_SAMPLES:
         raise ValueError(f"the oracle needs {counts.sum():.3g} intervals, "
                          f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
     counts = counts.astype(int)
     h = np.diff(bounds) / counts
-    # interval k is interval local[k] of piece piece[k]; its Gauss nodes sit
-    # h / (2 sqrt3) either side of its midpoint, given as times since the
-    # piece's own start t0
+    # interval k is interval local[k] of piece piece[k]; its Gauss nodes are
+    # its midpoint and the points sqrt15 h / 10 either side, given as times
+    # since the piece's own start t0
     piece = np.repeat(np.arange(counts.size), counts)
     n = piece.size
     local = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     hk = h[piece]
     mid = bounds[piece] - t0[piece] + (local + 0.5) * hk
-    off = hk / (2.0 * sqrt(3.0))
-    # instants [0, n) are the first Gauss nodes, [n, 2n) the second ones
-    at = np.concatenate([piece, piece])
-    since = np.concatenate([mid - off, mid + off])
-    omega = np.empty((3, 2 * n))
-    residual = np.empty(2 * n)
-    for lo in range(0, 2 * n, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, 2 * n))
+    off = (sqrt(15.0) / 10.0) * hk
+    # instants [0, n) are the first Gauss nodes, [n, 2n) the midpoints and
+    # [2n, 3n) the last ones
+    at = np.concatenate([piece, piece, piece])
+    since = np.concatenate([mid - off, mid, mid + off])
+    omega = np.empty((3, 3 * n))
+    residual = np.empty(3 * n)
+    for lo in range(0, 3 * n, _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, 3 * n))
         p = at[sl]
         omega[:, sl], residual[sl] = _normal_solve(*_constraint_rows(
             th0[p] + dth[p] * since[sl], b0[p] + db[p] * since[sl],
             dth[p], db[p], radii.a / radii.b, 1.0)[:2])
-    noslip = np.maximum(residual[:n], residual[n:])
-    q = _compose(_magnus_steps(omega[:, :n], omega[:, n:], hk))
+    noslip = np.max(residual.reshape(3, n), axis=0)
+    w1, w2, w3 = (omega[:, k * n:(k + 1) * n] for k in range(3))
+    q = _compose(_magnus_steps(w1, w2, w3, hk))
     # orthonormality drift of every orientation: max |R^T R - I| of the
     # matrix _matrices builds from the unnormalized quaternion is | |q|^4 - 1 |
     norm2 = np.einsum("ij,ij->j", q, q)
@@ -361,10 +370,11 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     g = (sb * np.cos(theta), sb * np.sin(theta), -np.cos(beta))
     cross = _cross(dq[1:], qn[1:])
     rate = [qn[0] * dq[k + 1] - dq[0] * qn[k + 1] - cross[k] for k in range(3)]
-    spin_rates = _dot(g, rate) / (6.0 * h[node_piece])
-    simpson = np.where(j % 2 == 1, 4.0, 2.0)
-    simpson[first] = simpson[last] = 1.0
-    delta_oracle = -float(np.dot(simpson * h[node_piece], spin_rates)) / 3.0
+    spin_rates = _dot(g, rate) / (30.0 * h[node_piece])
+    boole = np.array([14.0, 32.0, 12.0, 32.0])[j % 4]
+    boole[first] = boole[last] = 7.0
+    delta_oracle = -(2.0 / 45.0) * float(np.dot(boole * h[node_piece],
+                                                spin_rates))
 
     report = topology_report(path)
     if report.closed:
@@ -386,25 +396,35 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
                 f"twist angle mismatch {mismatch:.3e}",
                 value=max(axis_err, mismatch), tol=closure_tol)
 
-    return OracleTrace(steps=2 * n, t=t, quaternions=qn,
+    return OracleTrace(steps=3 * n, t=t, quaternions=qn,
                        spin_rates=spin_rates, noslip_residuals=noslip,
                        delta_oracle=delta_oracle)
 
 
+# 60 h f'(x_j) from f at x_{j-3} .. x_{j+3}, and at the three nodes next to
+# a piece's start from f at its first seven nodes (Fornberg, Math. Comp. 51
+# (1988) 699); the end of a piece takes them mirrored, with the sign flipped
+_CENTRAL_WEIGHTS = (-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0)
+_END_WEIGHTS = ((-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0),
+                (-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0),
+                (2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0))
+
+
 def _piecewise_differences(x, first, last):
-    """12 h times the derivative of x along the last axis, to fourth order,
+    """60 h times the derivative of x along the last axis, to sixth order,
     for pieces of uniform spacing h that run from first[i] to last[i]
-    (inclusive, at least 5 nodes each): the five-point central stencil
-    inside each piece and the one-sided fourth-order stencils at its two
-    ends (Fornberg, Math. Comp. 51 (1988) 699)."""
-    d = np.empty_like(x)
-    d[..., 2:-2] = x[..., :-4] - x[..., 4:] + 8.0 * (x[..., 3:-1] - x[..., 1:-3])
+    (inclusive, at least 7 nodes each): the seven-point central stencil
+    inside each piece and the one-sided seven-point stencils of
+    _END_WEIGHTS at the three nodes next to each of its ends."""
+    d = np.zeros_like(x)
+    for k, w in enumerate(_CENTRAL_WEIGHTS):
+        if w:
+            d[..., 3:-3] += w * x[..., k:x.shape[-1] - 6 + k]
+    weights = np.array(_END_WEIGHTS)
+    reach = np.arange(7)
     for end, step in ((first, 1), (last, -1)):
-        f0, f1, f2, f3, f4 = (x[..., end + step * k] for k in range(5))
-        d[..., end] = step * (-25.0 * f0 + 48.0 * f1 - 36.0 * f2
-                              + 16.0 * f3 - 3.0 * f4)
-        d[..., end + step] = step * (-3.0 * f0 - 10.0 * f1 + 18.0 * f2
-                                     - 6.0 * f3 + f4)
+        near = x[..., end[:, None] + step * reach]       # (..., pieces, 7)
+        d[..., end[:, None] + step * reach[:3]] = step * (near @ weights.T)
     return d
 
 

@@ -43,6 +43,21 @@ def gallery(name, radii=COIN_RADII):
     return example_gallery(name, radii=radii, **GALLERY_KWARGS[name])
 
 
+def pole_sides(curve):
+    """(north in left, south in left) of a closed simple sampled curve, from
+    the signs of the solid-angle fans of its chord polygon from each pole,
+    summed chord by chord (Van Oosterom & Strackee, IEEE TBME 30:125,
+    1983): a negative north fan puts the south pole in the left region, a
+    negative south fan the north pole."""
+    p = curve.g
+    q = np.roll(p, -1, axis=0)
+    num = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    dot = np.sum(p * q, axis=1)
+    fan_north = 2.0 * np.sum(np.arctan2(num, 1.0 + dot + p[:, 2] + q[:, 2]))
+    fan_south = -2.0 * np.sum(np.arctan2(num, 1.0 + dot - p[:, 2] - q[:, 2]))
+    return bool(fan_south < 0.0), bool(fan_north < 0.0)
+
+
 @pytest.fixture(scope="session")
 def gallery_paths():
     """All six stock motions with a = b = 1."""

@@ -18,6 +18,7 @@ import geophase
 from geophase import GeophaseError, Tolerances, build_path
 from geophase.cli import main
 from geophase.data import load_report_schema
+from geophase.phases import DEFAULT_STEPS
 
 PI = math.pi
 
@@ -217,7 +218,7 @@ def test_report_states_the_sample_counts(tmp_path, capsys):
     code, out, _ = run(capsys, "compute", "--example", "ii", "--format", "json")
     assert code == 0
     inp = json.loads(out)["input"]
-    assert (inp["steps"], inp["samples"]) == (4000, 1_000_000)
+    assert (inp["steps"], inp["samples"]) == (DEFAULT_STEPS, 1_000_000)
     # the report states the inputs the run used and nothing else
     assert set(inp) == {"source", "radii", "epsilon", "beta0", "methods",
                         "tolerances", "segments", "steps", "samples"}

@@ -210,6 +210,19 @@ def test_berry_transport_matches_the_line_integral():
             geometric_phase_line(path), abs=1e-9)
 
 
+def test_berry_transport_is_sixth_order(monkeypatch):
+    # iv's one piece sweeps 2 pi: 16, 32 and 63 intervals, so the error
+    # falls by 2**6 = 64 and then by (63/32)**6 = 58; measured 60 and 57
+    path = gallery("iv", TABLE_RADII)
+    line = geometric_phase_line(path)
+    errors = []
+    for step in (0.4, 0.2, 0.1):
+        monkeypatch.setattr(gauge, "_TRANSPORT_STEP", step)
+        errors.append(abs(berry_holonomy(path) - line))
+    assert errors[0] / errors[1] == pytest.approx(64.0, abs=8.0)
+    assert errors[1] / errors[2] == pytest.approx(58.3, abs=8.0)
+
+
 def test_gauge_inconsistency_carries_the_transport_miss_and_the_tolerance():
     # the miss is >= 0, so a negative tolerance always trips the check
     with pytest.raises(GaugeInconsistency, match="misses the curve") as info:
@@ -233,11 +246,11 @@ def test_a_transport_rate_without_sin_beta_trips_the_miss_check(monkeypatch):
 
 
 def test_a_sweep_past_the_interval_cap_raises_before_transporting():
-    # ten thousand laps need 6.3e6 transport intervals
+    # ten thousand laps need 1.3e6 transport intervals
     from geophase import AffineSegment, ConstantSegment, MotionPath, Radii, ScalarPath
     theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, 2e4 * PI)])
     beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
-    with pytest.raises(ValueError, match=r"6\.28e\+06 intervals, more than "
+    with pytest.raises(ValueError, match=r"1\.26e\+06 intervals, more than "
                        "MAX_PIECE_SAMPLES"):
         berry_holonomy(MotionPath(theta, beta, Radii(1.0, 1.0)))
 

@@ -16,7 +16,7 @@ from geophase.regions import SIMPLE_TOL
 from geophase.sphere import MAX_SAMPLE_STEP, RegularizedCurve
 from geophase.errors import CurveNotClosed, CurveNotSimple, WindingInconsistent
 from conftest import (COIN_RADII, TABLE_RADII, closed_motions, gallery,
-                      gauss_bonnet_area)
+                      gauss_bonnet_area, pole_sides)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -83,7 +83,7 @@ def test_fan_sign_sides_match_the_frozen_counts(radii):
         for name, counts in EXPECTED_COUNTS.items():
             curve = regularize(gallery(name, radii), eps)
             assert classify_poles(curve) == counts, (name, eps)
-            north_in, south_in = regions._pole_sides(curve)
+            north_in, south_in = pole_sides(curve)
             assert int(north_in) + int(south_in) == counts[0]
 
 

@@ -79,13 +79,15 @@ def test_simulation_is_radius_independent_in_the_geometric_part():
         assert geometric == pytest.approx(PI / 2.0, abs=1e-4)
 
 
-def test_simulation_convergence_is_fourth_order():
+def test_simulation_convergence_is_sixth_order():
+    # each doubling of the rate evaluations halves the interval length, so
+    # the error falls by 2**6 = 64; measured 61 and 65, band 64 +- 8
     path = gallery("iv", TABLE_RADII)
     expected = dynamical_phase(path) + geometric_phase_line(path)
     errors = [abs(simulate_rolling(path, steps=n).delta_oracle - expected)
-              for n in (1000, 2000, 4000)]
-    assert errors[0] / errors[1] == pytest.approx(16.0, abs=2.0)
-    assert errors[1] / errors[2] == pytest.approx(16.0, abs=2.0)
+              for n in (300, 600, 1200)]
+    assert errors[0] / errors[1] == pytest.approx(64.0, abs=8.0)
+    assert errors[1] / errors[2] == pytest.approx(64.0, abs=8.0)
 
 
 @pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
@@ -121,7 +123,7 @@ def test_unreasonable_closure_budget_trips_the_guard():
 
 
 def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
-    # 10**11 steps ask for 5e10 intervals, hundreds of GiB of arrays; the
+    # 10**11 steps ask for 3.3e10 intervals, hundreds of GiB of arrays; the
     # interval arrays start with np.repeat, which must never be reached
     path = gallery("vi")
 
@@ -134,10 +136,16 @@ def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
     # an integer past the float range is refused before any float arithmetic
     with pytest.raises(ValueError, match="MAX_PIECE_SAMPLES"):
         simulate_rolling(path, 10**400)
+    # three rate evaluations per interval: one step past three per capped
+    # interval is refused up front
+    steps = 3 * rolling.MAX_PIECE_SAMPLES + 1
+    with pytest.raises(ValueError, match=rf"at most 3 \* MAX_PIECE_SAMPLES "
+                       rf"= {steps - 1}, got {steps}"):
+        simulate_rolling(path, steps=steps)
 
 
 def test_every_piece_gets_the_minimum_number_of_intervals():
-    # steps=20 asks for 10 intervals in all; each of motion v's pieces
+    # steps=20 asks for about 7 intervals in all; each of motion v's pieces
     # still gets its own floor of intervals
     path = gallery("v")
     trace = simulate_rolling(path, steps=20)
@@ -145,7 +153,7 @@ def test_every_piece_gets_the_minimum_number_of_intervals():
     nodes = np.diff(np.concatenate([[0], starts, [trace.t.size]]))
     assert nodes.size == len(path.affine_pieces)
     assert np.all(nodes - 1 >= rolling._MIN_STEPS_PER_SEGMENT)
-    assert trace.steps == 2 * int(np.sum(nodes - 1))
+    assert trace.steps == 3 * int(np.sum(nodes - 1))
     expected = dynamical_phase(path) + geometric_phase_line(path)
     assert trace.delta_oracle == pytest.approx(expected, abs=1e-4)
 
@@ -283,7 +291,8 @@ def test_blocked_prefix_products_match_a_sequential_product(steps):
 
 
 def _fornberg_weights(offsets):
-    """Weights w with sum_j w[j] f(offsets[j]) ~ f'(0), exact for quartics."""
+    """Weights w with sum_j w[j] f(offsets[j]) ~ f'(0), exact for
+    polynomials of degree below len(offsets)."""
     offsets = np.asarray(offsets, dtype=float)
     vandermonde = offsets[None, :] ** np.arange(offsets.size)[:, None]
     return np.linalg.solve(vandermonde, np.eye(offsets.size)[1])
@@ -291,23 +300,25 @@ def _fornberg_weights(offsets):
 
 def _whole_array_oracle(path, steps):
     """Reference: the Magnus oracle over whole arrays, piece by piece, with
-    the schedule from conftest.schedule_at, the Magnus rotation vector
-    from np.cross, stencil weights solved from Vandermonde systems, Simpson
-    written out per piece and the spin from the Hamilton product
-    2 vec(qdot conj(q)). Returns (quaternions, no-slip residuals, spin
-    rates, delta_oracle)."""
+    the schedule from conftest.schedule_at, the sixth-order three-node
+    Magnus rotation vector from np.cross, seven-point stencil weights solved
+    from Vandermonde systems, Boole's rule written out per piece and the
+    spin from the Hamilton product 2 vec(qdot conj(q)). Returns
+    (quaternions, no-slip residuals, spin rates, delta_oracle)."""
     bounds = np.array(path.knots)
     bounds[0], bounds[-1] = 0.0, 1.0
     grids, spacings = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        m = max(rolling._MIN_STEPS_PER_SEGMENT, 2 * math.ceil((hi - lo) * steps / 4))
+        m = max(rolling._MIN_STEPS_PER_SEGMENT,
+                4 * math.ceil((hi - lo) * (steps / 12.0)))
         spacings.append((hi - lo) / m)
         grids.append(lo + spacings[-1] * np.arange(m + 1))
         grids[-1][-1] = hi
     h = np.concatenate([np.full(g.size - 1, step) for g, step in zip(grids, spacings)])
     tm = np.concatenate([g[:-1] for g in grids]) + 0.5 * h
     rates, residuals = [], []
-    for node in (tm - h / (2.0 * math.sqrt(3.0)), tm + h / (2.0 * math.sqrt(3.0))):
+    off = math.sqrt(15.0) / 10.0 * h
+    for node in (tm - off, tm, tm + off):
         (theta, dtheta), (beta, dbeta) = (schedule_at(path.theta, node),
                                           schedule_at(path.beta, node))
         rows, rhs, _ = rolling._constraint_rows(theta, beta, dtheta, dbeta,
@@ -315,9 +326,14 @@ def _whole_array_oracle(path, steps):
         omega, noslip = rolling._normal_solve(rows, rhs)
         rates.append(np.array(omega).T)
         residuals.append(noslip)
-    w1, w2 = rates
-    magnus = (0.5 * h[:, None] * (w1 + w2)
-              - math.sqrt(3.0) / 12.0 * h[:, None] ** 2 * np.cross(w1, w2))
+    w1, w2, w3 = rates
+    h = h[:, None]
+    a1 = h * w2
+    a2 = math.sqrt(15.0) / 3.0 * h * (w3 - w1)
+    a3 = 10.0 / 3.0 * h * (w3 - 2.0 * w2 + w1)
+    c1 = np.cross(a1, a2)
+    c2 = -np.cross(a1, 2.0 * a3 + c1) / 60.0
+    magnus = a1 + a3 / 12.0 + np.cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
     q_unique = rolling._compose(rolling._rodrigues_steps(tuple(magnus.T), 1.0))
 
     qs, spins, delta, done = [], [], 0.0, 0
@@ -327,8 +343,8 @@ def _whole_array_oracle(path, steps):
         done += m
         dq = np.empty_like(q)
         for j in range(m + 1):
-            lo = min(max(j - 2, 0), m - 4)
-            window = np.arange(lo, lo + 5)
+            lo = min(max(j - 3, 0), m - 6)
+            window = np.arange(lo, lo + 7)
             dq[:, j] = q[:, window] @ _fornberg_weights(window - j) / step
         rate = rolling._qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
         # the ends of a piece take its own one-sided limits of the schedule
@@ -337,11 +353,12 @@ def _whole_array_oracle(path, steps):
         theta, dtheta = schedule_at(path.theta, inside)
         beta, theta = beta + dbeta * (g - inside), theta + dtheta * (g - inside)
         spin = 2.0 * np.einsum("ki,ik->k", gauss_vector(theta, beta), np.array(rate))
-        delta -= step / 3.0 * (spin[0] + 4.0 * spin[1:-1:2].sum()
-                               + 2.0 * spin[2:-1:2].sum() + spin[-1])
+        delta -= 2.0 * step / 45.0 * (
+            7.0 * (spin[0] + spin[-1]) + 32.0 * (spin[1::4].sum() + spin[3::4].sum())
+            + 12.0 * spin[2::4].sum() + 14.0 * spin[4:-1:4].sum())
         qs.append(q)
         spins.append(spin)
-    return (np.concatenate(qs, axis=1), np.maximum(*residuals),
+    return (np.concatenate(qs, axis=1), np.max(residuals, axis=0),
             np.concatenate(spins), delta)
 
 
@@ -376,7 +393,7 @@ def test_a_schedule_starting_just_after_zero_is_covered():
     trace = simulate_rolling(path, steps=1000)
     q, noslip, spin, delta = _whole_array_oracle(path, 1000)
     # the first piece is stretched back to 0: no sliver interval before 1e-13
-    assert trace.t[0] == 0.0 and trace.t[1] == 0.5 / 250
+    assert trace.t[0] == 0.0 and trace.t[1] == 0.5 / 168
     np.testing.assert_allclose(trace.quaternions, q, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(trace.spin_rates, spin, rtol=0.0, atol=1e-10)
     assert trace.delta_oracle == pytest.approx(delta, abs=1e-12)
