@@ -60,7 +60,8 @@ for name, beta0, _ in MOTIONS:
     path = example_gallery(name, beta0=beta0, radii=RADII)
     line = geometric_phase_line(path)
     others = {
-        "sector bounds (mid)": geometric_phase_baumkuchen(path, 100_000).mid,
+        "sector bounds (centre)":
+            geometric_phase_baumkuchen(path, 100_000).centre,
         "spherical area": geometric_phase_area(path),
         "turning + curvature": geometric_phase_curvature(path),
     }

@@ -31,9 +31,8 @@ _EXPORTS = {
         "build_path", "concatenate_paths", "example_gallery", "reverse_path",
         "topology_report"),
     "sphere": (
-        "Cusp", "RegularizedCurve", "detect_cusps", "frame_vectors",
-        "gauss_vector", "offset_length", "offset_length_derivative",
-        "regularize"),
+        "RegularizedCurve", "detect_cusps", "frame_vectors", "gauss_vector",
+        "offset_length", "offset_length_derivative", "regularize"),
     "regions": (
         "RegionReport", "classify_poles", "curvature_integral", "is_simple",
         "region_areas", "turning_angle_sum"),

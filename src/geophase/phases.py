@@ -6,8 +6,8 @@ only on the trace of the tilt vector. The geometric part is computed by
 several independent routes:
 
 * line: the time integral of cos(beta) theta' (the reference method),
-* baumkuchen: rigorous lower/upper Riemann-style bounds plus the
-  left-endpoint Riemann sum (mid),
+* baumkuchen: rigorous lower/upper Riemann-style bounds, read at the
+  centre of the bracket (the trapezoid sum on the same mesh),
 * area: left-region area minus 2 pi per enclosed pole, the area measured
   as the signed solid angle of the sampled curve (no frame, curvature or
   junction angle),
@@ -60,7 +60,12 @@ class BaumkuchenBounds:
     N: int
     lower: float
     upper: float
-    mid: float
+
+    @property
+    def centre(self) -> float:
+        """The bracket's midpoint: the trapezoid sum on the refined mesh,
+        within half the bracket width of the line integral."""
+        return (self.lower + self.upper) / 2.0
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,9 @@ def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
 
     The uniform N-interval mesh (the nodes of np.linspace(0, 1, N + 1)) is
     refined by every schedule breakpoint, so theta is monotone and beta
-    affine on each interval. The mid value is the left-endpoint Riemann
-    sum; lower/upper replace cos(beta) by its extreme values on each
-    interval, giving certified bounds for any N.
+    affine on each interval. lower/upper replace cos(beta) by its extreme
+    values on each interval, giving certified bounds for any N; the route
+    reads their centre.
 
     Each affine piece contributes its own slice of the mesh: its ends plus
     the uniform nodes inside it, found by index arithmetic (a node on the
@@ -148,7 +153,7 @@ def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
     if not 1 <= N <= 2**53:
         raise ValueError(f"N must be in [1, 2**53], got {N}")
     step = 1.0 / N   # np.linspace's node k is k * step, node N is 1.0
-    lower = mid = upper = 0.0
+    lower = upper = 0.0
     for (t0, t1, _th0, dth, b0, db) in path.affine_pieces:
         if dth == 0.0:
             continue
@@ -166,10 +171,9 @@ def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
                     + cos(b0 + db * (hi_t - t0)) * tail)
             right = (cos(a) * head + dth * step * _cos_sum(a + d, d, inner - 1)
                      + c1 * tail)
-        mid += left
         lower += min(left, right)
         upper += max(left, right)
-    return BaumkuchenBounds(N=N, lower=lower, upper=upper, mid=mid)
+    return BaumkuchenBounds(N=N, lower=lower, upper=upper)
 
 
 def _nodes_below(t: float, N: int, step: float) -> int:
@@ -318,7 +322,8 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
     report = topology_report(path)
     delta_d = dynamical_phase(path)
     runners = {
-        "baumkuchen": lambda: geometric_phase_baumkuchen(path, baumkuchen_n).mid,
+        "baumkuchen": lambda: (geometric_phase_baumkuchen(path, baumkuchen_n)
+                               .centre),
         "area": lambda: geometric_phase_area(path, eps),
         "curvature": lambda: geometric_phase_curvature(path, eps),
         "monopole": lambda: monopole_holonomy(path, eps),

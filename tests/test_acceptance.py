@@ -39,8 +39,8 @@ def test_table_of_rotation_angles():
 
         line = geometric_phase_line(path)
         assert line == pytest.approx(delta_g, abs=1e-6), name
-        mid = geometric_phase_baumkuchen(path, 10_000).mid
-        assert mid == pytest.approx(delta_g, abs=1e-6), name
+        centre = geometric_phase_baumkuchen(path, 10_000).centre
+        assert centre == pytest.approx(delta_g, abs=1e-6), name
         assert geometric_phase_area(path) == pytest.approx(
             delta_g, abs=1e-3), name
         assert geometric_phase_curvature(path) == pytest.approx(
@@ -139,7 +139,7 @@ def test_method_agreement_on_random_motions():
 
         values = {
             "line": geometric_phase_line(path),
-            "baumkuchen": geometric_phase_baumkuchen(path, 10**6).mid,
+            "baumkuchen": geometric_phase_baumkuchen(path, 10**6).centre,
             "area": geometric_phase_area(path),
             "curvature": geometric_phase_curvature(path),
             "monopole": monopole_holonomy(path),

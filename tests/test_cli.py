@@ -331,6 +331,17 @@ def test_trace_equator_samples(capsys):
         assert abs(float(row["kappa_g"])) < 1e-9
 
 
+def test_trace_kappa_g_on_a_latitude_is_exact(capsys):
+    # every sample of the latitude beta = 1, the piece ends included
+    code, out, _ = run(capsys, "trace", "--example", "iv", "--beta0", "1.0")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) > 16
+    exact = -1.0 / math.tan(1.0)
+    for row in rows:
+        assert float(row["kappa_g"]) == pytest.approx(exact, rel=1e-11)
+
+
 def test_trace_clamped_motion_stays_near_the_south_pole(capsys):
     code, out, _ = run(capsys, "trace", "--example", "i", "--samples", "64")
     assert code == 0
@@ -572,7 +583,7 @@ def test_a_line_only_run_on_a_sampled_motion_file_never_imports_numpy(tmp_path):
 EXPORTED = {
     "AffineSegment", "BaumkuchenBounds", "BetaOutOfRange", "ClosureMismatch",
     "ConstantSegment", "CurveHasCusps", "CurveNotClosed", "CurveNotSimple",
-    "Cusp", "DEFAULT_EPSILON", "DiscontinuousPath", "DriftExceeded",
+    "DEFAULT_EPSILON", "DiscontinuousPath", "DriftExceeded",
     "EmptyTrack", "EpsilonOutOfRange", "FoucaultResult", "GALLERY_NAMES",
     "GapOrOverlap", "GaugeInconsistency", "GaugePatch", "GeophaseError",
     "LatitudeOutOfRange", "MINUS_PATCH", "MethodDisagreement", "MotionPath",

@@ -8,8 +8,9 @@ import pytest
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
                       curvature_integral, detect_cusps, frame_vectors,
-                      gauss_vector, offset_length, offset_length_derivative,
-                      regularize)
+                      gauss_vector, geometric_phase_curvature,
+                      geometric_phase_line, offset_length,
+                      offset_length_derivative, regularize)
 from geophase import sphere
 from geophase.errors import CurveHasCusps, EpsilonOutOfRange
 from conftest import COIN_RADII, TABLE_RADII, clamp_path, gallery
@@ -102,13 +103,13 @@ def test_geodesic_curvature_on_latitudes_and_meridians():
     curve = regularize(gallery("iv"))   # latitude beta0 = pi/3, theta rising
     mid = len(curve.t) // 2
     assert curve.kappa_g[mid] == pytest.approx(
-        -1.0 / math.tan(PI / 3.0), rel=1e-6)
+        -1.0 / math.tan(PI / 3.0), rel=1e-13)
 
     # pure meridian sweep: a great-circle arc, kappa_g = 0
     theta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 0.0)])
     beta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.5, 2.0)])
     arc = regularize(MotionPath(theta, beta, Radii(1.0, 1.0)))
-    assert abs(arc.kappa_g[len(arc.t) // 2]) < 1e-9
+    assert abs(arc.kappa_g[len(arc.t) // 2]) <= 1e-20
 
 
 def test_cusp_detection_on_square_wave_motions():
@@ -365,11 +366,13 @@ def test_coarse_grid_keeps_arc_ends_and_refuses_even_arcs():
 
 
 def test_regularize_matches_the_per_arc_reference():
-    # the arithmetic of every field but kappa_g is unchanged; kappa_g, a
-    # fourth-order difference estimate, is held at every sample, piece ends
-    # and shared junctions included, to the 2e-7 relative bound of
-    # test_kappa_g_matches_the_closed_form_of_each_piece
+    # the arithmetic of every field but kappa_g is unchanged; kappa_g, from
+    # each piece's exact derivatives, is held at every sample, piece ends
+    # and shared junctions included, to the 1e-13 relative bound of
+    # test_kappa_g_matches_the_closed_form_of_each_piece. On the closed
+    # curves the curvature route built on it lies within 4.8e-12 of line
     for path in reference_motions():
+        line = geometric_phase_line(path)
         for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
             curve = regularize(path, eps)
             ref = regularize_reference(path, eps)
@@ -378,7 +381,9 @@ def test_regularize_matches_the_per_arc_reference():
                                               err_msg=name)
             exact = ref["kappa_g"]
             assert np.all(np.abs(curve.kappa_g - exact)
-                          <= 2e-7 * np.maximum(1.0, np.abs(exact)))
+                          <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+            if curve.closed:
+                assert abs(geometric_phase_curvature(path, eps) - line) <= 2e-11
             assert curve.arcs == ref["arcs"]
             assert curve.junctions == ref["junctions"]
             assert curve.closed == ref["closed"]
@@ -420,27 +425,42 @@ def test_only_meridian_pieces_leave_the_curvature_step():
     assert len(regularize(gallery("vi"))) == 2162
 
 
+def piece_of_each_sample(curve, moving):
+    """Index into moving of the piece each sample belongs to: each piece
+    holds the samples after its start up to its end, so a junction sample
+    shared by two pieces of one arc is the incoming piece's, and an arc's
+    first sample is the piece's that starts there."""
+    piece = np.searchsorted([p.t1 for p in moving], curve.t)
+    for i0, _ in curve.arcs:
+        piece[i0] = np.searchsorted([p.t0 for p in moving], curve.t[i0])
+    return piece
+
+
 def test_kappa_g_matches_the_closed_form_of_each_piece():
     # on an affine piece kappa_g = -theta' cos(b) (2 b'^2 + theta'^2 sin^2 b)
-    # / (b'^2 + theta'^2 sin^2 b)^(3/2); its fourth-order difference
-    # estimate at the interior samples of a piece is held within 2e-7
-    # relative (it is within 1e-9), and on meridians (great circles) it is
-    # zero to rounding
-    for path in reference_motions():
-        for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
-            curve = regularize(path, eps)
-            for piece in sphere.clamped_affine_pieces(path, eps):
-                if not piece.moving:
-                    continue
-                inside = (curve.t > piece.t0) & (curve.t < piece.t1)
-                kappa = curve.kappa_g[inside]
-                assert kappa.size >= sphere._MIN_PIECE_SAMPLES - 1
-                if piece.dth == 0.0:
-                    assert float(np.max(np.abs(kappa))) <= 1e-20
-                    continue
-                exact = closed_form_kappa(piece, curve.beta_eps[inside])
-                assert np.all(np.abs(kappa - exact)
-                              <= 2e-7 * np.maximum(1.0, np.abs(exact)))
+    # / (b'^2 + theta'^2 sin^2 b)^(3/2); the value from the piece's exact
+    # derivatives is held within 1e-13 relative at every sample of the
+    # piece, its ends included (it is within 1e-15), on meridians (great
+    # circles) it is zero to rounding, and it stays finite when the clamp
+    # circle is 1e-100 from a pole
+    cases = [(path, eps) for path in reference_motions()
+             for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0)]
+    cases += [(gallery(name, radii), eps) for radii in (TABLE_RADII, COIN_RADII)
+              for name in ("i", "iii", "v", "vi") for eps in (1e-6, 1e-20, 1e-100)]
+    for path, eps in cases:
+        curve = regularize(path, eps)
+        assert np.all(np.isfinite(curve.kappa_g))
+        moving = [p for p in sphere.clamped_affine_pieces(path, eps) if p.moving]
+        owner = piece_of_each_sample(curve, moving)
+        for k, piece in enumerate(moving):
+            kappa = curve.kappa_g[owner == k]
+            assert kappa.size >= sphere._MIN_PIECE_SAMPLES
+            if piece.dth == 0.0:
+                assert float(np.max(np.abs(kappa))) <= 1e-20
+                continue
+            exact = closed_form_kappa(piece, curve.beta_eps[owner == k])
+            assert np.all(np.abs(kappa - exact)
+                          <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 
 
 @pytest.mark.parametrize("eps", [1e-20, 1e-100, DEFAULT_EPSILON])
