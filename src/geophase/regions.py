@@ -2,28 +2,38 @@
 
 A simple closed curve splits the sphere into two faces. We call the face
 lying to the left of the traversal (direction g x T) the left region. This
-module decides simplicity and measures the signed solid angle of the
-sampled polygon from each pole, which reads no frame, curvature or junction
-angle; the sign of each fan places the opposite pole (0,0,+-1) relative to
-the left region, and the fans give the region areas. The boundary data that
-Gauss-Bonnet needs (the geodesic curvature integral and the junction
-angles) are exposed for the curvature route.
+module decides simplicity from the clamped pieces and measures the signed
+solid angle of the sampled polygon from each pole, which reads no frame,
+curvature or junction angle; the sign of each fan places the opposite pole
+(0,0,+-1) relative to the left region, and the fans give the region areas.
+The boundary data that Gauss-Bonnet needs (the geodesic curvature integral
+and the junction angles) are exposed for the curvature route.
+
+Two points of the curve touch when they lie closer than tol = SIMPLE_TOL
+on the sphere and the curve between them, the shorter way round, is longer
+than L = MAX_SAMPLE_STEP. Points L/2 along two straight strands leaving a
+junction at the angle psi lie L sin(psi/2) apart, so a turn within delta =
+2 asin(tol / L) = 5.0e-7 rad of a full reversal touches, and a stretch
+shorter than L touches nothing. The fans read the sampled polygon, whose
+chords stray from the curve by at most about 2.4e-6 (_KAPPA_STEP^2
+sin(beta) / 8 on latitudes, MAX_SAMPLE_STEP^2 / 8 on meridians); their
+1e-9 agreement check guards that margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import asin, pi
 
 import numpy as np
 
 from .errors import (CurveNotClosed, CurveNotSimple, PoleOnCurve,
                      WindingInconsistent)
 from .motion import TWO_PI
-from .sphere import RegularizedCurve, _coarse_grid, _richardson_trapezoid
+from .sphere import (MAX_SAMPLE_STEP, RegularizedCurve, _coarse_grid,
+                     _richardson_trapezoid)
 
 SIMPLE_TOL = 1e-9
-_RUN = 8                # chords per run box in is_simple's far-pair search
 
 
 @dataclass(frozen=True)
@@ -35,167 +45,155 @@ class RegionReport:
 
 
 # ---------------------------------------------------------------------------
-# segment geometry helpers
-
-
-def _segment_pair_distance(p1, q1, p2, q2):
-    """Minimum distance between 3D segment batches [p1,q1] and [p2,q2]."""
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = np.einsum("ij,ij->i", d1, d1)
-    e = np.einsum("ij,ij->i", d2, d2)
-    b = np.einsum("ij,ij->i", d1, d2)
-    c = np.einsum("ij,ij->i", d1, r)
-    f = np.einsum("ij,ij->i", d2, r)
-    denom = a * e - b * b
-    s = np.where(denom > 1e-30, np.clip((b * f - c * e) / np.where(denom > 1e-30, denom, 1.0), 0.0, 1.0), 0.0)
-    t = (b * s + f) / np.where(e > 1e-30, e, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    s = np.clip((b * t - c) / np.where(a > 1e-30, a, 1.0), 0.0, 1.0)
-    diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
-    return np.linalg.norm(diff, axis=1)
-
-
-def _overlap(lo, hi, a, b):
-    """Whether boxes a and b overlap, for component-major bounds lo, hi of
-    shape (3, n); a and b are index arrays or slices of equal length."""
-    out = lo[0][a] <= hi[0][b]
-    out &= lo[0][b] <= hi[0][a]
-    for lo_k, hi_k in zip(lo[1:], hi[1:]):
-        out &= lo_k[a] <= hi_k[b]
-        out &= lo_k[b] <= hi_k[a]
-    return out
-
-
-def _box_pairs(lo, hi):
-    """Index pairs i < j of overlapping axis-aligned boxes [lo, hi], each once.
-
-    Uniform-grid hashing (Shamos & Hoey, FOCS 1976): the cell side is at
-    least the largest box extent, so a box touches at most two cells per
-    axis, and at least the widest occupied range over the number of boxes,
-    so no axis has more than n + 2 edges. Cells are counted from the
-    occupied minimum and are half-open ranges between consecutive edges, so
-    two overlapping boxes both touch the cell holding the low corner of
-    their overlap; the pair is taken from that cell only.
-    """
-    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-    widest = float(np.max(hi.max(axis=1) - lo.min(axis=1)))
-    side = max(float(np.max(hi - lo)), widest / lo.shape[1])
-    first, span, dims = [], [], []
-    for lo_k, hi_k in zip(lo, hi):
-        start = lo_k.min()
-        edges = start + side * np.arange(int((hi_k.max() - start) / side) + 2)
-        first.append(np.searchsorted(edges, lo_k, side="right") - 1)
-        span.append(np.searchsorted(edges, hi_k, side="right") - 1 - first[-1] > 0)
-        dims.append(edges.size)
-    stride = (1, dims[0], dims[0] * dims[1])
-    home = first[0] + stride[1] * first[1] + stride[2] * first[2]
-    keys, boxes = [home], [np.arange(home.size)]
-    for corner in range(1, 8):
-        axes = [k for k in range(3) if corner >> k & 1]
-        touched = np.flatnonzero(np.logical_and.reduce([span[k] for k in axes]))
-        keys.append(home[touched] + sum(stride[k] for k in axes))
-        boxes.append(touched)
-    keys, boxes = np.concatenate(keys), np.concatenate(boxes)
-    # boxes in one cell are adjacent after the sort, in no set order
-    order = np.argsort(keys, kind="stable")
-    keys, boxes = keys[order], boxes[order]
-    # pair every entry with each later entry of its run of equal keys
-    run_start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    run_end = np.repeat(np.r_[run_start[1:], keys.size], np.diff(np.r_[run_start, keys.size]))
-    later = run_end - np.arange(keys.size) - 1
-    left = np.repeat(np.arange(keys.size), later)
-    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
-    i, j = boxes[left], boxes[right]
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    low_corner = sum(s * np.maximum(f[i], f[j]) for s, f in zip(stride, first))
-    keep = keys[left] == low_corner
-    i, j = i[keep], j[keep]
-    keep = _overlap(lo, hi, i, j)
-    return i[keep], j[keep]
-
-
-def _chords_apart(curve: RegularizedCurve, m: int, i, j, tol: float) -> bool:
-    """Whether every chord pair (i, j), i < j, of the m chords lies at least
-    tol apart; the closure pair of a closed curve is exempt."""
-    if curve.closed:
-        keep = j - i != m - 1
-        i, j = i[keep], j[keep]
-    if not i.size:
-        return True
-    # chord c of arc k starts at sample c + k
-    first = np.array([i0 for i0, _ in curve.arcs]) - np.arange(len(curve.arcs))
-    i = i + np.searchsorted(first, i, side="right") - 1
-    j = j + np.searchsorted(first, j, side="right") - 1
-    g = curve.g
-    d = _segment_pair_distance(g[i], g[i + 1], g[j], g[j + 1])
-    return bool(np.all(d >= tol))
+# simplicity from the clamped pieces
 
 
 def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
-    """True when the sampled curve never touches itself within tol.
+    """True when no two points of the curve touch (module notes); cached per tol.
 
-    Non-adjacent chord pairs closer than tol count as a self-intersection;
-    chords sharing an endpoint (consecutive along the curve, including the
-    closure pair of a closed curve) are exempt. Candidate pairs are the
-    chords whose tol-expanded bounding boxes overlap; only those get the
-    exact segment distance. Near pairs, index offsets 2 to 2R - 1 with
-    R = _RUN, are compared offset by offset as whole arrays, and measured
-    before any far pair is formed: a touch among them settles the answer.
-    Far pairs come from runs of R consecutive chords: the run boxes go
-    through a uniform grid (see _box_pairs), and each overlapping run pair
-    at least two runs apart is expanded into its chord pairs. Two
-    overlapping chord boxes lie in overlapping run boxes, and chords 2R or
-    more apart lie in runs at least two apart, so no overlapping pair is
-    missed. The answer is cached on the curve per tol.
+    A junction (the closure of a closed curve is one) turning within delta
+    of a full reversal between pieces at least L/2 long touches. Otherwise
+    the pieces, straight in the (theta, beta) chart, are cut into units of
+    at most pi/2 in theta, and pairs of units are bounded from below: by
+    d^2 = 4 sin^2(dbeta/2) + 4 sin(b1) sin(b2) sin^2(dtheta/2) at the gaps
+    of their ranges (a sweep picks the pairs whose ranges meet), by their
+    distance in the chart with theta scaled by the smaller sin(beta), and,
+    for consecutive units, as two straight strands from one point. A pair
+    still below tol has its longer stretch halved and is bounded again, and
+    is dropped once all its points lie within L of each other along the
+    curve; two points within tol and more than L apart settle the answer.
+    128 halvings or over 2^14 open pairs count as a touch.
     """
     key = ("simple", tol)
     if key in curve._cache:
         return curve._cache[key]
-    # chords run between consecutive samples of one arc, numbered along the
-    # arcs; the step from one arc's last sample to the next arc's first is
-    # no chord
-    w = curve.g.T                 # rows x, y, z
-    lo = np.minimum(w[:, :-1], w[:, 1:])
-    hi = np.maximum(w[:, :-1], w[:, 1:])
-    if len(curve.arcs) > 1:
-        chord = np.ones(lo.shape[1], dtype=bool)
-        chord[[i1 - 1 for _, i1 in curve.arcs[:-1]]] = False
-        lo, hi = lo.compress(chord, axis=1), hi.compress(chord, axis=1)
-    lo -= tol
-    hi += tol
-    m = lo.shape[1]
-    simple = True
-    if m >= 3:
-        i, j = [], []
-        for d in range(2, min(2 * _RUN, m)):
-            near = np.flatnonzero(_overlap(lo, hi, slice(None, -d), slice(d, None)))
-            i.append(near)
-            j.append(near + d)
-        # near pairs first: a stretch of curve shorter than tol puts all its
-        # chords in each other's boxes, and its far pairs grow as its square
-        simple = _chords_apart(curve, m, np.concatenate(i), np.concatenate(j), tol)
-        if simple and m > 2 * _RUN:     # three runs or more
-            # run boxes, from _RUN strided passes (ufunc.reduceat is
-            # several times slower on runs this short)
-            run_lo, run_hi = lo[:, ::_RUN].copy(), hi[:, ::_RUN].copy()
-            for r in range(1, _RUN):
-                k = lo[:, r::_RUN].shape[1]
-                np.minimum(run_lo[:, :k], lo[:, r::_RUN], out=run_lo[:, :k])
-                np.maximum(run_hi[:, :k], hi[:, r::_RUN], out=run_hi[:, :k])
-            a, b = _box_pairs(run_lo.T, run_hi.T)
-            keep = b - a >= 2
-            a, b = a[keep], b[keep]
-            u, v = np.divmod(np.arange(_RUN * _RUN), _RUN)
-            fi = (_RUN * a[:, None] + u).ravel()
-            fj = (_RUN * b[:, None] + v).ravel()
-            keep = fj < m
-            fi, fj = fi[keep], fj[keep]
-            keep = (fj - fi >= 2 * _RUN) & _overlap(lo, hi, fi, fj)
-            simple = _chords_apart(curve, m, fi[keep], fj[keep], tol)
+    with np.errstate(all="ignore"):   # a zero-length unit gives 0 / 0
+        simple = not (curve.pieces and (_reverses(curve, tol) or _touches(curve, tol)))
     curve._cache[key] = simple
     return simple
+
+
+def _reverses(curve: RegularizedCurve, tol: float) -> bool:
+    """Whether a junction turns within delta of reversing two L/2 legs."""
+    delta, ps = 2.0 * asin(tol / MAX_SAMPLE_STEP), curve.pieces
+    legs = [(ps[k], ps[(k + 1) % len(ps)]) for k, j in enumerate(curve.junctions)
+            if pi - abs(j.alpha) < delta]
+    return any(np.all(np.diff(np.interp([[a.t0, b.t0], [a.t1, b.t1]], curve.t, curve.s),
+                              axis=0) >= 0.5 * MAX_SAMPLE_STEP) for a, b in legs)
+
+
+def _at(rows, unit, t):
+    """(theta, beta) of the units at the times t."""
+    t0, _, th0, dth, b0, db = rows[:, unit]
+    return th0 + dth * (t - t0), b0 + db * (t - t0)
+
+
+def _touches(curve: RegularizedCurve, tol: float) -> bool:
+    """The search of is_simple over pairs of units."""
+    from itertools import chain
+    # units, k equal parts of each piece: its row, their (start, end) times;
+    # np.array reads thousands of Piece tuples several times slower
+    rows = np.fromiter(chain.from_iterable(curve.pieces), float, 6 * len(curve.pieces))
+    t0, t1, _, dth = rows.reshape(-1, 6).T[:4]
+    k = np.maximum(np.ceil(np.abs(dth * (t1 - t0)) / (pi / 2.0)), 1.0).astype(int)
+    rows = rows.reshape(-1, 6)[np.repeat(np.arange(k.size), k)].T
+    n = rows.shape[1]
+    cut = np.arange(n) - np.repeat(np.cumsum(k) - k, k)
+    ends = rows[0] + (rows[1] - rows[0]) * np.array([cut, cut + 1]) / np.repeat(k, k)
+
+    # candidates: units whose theta ranges, widened by (pi/4) tol / rho,
+    # rho the smaller sin(beta), meet on the circle (others lie tol apart)
+    th, be = _at(rows, slice(None), ends)
+    widen = (pi / 4.0) * tol / np.sin(be).min(axis=0)
+    width = np.minimum(np.abs(th[1] - th[0]) + 2.0 * widen, TWO_PI)
+    start = np.mod(th.min(axis=0) - widen, TWO_PI)
+    order = np.argsort(start)
+    rank, first = np.argsort(order), start[order]
+    last = np.searchsorted(np.concatenate([first, first + TWO_PI]), start + width,
+                           side="right")
+    # the units starting inside each range, the unit itself first; a pair
+    # whose ranges each hold the other's start comes twice
+    count = np.minimum(last - rank, n)
+    a = np.repeat(np.arange(n), count)
+    b = order[(np.repeat(rank - np.cumsum(count) + count, count) + np.arange(a.size)) % n]
+    apart = np.abs(b - a)
+    linked = (apart <= 1) | (apart == (n - 1 if curve.closed else -1))
+
+    unit, t, strand = np.array([a, a, b, b]), np.concatenate([ends[:, a], ends[:, b]]), None
+    for _ in range(128):
+        th, be = _at(rows, unit, t)
+        sin_be = np.sin(be)
+        lo, hi = np.minimum(be[::2], be[1::2]), np.maximum(be[::2], be[1::2])
+        gap_be = np.maximum(np.maximum(lo[1] - hi[0], lo[0] - hi[1]), 0.0)
+        d0 = np.minimum(th[2], th[3]) - np.maximum(th[0], th[1])
+        d1 = np.maximum(th[2], th[3]) - np.minimum(th[0], th[1])
+        lap = TWO_PI * np.rint((d0 + d1) / (2.0 * TWO_PI))
+        d0, d1 = d0 - lap, d1 - lap
+        gap_th = np.maximum(np.maximum(d0, -d1), 0.0)
+        rho = np.minimum(sin_be[::2], sin_be[1::2])
+        lower = 2.0 * np.sqrt(np.sin(0.5 * gap_be) ** 2
+                              + rho[0] * rho[1] * np.sin(0.5 * gap_th) ** 2)
+        # the chart, theta scaled by the smaller sin(beta) and each axis by
+        # 1 - x^2/24 <= sin(x/2)/(x/2) at its widest x: within pi in theta
+        # no two points lie closer on the sphere than in it
+        span_th = np.maximum(np.abs(d0), np.abs(d1))
+        span_be = np.maximum(hi[1] - lo[0], hi[0] - lo[1])
+        f_be = 1.0 - span_be * span_be / 24.0
+        c = rho.min(axis=0) * (1.0 - span_th * span_th / 24.0)
+        p = c * (th[1] - th[0]), f_be * (be[1] - be[0])
+        q = c * (th[3] - th[2]), f_be * (be[3] - be[2])
+        # strands from one point at the angle omega (pi for one unit) lie
+        # (x + y) sin(omega/2) apart in the chart, x, y their lengths there,
+        # each at least min(f_be, c) times its length on the sphere
+        cos = (p[0] * q[0] + p[1] * q[1]) / (np.hypot(*p) * np.hypot(*q))
+        bound = (np.minimum(f_be, c) * MAX_SAMPLE_STEP
+                 * np.sqrt(np.maximum(0.5 + 0.5 * cos, 0.0)))
+        strand = linked * bound if strand is None else strand
+        lower = np.fmax(np.fmax(lower, strand), (unit[0] == unit[2]) * bound)
+        if lower.min() >= tol:
+            return False
+        u, v, chart = _closest(c * (th[0] - th[2] + lap), f_be * (be[0] - be[2]), p, q)
+        lower = np.fmax(lower, chart * (span_th <= pi))
+        # the chart's closest points, on the sphere and along the curve
+        bp, bq = be[0] + u * (be[1] - be[0]), be[2] + v * (be[3] - be[2])
+        dth = th[2] + v * (th[3] - th[2]) - th[0] - u * (th[1] - th[0])
+        d2 = 4.0 * (np.sin(0.5 * (bq - bp)) ** 2
+                    + np.sin(bp) * np.sin(bq) * np.sin(0.5 * dth) ** 2)
+        s = np.interp(t, curve.t, curve.s)
+        along = np.abs(s[2] + v * (s[3] - s[2]) - s[0] - u * (s[1] - s[0]))
+        widest = np.maximum(s[3] - s[0], s[1] - s[2])
+        if curve.closed:
+            along = np.minimum(along, curve.total_length - along)
+            nearest = np.maximum(s[2] - s[1], s[0] - s[3])
+            widest = np.minimum(widest, curve.total_length - nearest)
+        if np.any((d2 < tol * tol) & (along > MAX_SAMPLE_STEP)):
+            return True
+        keep = np.flatnonzero((lower < tol) & (widest > MAX_SAMPLE_STEP))
+        if not keep.size or keep.size > 1 << 14:
+            return bool(keep.size)
+        # halve the longer stretch of each pair
+        t, side = t[:, keep], (s[1] - s[0] < s[3] - s[2])[keep].astype(int)
+        cols = np.arange(keep.size)
+        mid = 0.5 * (t[2 * side, cols] + t[2 * side + 1, cols])
+        below, above = t.copy(), t.copy()
+        below[2 * side + 1, cols], above[2 * side, cols] = mid, mid
+        t = np.concatenate([below, above], axis=1)
+        unit, strand = np.tile(unit[:, keep], 2), np.tile(strand[keep], 2)
+    return True
+
+
+def _closest(rx, ry, p, q):
+    """Parameters u, v in [0, 1] of the closest points of the plane
+    segments P + u p and Q + v q, (rx, ry) = P - Q, and their distance
+    (Ericson, Real-Time Collision Detection, 2005, 5.1.9)."""
+    (px, py), (qx, qy) = p, q
+    a, e, b = px * px + py * py, qx * qx + qy * qy, px * qx + py * qy
+    c, f = px * rx + py * ry, qx * rx + qy * ry
+    denom = a * e - b * b
+    u = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+    v = np.where(e > 0.0, np.clip((b * u + f) / e, 0.0, 1.0), 0.0)
+    u = np.where(a > 0.0, np.clip((b * v - c) / a, 0.0, 1.0), 0.0)
+    return u, v, np.hypot(rx + u * px - v * qx, ry + u * py - v * qy)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +215,18 @@ def classify_poles(curve: RegularizedCurve):
     With A+ in (0, 4 pi), A+ = fan_N + 4 pi [south in left] = fan_S + 4 pi
     [north in left], so a negative north fan puts the south pole in the
     left region and a negative south fan the north pole. The curve must be
-    closed, simple and clear of both poles; the clamp keeps both apexes at
-    least eps from it. Two fans whose areas disagree beyond 1e-9 (a
-    non-simple polygon that passed is_simple) raise WindingInconsistent
-    with the spread, and so does a pole split that contradicts the
-    azimuthal winding of theta (|winding| = 1 exactly when the poles are
-    separated), with no number. The stored A+ is fourth order: the north
-    fan A_h is combined with the north fan A_2h of the polygon through
-    every other sample of each arc, which keeps each arc's ends, as A_h +
-    (A_h - A_2h) / 3. Every piece has an even number of equal steps in t,
-    so this cancels the polygon's h^2 error (Richardson, Phil. Trans. R.
-    Soc. A 210 (1911) 307). The counts and A+ are cached on the curve.
+    closed, simple and clear of both poles (PoleOnCurve below min(SIMPLE_TOL,
+    eps / 2); the clamp keeps both apexes at least eps from it). Two fans
+    whose areas disagree beyond 1e-9 (a non-simple polygon that passed
+    is_simple) raise WindingInconsistent with the spread, and so does a
+    pole split that contradicts the azimuthal winding of theta (|winding| =
+    1 exactly when the poles are separated), with no number. The stored A+
+    is fourth order: the north fan A_h is combined with the north fan A_2h
+    of the polygon through every other sample of each arc, which keeps
+    each arc's ends, as A_h + (A_h - A_2h) / 3. Every piece has an even
+    number of equal steps in t, so this cancels the polygon's h^2 error
+    (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307). The counts and A+
+    are cached on the curve.
     """
     key = "pole_classification"
     if key in curve._cache:
@@ -240,7 +239,7 @@ def classify_poles(curve: RegularizedCurve):
     r2 = p[0] * p[0] + p[1] * p[1]
     for pole_z in (1.0, -1.0):
         clearance = float(np.sqrt(np.min(r2 + (p[2] - pole_z) ** 2)))
-        if clearance < SIMPLE_TOL:
+        if clearance < min(SIMPLE_TOL, curve.epsilon / 2.0):
             raise PoleOnCurve(f"curve passes within {clearance:.2e} of a pole")
     # 1 + z and 1 - z; in the hemisphere where one would cancel it is
     # r^2/(1 + |z|) instead

@@ -92,10 +92,13 @@ class RegularizedCurve:
     arc: it is unwrapped only in the arcs where the raw tangent angle jumps
     by pi or more. ``arcs`` lists half-open index ranges of maximal smooth
     sub-arcs; shared junction points appear once per adjacent arc so phi
-    stays continuous within each arc.
+    stays continuous within each arc. ``pieces`` holds the clamped moving
+    pieces the samples were taken on, in order; regions.is_simple reads
+    them, not the samples.
     """
 
     epsilon: float
+    pieces: tuple
     t: np.ndarray
     s: np.ndarray
     theta: np.ndarray
@@ -220,9 +223,13 @@ def _sample_rows(moving, times, arcs):
     # on each sample's own piece. The determinant and |g_t| do not change
     # when the sphere turns about z, so the rows are taken in the frame
     # turned by -theta, where g = (sb, 0, -cb); there a meridian piece
-    # (theta' = 0) gives exactly 0
-    gt = (cb * v, sb * w, sb * v)
-    gtt = (-sb * (v * v + w * w), 2.0 * cb * v * w, cb * v * v)
+    # (theta' = 0) gives exactly 0. kappa_g does not change under t -> c t,
+    # so the rates are divided by the larger of the two first: rates whose
+    # squares fall below the float range would give 0 / 0
+    scale = np.maximum(np.abs(dth), np.abs(db))
+    wn, vn = (dth / scale)[piece], (db / scale)[piece]
+    gt = (cb * vn, sb * wn, sb * vn)
+    gtt = (-sb * (vn * vn + wn * wn), 2.0 * cb * vn * wn, cb * vn * vn)
     det = (sb * (gt[1] * gtt[2] - gt[2] * gtt[1])
            - cb * (gt[0] * gtt[1] - gt[1] * gtt[0]))
     speed2 = _row_dot(gt, gt)
@@ -230,7 +237,7 @@ def _sample_rows(moving, times, arcs):
 
     # the tangent angle in the (e1, e2) frame, unwrapped within each arc;
     # np.unwrap changes nothing in an arc without a step of pi or more
-    phi = np.arctan2(v, gt[1])
+    phi = np.arctan2(v, sb * w)
     jumps = np.abs(np.diff(phi)) >= pi
     for i0, i1 in arcs:
         if jumps[i0:i1 - 1].any():
@@ -274,7 +281,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         p = all_pieces[0]
         g = gauss_vector(p.th0, p.b0).reshape(3, 1).T
         return RegularizedCurve(
-            epsilon=eps, t=np.array([p.t0]), s=np.array([0.0]),
+            epsilon=eps, pieces=(), t=np.array([p.t0]), s=np.array([0.0]),
             theta=np.array([p.th0]), beta_eps=np.array([p.b0]), g=g,
             phi=np.array([0.0]), kappa_g=np.array([0.0]), arcs=((0, 1),),
             junctions=(), total_length=0.0, closed=False)
@@ -341,8 +348,9 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         junctions.append(Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha)))
 
     return RegularizedCurve(
-        epsilon=eps, t=t, s=s, theta=theta, beta_eps=beta, g=G.T, phi=phi,
-        kappa_g=kappa, arcs=tuple(arcs), junctions=tuple(junctions),
+        epsilon=eps, pieces=tuple(moving), t=t, s=s, theta=theta,
+        beta_eps=beta, g=G.T, phi=phi, kappa_g=kappa, arcs=tuple(arcs),
+        junctions=tuple(junctions),
         total_length=float(s_off), closed=closed)
 
 

@@ -123,6 +123,15 @@ def random_closed_motion(rng):
                       ScalarPath.from_segments(beta_segs), radii)
 
 
+@pytest.mark.parametrize("seed", [20260823, 20261017])
+def test_the_first_random_laps_are_all_simple(seed):
+    """The benchmark pools take every draw of these seeds, so a change of
+    the simplicity check that refused one would change the benchmark."""
+    rng = np.random.default_rng(seed)
+    for k in range(64):
+        assert is_simple(regularize(random_closed_motion(rng))), k
+
+
 def test_method_agreement_on_random_motions():
     """Six independent routes agree within 1e-3 on 50 random closed motions,
     and the rigid-body simulation agrees with their total."""

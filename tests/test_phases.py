@@ -470,6 +470,18 @@ def test_clamped_routes_agree_with_line_at_small_eps(name, eps):
             line, abs=Tolerances().analytic), route_name
 
 
+@pytest.mark.parametrize("eps", [1e-7, 1e-20, 1e-100])
+@pytest.mark.parametrize("name", ["i", "iii", "v", "vi"])
+def test_area_and_curvature_hold_at_every_documented_eps(name, eps):
+    """Below eps = 1e-9 the clamp circle is shorter than the simplicity
+    check's L = MAX_SAMPLE_STEP and joins its neighbours without touching
+    them, and the pole clearance is checked against eps / 2."""
+    path = gallery(name, TABLE_RADII)
+    line = geometric_phase_line(path)
+    assert geometric_phase_area(path, eps) == pytest.approx(line, abs=1e-9)
+    assert geometric_phase_curvature(path, eps) == pytest.approx(line, abs=1e-9)
+
+
 def test_line_keeps_its_digits_on_a_nearly_flat_tilt_piece():
     # the middle piece's tilt moves by one ulp; as a plain difference,
     # sin(b1) - sin(b0) lost every digit there and line was off by 4e-2

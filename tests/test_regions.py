@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,18 +10,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
                       ScalarPath, classify_poles, curvature_integral,
-                      extrapolated_region_report, is_simple, regularize,
-                      region_areas, turning_angle_sum)
+                      extrapolated_region_report, geometric_phase_area,
+                      geometric_phase_curvature, geometric_phase_line,
+                      is_simple, regularize, region_areas, turning_angle_sum)
 from geophase import regions
 from geophase.regions import SIMPLE_TOL
-from geophase.sphere import MAX_SAMPLE_STEP, RegularizedCurve
+from geophase.sphere import MAX_SAMPLE_STEP
 from geophase.errors import CurveNotClosed, CurveNotSimple, WindingInconsistent
 from conftest import (COIN_RADII, TABLE_RADII, closed_motions, gallery,
                       gauss_bonnet_area, pole_sides)
+from test_acceptance import random_closed_motion
 
 PI = math.pi
 TWO_PI = 2.0 * PI
 EPS = DEFAULT_EPSILON
+# a junction turn within DELTA of a full reversal touches
+DELTA = 2.0 * math.asin(SIMPLE_TOL / MAX_SAMPLE_STEP)
 
 EXPECTED_COUNTS = {"i": (1, 1), "ii": (1, 1), "iii": (1, 1),
                    "iv": (1, 1), "v": (0, 2), "vi": (1, 1)}
@@ -163,6 +168,25 @@ def test_region_report_shape():
     assert report.A_plus + report.A_minus == pytest.approx(4.0 * PI, abs=1e-12)
 
 
+def _segment_pair_distance(p1, q1, p2, q2):
+    """Minimum distance between 3D segment batches [p1,q1] and [p2,q2]."""
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = np.einsum("ij,ij->i", d1, d1)
+    e = np.einsum("ij,ij->i", d2, d2)
+    b = np.einsum("ij,ij->i", d1, d2)
+    c = np.einsum("ij,ij->i", d1, r)
+    f = np.einsum("ij,ij->i", d2, r)
+    denom = a * e - b * b
+    s = np.where(denom > 1e-30, np.clip((b * f - c * e) / np.where(denom > 1e-30, denom, 1.0), 0.0, 1.0), 0.0)
+    t = (b * s + f) / np.where(e > 1e-30, e, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    s = np.clip((b * t - c) / np.where(a > 1e-30, a, 1.0), 0.0, 1.0)
+    diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
+    return np.linalg.norm(diff, axis=1)
+
+
 def _curve_segments(curve):
     """Chord segments (P, Q) per smooth arc, with sequential position ids."""
     starts, ends = [], []
@@ -184,14 +208,14 @@ def _touching_pairs(curve, tol=SIMPLE_TOL):
     if curve.closed:
         keep = j - i != m - 1
         i, j = i[keep], j[keep]
-    d = regions._segment_pair_distance(P[i], Q[i], P[j], Q[j])
+    d = _segment_pair_distance(P[i], Q[i], P[j], Q[j])
     touching = ~(d >= tol)
     return set(zip(i[touching].tolist(), j[touching].tolist()))
 
 
 def _all_pairs_simple(curve, tol=SIMPLE_TOL):
-    """Reference for is_simple: the exact distance of every non-adjacent
-    chord pair."""
+    """The sampled reference: the exact distance of every non-adjacent
+    chord pair of the sampled polygon."""
     return not _touching_pairs(curve, tol)
 
 
@@ -203,7 +227,7 @@ def short_motions(draw):
     the next segment turns back), or so small that a hairpin's two strands
     sit 0.5-2 x SIMPLE_TOL apart one sample step from its tip.
     """
-    beta0 = draw(st.floats(0.3, PI - 0.3))
+    beta0 = draw(st.floats(0.4, PI - 0.4))   # four steps of 0.1 stay in [0, pi]
     n = draw(st.integers(1, 4))
     theta_segs, beta_segs = [], []
     theta, beta = 0.0, beta0
@@ -224,9 +248,9 @@ def short_motions(draw):
 def hairpin():
     """A hooked hairpin: out along beta = 1 to theta 1/8, up 2^-20 along a
     meridian, back to theta 1/16 while dropping to 0.5 x SIMPLE_TOL above
-    the outgoing strand. Its end sample sits 5e-10 from a sample of the
-    first arc, 47 chords away: a far pair, and in its grid cell the later
-    run is listed first."""
+    the outgoing strand. Its end touches the outgoing strand 1/16 rad from
+    the junctions: a pair of points far apart along the curve, and a pair
+    of chords 47 apart in the sampled polygon."""
     theta = ScalarPath.from_segments([AffineSegment(0.0, 1 / 3, 0.0, 0.375),
                                       AffineSegment(1 / 3, 2 / 3, 0.125, 0.0),
                                       AffineSegment(2 / 3, 1.0, 0.125, -0.1875)])
@@ -238,141 +262,168 @@ def hairpin():
 
 
 def test_hairpin_touches_only_across_far_chords():
-    # the example below guards the far-pair search only while its touch is
-    # a far pair; a change of the sampling rule could move it
+    # the example below guards a touch far along the curve from any
+    # junction, which no junction turn explains
     curve = regularize(hairpin())
     touching = _touching_pairs(curve, SIMPLE_TOL)
     assert touching
-    assert all(j - i >= 2 * regions._RUN for i, j in touching)
     assert not is_simple(curve)
+
+
+def _pieces_cross(curve):
+    """Whether two pieces that do not meet at a junction cross in the
+    (theta, beta) chart: a true crossing of the curve. The sampled polygon
+    can miss one, its chords passing at different depths below the sphere
+    (a chord of MAX_SAMPLE_STEP sags 2e-6)."""
+    ends = [((p.th0, p.b0), p.at(p.t1)) for p in curve.pieces]
+
+    def side(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    return any(side(a, b, c) * side(a, b, d) < 0 and side(c, d, a) * side(c, d, b) < 0
+               for (k, (a, b)), (m, (c, d)) in combinations(enumerate(ends), 2)
+               if m - k >= 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(short_motions())
 @example(hairpin())
 def test_is_simple_matches_all_pairs_reference(path):
+    # off the delta band a turn near reversal touches in both; inside it
+    # the sampled answer turns on the sample step, which is no rule
     curve = regularize(path)
-    assert is_simple(curve) == _all_pairs_simple(curve)
+    turns = [PI - abs(j.alpha) for j in curve.junctions]
+    if any(DELTA / 4.0 <= turn <= 4.0 * DELTA for turn in turns):
+        return
+    if _pieces_cross(curve):
+        assert not is_simple(curve)
+    else:
+        assert is_simple(curve) == _all_pairs_simple(curve)
 
 
-@pytest.mark.parametrize("snap", [False, True])
-def test_box_pairs_match_all_pairs_overlap(snap):
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        n = int(rng.integers(2, 80))
-        lo = rng.random((n, 3))
-        ext = 0.01 + 0.2 * rng.random((n, 3))
-        if snap:  # corners on the grid edges
-            lo, ext = np.round(lo, 2), np.round(ext, 2)
-        hi = lo + ext
-        i, j = regions._box_pairs(lo, hi)
-        a, b = np.triu_indices(n, 1)
-        overlap = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
-        assert sorted(zip(i.tolist(), j.tolist())) == list(zip(a[overlap].tolist(),
-                                                              b[overlap].tolist()))
+def hairpin_turn(turn):
+    """An open hairpin: out along beta = 1 to theta 1/2, then back to theta
+    1/4 at the angle turn from a full reversal, rising."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 1.0),
+                                      AffineSegment(0.5, 1.0, 0.5, -0.5)])
+    rise = math.tan(turn) * math.sin(1.0) * 0.25
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 1.0, 0.0),
+                                     AffineSegment(0.5, 1.0, 1.0, 2.0 * rise)])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
 
 
-def test_box_pairs_of_tiny_boxes_spread_wide():
-    # 200 boxes of extent 1e-9 over a unit cube, a quarter of them placed
-    # on top of another box; a grid with cells of the box extent would need
-    # 1e9 edges per axis
-    rng = np.random.default_rng(11)
-    lo = rng.random((200, 3))
-    lo[150:] = lo[rng.integers(0, 150, 50)] + 5e-10 * rng.random((50, 3))
-    hi = lo + 1e-9
-    i, j = regions._box_pairs(lo, hi)
-    a, b = np.triu_indices(200, 1)
-    overlap = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
-    assert overlap.sum() >= 50
-    assert sorted(zip(i.tolist(), j.tolist())) == list(zip(a[overlap].tolist(),
-                                                          b[overlap].tolist()))
+@pytest.mark.parametrize("turn,simple", [(0.5 * DELTA, False), (2.0 * DELTA, True),
+                                         (0.0, False)],
+                         ids=["half_delta", "twice_delta", "retrace"])
+def test_a_turn_within_delta_of_reversal_touches(turn, simple):
+    curve = regularize(hairpin_turn(turn))
+    (junction,) = curve.junctions
+    assert PI - abs(junction.alpha) == pytest.approx(turn, rel=1e-6, abs=1e-15)
+    assert is_simple(curve) is simple
+    # the search over pairs of pieces, which reads no junction turn, finds
+    # the same touch between points just over MAX_SAMPLE_STEP / 2 out
+    with np.errstate(all="ignore"):
+        assert regions._touches(curve, SIMPLE_TOL) is not simple
 
 
-RUN = regions._RUN
-UNIT = 1e-6   # planar unit of the polylines below: 1000 x SIMPLE_TOL
+def thin_band(gap):
+    """A closed band: out along beta = 1 to theta 1, up gap along a
+    meridian, back along beta = 1 + gap, and down gap."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.25, 0.0, 4.0),
+                                      AffineSegment(0.25, 0.5, 1.0, 0.0),
+                                      AffineSegment(0.5, 0.75, 1.0, -4.0),
+                                      AffineSegment(0.75, 1.0, 0.0, 0.0)])
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 0.25, 1.0, 0.0),
+                                     AffineSegment(0.25, 0.5, 1.0, 4.0 * gap),
+                                     AffineSegment(0.5, 0.75, 1.0 + gap, 0.0),
+                                     AffineSegment(0.75, 1.0, 1.0 + gap, -4.0 * gap)])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
 
 
-def polyline_curve(points):
-    """An open one-arc curve through the planar points (x, y), in UNITs,
-    carried onto the sphere near (1, 0, 0) by central projection. Only g,
-    arcs and closed, which is all is_simple reads, are meaningful. Chord
-    sag at this scale is about 1e-13, so chords that cross in the plane
-    touch on the sphere and strands half a unit apart stay 5e-7 apart."""
+@pytest.mark.parametrize("gap,simple", [(1e-7, True), (1e-8, True), (3e-9, True),
+                                        (5e-10, False)])
+def test_thin_band_is_simple_only_above_tol(gap, simple):
+    # the meridian legs are shorter than MAX_SAMPLE_STEP, so the two long
+    # strands are neighbours; they touch only where they lie within tol
+    path = thin_band(gap)
+    assert is_simple(regularize(path)) is simple
+    if simple:
+        line = geometric_phase_line(path)
+        assert geometric_phase_area(path) == pytest.approx(line, abs=1e-9)
+        assert geometric_phase_curvature(path) == pytest.approx(line, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["i", "iii", "vi"])
+def test_a_curve_shorter_than_tol_measures_only_near_pairs(name, monkeypatch):
+    # at eps = 1e-20 the clamp circle lies within 1e-19 of the pole: no two
+    # of its points are MAX_SAMPLE_STEP apart along the curve, so it touches
+    # nothing; the search halves only the longer stretch of a pair, so it
+    # never cuts up the clamp circle and stays small
+    measured = []
+    closest = regions._closest
+
+    def counted(rx, ry, p, q):
+        measured.append(rx.size)
+        return closest(rx, ry, p, q)
+
+    monkeypatch.setattr(regions, "_closest", counted)
+    curve = regularize(gallery(name), 1e-20)
+    assert is_simple(curve)
+    assert len(measured) <= 32 and max(measured) <= 64
+
+
+UNIT = 2e-3   # chart unit of the polylines below: MAX_SAMPLE_STEP / 2
+
+
+def polyline_motion(points):
+    """An open motion through the chart points (theta, beta) = UNIT (x, y)
+    + (0, pi/2), one affine piece per segment, equal in time."""
     xy = UNIT * np.asarray(points, dtype=float)
-    g = np.column_stack([np.ones(len(xy)), xy])
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    zeros = np.zeros(len(g))
-    return RegularizedCurve(
-        epsilon=EPS, t=np.linspace(0.0, 1.0, len(g)), s=zeros, theta=zeros,
-        beta_eps=zeros, g=g, phi=zeros, kappa_g=zeros, arcs=((0, len(g)),),
-        junctions=(), total_length=0.0, closed=False)
+    n = len(xy) - 1
+    theta, beta = [], []
+    for k in range(n):
+        (x0, y0), (x1, y1) = xy[k], xy[k + 1]
+        theta.append(AffineSegment(k / n, (k + 1) / n, x0, (x1 - x0) * n))
+        beta.append(AffineSegment(k / n, (k + 1) / n, PI / 2.0 + y0, (y1 - y0) * n))
+    return MotionPath(ScalarPath.from_segments(theta), ScalarPath.from_segments(beta),
+                      Radii(1.0, 1.0))
 
 
 def crossing_polyline(i, j, m, cross=True):
-    """m chords along y = 0 up to chord i, then a loop whose chord j runs
-    down x = i + 1/2 across chord i (or stops short of it). The crossing
-    pair (i, j) is the only touching pair."""
+    """m segments along y = 0 up to segment i, then a loop whose segment j
+    runs down x = i + 1/2 across segment i (or stops short of it, the tail
+    running left 0.25 UNIT above it). The crossing points lie at least 2.5
+    UNIT apart along the curve."""
     points = [(x, 0.0) for x in range(i + 2)]
     up = (j - i - 2) // 2                  # loop: up, one step left, down
     down = j - i - 2 - up
     points += [(i + 1.0, float(y)) for y in range(1, up + 1)]
     points += [(i + 0.5, up - (up - 0.5) * k / down) for k in range(down + 1)]
-    if cross:   # chord j and a tail straight down
+    if cross:   # segment j and a tail straight down
         points += [(i + 0.5, -0.5 - y) for y in range(m - j)]
-    else:       # chord j stops above y = 0; the tail runs left above it
+    else:       # segment j stops above y = 0; the tail runs left above it
         points += [(i + 0.5 - x, 0.25) for x in range(m - j)]
     assert len(points) == m + 1
-    return polyline_curve(points)
+    return polyline_motion(points)
 
 
-def retrace_polyline():
-    """20 chords right, 5 back along them, then 20 up: every touching pair
-    lies 2 to 11 chords apart, inside the near offsets."""
-    points = ([(x, 0.0) for x in range(21)] + [(x, 0.0) for x in range(19, 14, -1)]
-              + [(15.0, float(y)) for y in range(1, 21)])
-    return polyline_curve(points)
-
-
-def test_retrace_touches_at_near_offsets_only():
-    curve = retrace_polyline()
-    offsets = {j - i for i, j in _touching_pairs(curve)}
-    assert min(offsets) == 2 and max(offsets) < 2 * RUN
-    assert len(curve) - 1 >= 2 * RUN
-    assert not is_simple(curve) and not _all_pairs_simple(curve)
-
-
-@pytest.mark.parametrize("name", ["i", "iii", "vi"])
-def test_a_curve_shorter_than_tol_measures_only_near_pairs(name, monkeypatch):
-    # at eps = 1e-20 the clamp circle, thousands of chords, lies within
-    # 1e-19 of the pole: its far pairs would number tens of millions
-    measured = []
-    distance = regions._segment_pair_distance
-
-    def counted(p1, q1, p2, q2):
-        measured.append(len(p1))
-        return distance(p1, q1, p2, q2)
-
-    monkeypatch.setattr(regions, "_segment_pair_distance", counted)
-    curve = regularize(gallery(name), 1e-20)
-    assert not is_simple(curve)
-    assert len(measured) == 1 and measured[0] <= 2 * RUN * len(curve)
-
-
+# (i, j, m) are the run edges of the sampled search this check replaced,
+# which cut the chords into runs of 8; here each segment is a piece, and the
+# crossing must be found wherever it falls among the units and in the sweep
 @pytest.mark.parametrize("i,j,m", [
-    (RUN - 1, 3 * RUN - 1, 4 * RUN),      # runs 0 and 2, both run ends
-    (RUN, 3 * RUN, 4 * RUN),              # runs 1 and 3, both run starts
-    (RUN - 1, 3 * RUN - 2, 4 * RUN),      # runs 0 and 2, the last near offset
-    (RUN, 3 * RUN + 2, 3 * RUN + 3),      # the last, partial run
-    (0, 2 * RUN + 1, 2 * RUN + 2),        # three runs, the fewest with far pairs
-    (1, RUN + 3, 2 * RUN - 1),            # fewer than 2 RUN chords
-    (0, 4, 7),                            # fewer than RUN chords
+    (7, 23, 32),      # runs 0 and 2, both run ends
+    (8, 24, 32),      # runs 1 and 3, both run starts
+    (7, 22, 32),      # runs 0 and 2, the last near offset
+    (8, 26, 27),      # the last, partial run
+    (0, 17, 18),      # three runs, the fewest with far pairs
+    (1, 11, 15),      # fewer than 16 chords
+    (0, 4, 7),        # fewer than 8 chords
 ])
 @pytest.mark.parametrize("cross", [True, False])
 def test_is_simple_at_run_boundaries(i, j, m, cross):
-    curve = crossing_polyline(i, j, m, cross)
-    assert len(curve) - 1 == m
-    assert _touching_pairs(curve) == ({(i, j)} if cross else set())
-    assert is_simple(curve) == _all_pairs_simple(curve) == (not cross)
+    curve = regularize(crossing_polyline(i, j, m, cross))
+    assert len(curve.pieces) == m
+    assert is_simple(curve) is not cross
 
 
 def lap_spiral(beta0, separation):
@@ -390,6 +441,57 @@ def lap_spiral(beta0, separation):
                                                (0.0, False)])
 def test_two_lap_spiral_is_simple_only_above_tol(beta0, separation, simple):
     assert is_simple(regularize(lap_spiral(beta0, separation))) is simple
+
+
+@pytest.mark.parametrize("separation,simple", [(1.5e-9, True), (5e-10, False)])
+def test_a_spiral_touches_inside_its_units(separation, simple):
+    # one piece of 2.1 laps is cut into 9 units of 1.47 rad each, so the
+    # strands a lap apart lie side by side inside units, not at their ends
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, 2.1 * TWO_PI)])
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 1.0, 2.1 * separation)])
+    curve = regularize(MotionPath(theta, beta, Radii(1.0, 1.0)))
+    assert len(curve.pieces) == 1
+    assert is_simple(curve) is simple
+
+
+def two_pole_visits():
+    """A closed lap at beta = 1 that drops along a meridian onto the south
+    pole at theta pi/2 and at pi + 1/2, each time moving 1/2 rad in theta
+    there and climbing back along another meridian."""
+    knots = [(0.0, 1.0), (PI / 2.0, 1.0), (PI / 2.0, 0.0), (PI / 2.0 + 0.5, 0.0),
+             (PI / 2.0 + 0.5, 1.0), (PI + 0.5, 1.0), (PI + 0.5, 0.0),
+             (PI + 1.0, 0.0), (PI + 1.0, 1.0), (TWO_PI, 1.0)]
+    n = len(knots) - 1
+    theta = ScalarPath.from_segments([
+        AffineSegment(k / n, (k + 1) / n, knots[k][0], (knots[k + 1][0] - knots[k][0]) * n)
+        for k in range(n)])
+    beta = ScalarPath.from_segments([
+        AffineSegment(k / n, (k + 1) / n, knots[k][1], (knots[k + 1][1] - knots[k][1]) * n)
+        for k in range(n)])
+    return MotionPath(theta, beta, Radii(1.0, 1.0))
+
+
+@pytest.mark.parametrize("eps,simple", [(EPS, True), (1e-9, True), (1e-12, False),
+                                        (1e-20, False)])
+def test_two_visits_to_a_pole_touch_below_tol(eps, simple):
+    # the clamp arcs of the two visits lie at least 2 sin(pi/4) eps apart
+    # and more than a quarter lap apart along the curve
+    assert is_simple(regularize(two_pole_visits(), eps)) is simple
+
+
+@pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
+def test_gallery_and_random_laps_need_no_halving(radii, monkeypatch):
+    # every pair of units is settled by its first bounds, so the chart
+    # distance, computed only for pairs still open, is never needed
+    measured = []
+    monkeypatch.setattr(regions, "_closest", lambda *args: measured.append(args))
+    rng = np.random.default_rng(20260823)
+    paths = [gallery(name, radii) for name in EXPECTED_COUNTS]
+    paths += [random_closed_motion(rng) for _ in range(8)]
+    for path in paths:
+        for eps in (EPS, EPS / 2.0):
+            assert is_simple(regularize(path, eps))
+    assert not measured
 
 
 def _relaid(curve, rows):
@@ -412,11 +514,3 @@ def test_both_layouts_of_g_give_the_same_regions(radii):
         assert region_areas(c_ordered) == region_areas(curve)
     spiral = regularize(double_lap_spiral())
     assert not is_simple(_relaid(spiral, rows=False)) and not is_simple(spiral)
-
-
-@pytest.mark.parametrize("cross", [True, False])
-def test_hand_built_polylines_read_the_same_as_rows(cross):
-    for curve in (crossing_polyline(RUN, 3 * RUN, 4 * RUN, cross),
-                  crossing_polyline(0, 4, 7, cross), retrace_polyline()):
-        assert curve.g.flags.c_contiguous
-        assert is_simple(_relaid(curve, rows=True)) == is_simple(curve)

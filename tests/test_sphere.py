@@ -8,9 +8,9 @@ import pytest
 from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       MotionPath, Radii, SampledSegment, ScalarPath,
                       curvature_integral, detect_cusps, frame_vectors,
-                      gauss_vector, geometric_phase_curvature,
-                      geometric_phase_line, offset_length,
-                      offset_length_derivative, regularize)
+                      gauss_vector, geometric_phase_area,
+                      geometric_phase_curvature, geometric_phase_line,
+                      offset_length, offset_length_derivative, regularize)
 from geophase import sphere
 from geophase.errors import CurveHasCusps, EpsilonOutOfRange
 from conftest import COIN_RADII, TABLE_RADII, clamp_path, gallery
@@ -461,6 +461,23 @@ def test_kappa_g_matches_the_closed_form_of_each_piece():
             exact = closed_form_kappa(piece, curve.beta_eps[owner == k])
             assert np.all(np.abs(kappa - exact)
                           <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_kappa_g_is_finite_on_rates_below_the_float_range():
+    # one equator lap, then a meridian piece of slope 1e-170, whose rates
+    # square to 0: kappa_g and the tangent angle come from the rates
+    # divided by the larger of the two
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 4.0 * PI),
+                                      ConstantSegment(0.5, 1.0, 2.0 * PI)])
+    beta = ScalarPath.from_segments([ConstantSegment(0.0, 0.5, PI / 2.0),
+                                     AffineSegment(0.5, 1.0, PI / 2.0, 1e-170)])
+    path = MotionPath(theta, beta, Radii(1.0, 1.0))
+    curve = regularize(path)
+    assert len(curve.pieces) == 2 and curve.closed
+    assert np.all(np.isfinite(curve.kappa_g))
+    line = geometric_phase_line(path)
+    assert geometric_phase_area(path) == pytest.approx(line, abs=1e-9)
+    assert geometric_phase_curvature(path) == pytest.approx(line, abs=1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-20, 1e-100, DEFAULT_EPSILON])
