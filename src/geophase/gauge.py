@@ -1,17 +1,18 @@
 """Monopole potentials and two-level-system transport.
 
-Two more independent routes to the geometric phase. The first integrates
-the classic unit-charge monopole vector potentials (one gauge patch regular
-away from the south ray, one away from the north ray) along the clamped
-curve of the tilt vector, each piece by fixed-order Gauss-Legendre
-quadrature in one array pass, checked against a rule of higher order. The
-second carries the eigenstate of the two-level Hamiltonian
+Two more independent routes to the geometric phase, both on the raw affine
+pieces with nothing clamped. The first integrates the classic unit-charge
+monopole vector potentials (one gauge patch regular away from the south
+ray, one away from the north ray) in Wu and Yang's bundle form, each node
+taking the patch regular on its hemisphere, each piece by fixed-order
+Gauss-Legendre quadrature in one array pass, checked against a rule of
+higher order. The second carries the eigenstate of the two-level Hamiltonian
 H = [[-cos b, e^{-i th} sin b], [e^{i th} sin b, cos b]] around the loop
 by Kato's adiabatic transport (Kato, J. Phys. Soc. Jpn. 5 (1950) 435;
 Berry, Proc. R. Soc. A 392 (1984) 45): a rotation integrated by sixth-order
-Magnus steps on the raw affine pieces, reading the phase off the turn of a
-transported tangent vector against the gauge frame. It needs no clamp and
-no curve samples, and checks that the transported normal stays on the curve.
+Magnus steps, reading the phase off the turn of a transported tangent vector
+against the gauge frame. It needs no curve samples, and checks that the
+transported normal stays on the curve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import GaugeInconsistency, OnSingularAxis, QuadratureFailure
 from .motion import MotionPath
 from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, clamped_affine_pieces,
                      frame_vectors)
-from .phases import closed_topology, eps_limit
+from .phases import closed_topology
 from .rolling import _magnus_steps, _matrices
 
 AXIS_CLEARANCE = 1e-9
@@ -68,7 +69,7 @@ def monopole_potential(patch: GaugePatch, x) -> np.ndarray:
     r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     if np.any(r == 0.0):
         raise OnSingularAxis("potential undefined at the origin")
-    worst = float(np.min(np.arctan2(np.hypot(x0, x1), -patch.sign * x2)))
+    worst = np.min(np.arctan2(np.hypot(x0, x1), -patch.sign * x2), initial=np.inf)
     if worst <= AXIS_CLEARANCE:
         raise OnSingularAxis(
             f"point within {worst:.2e} rad of the {patch.excluded_axis}")
@@ -98,18 +99,19 @@ def _gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _patch_circulation(path: MotionPath, eps: float, sign: int) -> float:
-    """Line integral of A_sign along the clamped curve, piece by piece.
+def _circulation(pieces, sign: int | None) -> float:
+    """Line integral of a monopole potential along the moving pieces.
 
-    The integrand couples the Cartesian potential to the Cartesian velocity
-    of the tilt vector, so this route never touches the cos(beta) d(theta)
-    simplification used by the reference method. Every moving piece is
-    integrated by Gauss-Legendre rules of both _QUAD_ORDERS in one array
-    pass; the clamped tilt spans at most pi on a piece, where both rules
-    are at rounding level, so a piece whose two results differ by more
-    than _QUAD_TOL raises QuadratureFailure.
+    Every node takes A_sign, or with sign None the patch s regular on its
+    hemisphere (s = +1 where g_z > 0) plus Wu and Yang's transition term
+    -s theta' (A_+ - A_- = 2 d theta; Phys. Rev. D 12 (1975) 3845): one
+    smooth integrand, no node within pi/2 of an excluded ray. The Cartesian
+    potential meets the tilt vector's Cartesian velocity, never the
+    reference method's cos(beta) d(theta). A piece's tilt spans at most pi,
+    where the Gauss-Legendre rules of both _QUAD_ORDERS are at rounding
+    level; two results more than _QUAD_TOL apart raise QuadratureFailure.
     """
-    pieces = [p for p in clamped_affine_pieces(path, eps) if p.moving]
+    pieces = [p for p in pieces if p.moving]
     if not pieces:
         return 0.0
     half, th0, dth, b0, db = (np.array(c)[:, None] for c in zip(
@@ -119,7 +121,11 @@ def _patch_circulation(path: MotionPath, eps: float, sign: int) -> float:
     b = b0 + db * dt
     e1, e2, g = frame_vectors(th0 + dth * dt, b)
     g_dot = db[..., None] * e2 + (dth * np.sin(b))[..., None] * e1
-    f = np.sum(monopole_potential(GaugePatch(sign), g) * g_dot, axis=-1)
+    s = np.where(g[..., 2] > 0.0, 1, -1) if sign is None else np.full(b.shape, sign)
+    f = -s * dth if sign is None else np.zeros(b.shape)
+    for patch in (PLUS_PATCH, MINUS_PATCH):
+        on = s == patch.sign
+        f[on] += np.sum(monopole_potential(patch, g[on]) * g_dot[on], axis=-1)
     split = rules[0][0].size
     low = half[:, 0] * (f[:, :split] @ rules[0][1])
     high = half[:, 0] * (f[:, split:] @ rules[1][1])
@@ -142,21 +148,14 @@ def patch_circulation(path: MotionPath, patch: GaugePatch,
     check that the two patches differ by exactly 4 pi n.
     """
     closed_topology(path)
-    return _patch_circulation(path, eps, patch.sign)
+    return _circulation(clamped_affine_pieces(path, eps), patch.sign)
 
 
-def monopole_holonomy(path: MotionPath, eps: float = DEFAULT_EPSILON) -> float:
-    """Geometric phase from the monopole potentials (r = 1).
-
-    The average of the two patch circulations, in which the 2 pi n winding
-    terms of the single patches cancel. Each circulation is a Gauss-Legendre
-    sum over the moving clamped pieces, checked against a rule of higher
-    order (see _patch_circulation). Returns the average carried to the
-    eps -> 0 limit.
-    """
+def monopole_holonomy(path: MotionPath) -> float:
+    """Geometric phase from the monopole potentials (r = 1): the Wu-Yang
+    circulation over the raw pieces (_circulation), nothing clamped."""
     closed_topology(path)
-    both = _patch_circulation(path, eps, +1) + _patch_circulation(path, eps, -1)
-    return eps_limit(path, 0.5 * both, eps)
+    return _circulation(path.affine_pieces, None)
 
 
 # ---------------------------------------------------------------------------

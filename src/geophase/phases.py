@@ -14,14 +14,15 @@ several independent routes:
 * curvature: total turning decomposition (tangent angle, geodesic curvature,
   cusp angles).
 
-Routes that work on the pole-clamped curve (area, curvature, monopole and
-the region report) are evaluated at one clamp level, eps, and carried to
-the eps -> 0 limit by adding the exact clipped sliver, the integral of
+Routes that work on the pole-clamped curve (area, curvature and the
+region report) are evaluated at one clamp level, eps, and carried to the
+eps -> 0 limit by adding the exact clipped sliver, the integral of
 (cos beta_raw - cos beta_clamped) theta' dt (eps_limit). Inside the clamp
 band the sliver comes from the raw tilt schedule, so there every clamped
 route is anchored to the line integrand; outside the band the sliver is
-zero and the routes stay independent of it. The two-level (berry) and
-rigid-body (oracle) routes run on the raw motion and are never clamped.
+zero and the routes stay independent of it. The monopole (Wu-Yang patch
+switching), two-level (berry) and rigid-body (oracle) routes run on the
+raw motion and are never clamped.
 total_rotation is the one place that runs the routes and reconciles them.
 """
 
@@ -326,7 +327,7 @@ def total_rotation(path: MotionPath, methods=("line", "area"),
                                .centre),
         "area": lambda: geometric_phase_area(path, eps),
         "curvature": lambda: geometric_phase_curvature(path, eps),
-        "monopole": lambda: monopole_holonomy(path, eps),
+        "monopole": lambda: monopole_holonomy(path),
         "berry": lambda: berry_holonomy(path),
         "oracle": lambda: (simulate_rolling(path, oracle_steps)
                            .delta_oracle - delta_d),

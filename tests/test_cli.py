@@ -637,8 +637,9 @@ def test_epsilon_outside_the_clamp_range_exits_2(capsys, eps, methods):
 
 
 # the raw tilt of v and vi meets a tiny eps within 1e-14 of a piece end;
-# the clamped curve still keeps off the poles, and every route either
-# returns a value or records its GeophaseError
+# the clamped curve still keeps off the poles, every route either returns
+# a value or records its GeophaseError, and the unclamped monopole route
+# returns one within 1e-9 of line
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("eps", ["1e-20", "1e-100"])
 @pytest.mark.parametrize("name", ["v", "vi"])
@@ -653,6 +654,8 @@ def test_tiny_epsilon_on_the_meridian_motions_exits_0(capsys, name, eps):
     assert report["input"]["epsilon"] == float(eps)
     assert set(report["delta_g"]) == {"line", "area", "curvature", "monopole",
                                       "berry"}
+    line = report["delta_g"]["line"]["value"]
+    assert report["delta_g"]["monopole"].get("value") == pytest.approx(line, abs=1e-9)
 
 
 @pytest.mark.parametrize("steps", ["-5", "0"])

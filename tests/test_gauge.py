@@ -1,6 +1,7 @@
 """Monopole potentials and two-level eigenstate holonomies."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -93,9 +94,10 @@ def test_excluded_axis_raises():
 
 
 def test_batched_potential_equals_the_per_point_results():
+    # an empty batch, as a curve in one hemisphere leaves one patch, too
     rng = np.random.default_rng(19)
-    points = rng.normal(size=(4, 25, 3))
-    for patch in (PLUS_PATCH, MINUS_PATCH):
+    for points, patch in product((rng.normal(size=(4, 25, 3)), np.empty((0, 3))),
+                                 (PLUS_PATCH, MINUS_PATCH)):
         batch = monopole_potential(patch, points)
         assert batch.shape == points.shape
         for index in np.ndindex(points.shape[:-1]):
@@ -255,12 +257,13 @@ def test_a_sweep_past_the_interval_cap_raises_before_transporting():
         berry_holonomy(MotionPath(theta, beta, Radii(1.0, 1.0)))
 
 
-def simpson_circulation(path, eps, sign):
+def simpson_circulation(pieces, sign=None):
     """The circulation by adaptive Simpson on the scalar integrand, piece by
-    piece: an independent reference for the Gauss-Legendre sums."""
-    patch = GaugePatch(sign)
+    piece: an independent reference for the Gauss-Legendre sums. With sign
+    None each point takes the patch regular on its hemisphere and adds the
+    Wu-Yang transition term -s theta'."""
     total = 0.0
-    for piece in clamped_affine_pieces(path, eps):
+    for piece in pieces:
         if not piece.moving:
             continue
 
@@ -272,7 +275,9 @@ def simpson_circulation(path, eps, sign):
             g_dot = np.array([p.db * cb * cth - p.dth * sb * sth,
                               p.db * cb * sth + p.dth * sb * cth,
                               p.db * sb])
-            return float(monopole_potential(patch, g) @ g_dot)
+            s = sign or (1 if g[2] > 0.0 else -1)
+            value = float(monopole_potential(GaugePatch(s), g) @ g_dot)
+            return value if sign else value - s * p.dth
 
         total += adaptive_simpson(integrand, piece.t0, piece.t1, 1e-11)
     return total
@@ -283,8 +288,8 @@ def simpson_circulation(path, eps, sign):
 def test_gauss_legendre_circulation_matches_simpson(name, eps):
     path = gallery(name)
     for sign in (+1, -1):
-        assert gauge._patch_circulation(path, eps, sign) == pytest.approx(
-            simpson_circulation(path, eps, sign), abs=1e-12)
+        assert patch_circulation(path, GaugePatch(sign), eps) == pytest.approx(
+            simpson_circulation(clamped_affine_pieces(path, eps), sign), abs=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
@@ -292,8 +297,18 @@ def test_gauss_legendre_circulation_matches_simpson(name, eps):
 def test_gauss_legendre_circulation_matches_simpson_on_random_motions(path):
     for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
         for sign in (+1, -1):
-            assert gauge._patch_circulation(path, eps, sign) == pytest.approx(
-                simpson_circulation(path, eps, sign), abs=1e-12)
+            assert patch_circulation(path, GaugePatch(sign), eps) == pytest.approx(
+                simpson_circulation(clamped_affine_pieces(path, eps), sign),
+                abs=1e-12)
+
+
+@pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_switched_circulation_matches_simpson_on_the_raw_pieces(name, radii):
+    # i and iii run through both poles, where a single patch has its ray
+    path = gallery(name, radii)
+    assert monopole_holonomy(path) == pytest.approx(
+        simpson_circulation(path.affine_pieces), abs=1e-12)
 
 
 def test_disagreeing_quadrature_orders_raise(monkeypatch):

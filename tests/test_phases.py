@@ -384,10 +384,10 @@ def test_total_rotation_asks_for_eps_half_only_where_the_clamp_bites(
 
 
 CLAMPED_ROUTES = {"area": geometric_phase_area,
-                  "curvature": geometric_phase_curvature,
-                  "monopole": monopole_holonomy}
-# berry runs on the raw motion, with no eps to vary
-ROUTES = {**CLAMPED_ROUTES, "berry": berry_holonomy}
+                  "curvature": geometric_phase_curvature}
+# monopole and berry run on the raw motion, with no eps to vary
+ROUTES = {**CLAMPED_ROUTES, "monopole": monopole_holonomy,
+          "berry": berry_holonomy}
 
 
 @pytest.mark.parametrize("dip,examples", [(False, 10), (True, 5)])
@@ -461,8 +461,7 @@ def test_area_and_curvature_keep_fourth_order_accuracy(path):
 @pytest.mark.parametrize("eps", [1e-6, 1e-4])
 @pytest.mark.parametrize("name", ["i", "v"])
 def test_clamped_routes_agree_with_line_at_small_eps(name, eps):
-    """With the clamped curve eps from a pole, the two pole fans still agree
-    and the far-side monopole potential keeps its digits."""
+    """With the clamped curve eps from a pole, the two pole fans still agree."""
     path = gallery(name)
     line = geometric_phase_line(path)
     for route_name, route in CLAMPED_ROUTES.items():
@@ -475,11 +474,22 @@ def test_clamped_routes_agree_with_line_at_small_eps(name, eps):
 def test_area_and_curvature_hold_at_every_documented_eps(name, eps):
     """Below eps = 1e-9 the clamp circle is shorter than the simplicity
     check's L = MAX_SAMPLE_STEP and joins its neighbours without touching
-    them, and the pole clearance is checked against eps / 2."""
+    them, and the pole clearance is checked against eps / 2. The monopole
+    route does not clamp, so eps cannot put its nodes on an excluded ray."""
+    result = total_rotation(gallery(name, TABLE_RADII),
+                            ("line", "area", "curvature", "monopole"), eps=eps)
+    assert result.errors == {}
+    values = result.delta_g_by_method
+    for route in ("area", "curvature", "monopole"):
+        assert values[route] == pytest.approx(values["line"], abs=1e-9), route
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_the_monopole_route_ignores_eps(name):
     path = gallery(name, TABLE_RADII)
-    line = geometric_phase_line(path)
-    assert geometric_phase_area(path, eps) == pytest.approx(line, abs=1e-9)
-    assert geometric_phase_curvature(path, eps) == pytest.approx(line, abs=1e-9)
+    at = [total_rotation(path, ("line", "monopole"), eps=eps)
+          .delta_g_by_method["monopole"] for eps in (PI / 16.0, 1e-100)]
+    assert at[0] == at[1]
 
 
 def test_line_keeps_its_digits_on_a_nearly_flat_tilt_piece():

@@ -17,8 +17,8 @@ from geophase import regions
 from geophase.regions import SIMPLE_TOL
 from geophase.sphere import MAX_SAMPLE_STEP
 from geophase.errors import CurveNotClosed, CurveNotSimple, WindingInconsistent
-from conftest import (COIN_RADII, TABLE_RADII, closed_motions, gallery,
-                      gauss_bonnet_area, pole_sides)
+from conftest import (COIN_RADII, TABLE_RADII, affine_lap, closed_motions,
+                      gallery, gauss_bonnet_area, pole_sides)
 from test_acceptance import random_closed_motion
 
 PI = math.pi
@@ -452,6 +452,17 @@ def test_a_spiral_touches_inside_its_units(separation, simple):
     curve = regularize(MotionPath(theta, beta, Radii(1.0, 1.0)))
     assert len(curve.pieces) == 1
     assert is_simple(curve) is simple
+
+
+@pytest.mark.parametrize("gap,simple", [(5e-10, False), (3e-9, True)])
+def test_a_tip_touches_a_slanted_strand_where_sin_beta_is_small(gap, simple):
+    # a "<" whose tip lies gap from a strand slanting through (0.015, 0.1),
+    # 5e-9 from it in theta at gap 5e-10: a chart that does not scale theta
+    # by the smaller sin(beta) puts the pair above tol and drops it
+    tip = 0.015 - gap / math.sin(0.1)
+    path = affine_lap([0.0, 0.105, 1.015, -0.985, tip - 0.26, tip, tip - 0.26],
+                      [0.05, 0.4, 0.6, 0.6, 0.14, 0.1, 0.06])
+    assert is_simple(regularize(path, 1e-3)) is simple
 
 
 def two_pole_visits():
