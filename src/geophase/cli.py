@@ -77,11 +77,7 @@ def _load_motion(args) -> tuple[MotionPath, dict]:
         return path, {"source": label, "segments": len(path.theta.rates)}
     if args.beta0 is not None:
         raise ValueError("--beta0 only applies to --example iv, not to --motion")
-    try:
-        with open(args.motion, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _IOFailure(f"cannot read {args.motion}: {exc}") from exc
+    text = _read_text(args.motion)
     try:
         desc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -94,6 +90,15 @@ def _load_motion(args) -> tuple[MotionPath, dict]:
 
 class _IOFailure(Exception):
     pass
+
+
+def _read_text(name: str) -> str:
+    """The contents of the file name; _IOFailure if it cannot be read."""
+    try:
+        with open(name, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _IOFailure(f"cannot read {name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +142,17 @@ def _report(result, path: MotionPath, source: dict, args, methods) -> dict:
 
 
 def run_compute(args) -> int:
+    path, source = _load_motion(args)
+    methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+    if not methods:
+        raise ValueError(f"--methods names no method; choose from {METHOD_NAMES}")
     disagreement = None
     try:
-        path, source = _load_motion(args)
-        methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-        if not methods:
-            raise ValueError(f"--methods names no method; choose from {METHOD_NAMES}")
         result = total_rotation(
             path, methods, eps=args.epsilon, baumkuchen_n=args.samples,
             oracle_steps=args.steps)
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except MethodDisagreement as exc:
         result, disagreement = exc.result, exc
-    except (GeophaseError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     _emit_report(_report(result, path, source, args, methods), args.format)
     if disagreement is not None:
@@ -227,18 +226,10 @@ def run_trace(args) -> int:
 
     from .sphere import regularize
 
-    try:
-        if args.samples is not None and args.samples < 0:
-            raise ValueError(f"--samples must not be negative, got {args.samples}")
-        path, _ = _load_motion(args)
-        curve = regularize(path, eps=args.epsilon)
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (GeophaseError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    if args.samples is not None and args.samples < 0:
+        raise ValueError(f"--samples must not be negative, got {args.samples}")
+    path, _ = _load_motion(args)
+    curve = regularize(path, eps=args.epsilon)
     m = len(curve)
     if args.samples is None or args.samples >= m:
         idx = np.arange(m)
@@ -263,31 +254,19 @@ def run_foucault(args) -> int:
     from .foucault import RouteTrack, ingest_track, route_foucault
 
     if (args.track is None) == (args.lat is None):
-        print("error: give exactly one of --track FILE or --lat DEG",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        if args.track is not None:
-            try:
-                with open(args.track, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"error: cannot read {args.track}: {exc}", file=sys.stderr)
-                return EXIT_IO
-            track = ingest_track(text)
-            label = f"track {args.track}"
-        else:
-            phi = float(np.radians(args.lat))
-            track = RouteTrack(t_days=np.array([0.0, args.days]),
-                               lon=np.zeros(2), lat=np.full(2, phi))
-            label = f"stationary at latitude {_fmt(args.lat)} deg for {_fmt(args.days)} days"
-        result = route_foucault(track)
-        degrees = math.degrees(result.delta_fou)
-        if not math.isfinite(degrees):
-            raise ValueError("the drift in degrees overflows the float range")
-    except (GeophaseError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("give exactly one of --track FILE or --lat DEG")
+    if args.track is not None:
+        track = ingest_track(_read_text(args.track))
+        label = f"track {args.track}"
+    else:
+        phi = float(np.radians(args.lat))
+        track = RouteTrack(t_days=np.array([0.0, args.days]),
+                           lon=np.zeros(2), lat=np.full(2, phi))
+        label = f"stationary at latitude {_fmt(args.lat)} deg for {_fmt(args.days)} days"
+    result = route_foucault(track)
+    degrees = math.degrees(result.delta_fou)
+    if not math.isfinite(degrees):
+        raise ValueError("the drift in degrees overflows the float range")
 
     if args.format == "json":
         doc = {"input": label,
@@ -359,9 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every error it raises maps to an exit code here."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _IOFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (GeophaseError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except BrokenPipeError:
         return EXIT_IO
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import GaugeInconsistency, OnSingularAxis, QuadratureFailure
 from .motion import MotionPath
-from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, clamped_affine_pieces,
-                     frame_vectors)
+from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, _row_dot,
+                     clamped_affine_pieces, frame_rows)
 from .phases import closed_topology
 from .rolling import _magnus_steps, _matrices
 
@@ -118,14 +118,16 @@ def _circulation(pieces, sign: int | None) -> float:
         *((0.5 * (p.t1 - p.t0), p.th0, p.dth, p.b0, p.db) for p in pieces)))
     rules = [_gauss_legendre(n) for n in _QUAD_ORDERS]
     dt = half * (1.0 + np.concatenate([x for x, _ in rules]))
-    b = b0 + db * dt
-    e1, e2, g = frame_vectors(th0 + dth * dt, b)
-    g_dot = db[..., None] * e2 + (dth * np.sin(b))[..., None] * e1
-    s = np.where(g[..., 2] > 0.0, 1, -1) if sign is None else np.full(b.shape, sign)
-    f = -s * dth if sign is None else np.zeros(b.shape)
+    e1, e2, g = frame_rows(th0 + dth * dt, b0 + db * dt)
+    turn = dth * e2[2]   # theta' sin(beta): e2's z row is sin(beta)
+    g_dot = [db * u + turn * v for u, v in zip(e2, e1)]
+    s = np.where(g[2] > 0.0, 1, -1) if sign is None else np.full(turn.shape, sign)
+    f = -s * dth if sign is None else np.zeros(turn.shape)
+    points = np.stack(g, axis=-1)   # monopole_potential takes (..., 3)
     for patch in (PLUS_PATCH, MINUS_PATCH):
         on = s == patch.sign
-        f[on] += np.sum(monopole_potential(patch, g[on]) * g_dot[on], axis=-1)
+        f[on] += _row_dot(monopole_potential(patch, points[on]).T,
+                          [v[on] for v in g_dot])
     split = rules[0][0].size
     low = half[:, 0] * (f[:, :split] @ rules[0][1])
     high = half[:, 0] * (f[:, split:] @ rules[1][1])
@@ -163,17 +165,19 @@ def monopole_holonomy(path: MotionPath) -> float:
 
 
 _TRANSPORT_STEP = 0.05   # most radians of tilt sweep, |dtheta| + |dbeta|, per interval
+_MISS_TOL = 1e-6         # bound on the summed transport miss of berry_holonomy
 
 
 def _transport_rate(theta, beta, dtheta, dbeta):
     """g x gdot = -beta' e1 + theta' sin(beta) e2, shape (3, n): the rate
     whose rotation carries g along the curve and moves tangent vectors only
     along g, which is parallel transport."""
-    e1, e2, _ = frame_vectors(theta, beta)
-    return (-dbeta[:, None] * e1 + (dtheta * np.sin(beta))[:, None] * e2).T
+    e1, e2, _ = frame_rows(theta, beta)
+    turn = dtheta * e2[2]   # e2's z row is sin(beta)
+    return np.array([-dbeta * u + turn * v for u, v in zip(e1, e2)])
 
 
-def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
+def berry_holonomy(path: MotionPath) -> float:
     """Geometric phase from Kato's adiabatic transport of the eigenstate.
 
     In SU(2) the transport of the +1 eigenstate is the rotation at rate
@@ -185,8 +189,9 @@ def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
     atan2; a turn is at most the interval's sweep, so none wraps, and
     Delta_g is minus their sum. The rate and frame are regular at the
     poles, so nothing is clamped. The transported g must land on g at each
-    interval's end; a summed miss above tol raises GaugeInconsistency.
-    More than MAX_PIECE_SAMPLES intervals in all raise ValueError.
+    interval's end; a summed miss above _MISS_TOL = 1e-6 raises
+    GaugeInconsistency. More than MAX_PIECE_SAMPLES intervals in all raise
+    ValueError.
     """
     closed_topology(path)
     pieces = [p for p in path.affine_pieces if p.moving]
@@ -211,13 +216,14 @@ def berry_holonomy(path: MotionPath, tol: float = 1e-6) -> float:
     R = _matrices(_magnus_steps(_transport_rate(*at(start + off), dth, db),
                                 _transport_rate(*at(start + 0.5 * h), dth, db),
                                 _transport_rate(*at(start + h - off), dth, db), h))
-    _, e2, g = frame_vectors(*at(start))
-    e1_end, e2_end, g_end = frame_vectors(*at(start + h))
-    moved = np.einsum("ijk,kj->ki", R, e2)
-    turn = np.arctan2(np.sum(moved * e1_end, axis=1), np.sum(moved * e2_end, axis=1))
-    miss = float(np.sum(np.linalg.norm(np.einsum("ijk,kj->ki", R, g) - g_end, axis=1)))
-    if miss > tol:
+    _, e2, g = frame_rows(*at(start))
+    e1_end, e2_end, g_end = frame_rows(*at(start + h))
+    moved = [_row_dot(row, e2) for row in R]
+    turn = np.arctan2(_row_dot(moved, e1_end), _row_dot(moved, e2_end))
+    off_curve = [_row_dot(row, g) - x for row, x in zip(R, g_end)]
+    miss = float(np.sum(np.sqrt(_row_dot(off_curve, off_curve))))
+    if miss > _MISS_TOL:
         raise GaugeInconsistency(
             f"transported normal misses the curve by {miss:.3e} in sum",
-            value=miss, tol=tol)
+            value=miss, tol=_MISS_TOL)
     return -float(np.sum(turn))

@@ -41,7 +41,7 @@ from .errors import (
 
 TILE_TOL = 1e-12      # segment interval bookkeeping
 JUMP_TOL = 1e-9       # continuity across breakpoints
-CLOSURE_TOL = 1e-9    # default closure tolerance
+CLOSURE_TOL = 1e-9    # closure tolerance of topology_report
 
 TWO_PI = 2.0 * pi
 
@@ -289,16 +289,16 @@ class TopologyReport:
     closed: bool
 
 
-def topology_report(path: MotionPath, tol: float = CLOSURE_TOL) -> TopologyReport:
+def topology_report(path: MotionPath) -> TopologyReport:
     """Nearest winding integer and whether the motion closes up.
 
     Closure means theta(1) is a whole number of turns and beta returns to its
-    initial value, both within ``tol`` radians.
+    initial value, both within CLOSURE_TOL = 1e-9 radians.
     """
     th_end = path.theta.end_value()
     n = int(round(th_end / TWO_PI))
-    closed = (abs(th_end - TWO_PI * n) <= tol
-              and abs(path.beta.end_value() - path.beta.start_value()) <= tol)
+    closed = (abs(th_end - TWO_PI * n) <= CLOSURE_TOL
+              and abs(path.beta.end_value() - path.beta.start_value()) <= CLOSURE_TOL)
     return TopologyReport(n=n, closed=closed)
 
 

@@ -4,8 +4,8 @@ Reconstructs the orientation of the moving disc by integrating the angular
 velocity that the no-slip and tangency constraints force at each instant,
 then measures the spin about the contact normal directly from the
 orientation history. Nothing here uses the surface geometry of the previous
-modules beyond the shared frame definitions, which makes the result an
-independent check on the phase decomposition.
+modules beyond the shared frame definitions (sphere.frame_rows), which
+makes the result an independent check on the phase decomposition.
 
 The orientation is a unit quaternion (Euler-Rodrigues parameters; Shoemake,
 SIGGRAPH 1985) held per component as a (4, n) array. Each affine piece of
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ClosureMismatch, DriftExceeded
 from .motion import TWO_PI, MotionPath, topology_report
 from .phases import DEFAULT_STEPS
-from .sphere import MAX_PIECE_SAMPLES, frame_vectors
+from .sphere import MAX_PIECE_SAMPLES, _row_dot, frame_rows
 
 DRIFT_TOL = 1e-6
 _MIN_STEPS_PER_SEGMENT = 8   # intervals per piece, a multiple of 4 for Boole
@@ -56,10 +56,6 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
@@ -73,15 +69,11 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
     the 1-D array of entry (r, k) of A over the instants, rhs[r] that of the
     right-hand side and g[k] that of the normal.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
     dbeta = np.atleast_1d(np.asarray(dbeta, dtype=float))
-    st, ct = np.sin(theta), np.cos(theta)
-    sb, cb = np.sin(beta), np.cos(beta)
-    e1 = (-st, ct, 0.0)   # the frame of sphere.frame_vectors, per component
-    e2 = (cb * ct, cb * st, sb)
-    g = (sb * ct, sb * st, -cb)
+    e1, e2, g = frame_rows(np.atleast_1d(theta), np.atleast_1d(beta))
+    sb, cb = e2[2], -g[2]   # sin(beta) and cos(beta), the frame's z rows
+    st, ct = -e1[0], e1[1]  # and sin(theta), cos(theta) from e1
 
     g_dot = (dbeta * cb * ct - dtheta * sb * st,
              dbeta * cb * st + dtheta * sb * ct,
@@ -93,7 +85,8 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
     d = tuple(-b * e for e in e2)  # contact - center
 
     rows = (_cross(g, e1), _cross(g, e2), _cross(d, e1), _cross(d, e2))
-    rhs = (_dot(g_dot, e1), _dot(g_dot, e2), -_dot(c_dot, e1), -_dot(c_dot, e2))
+    rhs = (_row_dot(g_dot, e1), _row_dot(g_dot, e2),
+           -_row_dot(c_dot, e1), -_row_dot(c_dot, e2))
     return rows, rhs, g
 
 
@@ -147,7 +140,7 @@ def _rodrigues_steps(omega, dt):
     """Exact rotations exp(dt * hat(omega)) as half-angle quaternions
     (cos(phi/2), sin(phi/2) u), shape (4, n), for rates given per component
     (omega[k] is the 1-D array of component k)."""
-    rate = np.sqrt(_dot(omega, omega))
+    rate = np.sqrt(_row_dot(omega, omega))
     half = 0.5 * rate * dt
     scale = np.sin(half) / np.where(half > 0.0, rate, 1.0)
     S = np.empty((4, half.size))
@@ -235,7 +228,8 @@ def _normal_solve(rows, rhs):
     omega = ((c00 * y0 + c01 * y1 + c02 * y2) / det,
              (c01 * y0 + c11 * y1 + c12 * y2) / det,
              (c02 * y0 + c12 * y1 + c22 * y2) / det)
-    residual = np.sqrt(sum((_dot(row, omega) - r) ** 2 for row, r in zip(rows, rhs)))
+    residual = np.sqrt(sum((_row_dot(row, omega) - r) ** 2
+                           for row, r in zip(rows, rhs)))
     return omega, residual
 
 
@@ -263,9 +257,7 @@ def _magnus_steps(w1, w2, w3, h):
     return _rodrigues_steps(a1 + a3 / 12.0 + bend / 240.0, 1.0)
 
 
-def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
-                     drift_tol: float = DRIFT_TOL,
-                     closure_tol: float = _CLOSURE_TOL) -> OracleTrace:
+def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrace:
     """Integrate the disc orientation over the whole motion.
 
     steps counts constraint solves (rate evaluations), three per interval;
@@ -285,16 +277,16 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     steps (a blocked recursive scan with Hillis & Steele passes inside each
     block, see _scan). Every orientation's drift
     | |q|^4 - 1 |, which equals max |R^T R - I| of the matrix built from the
-    unnormalized quaternion, is checked (DriftExceeded above drift_tol, 1e-6
-    by default); nothing is renormalized. The spin history is recovered
+    unnormalized quaternion, is checked (DriftExceeded above DRIFT_TOL =
+    1e-6); nothing is renormalized. The spin history is recovered
     from the quaternions themselves, not from the solved rates, as the
     component along the normal of the rate 2 vec(qdot conj(q)), with qdot
     from sixth-order seven-point differences inside each piece (one-sided
     at the three nodes next to each end; Fornberg, Math. Comp. 51 (1988)
     699), and delta_oracle is minus its time integral by composite Boole
     per piece. For a closed motion the final orientation must be a pure
-    twist about the starting normal by minus the dynamical phase mod 2 pi
-    (ClosureMismatch otherwise).
+    twist about the starting normal by minus the dynamical phase mod 2 pi,
+    within _CLOSURE_TOL = 1e-2 (ClosureMismatch otherwise).
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
@@ -343,10 +335,10 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     norm2 = np.einsum("ij,ij->j", q, q)
     drift = np.abs(norm2 * norm2 - 1.0)
     worst = int(np.argmax(drift))
-    if drift[worst] > drift_tol:
+    if drift[worst] > DRIFT_TOL:
         raise DriftExceeded(
             f"orthonormality drift {drift[worst]:.3e} after {worst} intervals",
-            value=float(drift[worst]), tol=drift_tol)
+            value=float(drift[worst]), tol=DRIFT_TOL)
 
     # the per-piece node grid: each piece's counts + 1 nodes in turn, so an
     # interior knot appears twice, as the end of one piece and the start of
@@ -366,11 +358,10 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
     since = t - t0[node_piece]
     theta = th0[node_piece] + dth[node_piece] * since
     beta = b0[node_piece] + db[node_piece] * since
-    sb = np.sin(beta)
-    g = (sb * np.cos(theta), sb * np.sin(theta), -np.cos(beta))
+    g = frame_rows(theta, beta)[2]
     cross = _cross(dq[1:], qn[1:])
     rate = [qn[0] * dq[k + 1] - dq[0] * qn[k + 1] - cross[k] for k in range(3)]
-    spin_rates = _dot(g, rate) / (30.0 * h[node_piece])
+    spin_rates = _row_dot(g, rate) / (30.0 * h[node_piece])
     boole = np.array([14.0, 32.0, 12.0, 32.0])[j % 4]
     boole[first] = boole[last] = 7.0
     delta_oracle = -(2.0 / 45.0) * float(np.dot(boole * h[node_piece],
@@ -383,18 +374,18 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS,
         # is minus the dynamical part of the spin (mod 2 pi). The geometric
         # part lives in the frame transport and cancels from the residual.
         final = _matrices(q[:, -1])
-        _, e2_0, g0 = frame_vectors(th0[0], b0[0])
+        _, e2_0, g0 = (np.array(v) for v in frame_rows(th0[0], b0[0]))
         axis_err = float(np.linalg.norm(final @ g0 - g0))
         turned = final @ e2_0
         chi = float(np.arctan2(turned @ np.cross(g0, e2_0), turned @ e2_0))
         twist_expected = -(radii.a / radii.b) * (path.theta.end_value()
                                                  - path.theta.start_value())
         mismatch = abs(_wrap_angle(chi - twist_expected))
-        if axis_err > closure_tol or mismatch > closure_tol:
+        if axis_err > _CLOSURE_TOL or mismatch > _CLOSURE_TOL:
             raise ClosureMismatch(
                 f"closed motion: axis error {axis_err:.3e}, "
                 f"twist angle mismatch {mismatch:.3e}",
-                value=max(axis_err, mismatch), tol=closure_tol)
+                value=max(axis_err, mismatch), tol=_CLOSURE_TOL)
 
     return OracleTrace(steps=3 * n, t=t, quaternions=qn,
                        spin_rates=spin_rates, noslip_residuals=noslip,

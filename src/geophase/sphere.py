@@ -6,7 +6,9 @@ that vector, the pole-avoiding clamped curve, and the differential-geometric
 data computed on it: arc length, tangent angle, geodesic curvature, cusp
 angles, and offset-curve lengths.
 
-Orientation conventions (used consistently across the package):
+Orientation conventions (used consistently across the package; the frame's
+components are written in ``frame_rows`` alone, and every module reads them
+from there):
 
 * g(theta, beta) = (sin b cos th, sin b sin th, -cos b); tilt 0 is the south
   pole, tilt pi the north pole.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import CurveHasCusps
 from .motion import (DEFAULT_EPSILON, MIN_EPSILON, MotionPath, Piece,
-                     clamped_affine_pieces)
+                     clamped_affine_pieces, topology_report)
 
 MAX_SAMPLE_STEP = 4e-3          # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
@@ -39,32 +41,34 @@ MAX_PIECE_SAMPLES = 1_000_000   # about 640 laps at MAX_SAMPLE_STEP
 # 3.6e-8 with MAX_SAMPLE_STEP alone
 _KAPPA_STEP = 4.0 * 1.2e-6 ** 0.5
 CUSP_ANGLE_TOL = 1e-8
-GEOM_CLOSE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # frames
 
 
+def frame_rows(theta, beta):
+    """The orthonormal frame (e1, e2, g) at (theta, beta), each vector a
+    tuple of its three component rows; theta and beta broadcast, and every
+    row has their common shape. The only place the frame is written."""
+    theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    ct, st = np.cos(theta), np.sin(theta)
+    cb, sb = np.cos(beta), np.sin(beta)
+    e1 = (-st, ct, np.zeros_like(ct))
+    e2 = (cb * ct, cb * st, sb)
+    g = (sb * ct, sb * st, -cb)
+    return e1, e2, g
+
+
 def gauss_vector(theta, beta) -> np.ndarray:
     """Unit normal of the rolling disc; shape (..., 3)."""
-    theta = np.asarray(theta, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    sb = np.sin(beta)
-    return np.stack([sb * np.cos(theta), sb * np.sin(theta), -np.cos(beta)], axis=-1)
+    return np.stack(frame_rows(theta, beta)[2], axis=-1)
 
 
 def frame_vectors(theta, beta):
     """The orthonormal triple (e1, e2, e3) as arrays of shape (..., 3)."""
-    theta = np.asarray(theta, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    cb, sb = np.cos(beta), np.sin(beta)
-    zeros = np.zeros_like(ct)
-    e1 = np.stack([-st, ct, zeros], axis=-1)
-    e2 = np.stack([cb * ct, cb * st, sb], axis=-1)
-    e3 = np.stack([sb * ct, sb * st, -cb], axis=-1)
-    return e1, e2, e3
+    return tuple(np.stack(v, axis=-1) for v in frame_rows(theta, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +214,9 @@ def _sample_rows(moving, times, arcs):
     w, v = dth[piece], db[piece]   # theta' and beta' of each sample's piece
     theta = th0[piece] + w * since
     beta = b0[piece] + v * since
-    ct, st = np.cos(theta), np.sin(theta)
-    cb, sb = np.cos(beta), np.sin(beta)
-    g = np.empty((3, t.size))
-    np.multiply(sb, ct, out=g[0])
-    np.multiply(sb, st, out=g[1])
-    np.negative(cb, out=g[2])
+    _, e2, g = frame_rows(theta, beta)
+    sb, cb = e2[2], -g[2]   # sin(beta) and cos(beta), the frame's z rows
+    g = np.array(g)
     g /= np.sqrt(_row_dot(g, g))   # re-projection to the sphere
 
     # geodesic curvature det(g, g_t, g_tt) / |g_t|^3 (do Carmo, Differential
@@ -259,7 +260,9 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     Richardson correction; phi is unwrapped only in the smooth arcs where
     it jumps by pi or more between samples; kappa_g is det(g, g', g'') /
     |g'|^3 from the exact derivatives of each sample's own piece (see
-    _sample_rows), within rounding of the closed form.
+    _sample_rows), within rounding of the closed form. ``closed`` is
+    topology_report(path).closed, the closure every route gates on; a
+    one-point curve is never closed.
 
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
@@ -279,18 +282,16 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     if not moving:
         # the whole motion is stationary after clamping: a one-point curve
         p = all_pieces[0]
-        g = gauss_vector(p.th0, p.b0).reshape(3, 1).T
         return RegularizedCurve(
             epsilon=eps, pieces=(), t=np.array([p.t0]), s=np.array([0.0]),
-            theta=np.array([p.th0]), beta_eps=np.array([p.b0]), g=g,
+            theta=np.array([p.th0]), beta_eps=np.array([p.b0]),
+            g=np.array(frame_rows([p.th0], [p.b0])[2]).T,
             phi=np.array([0.0]), kappa_g=np.array([0.0]), arcs=((0, 1),),
             junctions=(), total_length=0.0, closed=False)
 
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
 
-    g_first = gauss_vector(moving[0].th0, moving[0].b0)
-    g_last = gauss_vector(*moving[-1].at(moving[-1].t1))
-    closed = bool(np.linalg.norm(g_last - g_first) <= GEOM_CLOSE_TOL)
+    closed = topology_report(path).closed
     wrap_alpha = _junction_angle(moving[-1], moving[0]) if closed else None
 
     # group pieces into smooth arcs, breaking where the tangent jumps

@@ -134,6 +134,10 @@ def test_compute_reports_unreadable_files(capsys):
     code, _, err = run(capsys, "compute", "--motion", "/no/such/file.json")
     assert code == 4
     assert "cannot read" in err
+    # foucault reads its track file through the same reader
+    code, _, err = run(capsys, "foucault", "--track", "/no/such/track.csv")
+    assert code == 4
+    assert "cannot read /no/such/track.csv" in err
 
 
 def test_compute_motion_file_happy_path(tmp_path, capsys):

@@ -225,10 +225,12 @@ def test_berry_transport_is_sixth_order(monkeypatch):
     assert errors[1] / errors[2] == pytest.approx(58.3, abs=8.0)
 
 
-def test_gauge_inconsistency_carries_the_transport_miss_and_the_tolerance():
+def test_gauge_inconsistency_carries_the_transport_miss_and_the_tolerance(
+        monkeypatch):
     # the miss is >= 0, so a negative tolerance always trips the check
+    monkeypatch.setattr(gauge, "_MISS_TOL", -1.0)
     with pytest.raises(GaugeInconsistency, match="misses the curve") as info:
-        berry_holonomy(gallery("vi"), tol=-1.0)
+        berry_holonomy(gallery("vi"))
     exc = info.value
     assert exc.tol == -1.0
     assert 0.0 <= exc.value < 1e-9

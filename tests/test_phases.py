@@ -484,6 +484,23 @@ def test_area_and_curvature_hold_at_every_documented_eps(name, eps):
         assert values[route] == pytest.approx(values["line"], abs=1e-9), route
 
 
+@pytest.mark.parametrize("gap", [5e-10, 9e-10])
+def test_a_lap_closed_within_the_closure_tolerance_runs_every_route(gap):
+    """theta ends gap past one turn and beta gap above its start, so
+    topology_report calls the lap closed while its Gauss vector ends up to
+    1.3e-9 from where it began; the curve has to count as closed too."""
+    path = MotionPath(
+        ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, TWO_PI + gap)]),
+        ScalarPath.from_segments([AffineSegment(0.0, 1.0, PI / 2.0, gap)]),
+        TABLE_RADII)
+    routes = ("area", "curvature", "monopole", "berry")
+    result = total_rotation(path, ("line",) + routes)
+    assert result.errors == {}
+    values = result.delta_g_by_method
+    for route in routes:
+        assert values[route] == pytest.approx(values["line"], abs=1e-12), route
+
+
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_the_monopole_route_ignores_eps(name):
     path = gallery(name, TABLE_RADII)

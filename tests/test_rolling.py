@@ -98,26 +98,28 @@ def test_default_steps_match_the_line_route_on_the_gallery(name, radii):
     assert abs(simulate_rolling(path).delta_oracle - expected) <= 1e-7
 
 
-def test_final_orientation_is_a_twist_about_the_start_axis():
+def test_final_orientation_is_a_twist_about_the_start_axis(monkeypatch):
     # after a closed motion the only residual freedom is a rotation about
     # the initial tilt axis; the closure check inside simulate_rolling
     # verifies both the axis and the twist angle, so surviving it with a
     # tight budget is the assertion
+    monkeypatch.setattr(rolling, "_CLOSURE_TOL", 1e-4)
     for name, radii in (("iv", TABLE_RADII), ("v", Radii(3.0, 2.0))):
-        simulate_rolling(gallery(name, radii), steps=50_000,
-                         closure_tol=1e-4)
+        simulate_rolling(gallery(name, radii), steps=50_000)
 
 
-def test_unreasonable_drift_budget_trips_the_guard():
+def test_unreasonable_drift_budget_trips_the_guard(monkeypatch):
+    monkeypatch.setattr(rolling, "DRIFT_TOL", 1e-18)
     with pytest.raises(DriftExceeded) as info:
-        simulate_rolling(gallery("ii"), steps=5000, drift_tol=1e-18)
+        simulate_rolling(gallery("ii"), steps=5000)
     assert info.value.tol == 1e-18
     assert info.value.value > info.value.tol
 
 
-def test_unreasonable_closure_budget_trips_the_guard():
+def test_unreasonable_closure_budget_trips_the_guard(monkeypatch):
+    monkeypatch.setattr(rolling, "_CLOSURE_TOL", 1e-15)
     with pytest.raises(ClosureMismatch) as info:
-        simulate_rolling(gallery("ii"), steps=5000, closure_tol=1e-15)
+        simulate_rolling(gallery("ii"), steps=5000)
     assert info.value.tol == 1e-15
     assert info.value.value > info.value.tol
 

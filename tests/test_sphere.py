@@ -10,7 +10,8 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       curvature_integral, detect_cusps, frame_vectors,
                       gauss_vector, geometric_phase_area,
                       geometric_phase_curvature, geometric_phase_line,
-                      offset_length, offset_length_derivative, regularize)
+                      offset_length, offset_length_derivative, regularize,
+                      topology_report)
 from geophase import sphere
 from geophase.errors import CurveHasCusps, EpsilonOutOfRange
 from conftest import COIN_RADII, TABLE_RADII, clamp_path, gallery
@@ -36,17 +37,29 @@ def test_frame_orthonormal_at_many_random_points():
     n = 1_000_000
     th = rng.uniform(-10.0, 10.0, n)
     be = rng.uniform(0.0, PI, n)
-    e1, e2, e3 = frame_vectors(th, be)
-    for v in (e1, e2, e3):
-        np.testing.assert_allclose(np.einsum("ij,ij->i", v, v), 1.0,
-                                   atol=1e-12)
-    for u, v in ((e1, e2), (e1, e3), (e2, e3)):
-        assert np.max(np.abs(np.einsum("ij,ij->i", u, v))) < 1e-12
-    # right-handed: e1 x e2 = e3 and cyclic
-    assert np.max(np.linalg.norm(np.cross(e1, e2) - e3, axis=1)) < 1e-12
-    assert np.max(np.linalg.norm(np.cross(e2, e3) - e1, axis=1)) < 1e-12
-    assert np.max(np.linalg.norm(np.cross(e3, e1) - e2, axis=1)) < 1e-12
-    assert np.max(np.linalg.norm(gauss_vector(th, be) - e3, axis=1)) < 1e-12
+    # 1-d, 2-d, scalar and mixed scalar/array input broadcast to one shape;
+    # frame_vectors and gauss_vector are the stacked rows, bit for bit
+    for t, b in ((th, be), (th.reshape(1000, 1000), be.reshape(1000, 1000)),
+                 (float(th[0]), float(be[0])), (float(th[1]), be[:1000]),
+                 (th[:1000], float(be[1]))):
+        rows = sphere.frame_rows(t, b)
+        shape = np.broadcast_shapes(np.shape(t), np.shape(b))
+        assert all(np.shape(r) == shape for v in rows for r in v)
+        stacked = [np.stack(v, axis=-1) for v in rows]
+        for got, want in zip((*frame_vectors(t, b), gauss_vector(t, b)),
+                             (*stacked, stacked[2])):
+            assert got.shape == shape + (3,)
+            assert got.tobytes() == want.tobytes()
+        e1, e2, e3 = (v.reshape(-1, 3) for v in stacked)
+        for v in (e1, e2, e3):
+            np.testing.assert_allclose(np.einsum("ij,ij->i", v, v), 1.0,
+                                       atol=1e-12)
+        for u, v in ((e1, e2), (e1, e3), (e2, e3)):
+            assert np.max(np.abs(np.einsum("ij,ij->i", u, v))) < 1e-12
+        # right-handed: e1 x e2 = e3 and cyclic
+        assert np.max(np.linalg.norm(np.cross(e1, e2) - e3, axis=1)) < 1e-12
+        assert np.max(np.linalg.norm(np.cross(e2, e3) - e1, axis=1)) < 1e-12
+        assert np.max(np.linalg.norm(np.cross(e3, e1) - e2, axis=1)) < 1e-12
 
 
 def test_metric_matches_finite_differences():
@@ -288,9 +301,7 @@ def regularize_reference(path, eps):
     at a junction sample shared by two pieces of one arc."""
     moving = [p for p in sphere.clamped_affine_pieces(path, eps) if p.moving]
     alphas = [sphere._junction_angle(a, b) for a, b in zip(moving, moving[1:])]
-    g_first = gauss_vector(moving[0].th0, moving[0].b0)
-    g_last = gauss_vector(*moving[-1].at(moving[-1].t1))
-    closed = bool(np.linalg.norm(g_last - g_first) <= sphere.GEOM_CLOSE_TOL)
+    closed = topology_report(path).closed
     wrap_alpha = sphere._junction_angle(moving[-1], moving[0]) if closed else None
     groups = [[moving[0]]]
     for piece, alpha in zip(moving[1:], alphas):
