@@ -24,7 +24,7 @@ _EXPORTS = {
         "GeophaseError", "LatitudeOutOfRange", "MethodDisagreement",
         "NonMonotoneTime", "OnSingularAxis", "ParseError", "PoleOnCurve",
         "QuadratureFailure", "SweepTooLarge", "ThetaNonzeroAtStart",
-        "UnknownExample", "WindingInconsistent"),
+        "TooManySamples", "UnknownExample", "WindingInconsistent"),
     "motion": (
         "DEFAULT_EPSILON", "GALLERY_NAMES", "AffineSegment", "ConstantSegment",
         "MotionPath", "Radii", "SampledSegment", "ScalarPath", "TopologyReport",

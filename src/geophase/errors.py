@@ -59,6 +59,12 @@ class CurveHasCusps(GeophaseError):
     """Offset-curve operation needs a smooth curve."""
 
 
+class TooManySamples(_BoundExceeded):
+    """A sampled curve or a transport needs more samples or intervals than
+    the cap MAX_PIECE_SAMPLES allows: ``value`` is the count needed and
+    ``tol`` the cap."""
+
+
 # --- region analysis ---
 
 class CurveNotClosed(GeophaseError):
@@ -87,7 +93,8 @@ class WindingInconsistent(_BoundExceeded):
 
 class QuadratureFailure(_BoundExceeded):
     """A quadrature missed its error target: the adaptive rule at maximum
-    depth, or the two Gauss-Legendre orders of the monopole route.
+    depth, or the two Gauss-Legendre orders of the monopole or the
+    curvature route.
 
     ``value`` is the adaptive rule's residual estimate, or the gap between
     the two Gauss-Legendre results on the worst piece.

@@ -4,7 +4,8 @@ The swing plane of an ideal pendulum carried along a route parallel
 transports along the route's trace in inertial space. Over a closed trace
 the accumulated drift is the negative of the geometric phase of that trace,
 and for a route given as timestamped waypoints (with the Earth's own
-rotation folded in) the per-leg drift has a closed form used here directly.
+rotation folded in) each leg is one affine piece of that trace, whose drift
+is the line route's exact term for the piece.
 
 Conventions: time in sidereal days, longitude lambda and latitude phi in
 radians, routes piecewise linear in (t, lambda, phi). The inertial azimuth
@@ -14,14 +15,14 @@ of a point is lambda + 2 pi t; colatitude-from-south beta = phi + pi/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
 from .errors import (CurveNotClosed, EmptyTrack, LatitudeOutOfRange,
                      NonMonotoneTime, ParseError)
-from .motion import TWO_PI, MotionPath, topology_report
-from .phases import geometric_phase_line
+from .motion import TWO_PI, MotionPath, Piece, topology_report
+from .phases import _line_term, geometric_phase_line
 
 _TRACK_HEADER = ("t_days", "lon_deg", "lat_deg")
 
@@ -83,29 +84,28 @@ def foucault_from_motion(path: MotionPath) -> float:
 def route_foucault(track: RouteTrack) -> FoucaultResult:
     """Accumulated drift along a waypoint route.
 
-    Each leg is linear in time in both coordinates. With latitude rate r and
-    inertial azimuth rate m + 2 pi (m the longitude rate), the leg drift
-    integral of sin(phi) d(azimuth) has the closed form
-
-        (m + 2 pi) (cos phi0 - cos phi1) / r    if r != 0
-        (m + 2 pi) sin(phi0) dt                 if the leg stays at phi0
-
-    A leg or total past the float range raises ValueError.
+    Each leg is linear in time in both coordinates, so it is one affine
+    Piece of the inertial motion: t in days, azimuth theta = lambda0 + 2 pi
+    t0 + (m + 2 pi)(t - t0) with m the longitude rate, and tilt beta = phi0
+    + pi/2 + r (t - t0) with r the latitude rate. Its drift, the integral
+    of sin(phi) d(theta) = -cos(beta) d(theta), is minus the line route's
+    exact term for that piece (phases._line_term). A leg or total past the
+    float range raises ValueError.
     """
     if len(track) < 2:
         raise EmptyTrack("need at least two waypoints")
-    with np.errstate(all='ignore'):
-        dt = np.diff(track.t_days)
-        phi0, phi1 = track.lat[:-1], track.lat[1:]
-        rate_phi = (phi1 - phi0) / dt
-        rate_az = (track.lon[1:] - track.lon[:-1]) / dt + TWO_PI
-        sloped = rate_az * (np.cos(phi0) - np.cos(phi1)) / rate_phi
-        flat = rate_az * np.sin(phi0) * dt
-        legs = np.where(rate_phi == 0.0, flat, sloped)
-        total = float(np.sum(legs))
-    if not (np.all(np.isfinite(legs)) and np.isfinite(total)):
+    t, lon, lat = track.t_days.tolist(), track.lon.tolist(), track.lat.tolist()
+    legs = []
+    for k in range(len(t) - 1):
+        dt = t[k + 1] - t[k]   # Python floats: an overflow is inf, not a warning
+        leg = Piece(t[k], t[k + 1], lon[k] + TWO_PI * t[k],
+                    (lon[k + 1] - lon[k]) / dt + TWO_PI,
+                    lat[k] + pi / 2.0, (lat[k + 1] - lat[k]) / dt)
+        legs.append(-_line_term(leg) if isfinite(leg.db) else inf)
+    total = sum(legs)
+    if not (all(isfinite(x) for x in legs) and isfinite(total)):
         raise ValueError("the drift on this route overflows the float range")
-    return FoucaultResult(delta_fou=total, accumulation=legs)
+    return FoucaultResult(delta_fou=total, accumulation=np.array(legs))
 
 
 def ingest_track(text: str) -> RouteTrack:

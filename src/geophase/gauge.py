@@ -18,20 +18,17 @@ transported normal stays on the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import GaugeInconsistency, OnSingularAxis, QuadratureFailure
+from .errors import GaugeInconsistency, OnSingularAxis, TooManySamples
 from .motion import MotionPath
-from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, _row_dot,
-                     clamped_affine_pieces, frame_rows)
+from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, _gauss_legendre_sum,
+                     _row_dot, clamped_affine_pieces, frame_rows)
 from .phases import closed_topology
 from .rolling import _magnus_steps, _matrices
 
 AXIS_CLEARANCE = 1e-9
-_QUAD_ORDERS = (16, 24)   # Gauss-Legendre node counts compared per piece
-_QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -94,11 +91,6 @@ def curl_check(patch: GaugePatch, x, h: float) -> np.ndarray:
                      jac[0, 1] - jac[1, 0]])
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _circulation(pieces, sign: int | None) -> float:
     """Line integral of a monopole potential along the moving pieces.
 
@@ -108,38 +100,29 @@ def _circulation(pieces, sign: int | None) -> float:
     smooth integrand, no node within pi/2 of an excluded ray. The Cartesian
     potential meets the tilt vector's Cartesian velocity, never the
     reference method's cos(beta) d(theta). A piece's tilt spans at most pi,
-    where the Gauss-Legendre rules of both _QUAD_ORDERS are at rounding
-    level; two results more than _QUAD_TOL apart raise QuadratureFailure.
+    where the Gauss-Legendre rules of both sphere._QUAD_ORDERS are at
+    rounding level; two results more than _QUAD_TOL apart raise
+    QuadratureFailure (sphere._gauss_legendre_sum).
     """
     pieces = [p for p in pieces if p.moving]
     if not pieces:
         return 0.0
-    half, th0, dth, b0, db = (np.array(c)[:, None] for c in zip(
-        *((0.5 * (p.t1 - p.t0), p.th0, p.dth, p.b0, p.db) for p in pieces)))
-    rules = [_gauss_legendre(n) for n in _QUAD_ORDERS]
-    dt = half * (1.0 + np.concatenate([x for x, _ in rules]))
-    e1, e2, g = frame_rows(th0 + dth * dt, b0 + db * dt)
-    turn = dth * e2[2]   # theta' sin(beta): e2's z row is sin(beta)
-    g_dot = [db * u + turn * v for u, v in zip(e2, e1)]
-    s = np.where(g[2] > 0.0, 1, -1) if sign is None else np.full(turn.shape, sign)
-    f = -s * dth if sign is None else np.zeros(turn.shape)
-    points = np.stack(g, axis=-1)   # monopole_potential takes (..., 3)
-    for patch in (PLUS_PATCH, MINUS_PATCH):
-        on = s == patch.sign
-        f[on] += _row_dot(monopole_potential(patch, points[on]).T,
-                          [v[on] for v in g_dot])
-    split = rules[0][0].size
-    low = half[:, 0] * (f[:, :split] @ rules[0][1])
-    high = half[:, 0] * (f[:, split:] @ rules[1][1])
-    diff = np.abs(high - low)
-    k = int(np.argmax(diff))
-    if not diff[k] <= _QUAD_TOL:
-        raise QuadratureFailure(
-            f"Gauss-Legendre orders {_QUAD_ORDERS[0]} and {_QUAD_ORDERS[1]} "
-            f"differ by {diff[k]:.3e} on [{pieces[k].t0!r}, {pieces[k].t1!r}] "
-            f"(tolerance {_QUAD_TOL:.1e})",
-            value=float(diff[k]), tol=_QUAD_TOL)
-    return float(np.sum(high))
+    t0, t1, th0, dth, b0, db = (np.array(c)[:, None] for c in zip(*pieces))
+
+    def integrand(dt):
+        e1, e2, g = frame_rows(th0 + dth * dt, b0 + db * dt)
+        turn = dth * e2[2]   # theta' sin(beta): e2's z row is sin(beta)
+        g_dot = [db * u + turn * v for u, v in zip(e2, e1)]
+        s = np.where(g[2] > 0.0, 1, -1) if sign is None else np.full(turn.shape, sign)
+        f = -s * dth if sign is None else np.zeros(turn.shape)
+        points = np.stack(g, axis=-1)   # monopole_potential takes (..., 3)
+        for patch in (PLUS_PATCH, MINUS_PATCH):
+            on = s == patch.sign
+            f[on] += _row_dot(monopole_potential(patch, points[on]).T,
+                              [v[on] for v in g_dot])
+        return f
+
+    return _gauss_legendre_sum(t0[:, 0], t1[:, 0], integrand)
 
 
 def patch_circulation(path: MotionPath, patch: GaugePatch,
@@ -191,7 +174,7 @@ def berry_holonomy(path: MotionPath) -> float:
     poles, so nothing is clamped. The transported g must land on g at each
     interval's end; a summed miss above _MISS_TOL = 1e-6 raises
     GaugeInconsistency. More than MAX_PIECE_SAMPLES intervals in all raise
-    ValueError.
+    TooManySamples.
     """
     closed_topology(path)
     pieces = [p for p in path.affine_pieces if p.moving]
@@ -201,8 +184,9 @@ def berry_holonomy(path: MotionPath) -> float:
     counts = np.maximum(4, np.ceil((np.abs(dth) + np.abs(db)) * (t1 - t0)
                                    / _TRANSPORT_STEP))
     if not counts.sum() <= MAX_PIECE_SAMPLES:
-        raise ValueError(f"the transport needs {counts.sum():.3g} intervals, "
-                         f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
+        raise TooManySamples(f"the transport needs {counts.sum():.3g} intervals, "
+                             f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}",
+                             value=float(counts.sum()), tol=MAX_PIECE_SAMPLES)
     counts = counts.astype(int)
     piece = np.repeat(np.arange(counts.size), counts)
     h = ((t1 - t0) / counts)[piece]

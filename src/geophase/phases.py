@@ -114,19 +114,26 @@ def geometric_phase_line(path: MotionPath) -> float:
 
 def _line_sum(pieces) -> float:
     """The exact line integral over (t0, t1, th0, dth, b0, db) pieces with
-    theta and beta affine on each: raw or clamped Pieces. The difference
-    sin(b1) - sin(b0) is taken as 2 cos(b0 + h) sin(h), h = (b1 - b0)/2,
-    which keeps its precision when the tilt barely moves on a piece."""
+    theta and beta affine on each, raw or clamped Pieces: the sum of their
+    _line_terms."""
     total = 0.0
-    for (t0, t1, _th0, dth, b0, db) in pieces:
-        if dth == 0.0:
-            continue
-        if db == 0.0:
-            total += cos(b0) * dth * (t1 - t0)
-        else:
-            h = 0.5 * db * (t1 - t0)
-            total += 2.0 * dth * cos(b0 + h) * sin(h) / db
+    for piece in pieces:
+        total += _line_term(piece)
     return total
+
+
+def _line_term(piece) -> float:
+    """The integral of cos(beta) theta' dt over one affine piece, exact:
+    theta' sin(beta) / beta' between the piece's ends. The difference
+    sin(b1) - sin(b0) is taken as 2 cos(b0 + h) sin(h), h = (b1 - b0)/2,
+    which keeps its precision when the tilt barely moves on the piece."""
+    t0, t1, _th0, dth, b0, db = piece
+    if dth == 0.0:
+        return 0.0
+    if db == 0.0:
+        return cos(b0) * dth * (t1 - t0)
+    h = 0.5 * db * (t1 - t0)
+    return 2.0 * dth * cos(b0 + h) * sin(h) / db
 
 
 def geometric_phase_baumkuchen(path: MotionPath, N: int) -> BaumkuchenBounds:
@@ -251,7 +258,8 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) ->
 
     The tangent-angle circulation of a simple closed curve is -pi (I+ - I-);
     subtracting the geodesic-curvature integral and the cusp angles leaves
-    the geometric phase.
+    the geometric phase. A motion that is stationary after clamping gives
+    a one-point curve, which has no tangent to turn: its value is 0.
     """
     from .regions import classify_poles, curvature_integral, turning_angle_sum
     from .sphere import cached_regularize
@@ -259,8 +267,8 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) ->
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, i_minus = classify_poles(curve)
-    value = (-pi * (i_plus - i_minus) - curvature_integral(curve)
-             - turning_angle_sum(curve))
+    circulation = -pi * (i_plus - i_minus) if curve.pieces else 0.0
+    value = circulation - curvature_integral(curve) - turning_angle_sum(curve)
     return eps_limit(path, value, eps)
 
 

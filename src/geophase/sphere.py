@@ -22,24 +22,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import pi
+from math import ceil, hypot, pi, sin
 
 import numpy as np
 
-from .errors import CurveHasCusps
+from .errors import CurveHasCusps, QuadratureFailure, TooManySamples
 from .motion import (DEFAULT_EPSILON, MIN_EPSILON, MotionPath, Piece,
                      clamped_affine_pieces, topology_report)
 
-MAX_SAMPLE_STEP = 4e-3          # cap on the angle subtended by adjacent samples
+MAX_SAMPLE_STEP = 1.6e-2        # cap on the angle subtended by adjacent samples
 _MIN_PIECE_SAMPLES = 16         # sample floor per smooth piece (coarse motions)
-MAX_PIECE_SAMPLES = 1_000_000   # about 640 laps at MAX_SAMPLE_STEP
-# cap on step / sin(beta) on pieces that turn in theta, about 4.4e-3: the
-# azimuth turned per step on a latitude circle of radius sin(beta). It keeps
-# the fourth-order area and curvature integral as accurate near the clamp
-# circles as at the equator: on the gallery and 64 random laps, at eps and
-# eps/2, they lie within 1.8e-11 and 4.8e-12 of line, against 2.7e-9 and
-# 3.6e-8 with MAX_SAMPLE_STEP alone
-_KAPPA_STEP = 4.0 * 1.2e-6 ** 0.5
+MAX_PIECE_SAMPLES = 1_000_000   # about 2,500 equator laps at MAX_SAMPLE_STEP
+# cap on step / sin(beta) on pieces that turn in theta, about 1.75e-2: the
+# azimuth turned per step on a latitude circle of radius sin(beta). Of the
+# sampled quantities only the area fans need it: it keeps their sixth-order
+# area as accurate near the clamp circles as at the equator. Arc length is
+# sixth order too, and the curvature route integrates the pieces themselves
+_KAPPA_STEP = 16.0 * 1.2e-6 ** 0.5
+_QUAD_ORDERS = (16, 24)   # Gauss-Legendre node counts compared per interval
+_QUAD_TOL = 1e-11
 CUSP_ANGLE_TOL = 1e-8
 
 
@@ -143,33 +144,34 @@ def _junction_angle(p_in: Piece, p_out: Piece) -> float:
 
 
 def _piece_samples(piece: Piece):
-    """Sample times for one piece, an even number of equal steps.
+    """Sample times for one piece, a multiple of 4 equal steps.
 
-    Adjacent samples subtend at most MAX_SAMPLE_STEP = 4e-3, or
+    Adjacent samples subtend at most MAX_SAMPLE_STEP = 1.6e-2, or
     _KAPPA_STEP * sin(beta_min) for a piece that turns in theta: on a
     latitude circle of radius sin(beta) that bound keeps the angle turned
-    per step, and with it the error of the polygon area and of the sampled
-    curvature integral, the same near the clamp circles as at the equator.
-    A meridian piece (theta' = 0) is a great circle, whose chords and
-    kappa_g = 0 are exact at any step, so it gets MAX_SAMPLE_STEP. Every
-    piece gets at least _MIN_PIECE_SAMPLES steps, so at least 17 samples.
+    per step, and with it the error of the polygon area, the same near the
+    clamp circles as at the equator. A meridian piece (theta' = 0) is a
+    great circle, whose chords are exact at any step, so it gets
+    MAX_SAMPLE_STEP. Every piece gets at least _MIN_PIECE_SAMPLES steps, so
+    at least 17 samples. A piece that needs more than MAX_PIECE_SAMPLES
+    steps raises TooManySamples before anything is allocated.
     """
     b_lo = min(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
     b_hi = max(piece.b0, piece.b0 + piece.db * (piece.t1 - piece.t0))
-    sin_min = min(np.sin(b_lo), np.sin(b_hi))
-    sin_max = 1.0 if b_lo <= pi / 2.0 <= b_hi else max(np.sin(b_lo), np.sin(b_hi))
-    speed_max = float(np.hypot(sin_max * piece.dth, piece.db))
-    extent = speed_max * (piece.t1 - piece.t0)
+    sin_min = min(sin(b_lo), sin(b_hi))
+    sin_max = 1.0 if b_lo <= pi / 2.0 <= b_hi else max(sin(b_lo), sin(b_hi))
+    extent = hypot(sin_max * piece.dth, piece.db) * (piece.t1 - piece.t0)
     step = MAX_SAMPLE_STEP
     if piece.dth != 0.0:
-        step = min(step, _KAPPA_STEP * float(sin_min))
+        step = min(step, _KAPPA_STEP * sin_min)
     needed = extent / step   # inf, not an error, past the float range
     if not needed <= MAX_PIECE_SAMPLES:
-        raise ValueError(
+        raise TooManySamples(
             f"piece [{piece.t0!r}, {piece.t1!r}] needs {needed:.3g} samples, "
-            f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
-    half = max(2, int(np.ceil(0.5 * needed)), (_MIN_PIECE_SAMPLES + 1) // 2)
-    return np.linspace(piece.t0, piece.t1, 2 * half + 1)
+            f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}",
+            value=needed, tol=MAX_PIECE_SAMPLES)
+    quarter = max(ceil(0.25 * needed), _MIN_PIECE_SAMPLES // 4)
+    return np.linspace(piece.t0, piece.t1, 4 * quarter + 1)
 
 
 def _row_dot(u, v):
@@ -177,30 +179,76 @@ def _row_dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _coarse_grid(arcs, ends: bool = True):
-    """Every other sample of each arc from its start, as one index array:
-    the coarse grid of the Richardson corrections (chord pairs, area,
-    curvature and offset-length integrals). regularize gives every piece
-    an even number of equal steps in t, so each arc has an odd number of
-    samples and its grid keeps both ends; with ends=False the last sample
-    of each arc is left out. An arc of even length raises ValueError."""
+def _coarse_grid(arcs, stride: int, ends: bool = True):
+    """Every stride-th sample of each arc from its start, as one index
+    array: the coarse grids of the Richardson and Romberg corrections
+    (chord quads, area fans, offset-length integrals). regularize gives
+    every piece a multiple of 4 equal steps in t, so for stride 2 and 4
+    each arc's grid keeps both ends; with ends=False the last sample of each
+    arc is left out. An arc whose steps are not a multiple of stride raises
+    ValueError."""
     for i0, i1 in arcs:
-        if (i1 - i0) % 2 != 1:
-            raise ValueError(f"arc [{i0}, {i1}) has an even number of samples; "
-                             f"the Richardson corrections need an odd number")
-    return np.concatenate([np.arange(i0, i1 - (not ends), 2) for i0, i1 in arcs])
+        if (i1 - i0 - 1) % stride:
+            raise ValueError(f"arc [{i0}, {i1}) has {i1 - i0 - 1} steps, not a "
+                             f"multiple of {stride}")
+    return np.concatenate([np.arange(i0, i1 - (not ends), stride) for i0, i1 in arcs])
 
 
 def _richardson_trapezoid(y, s, arcs) -> float:
     """Integral of y ds over the arcs by the trapezoid rule over all
-    samples, T_h, and over the coarse grid, T_2h (see _coarse_grid),
+    samples, T_h, and over every other sample, T_2h (see _coarse_grid),
     combined as (4 T_h - T_2h) / 3; this cancels the h^2 error
     (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307). s does not
     advance from one arc's last sample to the next arc's first, so both
     sums run over the whole array."""
     fine = np.trapezoid(y, s)
-    coarse = _coarse_grid(arcs)
+    coarse = _coarse_grid(arcs, 2)
     return float(fine + (fine - np.trapezoid(y[coarse], s[coarse])) / 3.0)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre_rules():
+    """The nodes of both _QUAD_ORDERS on [-1, 1], concatenated, and the
+    weights of each."""
+    (x1, w1), (x2, w2) = (np.polynomial.legendre.leggauss(n) for n in _QUAD_ORDERS)
+    return np.concatenate([x1, x2]), w1, w2
+
+
+def _gauss_legendre_sum(t0, t1, integrand) -> float:
+    """Sum over the intervals [t0[k], t1[k]] of the integral of integrand,
+    by the Gauss-Legendre rules of both _QUAD_ORDERS in one array pass.
+    integrand gets the nodes' offsets from their interval's start, shape
+    (intervals, 40), and returns the values there. Two results more than
+    _QUAD_TOL apart on an interval raise QuadratureFailure; the higher
+    order is returned."""
+    half = 0.5 * (t1 - t0)
+    nodes, w_low, w_high = _gauss_legendre_rules()
+    f = integrand(half[:, None] * (1.0 + nodes))
+    split = _QUAD_ORDERS[0]
+    low = half * (f[:, :split] @ w_low)
+    high = half * (f[:, split:] @ w_high)
+    diff = np.abs(high - low)
+    k = int(np.argmax(diff))
+    if not diff[k] <= _QUAD_TOL:
+        raise QuadratureFailure(
+            f"Gauss-Legendre orders {_QUAD_ORDERS[0]} and {_QUAD_ORDERS[1]} "
+            f"differ by {diff[k]:.3e} on [{float(t0[k])!r}, {float(t1[k])!r}] "
+            f"(tolerance {_QUAD_TOL:.1e})",
+            value=float(diff[k]), tol=_QUAD_TOL)
+    return float(np.sum(high))
+
+
+def _curvature_rows(sb, cb, w, v):
+    """det(g, g_t, g_tt) and |g_t|^2 along an affine piece with rates
+    theta' = w and beta' = v, at tilts with sin sb and cos cb. Neither
+    changes when the sphere turns about z, so the rows are taken in the
+    frame turned by -theta, where g = (sb, 0, -cb); there a meridian piece
+    (w = 0) gives exactly 0."""
+    gt = (cb * v, sb * w, sb * v)
+    gtt = (-sb * (v * v + w * w), 2.0 * cb * v * w, cb * v * v)
+    det = (sb * (gt[1] * gtt[2] - gt[2] * gtt[1])
+           - cb * (gt[0] * gtt[1] - gt[1] * gtt[0]))
+    return det, _row_dot(gt, gt)
 
 
 def _sample_rows(moving, times, arcs):
@@ -221,19 +269,11 @@ def _sample_rows(moving, times, arcs):
 
     # geodesic curvature det(g, g_t, g_tt) / |g_t|^3 (do Carmo, Differential
     # Geometry of Curves and Surfaces, 1976, 4-4) from the exact derivatives
-    # on each sample's own piece. The determinant and |g_t| do not change
-    # when the sphere turns about z, so the rows are taken in the frame
-    # turned by -theta, where g = (sb, 0, -cb); there a meridian piece
-    # (theta' = 0) gives exactly 0. kappa_g does not change under t -> c t,
-    # so the rates are divided by the larger of the two first: rates whose
-    # squares fall below the float range would give 0 / 0
+    # on each sample's own piece (_curvature_rows). kappa_g does not change
+    # under t -> c t, so the rates are divided by the larger of the two
+    # first: rates whose squares fall below the float range would give 0 / 0
     scale = np.maximum(np.abs(dth), np.abs(db))
-    wn, vn = (dth / scale)[piece], (db / scale)[piece]
-    gt = (cb * vn, sb * wn, sb * vn)
-    gtt = (-sb * (vn * vn + wn * wn), 2.0 * cb * vn * wn, cb * vn * vn)
-    det = (sb * (gt[1] * gtt[2] - gt[2] * gtt[1])
-           - cb * (gt[0] * gtt[1] - gt[1] * gtt[0]))
-    speed2 = _row_dot(gt, gt)
+    det, speed2 = _curvature_rows(sb, cb, (dth / scale)[piece], (db / scale)[piece])
     kappa = det / speed2 / np.sqrt(speed2)   # no subnormal |g_t|^3 near a pole
 
     # the tangent angle in the (e1, e2) frame, unwrapped within each arc;
@@ -251,18 +291,18 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
 
     The tilt is clamped to [eps, pi-eps]; intervals where the clamped point
     does not move collapse to a single shared sample. Each smooth piece gets
-    an even number, at least 16, of steps of equal time; adjacent samples
-    subtend at most MAX_SAMPLE_STEP = 4e-3 radians, or _KAPPA_STEP *
-    sin(beta_min) on a piece that turns in theta, where the area and
-    curvature integrals need the finer step near the clamp circles.
-    Meridian pieces (theta' = 0) are great circles and keep
-    MAX_SAMPLE_STEP. Arc length comes from chord sums with pairwise
-    Richardson correction; phi is unwrapped only in the smooth arcs where
-    it jumps by pi or more between samples; kappa_g is det(g, g', g'') /
-    |g'|^3 from the exact derivatives of each sample's own piece (see
-    _sample_rows), within rounding of the closed form. ``closed`` is
-    topology_report(path).closed, the closure every route gates on; a
-    one-point curve is never closed.
+    a multiple of 4, at least 16, steps of equal time; adjacent samples
+    subtend at most MAX_SAMPLE_STEP = 1.6e-2 radians, or _KAPPA_STEP *
+    sin(beta_min) on a piece that turns in theta, where the area fans need
+    the finer step near the clamp circles. Meridian pieces (theta' = 0) are
+    great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
+    sums with a Romberg correction over each run of four chords, sixth
+    order; phi is unwrapped only in the smooth arcs where it jumps by pi or
+    more between samples; kappa_g is det(g, g', g'') / |g'|^3 from the
+    exact derivatives of each sample's own piece (see _sample_rows), within
+    rounding of the closed form. ``closed`` is topology_report(path).closed,
+    the closure every route gates on, also for the one-point curve of a
+    motion that is stationary after clamping.
 
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
@@ -278,6 +318,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     """
     all_pieces = clamped_affine_pieces(path, eps)
     moving = [p for p in all_pieces if p.moving]
+    closed = topology_report(path).closed
 
     if not moving:
         # the whole motion is stationary after clamping: a one-point curve
@@ -287,11 +328,9 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             theta=np.array([p.th0]), beta_eps=np.array([p.b0]),
             g=np.array(frame_rows([p.th0], [p.b0])[2]).T,
             phi=np.array([0.0]), kappa_g=np.array([0.0]), arcs=((0, 1),),
-            junctions=(), total_length=0.0, closed=False)
+            junctions=(), total_length=0.0, closed=closed)
 
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
-
-    closed = topology_report(path).closed
     wrap_alpha = _junction_angle(moving[-1], moving[0]) if closed else None
 
     # group pieces into smooth arcs, breaking where the tangent jumps
@@ -303,7 +342,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             groups[-1].append(piece)
 
     # sample times; within an arc the junction sample is shared, and every
-    # piece adds an even number of chords, so each arc has an even number
+    # piece adds a multiple of 4 chords, so each arc has such a number
     times = []
     arcs = []
     n = 0
@@ -318,20 +357,29 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         arcs.append((i0, n))
     t, theta, beta, G, phi, kappa = _sample_rows(moving, times, arcs)
 
-    # chords, Richardson-corrected in pairs (2k, 2k + 1) counted from each
-    # arc's start; the step from one arc's end to the next arc's start is
-    # no chord and goes unused
+    # chords, Romberg-corrected in quads (4k, ..., 4k + 3) counted from each
+    # arc's start: with S_h the quad's four chords, S_2h its two chords over
+    # every other sample and S_4h its one chord, R(h) = S_h + (S_h - S_2h)/3
+    # and R(2h) = S_2h + (S_2h - S_4h)/3 cancel the h^2 error, and R(h) +
+    # (R(h) - R(2h))/15 the h^4 error too; the quad's chords are scaled to
+    # that sum. The step from one arc's end to the next arc's start is no
+    # chord and goes unused
     step = np.diff(G)
     ds = np.sqrt(_row_dot(step, step))
-    first = _coarse_grid(arcs, ends=False)
-    c1, c2 = ds[first], ds[first + 1]
-    coarse = G[:, first + 2] - G[:, first]
-    coarse = np.sqrt(_row_dot(coarse, coarse))
-    pair = c1 + c2 + (c1 + c2 - coarse) / 3.0
-    total = c1 + c2
-    scale = np.where(total > 0.0, pair / np.where(total > 0.0, total, 1.0), 1.0)
-    ds[first] = c1 * scale
-    ds[first + 1] = c2 * scale
+    first = _coarse_grid(arcs, 4, ends=False)
+    m = first.size
+    quads = (first[:, None] + np.arange(4)).ravel()
+    c = ds[quads].reshape(m, 4)
+    ends = G[:, np.concatenate([first, first + 2, first + 4])]
+    halves, whole = ends[:, m:] - ends[:, :2 * m], ends[:, 2 * m:] - ends[:, :m]
+    c2 = np.sqrt(_row_dot(halves, halves))   # the quads' first halves, then second
+    s_h = c[:, 0] + c[:, 1] + c[:, 2] + c[:, 3]
+    s_2h = c2[:m] + c2[m:]
+    r_h = s_h + (s_h - s_2h) / 3.0
+    r_2h = s_2h + (s_2h - np.sqrt(_row_dot(whole, whole))) / 3.0
+    romberg = r_h + (r_h - r_2h) / 15.0
+    scale = np.where(s_h > 0.0, romberg / np.where(s_h > 0.0, s_h, 1.0), 1.0)
+    ds[quads] = (c * scale[:, None]).ravel()
 
     # arc length from each arc's own start, and from the curve's start
     local = np.empty(n)

@@ -256,8 +256,8 @@ def test_region_area_identities():
         gb_plus = gauss_bonnet_area(curve)
         sa_plus, sa_minus = region_areas(curve)
         assert abs(sa_plus + sa_minus - 4.0 * PI) <= 1e-12, name
-        # the Richardson-corrected polygon area and boundary quadrature
-        # differ by at most 1.2e-10 on the gallery (i, iii)
+        # the Romberg polygon area and the Gauss-Legendre boundary
+        # quadrature differ by at most 1.1e-12 on the gallery (iv)
         assert abs(sa_plus - gb_plus) <= 2e-6, name
 
         if (i_plus, i_minus) == (1, 1) and pole_sides(curve)[0]:

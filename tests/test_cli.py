@@ -595,7 +595,7 @@ EXPORTED = {
     "ParseError", "PhaseResult", "PoleOnCurve", "QuadratureFailure", "Radii",
     "RegionReport", "RegularizedCurve", "RouteTrack", "SampledSegment",
     "ScalarPath", "SweepTooLarge", "ThetaNonzeroAtStart", "Tolerances",
-    "TopologyReport", "UnknownExample", "WindingInconsistent",
+    "TooManySamples", "TopologyReport", "UnknownExample", "WindingInconsistent",
     "berry_holonomy", "build_path", "classify_poles", "concatenate_paths",
     "curl_check", "curvature_integral", "detect_cusps", "dynamical_phase",
     "errors", "example_gallery", "extrapolated_region_report", "foucault",
@@ -706,17 +706,32 @@ def test_theta_overflow_mid_lap_exits_2(tmp_path, capsys):
 
 
 # sweeps that float spacing still resolves but no sampled curve can follow:
-# ten thousand closed laps for compute's clamped routes; trace samples any
-# motion
-@pytest.mark.parametrize("command,slope", [
-    ("compute", repr(2e4 * PI)), ("trace", "1e5")])
+# trace samples any motion, and refuses one past the cap
+@pytest.mark.parametrize("command,slope", [("trace", "1e5")])
 def test_sweep_past_the_sample_cap_exits_2(tmp_path, capsys, command, slope):
     target = tmp_path / "motion.json"
     target.write_text(_lap_desc("1.0", slope=slope))
     code, out, err = run(capsys, command, "--motion", str(target))
     assert code == 2
-    assert "ValueError" in err and "MAX_PIECE_SAMPLES" in err
+    assert "TooManySamples" in err and "MAX_PIECE_SAMPLES" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_sweep_past_the_sample_cap_is_recorded_per_route(tmp_path, capsys):
+    # ten thousand closed laps: the sampled curve and the transport both
+    # pass the cap, so area, curvature and berry record TooManySamples in
+    # the report, and compute exits 0 with line and monopole in agreement
+    target = tmp_path / "motion.json"
+    target.write_text(_lap_desc("1.0", slope=repr(2e4 * PI)))
+    code, out, err = run(capsys, "compute", "--motion", str(target), "--methods",
+                         "line,area,curvature,monopole,berry", "--format", "json")
+    assert code == 0 and err == ""
+    routes = json.loads(out)["delta_g"]
+    for name in ("area", "curvature", "berry"):
+        assert routes[name]["error"] == "TooManySamples", name
+        assert "MAX_PIECE_SAMPLES" in routes[name]["message"], name
+    assert routes["monopole"]["value"] == pytest.approx(routes["line"]["value"],
+                                                        rel=1e-12)
 
 
 _JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -162,3 +162,14 @@ def test_ingest_error_positions():
 
     with pytest.raises(NonMonotoneTime):
         ingest_track("t_days,lon_deg,lat_deg\n0,0,0\n0,1,1\n")
+
+
+@pytest.mark.parametrize("d", [1e-10, 1e-13])
+def test_a_near_flat_leg_keeps_its_digits(d):
+    # one day from latitude 0.5 to 0.5 + d: the drift 2 pi (cos phi0 -
+    # cos phi1) / d, written without the cancellation, to 1e-14 relative
+    lat = np.array([0.5, 0.5 + d])
+    step = float(lat[1] - lat[0])
+    exact = TWO_PI * 2.0 * math.sin(0.5 + step / 2.0) * math.sin(step / 2.0) / step
+    track = RouteTrack(t_days=np.array([0.0, 1.0]), lon=np.zeros(2), lat=lat)
+    assert route_foucault(track).delta_fou == pytest.approx(exact, rel=1e-14, abs=0.0)

@@ -11,11 +11,12 @@ from geophase import (DEFAULT_EPSILON, MINUS_PATCH, PLUS_PATCH, GaugePatch,
                       berry_holonomy, curl_check, geometric_phase_line,
                       monopole_holonomy, monopole_potential,
                       patch_circulation)
-from geophase import gauge
+from geophase import gauge, sphere
 from geophase.errors import (CurveNotClosed, GaugeInconsistency,
-                             OnSingularAxis, QuadratureFailure)
+                             OnSingularAxis, QuadratureFailure, TooManySamples)
 from geophase.quadrature import adaptive_simpson
-from geophase.sphere import clamped_affine_pieces, frame_vectors
+from geophase.sphere import (MAX_PIECE_SAMPLES, clamped_affine_pieces,
+                             frame_vectors)
 from conftest import COIN_RADII, FROZEN, TABLE_RADII, closed_motions, gallery
 from test_acceptance import random_closed_motion
 
@@ -254,9 +255,11 @@ def test_a_sweep_past_the_interval_cap_raises_before_transporting():
     from geophase import AffineSegment, ConstantSegment, MotionPath, Radii, ScalarPath
     theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, 2e4 * PI)])
     beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
-    with pytest.raises(ValueError, match=r"1\.26e\+06 intervals, more than "
-                       "MAX_PIECE_SAMPLES"):
+    with pytest.raises(TooManySamples, match=r"1\.26e\+06 intervals, more than "
+                       "MAX_PIECE_SAMPLES") as info:
         berry_holonomy(MotionPath(theta, beta, Radii(1.0, 1.0)))
+    assert info.value.value == math.ceil(2e4 * PI / gauge._TRANSPORT_STEP)
+    assert info.value.tol == MAX_PIECE_SAMPLES
 
 
 def simpson_circulation(pieces, sign=None):
@@ -314,7 +317,7 @@ def test_switched_circulation_matches_simpson_on_the_raw_pieces(name, radii):
 
 
 def test_disagreeing_quadrature_orders_raise(monkeypatch):
-    monkeypatch.setattr(gauge, "_QUAD_TOL", -1.0)
+    monkeypatch.setattr(sphere, "_QUAD_TOL", -1.0)
     with pytest.raises(QuadratureFailure,
                        match=r"orders 16 and 24 differ by \d\.\d{3}e[+-]\d\d ") as info:
         monopole_holonomy(gallery("vi"))

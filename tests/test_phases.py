@@ -448,8 +448,8 @@ def test_delta_g_does_not_depend_on_eps(path):
 @settings(max_examples=30, deadline=None)
 @given(closed_motions(dip=True) | closed_motions())
 def test_area_and_curvature_keep_fourth_order_accuracy(path):
-    # the Richardson-corrected area and curvature integral lie within
-    # 2.0e-11 and 4.7e-12 of the line value on 1200 generated laps; 1e-8
+    # the Romberg area and the Gauss-Legendre curvature integral lie within
+    # 9.8e-13 and 2.3e-15 of the line value on 600 generated laps; 1e-8
     # leaves room for rounding but not for a sampling step that gives the
     # accuracy back
     line = geometric_phase_line(path)
@@ -473,7 +473,7 @@ def test_clamped_routes_agree_with_line_at_small_eps(name, eps):
 @pytest.mark.parametrize("name", ["i", "iii", "v", "vi"])
 def test_area_and_curvature_hold_at_every_documented_eps(name, eps):
     """Below eps = 1e-9 the clamp circle is shorter than the simplicity
-    check's L = MAX_SAMPLE_STEP and joins its neighbours without touching
+    check's L = SIMPLE_LENGTH and joins its neighbours without touching
     them, and the pole clearance is checked against eps / 2. The monopole
     route does not clamp, so eps cannot put its nodes on an excluded ray."""
     result = total_rotation(gallery(name, TABLE_RADII),
@@ -528,3 +528,51 @@ def test_running_a_motion_twice_doubles_delta_g(path):
     for route in (geometric_phase_line, monopole_holonomy, berry_holonomy):
         assert route(double) == pytest.approx(2.0 * route(path), abs=1e-6), (
             route.__name__)
+
+
+def test_a_stationary_motion_gets_zero_from_every_route():
+    # theta stays 0 and the tilt 1: a closed motion whose curve is one
+    # point, which encloses nothing and has no tangent to turn
+    path = MotionPath(ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 0.0)]),
+                      ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)]),
+                      TABLE_RADII)
+    routes = ("line", "baumkuchen", "area", "curvature", "monopole", "berry")
+    result = total_rotation(path, routes)
+    assert result.errors == {}
+    assert result.delta_g_by_method == dict.fromkeys(routes, 0.0)
+    assert (result.region.I_plus, result.region.A_plus) == (0, 0.0)
+
+
+def _laps_past_the_cap(per_lap):
+    """The fewest whole laps whose count, per_lap a lap, passes
+    MAX_PIECE_SAMPLES."""
+    return math.floor(sphere.MAX_PIECE_SAMPLES / per_lap) + 1
+
+
+# a latitude lap at tilt 1 repeated past the cap of the sampled curve (its
+# step rule, _piece_samples) and past the cap of the transport intervals
+# (berry_holonomy's rule)
+_STEP = min(sphere.MAX_SAMPLE_STEP, sphere._KAPPA_STEP * math.sin(1.0))
+_CAPPED_LAPS = {
+    "curve": (_laps_past_the_cap(TWO_PI * math.sin(1.0) / _STEP),
+              ("area", "curvature")),
+    "transport": (_laps_past_the_cap(TWO_PI / gauge._TRANSPORT_STEP),
+                  ("area", "curvature", "berry")),
+}
+
+
+@pytest.mark.parametrize("cap", list(_CAPPED_LAPS))
+def test_total_rotation_records_the_size_caps_per_route(cap):
+    # every route runs on a valid motion; one past a size cap records
+    # TooManySamples with the count it needed, and none raises ValueError
+    laps, capped = _CAPPED_LAPS[cap]
+    path = MotionPath(
+        ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, TWO_PI * laps)]),
+        ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)]), TABLE_RADII)
+    result = total_rotation(path, phases.METHOD_NAMES)
+    for name in capped:
+        error = result.errors[name]
+        assert type(error).__name__ == "TooManySamples", name
+        assert error.value > error.tol == sphere.MAX_PIECE_SAMPLES, name
+    line = result.delta_g_by_method["line"]
+    assert result.delta_g_by_method["monopole"] == pytest.approx(line, abs=1e-9)

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geophase import (DEFAULT_EPSILON, AffineSegment, MotionPath, Radii,
+from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
+                      MotionPath, Radii,
                       ScalarPath, classify_poles, curvature_integral,
                       extrapolated_region_report, geometric_phase_area,
                       geometric_phase_curvature, geometric_phase_line,
                       is_simple, regularize, region_areas, turning_angle_sum)
-from geophase import regions
-from geophase.regions import SIMPLE_TOL
-from geophase.sphere import MAX_SAMPLE_STEP
-from geophase.errors import CurveNotClosed, CurveNotSimple, WindingInconsistent
+from geophase import regions, sphere
+from geophase.regions import SIMPLE_LENGTH, SIMPLE_TOL
+from geophase.errors import (CurveNotClosed, CurveNotSimple, QuadratureFailure,
+                             WindingInconsistent)
 from conftest import (COIN_RADII, TABLE_RADII, affine_lap, closed_motions,
                       gallery, gauss_bonnet_area, pole_sides)
 from test_acceptance import random_closed_motion
@@ -25,7 +26,7 @@ PI = math.pi
 TWO_PI = 2.0 * PI
 EPS = DEFAULT_EPSILON
 # a junction turn within DELTA of a full reversal touches
-DELTA = 2.0 * math.asin(SIMPLE_TOL / MAX_SAMPLE_STEP)
+DELTA = 2.0 * math.asin(SIMPLE_TOL / SIMPLE_LENGTH)
 
 EXPECTED_COUNTS = {"i": (1, 1), "ii": (1, 1), "iii": (1, 1),
                    "iv": (1, 1), "v": (0, 2), "vi": (1, 1)}
@@ -123,9 +124,8 @@ def test_latitude_areas_match_cap_formula(name, a_plus_eps):
     curve = regularize(gallery(name))
     a_sa, a_sa_minus = region_areas(curve)
     a_gb = gauss_bonnet_area(curve)
-    # the Richardson-corrected polygon area misses the cap by at most
-    # 1.8e-11 (iv), the Richardson-corrected boundary integral by at most
-    # 1.2e-10 (i, iii)
+    # the Romberg polygon area misses the cap by at most 1.1e-12 (iv),
+    # Gauss-Bonnet on the Gauss-Legendre boundary integral by at most 1e-15
     assert a_sa == pytest.approx(a_plus_eps, abs=5e-7)
     assert a_gb == pytest.approx(a_plus_eps, abs=2e-6)
     assert a_sa + a_sa_minus == pytest.approx(4.0 * PI, abs=1e-12)
@@ -234,7 +234,7 @@ def short_motions(draw):
     for k in range(n):
         dth = draw(st.floats(0.01, 0.15)) * draw(st.sampled_from([1.0, -1.0]))
         near = st.floats(0.5, 2.0).map(
-            lambda f: f * SIMPLE_TOL / MAX_SAMPLE_STEP * abs(dth) * math.sin(beta0))
+            lambda f: f * SIMPLE_TOL / SIMPLE_LENGTH * abs(dth) * math.sin(beta0))
         dbeta = draw(st.one_of(st.floats(-0.1, 0.1), st.just(0.0), near,
                                near.map(lambda x: -x)))
         t0, t1 = k / n, (k + 1) / n
@@ -274,7 +274,7 @@ def _pieces_cross(curve):
     """Whether two pieces that do not meet at a junction cross in the
     (theta, beta) chart: a true crossing of the curve. The sampled polygon
     can miss one, its chords passing at different depths below the sphere
-    (a chord of MAX_SAMPLE_STEP sags 2e-6)."""
+    (a chord of sphere.MAX_SAMPLE_STEP sags 3.2e-5)."""
     ends = [((p.th0, p.b0), p.at(p.t1)) for p in curve.pieces]
 
     def side(a, b, c):
@@ -290,10 +290,12 @@ def _pieces_cross(curve):
 @example(hairpin())
 def test_is_simple_matches_all_pairs_reference(path):
     # off the delta band a turn near reversal touches in both; inside it
-    # the sampled answer turns on the sample step, which is no rule
+    # the sampled answer turns on the sample step, which is no rule: the
+    # chords next to a tip touch when step * turn < tol, and the step runs
+    # up to sphere.MAX_SAMPLE_STEP = 4 L, so down to a turn of DELTA / 8
     curve = regularize(path)
     turns = [PI - abs(j.alpha) for j in curve.junctions]
-    if any(DELTA / 4.0 <= turn <= 4.0 * DELTA for turn in turns):
+    if any(DELTA / 16.0 <= turn <= 4.0 * DELTA for turn in turns):
         return
     if _pieces_cross(curve):
         assert not is_simple(curve)
@@ -321,7 +323,7 @@ def test_a_turn_within_delta_of_reversal_touches(turn, simple):
     assert PI - abs(junction.alpha) == pytest.approx(turn, rel=1e-6, abs=1e-15)
     assert is_simple(curve) is simple
     # the search over pairs of pieces, which reads no junction turn, finds
-    # the same touch between points just over MAX_SAMPLE_STEP / 2 out
+    # the same touch between points just over SIMPLE_LENGTH / 2 out
     with np.errstate(all="ignore"):
         assert regions._touches(curve, SIMPLE_TOL) is not simple
 
@@ -343,7 +345,7 @@ def thin_band(gap):
 @pytest.mark.parametrize("gap,simple", [(1e-7, True), (1e-8, True), (3e-9, True),
                                         (5e-10, False)])
 def test_thin_band_is_simple_only_above_tol(gap, simple):
-    # the meridian legs are shorter than MAX_SAMPLE_STEP, so the two long
+    # the meridian legs are shorter than SIMPLE_LENGTH, so the two long
     # strands are neighbours; they touch only where they lie within tol
     path = thin_band(gap)
     assert is_simple(regularize(path)) is simple
@@ -356,7 +358,7 @@ def test_thin_band_is_simple_only_above_tol(gap, simple):
 @pytest.mark.parametrize("name", ["i", "iii", "vi"])
 def test_a_curve_shorter_than_tol_measures_only_near_pairs(name, monkeypatch):
     # at eps = 1e-20 the clamp circle lies within 1e-19 of the pole: no two
-    # of its points are MAX_SAMPLE_STEP apart along the curve, so it touches
+    # of its points are SIMPLE_LENGTH apart along the curve, so it touches
     # nothing; the search halves only the longer stretch of a pair, so it
     # never cuts up the clamp circle and stays small
     measured = []
@@ -372,7 +374,7 @@ def test_a_curve_shorter_than_tol_measures_only_near_pairs(name, monkeypatch):
     assert len(measured) <= 32 and max(measured) <= 64
 
 
-UNIT = 2e-3   # chart unit of the polylines below: MAX_SAMPLE_STEP / 2
+UNIT = 2e-3   # chart unit of the polylines below: SIMPLE_LENGTH / 2
 
 
 def polyline_motion(points):
@@ -525,3 +527,86 @@ def test_both_layouts_of_g_give_the_same_regions(radii):
         assert region_areas(c_ordered) == region_areas(curve)
     spiral = regularize(double_lap_spiral())
     assert not is_simple(_relaid(spiral, rows=False)) and not is_simple(spiral)
+
+
+def _fan_sum(p, lift):
+    """One fan of the closed polygon through the columns of p (3, n), summed
+    on its own: atan2(p_x q_y - p_y q_x, lift_p lift_q + p_x q_x + p_y q_y)
+    over the chords p -> q, the next column taken by np.roll."""
+    q = np.roll(p, -1, axis=1)
+    num = p[0] * q[1] - p[1] * q[0]
+    return float(np.sum(np.arctan2(num, lift * np.roll(lift, -1)
+                                   + (p[0] * q[0] + p[1] * q[1]))))
+
+
+@pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
+def test_fused_fans_equal_the_separate_fan_sums(radii):
+    # the four fans of classify_poles come from one pass over their chords;
+    # each equals its fan summed on its own
+    rng = np.random.default_rng(20260823)
+    paths = [gallery(name, radii) for name in EXPECTED_COUNTS]
+    paths += [random_closed_motion(rng) for _ in range(8)]
+    for path in paths:
+        curve = regularize(path)
+        p = curve.g.T
+        r2 = p[0] * p[0] + p[1] * p[1]
+        far = r2 / (1.0 + np.abs(p[2]))
+        up = np.where(p[2] < 0.0, far, 1.0 + p[2])
+        down = np.where(p[2] > 0.0, far, 1.0 - p[2])
+        two = sphere._coarse_grid(curve.arcs, 2)
+        four = sphere._coarse_grid(curve.arcs, 4)
+        separate = (2.0 * _fan_sum(p, up), -2.0 * _fan_sum(p, down),
+                    2.0 * _fan_sum(p[:, two], up[two]),
+                    2.0 * _fan_sum(p[:, four], up[four]))
+        assert regions._fans(p, r2, curve.arcs) == separate
+
+
+@pytest.mark.parametrize("beta0", [1.0, 2.5])
+def test_area_error_falls_64_fold_per_halved_step(beta0, monkeypatch):
+    # the Romberg area of the latitude circle at beta0 against its cap
+    # 2 pi (1 + cos beta0), with 32, 64, 128 and 256 equal steps: sixth
+    # order, so each halving divides the error by 2^6
+    lap = MotionPath(ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, TWO_PI)]),
+                     ScalarPath.from_segments([ConstantSegment(0.0, 1.0, beta0)]),
+                     Radii(1.0, 1.0))
+    errors = []
+    for steps in (32, 64, 128, 256):
+        monkeypatch.setattr(sphere, "_piece_samples",
+                            lambda p, n=steps: np.linspace(p.t0, p.t1, n + 1))
+        a_plus, _ = region_areas(regularize(lap))
+        errors.append(abs(a_plus - TWO_PI * (1.0 + math.cos(beta0))))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(60.0 < r < 68.0 for r in ratios), (errors, ratios)
+
+
+def pole_to_pole_spiral():
+    """One lap in theta while the tilt falls from 2.8 to 0.2, then back up
+    a meridian: a simple closed curve whose first piece sweeps 2 pi in
+    theta across most of the sphere."""
+    theta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 0.0, 2.0 * TWO_PI),
+                                      ConstantSegment(0.5, 1.0, TWO_PI)])
+    beta = ScalarPath.from_segments([AffineSegment(0.0, 0.5, 2.8, -5.2),
+                                     AffineSegment(0.5, 1.0, 0.2, 5.2)])
+    return MotionPath(theta, beta, TABLE_RADII)
+
+
+def test_curvature_parts_keep_both_orders_at_rounding_level():
+    # the spiral's integrand has poles 0.40 off the real beta axis at the
+    # poles of the sphere; the graded parts keep 16 and 24 nodes together
+    path = pole_to_pole_spiral()
+    line = geometric_phase_line(path)
+    assert geometric_phase_curvature(path) == pytest.approx(line, abs=1e-12)
+    assert geometric_phase_area(path) == pytest.approx(line, abs=1e-11)
+
+
+def test_a_16_24_node_gap_raises_quadrature_failure(monkeypatch):
+    # one part per piece: on the spiral's first piece the two rules differ
+    # by about 4e-10
+    monkeypatch.setattr(regions, "_graded_spans", lambda pieces: [
+        (p.t0, p.t1, p.b0, p.dth, p.db) for p in pieces])
+    with pytest.raises(QuadratureFailure,
+                       match=r"orders 16 and 24 differ by \d\.\d{3}e-10 on "
+                             r"\[0\.0, 0\.5\]") as info:
+        curvature_integral(regularize(pole_to_pole_spiral()))
+    assert info.value.tol == 1e-11
+    assert info.value.value > info.value.tol

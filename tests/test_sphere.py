@@ -13,7 +13,7 @@ from geophase import (DEFAULT_EPSILON, AffineSegment, ConstantSegment,
                       offset_length, offset_length_derivative, regularize,
                       topology_report)
 from geophase import sphere
-from geophase.errors import CurveHasCusps, EpsilonOutOfRange
+from geophase.errors import CurveHasCusps, EpsilonOutOfRange, TooManySamples
 from conftest import COIN_RADII, TABLE_RADII, clamp_path, gallery
 from test_acceptance import random_closed_motion
 
@@ -108,8 +108,8 @@ def test_latitude_circle_lengths(name, length):
 def test_sampling_density_cap():
     curve = regularize(gallery("vi"))
     chord = np.linalg.norm(np.diff(curve.g, axis=0), axis=1)
-    # adjacent samples subtend well under 1e-2 rad everywhere
-    assert float(chord.max()) < 1e-2
+    # adjacent samples subtend at most MAX_SAMPLE_STEP = 1.6e-2 rad
+    assert float(chord.max()) <= sphere.MAX_SAMPLE_STEP
 
 
 def test_geodesic_curvature_on_latitudes_and_meridians():
@@ -258,8 +258,10 @@ def test_absurd_sweeps_are_refused_before_sampling(slope, monkeypatch):
     theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, slope)])
     beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)])
     path = MotionPath(theta, beta, Radii(1.0, 1.0))
-    with pytest.raises(ValueError, match=r"piece \[0.0, 1.0\] needs .* samples"):
+    with pytest.raises(TooManySamples, match=r"piece \[0.0, 1.0\] needs .* samples") as info:
         regularize(path)
+    assert info.value.tol == sphere.MAX_PIECE_SAMPLES
+    assert info.value.value > info.value.tol
 
 
 def _arc_geometry_reference(t_arr, theta_arr, beta_arr, u_arr, v_arr):
@@ -272,14 +274,19 @@ def _arc_geometry_reference(t_arr, theta_arr, beta_arr, u_arr, v_arr):
 
     chords = np.linalg.norm(np.diff(g, axis=0), axis=1)
     ds = chords.copy()
-    if chords.size >= 2 and chords.size % 2 == 0:
-        c1, c2 = chords[0::2], chords[1::2]
-        coarse = np.linalg.norm(g[2::2] - g[:-2:2], axis=1)
-        pair = c1 + c2 + (c1 + c2 - coarse) / 3.0
-        total = c1 + c2
-        scale = np.where(total > 0.0, pair / np.where(total > 0.0, total, 1.0), 1.0)
-        ds[0::2] = c1 * scale
-        ds[1::2] = c2 * scale
+    if chords.size >= 4 and chords.size % 4 == 0:
+        # Romberg over each run of four chords: every other sample, every
+        # fourth sample, then the two Richardson levels
+        s_h = chords[0::4] + chords[1::4] + chords[2::4] + chords[3::4]
+        s_2h = (np.linalg.norm(g[2::4] - g[:-4:4], axis=1)
+                + np.linalg.norm(g[4::4] - g[2:-2:4], axis=1))
+        s_4h = np.linalg.norm(g[4::4] - g[:-4:4], axis=1)
+        r_h = s_h + (s_h - s_2h) / 3.0
+        r_2h = s_2h + (s_2h - s_4h) / 3.0
+        romberg = r_h + (r_h - r_2h) / 15.0
+        scale = np.where(s_h > 0.0, romberg / np.where(s_h > 0.0, s_h, 1.0), 1.0)
+        for k in range(4):
+            ds[k::4] = chords[k::4] * scale
     s = np.concatenate([[0.0], np.cumsum(ds)])
 
     phi = np.unwrap(np.arctan2(v_arr, u_arr))
@@ -369,11 +376,15 @@ def test_phi_wrapping_arc_is_unwrapped():
 
 
 def test_coarse_grid_keeps_arc_ends_and_refuses_even_arcs():
-    arcs = ((0, 5), (5, 8))
-    assert sphere._coarse_grid(arcs).tolist() == [0, 2, 4, 5, 7]
-    assert sphere._coarse_grid(arcs, ends=False).tolist() == [0, 2, 5]
-    with pytest.raises(ValueError, match="even number of samples"):
-        sphere._coarse_grid(((0, 5), (5, 9)))
+    arcs = ((0, 9), (9, 14))
+    assert sphere._coarse_grid(arcs, 2).tolist() == [0, 2, 4, 6, 8, 9, 11, 13]
+    assert sphere._coarse_grid(arcs, 2, ends=False).tolist() == [0, 2, 4, 6, 9, 11]
+    assert sphere._coarse_grid(arcs, 4).tolist() == [0, 4, 8, 9, 13]
+    assert sphere._coarse_grid(arcs, 4, ends=False).tolist() == [0, 4, 9]
+    with pytest.raises(ValueError, match="not a multiple of 2"):
+        sphere._coarse_grid(((0, 5), (5, 9)), 2)
+    with pytest.raises(ValueError, match="not a multiple of 4"):
+        sphere._coarse_grid(((0, 7),), 4)
 
 
 def test_regularize_matches_the_per_arc_reference():
@@ -381,7 +392,7 @@ def test_regularize_matches_the_per_arc_reference():
     # each piece's exact derivatives, is held at every sample, piece ends
     # and shared junctions included, to the 1e-13 relative bound of
     # test_kappa_g_matches_the_closed_form_of_each_piece. On the closed
-    # curves the curvature route built on it lies within 4.8e-12 of line
+    # curves the curvature route lies within 1.8e-15 of line
     for path in reference_motions():
         line = geometric_phase_line(path)
         for eps in (DEFAULT_EPSILON, DEFAULT_EPSILON / 2.0):
@@ -404,7 +415,7 @@ def test_regularize_matches_the_per_arc_reference():
 
 
 def _sample_times(piece, curvature_step):
-    """Sample times of one piece, an even number of equal steps, each at
+    """Sample times of one piece, a multiple of 4 equal steps, each at
     most MAX_SAMPLE_STEP and, with curvature_step, at most
     _KAPPA_STEP * sin(beta_min): the rule every piece had before meridian
     pieces kept the plain step."""
@@ -416,9 +427,9 @@ def _sample_times(piece, curvature_step):
     step = sphere.MAX_SAMPLE_STEP
     if curvature_step:
         step = min(step, sphere._KAPPA_STEP * float(sin_min))
-    half = max(2, int(np.ceil(0.5 * extent / step)),
-               (sphere._MIN_PIECE_SAMPLES + 1) // 2)
-    return np.linspace(piece.t0, piece.t1, 2 * half + 1)
+    quarter = max(1, int(np.ceil(0.25 * extent / step)),
+                  sphere._MIN_PIECE_SAMPLES // 4)
+    return np.linspace(piece.t0, piece.t1, 4 * quarter + 1)
 
 
 def test_only_meridian_pieces_leave_the_curvature_step():
@@ -432,8 +443,8 @@ def test_only_meridian_pieces_leave_the_curvature_step():
                         sphere._piece_samples(piece),
                         _sample_times(piece, curvature_step=piece.dth != 0.0))
     assert meridians == 16   # two on v and two on vi, both radii, both eps
-    assert len(regularize(gallery("v"))) == 1446
-    assert len(regularize(gallery("vi"))) == 2162
+    assert len(regularize(gallery("v"))) == 372
+    assert len(regularize(gallery("vi"))) == 552
 
 
 def piece_of_each_sample(curve, moving):
