@@ -5,7 +5,7 @@ transports along the route's trace in inertial space. Over a closed trace
 the accumulated drift is the negative of the geometric phase of that trace,
 and for a route given as timestamped waypoints (with the Earth's own
 rotation folded in) each leg is one affine piece of that trace, whose drift
-is the line route's exact term for the piece.
+is the line route's exact term for the piece, in closed form.
 
 Conventions: time in sidereal days, longitude lambda and latitude phi in
 radians, routes piecewise linear in (t, lambda, phi). The inertial azimuth
@@ -15,14 +15,14 @@ of a point is lambda + 2 pi t; colatitude-from-south beta = phi + pi/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, pi
+from math import pi
 
 import numpy as np
 
 from .errors import (CurveNotClosed, EmptyTrack, LatitudeOutOfRange,
                      NonMonotoneTime, ParseError)
-from .motion import TWO_PI, MotionPath, Piece, topology_report
-from .phases import _line_term, geometric_phase_line
+from .motion import TWO_PI, MotionPath, topology_report
+from .phases import geometric_phase_line
 
 _TRACK_HEADER = ("t_days", "lon_deg", "lat_deg")
 
@@ -85,27 +85,26 @@ def route_foucault(track: RouteTrack) -> FoucaultResult:
     """Accumulated drift along a waypoint route.
 
     Each leg is linear in time in both coordinates, so it is one affine
-    Piece of the inertial motion: t in days, azimuth theta = lambda0 + 2 pi
-    t0 + (m + 2 pi)(t - t0) with m the longitude rate, and tilt beta = phi0
-    + pi/2 + r (t - t0) with r the latitude rate. Its drift, the integral
-    of sin(phi) d(theta) = -cos(beta) d(theta), is minus the line route's
-    exact term for that piece (phases._line_term). A leg or total past the
-    float range raises ValueError.
+    piece of the inertial motion: the inertial azimuth lambda + 2 pi t
+    sweeps d_az = d_lambda + 2 pi dt while the latitude runs from phi0 to
+    phi0 + 2h. Its drift, the integral of sin(phi) d(az) (minus the line
+    route's term phases._line_term for the piece, with beta = phi + pi/2),
+    is d_az sin(phi0 + h) sin(h) / h, with sin(h) / h = 1 at h = 0: one
+    array expression for every leg, which keeps its digits on a leg whose
+    latitude barely moves. A leg or total past the float range raises
+    ValueError.
     """
     if len(track) < 2:
         raise EmptyTrack("need at least two waypoints")
-    t, lon, lat = track.t_days.tolist(), track.lon.tolist(), track.lat.tolist()
-    legs = []
-    for k in range(len(t) - 1):
-        dt = t[k + 1] - t[k]   # Python floats: an overflow is inf, not a warning
-        leg = Piece(t[k], t[k + 1], lon[k] + TWO_PI * t[k],
-                    (lon[k + 1] - lon[k]) / dt + TWO_PI,
-                    lat[k] + pi / 2.0, (lat[k + 1] - lat[k]) / dt)
-        legs.append(-_line_term(leg) if isfinite(leg.db) else inf)
-    total = sum(legs)
-    if not (all(isfinite(x) for x in legs) and isfinite(total)):
+    with np.errstate(all='ignore'):   # an overflow is refused below
+        dt = np.diff(track.t_days)
+        half = 0.5 * np.diff(track.lat)
+        sweep = np.diff(track.lon) + TWO_PI * dt
+        legs = sweep * np.sin(track.lat[:-1] + half) * np.sinc(half / pi)
+        total = float(np.sum(legs))
+    if not (np.all(np.isfinite(legs)) and np.isfinite(total)):
         raise ValueError("the drift on this route overflows the float range")
-    return FoucaultResult(delta_fou=total, accumulation=np.array(legs))
+    return FoucaultResult(delta_fou=total, accumulation=legs)
 
 
 def ingest_track(text: str) -> RouteTrack:

@@ -21,7 +21,7 @@ from there):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, hypot, pi, sin
 
 import numpy as np
@@ -91,7 +91,8 @@ class RegularizedCurve:
     Treat instances as immutable. Arrays are aligned: sample k has time t[k],
     arc length s[k], position g[k], tangent angle phi[k] and geodesic
     curvature kappa_g[k], exact for the piece the sample lies on (at a
-    junction inside an arc, the incoming piece). g has shape (n, 3) and is
+    junction inside an arc, the incoming piece); kappa_g is computed on
+    first read, since only the trace prints it. g has shape (n, 3) and is
     the transposed view of a (3, n) buffer of component rows, so g.T[0],
     g.T[1], g.T[2] are contiguous. phi is continuous within each smooth
     arc: it is unwrapped only in the arcs where the raw tangent angle jumps
@@ -110,12 +111,18 @@ class RegularizedCurve:
     beta_eps: np.ndarray
     g: np.ndarray
     phi: np.ndarray
-    kappa_g: np.ndarray
     arcs: tuple
     junctions: tuple
     total_length: float
     closed: bool
+    _piece: np.ndarray = field(repr=False)   # index into pieces per sample
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def kappa_g(self) -> np.ndarray:
+        if not self.pieces:
+            return np.zeros_like(self.t)
+        return _geodesic_curvature(self.pieces, self._piece, self.beta_eps)
 
     @property
     def cusps(self) -> tuple:
@@ -251,10 +258,25 @@ def _curvature_rows(sb, cb, w, v):
     return det, _row_dot(gt, gt)
 
 
+def _geodesic_curvature(moving, piece, beta):
+    """kappa_g at tilts beta of samples on the moving pieces, sample k on
+    moving[piece[k]]: det(g, g_t, g_tt) / |g_t|^3 (do Carmo, Differential
+    Geometry of Curves and Surfaces, 1976, 4-4) from the exact derivatives
+    of each sample's own piece (_curvature_rows). kappa_g does not change
+    under t -> c t, so the rates are divided by the larger of the two
+    first: rates whose squares fall below the float range would give 0 / 0."""
+    _, _, _, dth, _, db = np.array(moving).T
+    scale = np.maximum(np.abs(dth), np.abs(db))
+    det, speed2 = _curvature_rows(np.sin(beta), np.cos(beta),
+                                  (dth / scale)[piece], (db / scale)[piece])
+    return det / speed2 / np.sqrt(speed2)   # no subnormal |g_t|^3 near a pole
+
+
 def _sample_rows(moving, times, arcs):
-    """t, theta, beta, g (3, n), phi and kappa_g at the sample times of the
-    moving pieces, one piece after another; a junction sample shared by two
-    pieces of one arc is the incoming piece's."""
+    """t, theta, beta, g (3, n), phi and the piece index of each sample at
+    the sample times of the moving pieces, one piece after another; a
+    junction sample shared by two pieces of one arc is the incoming
+    piece's."""
     piece = np.repeat(np.arange(len(moving)), [tp.size for tp in times])
     t0, _, th0, dth, b0, db = np.array(moving).T
     t = np.concatenate(times)
@@ -263,18 +285,9 @@ def _sample_rows(moving, times, arcs):
     theta = th0[piece] + w * since
     beta = b0[piece] + v * since
     _, e2, g = frame_rows(theta, beta)
-    sb, cb = e2[2], -g[2]   # sin(beta) and cos(beta), the frame's z rows
+    sb = e2[2]   # sin(beta), the frame's z row
     g = np.array(g)
     g /= np.sqrt(_row_dot(g, g))   # re-projection to the sphere
-
-    # geodesic curvature det(g, g_t, g_tt) / |g_t|^3 (do Carmo, Differential
-    # Geometry of Curves and Surfaces, 1976, 4-4) from the exact derivatives
-    # on each sample's own piece (_curvature_rows). kappa_g does not change
-    # under t -> c t, so the rates are divided by the larger of the two
-    # first: rates whose squares fall below the float range would give 0 / 0
-    scale = np.maximum(np.abs(dth), np.abs(db))
-    det, speed2 = _curvature_rows(sb, cb, (dth / scale)[piece], (db / scale)[piece])
-    kappa = det / speed2 / np.sqrt(speed2)   # no subnormal |g_t|^3 near a pole
 
     # the tangent angle in the (e1, e2) frame, unwrapped within each arc;
     # np.unwrap changes nothing in an arc without a step of pi or more
@@ -283,7 +296,7 @@ def _sample_rows(moving, times, arcs):
     for i0, i1 in arcs:
         if jumps[i0:i1 - 1].any():
             phi[i0:i1] = np.unwrap(phi[i0:i1])
-    return t, theta, beta, g, phi, kappa
+    return t, theta, beta, g, phi, piece
 
 
 def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
@@ -298,11 +311,12 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
     sums with a Romberg correction over each run of four chords, sixth
     order; phi is unwrapped only in the smooth arcs where it jumps by pi or
-    more between samples; kappa_g is det(g, g', g'') / |g'|^3 from the
-    exact derivatives of each sample's own piece (see _sample_rows), within
-    rounding of the closed form. ``closed`` is topology_report(path).closed,
-    the closure every route gates on, also for the one-point curve of a
-    motion that is stationary after clamping.
+    more between samples; kappa_g, computed on first read, is det(g, g',
+    g'') / |g'|^3 from the exact derivatives of each sample's own piece
+    (see _geodesic_curvature), within rounding of the closed form.
+    ``closed`` is topology_report(path).closed, the closure every route
+    gates on, also for the one-point curve of a motion that is stationary
+    after clamping.
 
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
@@ -327,8 +341,8 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             epsilon=eps, pieces=(), t=np.array([p.t0]), s=np.array([0.0]),
             theta=np.array([p.th0]), beta_eps=np.array([p.b0]),
             g=np.array(frame_rows([p.th0], [p.b0])[2]).T,
-            phi=np.array([0.0]), kappa_g=np.array([0.0]), arcs=((0, 1),),
-            junctions=(), total_length=0.0, closed=closed)
+            phi=np.array([0.0]), arcs=((0, 1),), junctions=(),
+            total_length=0.0, closed=closed, _piece=np.zeros(1, dtype=int))
 
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
     wrap_alpha = _junction_angle(moving[-1], moving[0]) if closed else None
@@ -355,7 +369,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             n += tp.size
             times.append(tp)
         arcs.append((i0, n))
-    t, theta, beta, G, phi, kappa = _sample_rows(moving, times, arcs)
+    t, theta, beta, G, phi, piece = _sample_rows(moving, times, arcs)
 
     # chords, Romberg-corrected in quads (4k, ..., 4k + 3) counted from each
     # arc's start: with S_h the quad's four chords, S_2h its two chords over
@@ -398,9 +412,9 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
 
     return RegularizedCurve(
         epsilon=eps, pieces=tuple(moving), t=t, s=s, theta=theta,
-        beta_eps=beta, g=G.T, phi=phi, kappa_g=kappa, arcs=tuple(arcs),
+        beta_eps=beta, g=G.T, phi=phi, arcs=tuple(arcs),
         junctions=tuple(junctions),
-        total_length=float(s_off), closed=closed)
+        total_length=float(s_off), closed=closed, _piece=piece)
 
 
 @lru_cache(maxsize=8)

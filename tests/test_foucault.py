@@ -10,6 +10,8 @@ from geophase import (AffineSegment, MotionPath, Radii, RouteTrack,
                       ingest_track, route_foucault, to_earth_coords)
 from geophase.errors import (CurveNotClosed, EmptyTrack, LatitudeOutOfRange,
                              NonMonotoneTime, ParseError)
+from geophase.motion import Piece
+from geophase.phases import _line_term
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -173,3 +175,22 @@ def test_a_near_flat_leg_keeps_its_digits(d):
     exact = TWO_PI * 2.0 * math.sin(0.5 + step / 2.0) * math.sin(step / 2.0) / step
     track = RouteTrack(t_days=np.array([0.0, 1.0]), lon=np.zeros(2), lat=lat)
     assert route_foucault(track).delta_fou == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_each_leg_is_minus_the_line_term_of_its_piece():
+    # a random track with flat, near-flat and steep legs: each leg's drift
+    # is minus phases._line_term of the leg as an affine piece
+    rng = np.random.default_rng(20260823)
+    n = 64
+    t = np.cumsum(rng.uniform(0.01, 0.5, n))
+    lon = np.cumsum(rng.normal(0.0, 1.0, n))
+    lat = rng.uniform(-1.5, 1.5, n)
+    lat[10:20] = 0.3
+    lat[20:30] = 0.3 + 1e-12 * np.arange(10)
+    legs = route_foucault(RouteTrack(t_days=t, lon=lon, lat=lat)).accumulation
+    for k, leg in enumerate(legs):
+        dt = t[k + 1] - t[k]
+        piece = Piece(t[k], t[k + 1], lon[k] + TWO_PI * t[k],
+                      (lon[k + 1] - lon[k]) / dt + TWO_PI,
+                      lat[k] + PI / 2.0, (lat[k + 1] - lat[k]) / dt)
+        assert leg == pytest.approx(-_line_term(piece), rel=1e-13, abs=1e-14)

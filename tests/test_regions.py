@@ -274,7 +274,7 @@ def _pieces_cross(curve):
     """Whether two pieces that do not meet at a junction cross in the
     (theta, beta) chart: a true crossing of the curve. The sampled polygon
     can miss one, its chords passing at different depths below the sphere
-    (a chord of sphere.MAX_SAMPLE_STEP sags 3.2e-5)."""
+    (a chord of SIMPLE_LENGTH sags 2e-6)."""
     ends = [((p.th0, p.b0), p.at(p.t1)) for p in curve.pieces]
 
     def side(a, b, c):
@@ -290,12 +290,16 @@ def _pieces_cross(curve):
 @example(hairpin())
 def test_is_simple_matches_all_pairs_reference(path):
     # off the delta band a turn near reversal touches in both; inside it
-    # the sampled answer turns on the sample step, which is no rule: the
-    # chords next to a tip touch when step * turn < tol, and the step runs
-    # up to sphere.MAX_SAMPLE_STEP = 4 L, so down to a turn of DELTA / 8
-    curve = regularize(path)
+    # the sampled answer turns on the sample step, which is no rule. The
+    # reference polygon is sampled at a step of at most SIMPLE_LENGTH, a
+    # quarter of sphere's caps, so the band stays [DELTA / 4, 4 DELTA];
+    # is_simple reads the pieces, which the step does not change
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere, "MAX_SAMPLE_STEP", SIMPLE_LENGTH)
+        mp.setattr(sphere, "_KAPPA_STEP", sphere._KAPPA_STEP / 4.0)
+        curve = regularize(path)
     turns = [PI - abs(j.alpha) for j in curve.junctions]
-    if any(DELTA / 16.0 <= turn <= 4.0 * DELTA for turn in turns):
+    if any(DELTA / 4.0 <= turn <= 4.0 * DELTA for turn in turns):
         return
     if _pieces_cross(curve):
         assert not is_simple(curve)
