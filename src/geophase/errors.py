@@ -60,9 +60,9 @@ class CurveHasCusps(GeophaseError):
 
 
 class TooManySamples(_BoundExceeded):
-    """A sampled curve or a transport needs more samples or intervals than
-    the cap MAX_PIECE_SAMPLES allows: ``value`` is the count needed and
-    ``tol`` the cap."""
+    """A sampled curve, the Berry transport or the oracle needs more samples
+    or Magnus intervals than the cap MAX_PIECE_SAMPLES allows: ``value`` is
+    the count needed and ``tol`` the cap."""
 
 
 # --- region analysis ---

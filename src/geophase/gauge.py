@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaugeInconsistency, OnSingularAxis, TooManySamples
+from .errors import GaugeInconsistency, OnSingularAxis
 from .motion import MotionPath
-from .sphere import (DEFAULT_EPSILON, MAX_PIECE_SAMPLES, _gauss_legendre_sum,
-                     _row_dot, clamped_affine_pieces, frame_rows)
+from .sphere import (DEFAULT_EPSILON, _gauss_legendre_sum, _row_dot,
+                     clamped_affine_pieces, frame_rows)
 from .phases import closed_topology
-from .rolling import _magnus_steps, _matrices
+from .rolling import _magnus_intervals, _magnus_steps, _matrices
 
 AXIS_CLEARANCE = 1e-9
 
@@ -174,32 +174,23 @@ def berry_holonomy(path: MotionPath) -> float:
     poles, so nothing is clamped. The transported g must land on g at each
     interval's end; a summed miss above _MISS_TOL = 1e-6 raises
     GaugeInconsistency. More than MAX_PIECE_SAMPLES intervals in all raise
-    TooManySamples.
+    TooManySamples (rolling._magnus_intervals).
     """
     closed_topology(path)
     pieces = [p for p in path.affine_pieces if p.moving]
     if not pieces:
         return 0.0
     t0, t1, th0, dth, b0, db = np.array(pieces).T
-    counts = np.maximum(4, np.ceil((np.abs(dth) + np.abs(db)) * (t1 - t0)
-                                   / _TRANSPORT_STEP))
-    if not counts.sum() <= MAX_PIECE_SAMPLES:
-        raise TooManySamples(f"the transport needs {counts.sum():.3g} intervals, "
-                             f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}",
-                             value=float(counts.sum()), tol=MAX_PIECE_SAMPLES)
-    counts = counts.astype(int)
-    piece = np.repeat(np.arange(counts.size), counts)
-    h = ((t1 - t0) / counts)[piece]
-    start = (np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)) * h
+    _, piece, start, h, nodes = _magnus_intervals(
+        np.maximum(4, np.ceil((np.abs(dth) + np.abs(db)) * (t1 - t0)
+                              / _TRANSPORT_STEP)),
+        np.zeros_like(t0), t1 - t0, "the transport")
     th0, dth, b0, db = th0[piece], dth[piece], b0[piece], db[piece]
 
     def at(since):
         return th0 + dth * since, b0 + db * since
 
-    off = (0.5 - np.sqrt(15.0) / 10.0) * h   # the outer Gauss nodes, from each end
-    R = _matrices(_magnus_steps(_transport_rate(*at(start + off), dth, db),
-                                _transport_rate(*at(start + 0.5 * h), dth, db),
-                                _transport_rate(*at(start + h - off), dth, db), h))
+    R = _matrices(_magnus_steps(*(_transport_rate(*at(x), dth, db) for x in nodes), h))
     _, e2, g = frame_rows(*at(start))
     e1_end, e2_end, g_end = frame_rows(*at(start + h))
     moved = [_row_dot(row, e2) for row in R]

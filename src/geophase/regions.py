@@ -80,7 +80,10 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
 
 
 def _reverses(curve: RegularizedCurve, tol: float) -> bool:
-    """Whether a junction turns within delta of reversing two L/2 legs."""
+    """Whether a junction turns within delta of reversing two L/2 legs, on
+    a closed curve longer than 2 L (no two points of a shorter one are L apart)."""
+    if curve.closed and not curve.total_length > 2.0 * SIMPLE_LENGTH:
+        return False
     delta, ps = 2.0 * asin(tol / SIMPLE_LENGTH), curve.pieces
     legs = [(ps[k], ps[(k + 1) % len(ps)]) for k, j in enumerate(curve.junctions)
             if pi - abs(j.alpha) < delta]

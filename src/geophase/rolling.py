@@ -25,8 +25,9 @@ evaluations (constraint solves), three per interval.
 Within a piece theta, beta and their slopes are one multiply-add away from
 the piece's affine data. Each instant's sines and cosines are taken once
 and give the frame, the normal and their derivatives. The pointwise chain
-(constraint rows, normal solve) runs in chunks of _CHUNK rate evaluations,
-so its temporaries stay in cache.
+(constraint rows, rates) runs in chunks of _CHUNK rate evaluations, so its
+temporaries stay in cache. In units of the rolling radius the constraint
+rows are orthonormal, so the least-squares rates are A^T rhs.
 
 Geometry: the fixed disc has radius a in the z = 0 plane, centered at the
 origin. The moving disc has radius b, touches the fixed rim at
@@ -42,7 +43,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import ClosureMismatch, DriftExceeded
+from .errors import ClosureMismatch, DriftExceeded, TooManySamples
 from .motion import TWO_PI, MotionPath, topology_report
 from .phases import DEFAULT_STEPS
 from .sphere import MAX_PIECE_SAMPLES, _row_dot, frame_rows
@@ -58,14 +59,16 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
-    """Constraint systems A w = rhs for arrays of instants, per component.
+def _constraint_rows(theta, beta, dtheta, dbeta, ratio):
+    """Constraint systems A w = rhs for arrays of instants, per component,
+    in units of the rolling radius b: ratio is a / b.
 
     Rows 1-2: the normal g is materially attached to the disc, so
     w x g = g', projected on the rim frame (e1, e2). Rows 3-4: the contact
     point is instantaneously at rest, c' + w x (contact - center) = 0,
     projected likewise. Projections avoid the rank deficiency of the raw
-    cross-product equations along g. Returns (rows, rhs, g): rows[r][k] is
+    cross-product equations along g. With contact - center = -e2 the rows
+    are e2, -e1, g and 0, orthonormal. Returns (rows, rhs, g): rows[r][k] is
     the 1-D array of entry (r, k) of A over the instants, rhs[r] that of the
     right-hand side and g[k] that of the normal.
     """
@@ -78,11 +81,11 @@ def _constraint_rows(theta, beta, dtheta, dbeta, a, b):
     g_dot = (dbeta * cb * ct - dtheta * sb * st,
              dbeta * cb * st + dtheta * sb * ct,
              dbeta * sb)
-    ring = a + b * cb
-    c_dot = (-b * sb * dbeta * ct - ring * st * dtheta,
-             -b * sb * dbeta * st + ring * ct * dtheta,
-             b * cb * dbeta)
-    d = tuple(-b * e for e in e2)  # contact - center
+    ring = ratio + cb
+    c_dot = (-sb * dbeta * ct - ring * st * dtheta,
+             -sb * dbeta * st + ring * ct * dtheta,
+             cb * dbeta)
+    d = tuple(-e for e in e2)  # contact - center
 
     rows = (_cross(g, e1), _cross(g, e2), _cross(d, e1), _cross(d, e2))
     rhs = (_row_dot(g_dot, e1), _row_dot(g_dot, e2),
@@ -136,12 +139,12 @@ def _qmul(p, q):
             p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
 
 
-def _rodrigues_steps(omega, dt):
-    """Exact rotations exp(dt * hat(omega)) as half-angle quaternions
-    (cos(phi/2), sin(phi/2) u), shape (4, n), for rates given per component
-    (omega[k] is the 1-D array of component k)."""
+def _rodrigues_steps(omega):
+    """Exact rotations exp(hat(omega)) as half-angle quaternions
+    (cos(phi/2), sin(phi/2) u), shape (4, n), for rotation vectors given
+    per component (omega[k] is the 1-D array of component k)."""
     rate = np.sqrt(_row_dot(omega, omega))
-    half = 0.5 * rate * dt
+    half = 0.5 * rate
     scale = np.sin(half) / np.where(half > 0.0, rate, 1.0)
     S = np.empty((4, half.size))
     S[0] = np.cos(half)
@@ -211,23 +214,10 @@ def _normal_solve(rows, rhs):
     """Least-squares rates of the per-component 4x3 systems, and their
     residual norms (the no-slip residuals).
 
-    The 3x3 normal equations N w = A^T rhs are solved by cofactors. The
-    row set {e2, -e1, b g, 0} keeps N = A^T A uniformly well conditioned
-    (eigenvalues 1, 1, b^2), even at stationary instants. simulate_rolling
-    passes the radii in units of the rolling radius (a / b and 1), on
-    which the rates depend alone, so N is the identity up to rounding and
-    holds no b^2 to overflow.
+    The rows of _constraint_rows are orthonormal, A^T A = I, so the normal
+    equations give w = A^T rhs, at stationary instants too.
     """
-    n00, n11, n22, n01, n02, n12 = (
-        sum(row[p] * row[q] for row in rows)
-        for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
-    y0, y1, y2 = (sum(row[p] * r for row, r in zip(rows, rhs)) for p in range(3))
-    c00, c11, c22 = n11 * n22 - n12 * n12, n00 * n22 - n02 * n02, n00 * n11 - n01 * n01
-    c01, c02, c12 = n02 * n12 - n01 * n22, n01 * n12 - n02 * n11, n01 * n02 - n00 * n12
-    det = n00 * c00 + n01 * c01 + n02 * c02
-    omega = ((c00 * y0 + c01 * y1 + c02 * y2) / det,
-             (c01 * y0 + c11 * y1 + c12 * y2) / det,
-             (c02 * y0 + c12 * y1 + c22 * y2) / det)
+    omega = tuple(sum(row[k] * r for row, r in zip(rows, rhs)) for k in range(3))
     residual = np.sqrt(sum((_row_dot(row, omega) - r) ** 2
                            for row, r in zip(rows, rhs)))
     return omega, residual
@@ -254,25 +244,47 @@ def _magnus_steps(w1, w2, w3, h):
     c1 = np.array(_cross(a1, a2))
     c2 = np.array(_cross(a1, 2.0 * a3 + c1)) / -60.0
     bend = np.array(_cross(-20.0 * a1 - a3 + c1, a2 + c2))
-    return _rodrigues_steps(a1 + a3 / 12.0 + bend / 240.0, 1.0)
+    return _rodrigues_steps(a1 + a3 / 12.0 + bend / 240.0)
+
+
+def _magnus_intervals(counts, lead, length, what):
+    """counts[i] uniform Magnus intervals on piece i, over a span of length
+    length[i] that starts lead[i] after the piece's start; more than
+    MAX_PIECE_SAMPLES in all raise TooManySamples before anything is
+    allocated. Returns the integer counts and, per interval, its piece, its
+    start, its length h and its three Gauss nodes, 1/2 -+ sqrt15/10 and 1/2
+    of the way along, the start and the nodes as times since the piece's
+    start."""
+    needed = counts.sum()
+    if not needed <= MAX_PIECE_SAMPLES:
+        raise TooManySamples(f"{what} needs {needed:.0f} intervals, more than "
+                             f"MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}",
+                             value=float(needed), tol=MAX_PIECE_SAMPLES)
+    counts = counts.astype(int)
+    piece = np.repeat(np.arange(counts.size), counts)
+    h = (length / counts)[piece]
+    local = np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    start = lead[piece] + local * h
+    off = (0.5 - sqrt(15.0) / 10.0) * h
+    return counts, piece, start, h, (start + off, start + 0.5 * h, start + h - off)
 
 
 def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrace:
     """Integrate the disc orientation over the whole motion.
 
     steps counts constraint solves (rate evaluations), three per interval;
-    below 1, above 3 * MAX_PIECE_SAMPLES, or asking for more than
-    MAX_PIECE_SAMPLES intervals in all, it raises ValueError before
-    anything is allocated. Each affine piece of path.affine_pieces
-    gets its own uniform grid of a multiple of 4 intervals, proportional
-    to its length (steps / 3 intervals per unit time) and at least
-    _MIN_STEPS_PER_SEGMENT, so no interval straddles a knot; the first piece
-    is stretched back to t = 0 and the last on to t = 1, which covers
-    schedules that start or end up to TILE_TOL inside [0, 1]. The
-    constraint system is solved at the three Gauss nodes of each interval
-    (3x3 normal equations by cofactors) and the intervals are stepped by the
-    sixth-order Magnus rule of _magnus_steps, so the scheme is
-    sixth order in the interval length. The orientation is carried as a
+    below 1 or above 3 * MAX_PIECE_SAMPLES it raises ValueError. Each
+    affine piece of path.affine_pieces gets its own uniform grid of a
+    multiple of 4 intervals, proportional to its length (steps / 3
+    intervals per unit time) and at least _MIN_STEPS_PER_SEGMENT, so no
+    interval straddles a knot; the first piece is stretched back to t = 0
+    and the last on to t = 1, which covers schedules that start or end up
+    to TILE_TOL inside [0, 1]. More than MAX_PIECE_SAMPLES intervals in all
+    raise TooManySamples before anything is allocated (_magnus_intervals).
+    The rates at the three Gauss nodes of each interval are A^T rhs of the
+    orthonormal constraint rows, and the intervals are stepped by the
+    sixth-order Magnus rule of _magnus_steps, so the scheme is sixth order
+    in the interval length. The orientation is carried as a
     unit quaternion and the orientations are the prefix products of the
     steps (a blocked recursive scan with Hillis & Steele passes inside each
     block, see _scan). Every orientation's drift
@@ -290,8 +302,8 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    # at least steps / 3 intervals follow, so the cap below would refuse this
-    # too; refusing it here keeps an integer past the float range out of it
+    # at least steps / 3 intervals follow, more than the interval cap allows;
+    # refusing it here keeps an integer past the float range out of the count
     if steps > 3 * MAX_PIECE_SAMPLES:
         raise ValueError(f"steps must be at most 3 * MAX_PIECE_SAMPLES = "
                          f"{3 * MAX_PIECE_SAMPLES}, got {steps}")
@@ -299,26 +311,16 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
     t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
     bounds = np.array(path.knots)
     bounds[0], bounds[-1] = 0.0, 1.0
-    counts = np.maximum(4 * np.ceil(np.diff(bounds) * (steps / 12.0)),
-                        _MIN_STEPS_PER_SEGMENT)
-    if not counts.sum() <= MAX_PIECE_SAMPLES:
-        raise ValueError(f"the oracle needs {counts.sum():.3g} intervals, "
-                         f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}")
-    counts = counts.astype(int)
-    h = np.diff(bounds) / counts
-    # interval k is interval local[k] of piece piece[k]; its Gauss nodes are
-    # its midpoint and the points sqrt15 h / 10 either side, given as times
-    # since the piece's own start t0
-    piece = np.repeat(np.arange(counts.size), counts)
+    length = np.diff(bounds)
+    counts, piece, _, hk, nodes = _magnus_intervals(
+        np.maximum(4 * np.ceil(length * (steps / 12.0)), _MIN_STEPS_PER_SEGMENT),
+        bounds[:-1] - t0, length, "the oracle")
+    h = length / counts
     n = piece.size
-    local = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    hk = h[piece]
-    mid = bounds[piece] - t0[piece] + (local + 0.5) * hk
-    off = (sqrt(15.0) / 10.0) * hk
     # instants [0, n) are the first Gauss nodes, [n, 2n) the midpoints and
     # [2n, 3n) the last ones
     at = np.concatenate([piece, piece, piece])
-    since = np.concatenate([mid - off, mid, mid + off])
+    since = np.concatenate(nodes)
     omega = np.empty((3, 3 * n))
     residual = np.empty(3 * n)
     for lo in range(0, 3 * n, _CHUNK):
@@ -326,7 +328,7 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
         p = at[sl]
         omega[:, sl], residual[sl] = _normal_solve(*_constraint_rows(
             th0[p] + dth[p] * since[sl], b0[p] + db[p] * since[sl],
-            dth[p], db[p], radii.a / radii.b, 1.0)[:2])
+            dth[p], db[p], radii.a / radii.b)[:2])
     noslip = np.max(residual.reshape(3, n), axis=0)
     w1, w2, w3 = (omega[:, k * n:(k + 1) * n] for k in range(3))
     q = _compose(_magnus_steps(w1, w2, w3, hk))

@@ -91,10 +91,10 @@ class RegularizedCurve:
     Treat instances as immutable. Arrays are aligned: sample k has time t[k],
     arc length s[k], position g[k], tangent angle phi[k] and geodesic
     curvature kappa_g[k], exact for the piece the sample lies on (at a
-    junction inside an arc, the incoming piece); kappa_g is computed on
-    first read, since only the trace prints it. g has shape (n, 3) and is
-    the transposed view of a (3, n) buffer of component rows, so g.T[0],
-    g.T[1], g.T[2] are contiguous. phi is continuous within each smooth
+    junction inside an arc, the incoming piece); phi and kappa_g are
+    computed on first read, since no route reads them. g has shape (n, 3)
+    and is the transposed view of a (3, n) buffer of component rows, so
+    g.T[0], g.T[1], g.T[2] are contiguous. phi is continuous within each smooth
     arc: it is unwrapped only in the arcs where the raw tangent angle jumps
     by pi or more. ``arcs`` lists half-open index ranges of maximal smooth
     sub-arcs; shared junction points appear once per adjacent arc so phi
@@ -110,13 +110,25 @@ class RegularizedCurve:
     theta: np.ndarray
     beta_eps: np.ndarray
     g: np.ndarray
-    phi: np.ndarray
     arcs: tuple
     junctions: tuple
     total_length: float
     closed: bool
     _piece: np.ndarray = field(repr=False)   # index into pieces per sample
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        # np.unwrap changes nothing in an arc without a step of pi or more
+        if not self.pieces:
+            return np.zeros_like(self.t)
+        _, _, _, dth, _, db = np.array(self.pieces).T
+        phi = np.arctan2(db[self._piece], np.sin(self.beta_eps) * dth[self._piece])
+        jumps = np.abs(np.diff(phi)) >= pi
+        for i0, i1 in self.arcs:
+            if jumps[i0:i1 - 1].any():
+                phi[i0:i1] = np.unwrap(phi[i0:i1])
+        return phi
 
     @cached_property
     def kappa_g(self) -> np.ndarray:
@@ -174,7 +186,7 @@ def _piece_samples(piece: Piece):
     needed = extent / step   # inf, not an error, past the float range
     if not needed <= MAX_PIECE_SAMPLES:
         raise TooManySamples(
-            f"piece [{piece.t0!r}, {piece.t1!r}] needs {needed:.3g} samples, "
+            f"piece [{piece.t0!r}, {piece.t1!r}] needs {needed:.0f} samples, "
             f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}",
             value=needed, tol=MAX_PIECE_SAMPLES)
     quarter = max(ceil(0.25 * needed), _MIN_PIECE_SAMPLES // 4)
@@ -272,31 +284,19 @@ def _geodesic_curvature(moving, piece, beta):
     return det / speed2 / np.sqrt(speed2)   # no subnormal |g_t|^3 near a pole
 
 
-def _sample_rows(moving, times, arcs):
-    """t, theta, beta, g (3, n), phi and the piece index of each sample at
-    the sample times of the moving pieces, one piece after another; a
-    junction sample shared by two pieces of one arc is the incoming
-    piece's."""
+def _sample_rows(moving, times):
+    """t, theta, beta, g (3, n) and the piece index of each sample at the
+    sample times of the moving pieces, one piece after another; a junction
+    sample shared by two pieces of one arc is the incoming piece's."""
     piece = np.repeat(np.arange(len(moving)), [tp.size for tp in times])
     t0, _, th0, dth, b0, db = np.array(moving).T
     t = np.concatenate(times)
     since = t - t0[piece]
-    w, v = dth[piece], db[piece]   # theta' and beta' of each sample's piece
-    theta = th0[piece] + w * since
-    beta = b0[piece] + v * since
-    _, e2, g = frame_rows(theta, beta)
-    sb = e2[2]   # sin(beta), the frame's z row
-    g = np.array(g)
+    theta = th0[piece] + dth[piece] * since
+    beta = b0[piece] + db[piece] * since
+    g = np.array(frame_rows(theta, beta)[2])
     g /= np.sqrt(_row_dot(g, g))   # re-projection to the sphere
-
-    # the tangent angle in the (e1, e2) frame, unwrapped within each arc;
-    # np.unwrap changes nothing in an arc without a step of pi or more
-    phi = np.arctan2(v, sb * w)
-    jumps = np.abs(np.diff(phi)) >= pi
-    for i0, i1 in arcs:
-        if jumps[i0:i1 - 1].any():
-            phi[i0:i1] = np.unwrap(phi[i0:i1])
-    return t, theta, beta, g, phi, piece
+    return t, theta, beta, g, piece
 
 
 def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
@@ -310,10 +310,11 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     the finer step near the clamp circles. Meridian pieces (theta' = 0) are
     great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
     sums with a Romberg correction over each run of four chords, sixth
-    order; phi is unwrapped only in the smooth arcs where it jumps by pi or
-    more between samples; kappa_g, computed on first read, is det(g, g',
-    g'') / |g'|^3 from the exact derivatives of each sample's own piece
-    (see _geodesic_curvature), within rounding of the closed form.
+    order. phi and kappa_g are computed on first read: phi is unwrapped
+    only in the smooth arcs where it jumps by pi or more between samples,
+    and kappa_g is det(g, g', g'') / |g'|^3 from the exact derivatives of
+    each sample's own piece (see _geodesic_curvature), within rounding of
+    the closed form.
     ``closed`` is topology_report(path).closed, the closure every route
     gates on, also for the one-point curve of a motion that is stationary
     after clamping.
@@ -321,7 +322,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     Every per-sample quantity is computed in one pass over the whole curve
     on component rows: g is built in a (3, n) buffer and stored as its
     (n, 3) transposed view. Per arc only the running sums of arc length
-    and the unwrap of phi remain.
+    remain.
 
     Parameters
     ----------
@@ -341,7 +342,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             epsilon=eps, pieces=(), t=np.array([p.t0]), s=np.array([0.0]),
             theta=np.array([p.th0]), beta_eps=np.array([p.b0]),
             g=np.array(frame_rows([p.th0], [p.b0])[2]).T,
-            phi=np.array([0.0]), arcs=((0, 1),), junctions=(),
+            arcs=((0, 1),), junctions=(),
             total_length=0.0, closed=closed, _piece=np.zeros(1, dtype=int))
 
     inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
@@ -369,7 +370,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
             n += tp.size
             times.append(tp)
         arcs.append((i0, n))
-    t, theta, beta, G, phi, piece = _sample_rows(moving, times, arcs)
+    t, theta, beta, G, piece = _sample_rows(moving, times)
 
     # chords, Romberg-corrected in quads (4k, ..., 4k + 3) counted from each
     # arc's start: with S_h the quad's four chords, S_2h its two chords over
@@ -412,7 +413,7 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
 
     return RegularizedCurve(
         epsilon=eps, pieces=tuple(moving), t=t, s=s, theta=theta,
-        beta_eps=beta, g=G.T, phi=phi, arcs=tuple(arcs),
+        beta_eps=beta, g=G.T, arcs=tuple(arcs),
         junctions=tuple(junctions),
         total_length=float(s_off), closed=closed, _piece=piece)
 

@@ -112,6 +112,18 @@ def affine_lap(theta, beta):
                       ScalarPath.from_segments(beta_segs), COIN_RADII)
 
 
+# one latitude lap at tilt 1 and radii 2,1 in three affine pieces, the thirds
+# of [0, 1], as a motion description: at 3,000,000 oracle steps each third
+# gets 4 ceil(250,000 / 3) = 333,336 intervals, 1,000,008 in all, just past
+# MAX_PIECE_SAMPLES
+THREE_PIECE_LAP = {
+    "radii": {"a": 2.0, "b": 1.0},
+    "segments": [{"t0": k / 3, "t1": (k + 1) / 3,
+                  "theta": {"kind": "affine", "start": 2.0 * PI * k / 3,
+                            "slope": 2.0 * PI},
+                  "beta": {"kind": "const", "value": 1.0}} for k in range(3)]}
+
+
 def backtracking_sampled_path():
     """An open motion with a backtracking sampled theta and a sampled tilt,
     whose knots lie both on uniform grids (0.5) and off them (0.123456,

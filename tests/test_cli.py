@@ -19,6 +19,7 @@ from geophase import GeophaseError, Tolerances, build_path
 from geophase.cli import main
 from geophase.data import load_report_schema
 from geophase.phases import DEFAULT_STEPS
+from conftest import THREE_PIECE_LAP
 
 PI = math.pi
 
@@ -703,6 +704,22 @@ def test_theta_overflow_mid_lap_exits_2(tmp_path, capsys):
     assert code == 2
     assert "SweepTooLarge" in err and "1e+308" in err and "spacing" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_an_oracle_grid_past_the_cap_is_recorded_and_exits_0(tmp_path, capsys):
+    # 3000000 steps lie within the argument bounds, but the three-piece
+    # lap's grid needs 1,000,008 intervals: a size cap, not bad input, so
+    # the oracle records TooManySamples and compute exits 0
+    target = tmp_path / "motion.json"
+    target.write_text(json.dumps(THREE_PIECE_LAP))
+    code, out, err = run(capsys, "compute", "--motion", str(target), "--methods",
+                         "line,oracle", "--steps", "3000000", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    jsonschema.validate(doc, load_report_schema())
+    oracle = doc["delta_g"]["oracle"]
+    assert oracle["error"] == "TooManySamples"
+    assert "needs 1000008 intervals, more than MAX_PIECE_SAMPLES" in oracle["message"]
 
 
 # sweeps that float spacing still resolves but no sampled curve can follow:

@@ -246,6 +246,20 @@ def test_area_route_reads_no_curvature_or_junction_angle(name, monkeypatch):
     assert abs(geometric_phase_curvature(path) - curvature) > 1.0
 
 
+@pytest.mark.parametrize("name", ["iv", "vi"])
+def test_no_route_reads_the_tangent_angle(name):
+    """phi is computed on first read, and no route reads it: with the
+    sampled phi all NaN, every route keeps its value bit for bit."""
+    path = gallery(name, TABLE_RADII)
+    before = total_rotation(path, phases.METHOD_NAMES)
+    curve = cached_regularize(path, DEFAULT_EPSILON)
+    assert "phi" not in vars(curve)
+    curve.phi[:] = np.nan
+    after = total_rotation(path, phases.METHOD_NAMES)
+    assert after.delta_g_by_method == before.delta_g_by_method
+    assert after.region == before.region
+
+
 def test_closed_curve_required():
     theta = ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, PI)])
     beta = ScalarPath.from_segments([ConstantSegment(0.0, 1.0, PI / 2.0)])

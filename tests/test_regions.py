@@ -168,8 +168,9 @@ def test_region_report_shape():
     assert report.A_plus + report.A_minus == pytest.approx(4.0 * PI, abs=1e-12)
 
 
-def _segment_pair_distance(p1, q1, p2, q2):
-    """Minimum distance between 3D segment batches [p1,q1] and [p2,q2]."""
+def _segment_pair_closest(p1, q1, p2, q2):
+    """Closest points of the 3D segment batches [p1,q1] and [p2,q2]: their
+    distance and their parameters s and t along each segment."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -184,38 +185,64 @@ def _segment_pair_distance(p1, q1, p2, q2):
     t = np.clip(t, 0.0, 1.0)
     s = np.clip((b * t - c) / np.where(a > 1e-30, a, 1.0), 0.0, 1.0)
     diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
-    return np.linalg.norm(diff, axis=1)
+    return np.linalg.norm(diff, axis=1), s, t
 
 
 def _curve_segments(curve):
-    """Chord segments (P, Q) per smooth arc, with sequential position ids."""
-    starts, ends = [], []
+    """Chord segments (P, Q) per smooth arc, in order, and the arc length
+    at the start and at the end of each chord."""
+    starts, ends, s0, s1 = [], [], [], []
     for i0, i1 in curve.arcs:
-        if i1 - i0 >= 2:
-            starts.append(curve.g[i0:i1 - 1])
-            ends.append(curve.g[i0 + 1:i1])
-    if not starts:
-        return np.empty((0, 3)), np.empty((0, 3))
-    return np.vstack(starts), np.vstack(ends)
+        starts.append(curve.g[i0:i1 - 1])
+        ends.append(curve.g[i0 + 1:i1])
+        s0.append(curve.s[i0:i1 - 1])
+        s1.append(curve.s[i0 + 1:i1])
+    return (np.vstack(starts), np.vstack(ends),
+            np.concatenate(s0), np.concatenate(s1))
 
 
 def _touching_pairs(curve, tol=SIMPLE_TOL):
-    """Non-adjacent chord pairs that are not at least tol apart, by the
-    exact distance of every pair."""
-    P, Q = _curve_segments(curve)
-    m = P.shape[0]
-    i, j = np.triu_indices(m, 2)
-    if curve.closed:
-        keep = j - i != m - 1
-        i, j = i[keep], j[keep]
-    d = _segment_pair_distance(P[i], Q[i], P[j], Q[j])
+    """Chord pairs (i, j) of the sampled polygon that hold two points more
+    than SIMPLE_LENGTH apart along the curve (the shorter way round on a
+    closed curve) and less than tol apart, by the exact distance over such
+    points: points at arc lengths a on chord i and b on chord j count when
+    L < b - a < hi, with hi the length less L on a closed curve."""
+    P, Q, s0, s1 = _curve_segments(curve)
+    L = SIMPLE_LENGTH
+    hi = curve.total_length - L if curve.closed else np.inf
+    if not L < hi:
+        return set()
+    i, j = np.triu_indices(P.shape[0], 1)
+    keep = (s1[j] - s0[i] > L) & (s0[j] - s1[i] < hi)
+    i, j = i[keep], j[keep]
+    p1, d1, p2, d2 = P[i], Q[i] - P[i], P[j], Q[j] - P[j]
+    h1, h2 = s1[i] - s0[i], s1[j] - s0[j]
+    # the closest points of the two chords, where they count
+    d, u, v = _segment_pair_closest(P[i], Q[i], P[j], Q[j])
+    arc = s0[j] + v * h2 - s0[i] - u * h1
+    d = np.where((L < arc) & (arc < hi), d, np.inf)
+    # else the closest points that count lie where b - a = L or hi: there
+    # v = alpha + beta u, for u in [0, 1] with v in [0, 1]
+    beta = h1 / h2
+    for c in (L, hi) if curve.closed else (L,):
+        alpha = (c + s0[i] - s0[j]) / h2
+        lo_u = np.maximum(0.0, -alpha / beta)
+        hi_u = np.minimum(1.0, (1.0 - alpha) / beta)
+        r0 = p1 - p2 - alpha[:, None] * d2
+        r1 = d1 - beta[:, None] * d2
+        rr = np.einsum("ij,ij->i", r1, r1)
+        u = -np.einsum("ij,ij->i", r0, r1) / np.where(rr > 0.0, rr, 1.0)
+        u = np.clip(u, lo_u, np.maximum(lo_u, hi_u))
+        on_line = np.linalg.norm(r0 + u[:, None] * r1, axis=1)
+        d = np.where(lo_u <= hi_u, np.minimum(d, on_line), d)
     touching = ~(d >= tol)
     return set(zip(i[touching].tolist(), j[touching].tolist()))
 
 
 def _all_pairs_simple(curve, tol=SIMPLE_TOL):
-    """The sampled reference: the exact distance of every non-adjacent
-    chord pair of the sampled polygon."""
+    """The sampled reference: whether two points of the sampled polygon
+    more than SIMPLE_LENGTH apart along the curve lie within tol, by the
+    exact distance of every chord pair."""
     return not _touching_pairs(curve, tol)
 
 
@@ -225,7 +252,10 @@ def short_motions(draw):
 
     A segment's tilt change is either moderate, zero (an exact retrace when
     the next segment turns back), or so small that a hairpin's two strands
-    sit 0.5-2 x SIMPLE_TOL apart one sample step from its tip.
+    sit 0.04-0.4, 0.5-2 or 10-100 x SIMPLE_TOL apart one SIMPLE_LENGTH from
+    its tip: against a retraced strand, a turn of 0.02-0.2, 0.25-1 or 5-50
+    DELTA from a full reversal, below, inside and above the band that
+    test_is_simple_matches_all_pairs_reference skips.
     """
     beta0 = draw(st.floats(0.4, PI - 0.4))   # four steps of 0.1 stay in [0, pi]
     n = draw(st.integers(1, 4))
@@ -233,7 +263,8 @@ def short_motions(draw):
     theta, beta = 0.0, beta0
     for k in range(n):
         dth = draw(st.floats(0.01, 0.15)) * draw(st.sampled_from([1.0, -1.0]))
-        near = st.floats(0.5, 2.0).map(
+        near = st.one_of(st.floats(0.04, 0.4), st.floats(0.5, 2.0),
+                         st.floats(10.0, 100.0)).map(
             lambda f: f * SIMPLE_TOL / SIMPLE_LENGTH * abs(dth) * math.sin(beta0))
         dbeta = draw(st.one_of(st.floats(-0.1, 0.1), st.just(0.0), near,
                                near.map(lambda x: -x)))
@@ -285,9 +316,36 @@ def _pieces_cross(curve):
                if m - k >= 2)
 
 
+def short_hairpin(turn):
+    """Out 1/32 rad along beta = 2.6875, where a 16-step piece has chords of
+    SIMPLE_LENGTH / 5, and back 1/64 rad at the angle turn from a full
+    reversal, rising."""
+    beta, back = 2.6875, 1.0 / 64.0
+    return affine_lap([0.0, 2.0 * back, back],
+                      [beta, beta, beta + math.tan(turn) * math.sin(beta) * back])
+
+
+def closed_retrace(beta):
+    """Out 1/100 rad along the latitude beta and straight back: a closed
+    curve of length sin(beta) / 50, whose two strands coincide."""
+    return affine_lap([0.0, 0.01, 0.0], [beta, beta, beta])
+
+
+@pytest.mark.parametrize("beta,simple", [(0.40625, True), (0.4375, False)])
+def test_a_closed_retrace_touches_only_past_twice_simple_length(beta, simple):
+    # no two points of a closed curve no longer than 2 L lie more than L
+    # apart the shorter way round, so its reversals touch nothing
+    curve = regularize(closed_retrace(beta))
+    assert (curve.total_length > 2.0 * SIMPLE_LENGTH) is not simple
+    assert is_simple(curve) is simple
+    assert _all_pairs_simple(curve) is simple
+
+
 @settings(max_examples=60, deadline=None)
 @given(short_motions())
 @example(hairpin())
+@example(short_hairpin(5.0 * DELTA))
+@example(closed_retrace(0.40625))
 def test_is_simple_matches_all_pairs_reference(path):
     # off the delta band a turn near reversal touches in both; inside it
     # the sampled answer turns on the sample step, which is no rule. The

@@ -1,19 +1,22 @@
 """Rigid-body rolling oracle: rate solve, propagation, closure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from geophase import (AffineSegment, ConstantSegment, MotionPath, Radii,
-                      SampledSegment, ScalarPath, dynamical_phase,
-                      geometric_phase_line, reverse_path, simulate_rolling)
+                      SampledSegment, ScalarPath, build_path, dynamical_phase,
+                      geometric_phase_line, reverse_path, simulate_rolling,
+                      total_rotation)
 from geophase import rolling
-from geophase.errors import ClosureMismatch, DriftExceeded
+from geophase.errors import ClosureMismatch, DriftExceeded, TooManySamples
 from geophase.sphere import frame_vectors, gauss_vector
-from conftest import (COIN_RADII, TABLE_RADII, backtracking_sampled_path,
-                      closed_motions, gallery, schedule_at)
+from conftest import (COIN_RADII, TABLE_RADII, THREE_PIECE_LAP,
+                      backtracking_sampled_path, closed_motions, gallery,
+                      schedule_at)
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -24,7 +27,7 @@ def solve_body_rates(path, t):
     constraint rows and the normal solve that simulate_rolling runs."""
     (theta, dtheta), (beta, dbeta) = schedule_at(path.theta, t), schedule_at(path.beta, t)
     rows, rhs, g = rolling._constraint_rows(theta, beta, dtheta, dbeta,
-                                            path.radii.a, path.radii.b)
+                                            path.radii.a / path.radii.b)
     omega, residual = rolling._normal_solve(rows, rhs)
     omega = np.array(omega)[:, 0]
     return omega, float(omega @ np.array(g)[:, 0]), float(residual[0])
@@ -146,6 +149,52 @@ def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
         simulate_rolling(path, steps=steps)
 
 
+def test_an_oracle_grid_past_the_cap_is_recorded_before_any_allocation(
+        monkeypatch):
+    # 3,000,000 steps pass the argument check, but the three thirds of the
+    # lap ask for 1,000,008 intervals: total_rotation records TooManySamples
+    # for the oracle, and the interval arrays are never allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interval arrays were allocated")
+
+    path = build_path(THREE_PIECE_LAP)
+    monkeypatch.setattr(np, "repeat", refuse)
+    result = total_rotation(path, ("line", "oracle"), oracle_steps=3_000_000)
+    error = result.errors["oracle"]
+    assert isinstance(error, TooManySamples)
+    assert error.value == 1_000_008
+    assert error.value > error.tol == rolling.MAX_PIECE_SAMPLES
+    # the message prints the count itself, visibly past the cap
+    needed = re.search(r"the oracle needs (\d+) intervals, more than "
+                       r"MAX_PIECE_SAMPLES = (\d+)", str(error))
+    assert int(needed[1]) == 1_000_008 and int(needed[2]) == error.tol
+
+
+def test_rates_are_the_least_squares_solution_of_orthonormal_rows():
+    # in units of the rolling radius the rows are e2, -e1, g and 0 at every
+    # ratio a / b, so A^T A = I and A^T rhs solves the least-squares problem
+    rng = np.random.default_rng(13)
+    n = 512
+    theta, beta = rng.uniform(-7.0, 7.0, n), rng.uniform(0.0, PI, n)
+    dtheta, dbeta = rng.normal(0.0, 6.0, n), rng.normal(0.0, 6.0, n)
+    dtheta[:16] = dbeta[:16] = 0.0   # stationary instants
+    ratio = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    rows, rhs, _ = rolling._constraint_rows(theta, beta, dtheta, dbeta, ratio)
+    A = np.moveaxis(np.array(rows), -1, 0)   # (n, 4, 3)
+    b = np.array(rhs).T                       # (n, 4)
+    gram = np.swapaxes(A, -1, -2) @ A
+    assert float(np.max(np.abs(gram - np.eye(3)))) <= 1e-14
+    omega, residual = rolling._normal_solve(rows, rhs)
+    omega = np.array(omega).T
+    scale = (1.0 + ratio) * (np.abs(dtheta) + np.abs(dbeta))
+    for k in range(n):
+        expected = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+        assert np.all(np.abs(omega[k] - expected) <= 1e-12 * scale[k]), k
+    np.testing.assert_array_equal(omega[:16], 0.0)
+    np.testing.assert_array_equal(residual[:16], 0.0)
+    assert np.all(residual <= 1e-12 * scale)
+
+
 def test_every_piece_gets_the_minimum_number_of_intervals():
     # steps=20 asks for about 7 intervals in all; each of motion v's pieces
     # still gets its own floor of intervals
@@ -237,9 +286,10 @@ def test_constraint_rows_match_the_stacked_cross_products():
     theta, beta = rng.uniform(-7.0, 7.0, 64), rng.uniform(0.0, PI, 64)
     dtheta, dbeta = rng.normal(0.0, 6.0, 64), rng.normal(0.0, 6.0, 64)
     dtheta[0] = dbeta[0] = 0.0   # a stationary instant
-    rows, rhs, g = rolling._constraint_rows(theta, beta, dtheta, dbeta, 1.7, 0.8)
+    # the rows come in units of the rolling radius: a / b and b = 1
+    rows, rhs, g = rolling._constraint_rows(theta, beta, dtheta, dbeta, 1.7 / 0.8)
     ref_rows, ref_rhs, ref_g = _stacked_constraint_rows(theta, beta, dtheta,
-                                                        dbeta, 1.7, 0.8)
+                                                        dbeta, 1.7 / 0.8, 1.0)
     np.testing.assert_allclose(np.moveaxis(np.array(rows), -1, 0), ref_rows,
                                rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(np.array(rhs).T, ref_rhs, rtol=0.0, atol=1e-13)
@@ -256,7 +306,7 @@ def test_rodrigues_steps_match_the_stacked_skew_form():
     omega = rng.normal(0.0, 20.0, (64, 3))
     omega[0] = 0.0   # a zero rate is the identity
     dt = rng.uniform(1e-5, 0.2, 64)
-    got = _as_matrices(rolling._rodrigues_steps(tuple(omega.T), dt))
+    got = _as_matrices(rolling._rodrigues_steps(tuple((omega * dt[:, None]).T)))
     np.testing.assert_allclose(got, _stacked_rodrigues(omega, dt),
                                rtol=0.0, atol=1e-13)
     np.testing.assert_array_equal(got[0], np.eye(3))
@@ -286,7 +336,7 @@ def test_blocked_prefix_products_match_a_sequential_product(steps):
     expected = [np.eye(3)]
     for step in S:
         expected.append(step @ expected[-1])
-    got = rolling._compose(rolling._rodrigues_steps(tuple(omega.T), dt))
+    got = rolling._compose(rolling._rodrigues_steps(tuple((omega * dt[:, None]).T)))
     assert got.shape == (4, steps + 1)
     np.testing.assert_allclose(_as_matrices(got), np.array(expected),
                                rtol=0.0, atol=1e-12)
@@ -324,7 +374,7 @@ def _whole_array_oracle(path, steps):
         (theta, dtheta), (beta, dbeta) = (schedule_at(path.theta, node),
                                           schedule_at(path.beta, node))
         rows, rhs, _ = rolling._constraint_rows(theta, beta, dtheta, dbeta,
-                                                path.radii.a, path.radii.b)
+                                                path.radii.a / path.radii.b)
         omega, noslip = rolling._normal_solve(rows, rhs)
         rates.append(np.array(omega).T)
         residuals.append(noslip)
@@ -336,7 +386,7 @@ def _whole_array_oracle(path, steps):
     c1 = np.cross(a1, a2)
     c2 = -np.cross(a1, 2.0 * a3 + c1) / 60.0
     magnus = a1 + a3 / 12.0 + np.cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    q_unique = rolling._compose(rolling._rodrigues_steps(tuple(magnus.T), 1.0))
+    q_unique = rolling._compose(rolling._rodrigues_steps(tuple(magnus.T)))
 
     qs, spins, delta, done = [], [], 0.0, 0
     for g, step in zip(grids, spacings):

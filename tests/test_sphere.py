@@ -1,6 +1,7 @@
 """Tilt-vector geometry: frames, clamping, curvature, cusps, offsets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,9 @@ def test_absurd_sweeps_are_refused_before_sampling(slope, monkeypatch):
         regularize(path)
     assert info.value.tol == sphere.MAX_PIECE_SAMPLES
     assert info.value.value > info.value.tol
+    # the message prints the count as an integer, visibly past the cap
+    printed = re.search(r"needs (\d+) samples", str(info.value))[1]
+    assert int(printed) == round(info.value.value) > sphere.MAX_PIECE_SAMPLES
 
 
 def _arc_geometry_reference(t_arr, theta_arr, beta_arr, u_arr, v_arr):
