@@ -31,7 +31,7 @@ for name, story in [("i", "rolling inside a flat valley"),
     geometric = geometric_phase_line(path)
     total = gearing + geometric
 
-    trace = simulate_rolling(path, steps=100_000)
+    trace = simulate_rolling(path)
     sim_err = abs(trace.delta_oracle - total)
 
     turns = total / (2.0 * PI)

@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="pole clamp parameter (default pi/16)")
     c.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                   help="oracle rate evaluations, three per Magnus interval")
+                   help="oracle rate evaluations per radian of the body's "
+                        "rotation bound, three per Magnus interval")
     c.add_argument("--samples", type=int, default=1_000_000,
                    help="mesh size for the bounds method")
     c.add_argument("--format", choices=("text", "json", "csv"), default="text")

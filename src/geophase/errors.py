@@ -122,8 +122,11 @@ class GaugeInconsistency(_BoundExceeded):
     """
 
 
-class OnSingularAxis(GeophaseError):
-    """Point too close to the patch's excluded half-axis."""
+class OnSingularAxis(_BoundExceeded):
+    """Point too close to the patch's excluded half-axis: ``value`` is the
+    worst angle from that ray and ``tol`` the clearance AXIS_CLEARANCE; at
+    the origin, where the potential is undefined, there is no such number,
+    and ``value`` and ``tol`` are None."""
 
 
 # --- rolling oracle ---

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import GaugeInconsistency, OnSingularAxis
 from .motion import MotionPath
-from .sphere import (DEFAULT_EPSILON, _gauss_legendre_sum, _row_dot,
+from .sphere import (DEFAULT_EPSILON, _gauss_legendre_sum,
                      clamped_affine_pieces, frame_rows)
 from .phases import closed_topology
-from .rolling import _magnus_intervals, _magnus_steps, _matrices
+from .rolling import _GAUSS, _cross, _magnus_intervals, _magnus_steps
 
 AXIS_CLEARANCE = 1e-9
 
@@ -50,6 +50,30 @@ PLUS_PATCH = GaugePatch(+1)
 MINUS_PATCH = GaugePatch(-1)
 
 
+def _potential(s, x0, x1, x2):
+    """The x and y rows of the patch potential A_s at the points
+    (x0, x1, x2), s = +-1 per point or for all (the z row is 0): the one
+    copy of the formula and of its clearance check. OnSingularAxis carries
+    the worst angle from an excluded ray as its value and AXIS_CLEARANCE
+    as its tol; at the origin it carries neither."""
+    rho2 = x0 * x0 + x1 * x1
+    r = np.sqrt(rho2 + x2 * x2)
+    if np.any(r == 0.0):
+        raise OnSingularAxis("potential undefined at the origin")
+    z = s * x2
+    angle = np.arctan2(np.sqrt(rho2), -z)
+    worst = np.min(angle, initial=np.inf)
+    if worst <= AXIS_CLEARANCE:
+        sign = np.broadcast_to(s, angle.shape).flat[np.argmin(angle)]
+        raise OnSingularAxis(
+            f"point within {worst:.2e} rad of the "
+            f"{GaugePatch(int(sign)).excluded_axis}",
+            value=float(worst), tol=AXIS_CLEARANCE)
+    # where z < 0, r + z would cancel and r + |z| = r - z
+    denom = r * np.where(z < 0.0, rho2 / (r + np.abs(z)), r + z)
+    return -s * x1 / denom, s * x0 / denom
+
+
 def monopole_potential(patch: GaugePatch, x) -> np.ndarray:
     """Unit-charge monopole potential of one gauge patch at points x.
 
@@ -58,23 +82,12 @@ def monopole_potential(patch: GaugePatch, x) -> np.ndarray:
     e3/r^2, and their difference is twice the azimuth gradient, which is
     what quantizes the holonomy difference to 4 pi n. Finite everywhere
     except the patch's excluded ray. x has shape (..., 3) and so has the
-    result; if any point is the origin or lies within 1e-9 angular
-    clearance of that ray, OnSingularAxis is raised, naming the worst angle.
+    result; a point at the origin or within AXIS_CLEARANCE = 1e-9 rad of
+    that ray raises OnSingularAxis (_potential).
     """
     x = np.asarray(x, dtype=float)
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    if np.any(r == 0.0):
-        raise OnSingularAxis("potential undefined at the origin")
-    worst = np.min(np.arctan2(np.hypot(x0, x1), -patch.sign * x2), initial=np.inf)
-    if worst <= AXIS_CLEARANCE:
-        raise OnSingularAxis(
-            f"point within {worst:.2e} rad of the {patch.excluded_axis}")
-    z = patch.sign * x2
-    # where z < 0, r + z would cancel and r + |z| = r - z
-    denom = r * np.where(z < 0.0, (x0 * x0 + x1 * x1) / (r + np.abs(z)), r + z)
-    return (patch.sign * np.stack([-x1, x0, np.zeros_like(x0)], axis=-1)
-            / denom[..., None])
+    a0, a1 = _potential(patch.sign, x[..., 0], x[..., 1], x[..., 2])
+    return np.stack([a0, a1, np.zeros_like(a0)], axis=-1)
 
 
 def curl_check(patch: GaugePatch, x, h: float) -> np.ndarray:
@@ -97,7 +110,8 @@ def _circulation(pieces, sign: int | None) -> float:
     Every node takes A_sign, or with sign None the patch s regular on its
     hemisphere (s = +1 where g_z > 0) plus Wu and Yang's transition term
     -s theta' (A_+ - A_- = 2 d theta; Phys. Rev. D 12 (1975) 3845): one
-    smooth integrand, no node within pi/2 of an excluded ray. The Cartesian
+    smooth integrand, no node within pi/2 of an excluded ray, and one
+    evaluation of the potential over all nodes, s per node. The Cartesian
     potential meets the tilt vector's Cartesian velocity, never the
     reference method's cos(beta) d(theta). A piece's tilt spans at most pi,
     where the Gauss-Legendre rules of both sphere._QUAD_ORDERS are at
@@ -111,16 +125,11 @@ def _circulation(pieces, sign: int | None) -> float:
 
     def integrand(dt):
         e1, e2, g = frame_rows(th0 + dth * dt, b0 + db * dt)
-        turn = dth * e2[2]   # theta' sin(beta): e2's z row is sin(beta)
-        g_dot = [db * u + turn * v for u, v in zip(e2, e1)]
-        s = np.where(g[2] > 0.0, 1, -1) if sign is None else np.full(turn.shape, sign)
-        f = -s * dth if sign is None else np.zeros(turn.shape)
-        points = np.stack(g, axis=-1)   # monopole_potential takes (..., 3)
-        for patch in (PLUS_PATCH, MINUS_PATCH):
-            on = s == patch.sign
-            f[on] += _row_dot(monopole_potential(patch, points[on]).T,
-                              [v[on] for v in g_dot])
-        return f
+        g_dot = db * e2 + (dth * e2[2]) * e1   # e2's z row is sin(beta)
+        s = sign if sign is not None else np.where(g[2] > 0.0, 1.0, -1.0)
+        a0, a1 = _potential(s, *g)
+        f = a0 * g_dot[0] + a1 * g_dot[1]
+        return f if sign is not None else f - s * dth
 
     return _gauss_legendre_sum(t0[:, 0], t1[:, 0], integrand)
 
@@ -151,13 +160,11 @@ _TRANSPORT_STEP = 0.05   # most radians of tilt sweep, |dtheta| + |dbeta|, per i
 _MISS_TOL = 1e-6         # bound on the summed transport miss of berry_holonomy
 
 
-def _transport_rate(theta, beta, dtheta, dbeta):
-    """g x gdot = -beta' e1 + theta' sin(beta) e2, shape (3, n): the rate
-    whose rotation carries g along the curve and moves tangent vectors only
-    along g, which is parallel transport."""
-    e1, e2, _ = frame_rows(theta, beta)
-    turn = dtheta * e2[2]   # e2's z row is sin(beta)
-    return np.array([-dbeta * u + turn * v for u, v in zip(e1, e2)])
+def _transport_rate(e1, e2, dtheta, dbeta):
+    """g x gdot = -beta' e1 + theta' sin(beta) e2, per component like e1
+    and e2 (frame_rows): the rate whose rotation carries g along the curve
+    and moves tangent vectors only along g, which is parallel transport."""
+    return -dbeta * e1 + (dtheta * e2[2]) * e2   # e2's z row is sin(beta)
 
 
 def berry_holonomy(path: MotionPath) -> float:
@@ -166,37 +173,38 @@ def berry_holonomy(path: MotionPath) -> float:
     In SU(2) the transport of the +1 eigenstate is the rotation at rate
     g x gdot (_transport_rate). Each moving raw affine piece gets
     max(4, ceil((|theta'| + |beta'|)(t1 - t0) / _TRANSPORT_STEP)) uniform
-    intervals, each one sixth-order three-point Gauss Magnus step
-    (rolling._magnus_steps). Per interval, e2 at its start is transported
-    and its turn against the gauge frame (e1, e2) at its end read by one
-    atan2; a turn is at most the interval's sweep, so none wraps, and
-    Delta_g is minus their sum. The rate and frame are regular at the
-    poles, so nothing is clamped. The transported g must land on g at each
-    interval's end; a summed miss above _MISS_TOL = 1e-6 raises
-    GaugeInconsistency. More than MAX_PIECE_SAMPLES intervals in all raise
-    TooManySamples (rolling._magnus_intervals).
+    intervals (rolling._magnus_intervals, which raises TooManySamples past
+    MAX_PIECE_SAMPLES), each one step of the oracle's SU(2) Magnus step
+    (rolling._magnus_steps), with the frame evaluated once at each start,
+    Gauss node and end. The step moves e2 and g from the start; the turn of
+    the moved e2 against (e1, e2) at the end, one atan2 that never wraps,
+    summed and negated is Delta_g. Nothing is clamped: the rate and frame
+    are regular at the poles. The moved g must land on g at each end; a
+    summed miss above _MISS_TOL = 1e-6 raises GaugeInconsistency.
     """
     closed_topology(path)
     pieces = [p for p in path.affine_pieces if p.moving]
     if not pieces:
         return 0.0
     t0, t1, th0, dth, b0, db = np.array(pieces).T
-    _, piece, start, h, nodes = _magnus_intervals(
+    # each interval's start, its Gauss nodes and its end
+    _, piece, h, since = _magnus_intervals(
         np.maximum(4, np.ceil((np.abs(dth) + np.abs(db)) * (t1 - t0)
                               / _TRANSPORT_STEP)),
-        np.zeros_like(t0), t1 - t0, "the transport")
-    th0, dth, b0, db = th0[piece], dth[piece], b0[piece], db[piece]
-
-    def at(since):
-        return th0 + dth * since, b0 + db * since
-
-    R = _matrices(_magnus_steps(*(_transport_rate(*at(x), dth, db) for x in nodes), h))
-    _, e2, g = frame_rows(*at(start))
-    e1_end, e2_end, g_end = frame_rows(*at(start + h))
-    moved = [_row_dot(row, e2) for row in R]
-    turn = np.arctan2(_row_dot(moved, e1_end), _row_dot(moved, e2_end))
-    off_curve = [_row_dot(row, g) - x for row, x in zip(R, g_end)]
-    miss = float(np.sum(np.sqrt(_row_dot(off_curve, off_curve))))
+        np.zeros_like(t0), t1 - t0, "the transport", (0.0, *_GAUSS, 1.0))
+    dth, db = dth[piece], db[piece]
+    e1, e2, g = frame = frame_rows(th0[piece] + dth * since, b0[piece] + db * since)
+    rate = _transport_rate(e1[:, 1:4], e2[:, 1:4], dth, db)
+    step = _magnus_steps(*rate.swapaxes(0, 1), h)
+    # e2 and g at each start, per component, rotated by the unit step
+    # quaternion (w, u): v + 2 w u x v + 2 u x (u x v)
+    w, u = step[0], step[1:]
+    v = frame[1:, :, 0].swapaxes(0, 1)
+    uv = _cross(u, v)
+    moved_e2, moved_g = (v + 2.0 * (w * uv + _cross(u, uv))).swapaxes(0, 1)
+    turn = np.arctan2(*np.einsum("kn,fkn->fn", moved_e2, frame[:2, :, 4]))
+    off_curve = moved_g - g[:, 4]
+    miss = float(np.sum(np.sqrt(np.einsum("kn,kn->n", off_curve, off_curve))))
     if miss > _MISS_TOL:
         raise GaugeInconsistency(
             f"transported normal misses the curve by {miss:.3e} in sum",

@@ -39,11 +39,15 @@ from .motion import (DEFAULT_EPSILON, TWO_PI, MotionPath, _check_epsilon,
 if TYPE_CHECKING:
     from .regions import RegionReport
 
-# oracle rate evaluations, three per Magnus interval; the smallest round
-# count whose worst error against delta_d + line on the gallery and 64
-# seeded random laps (2.1e-8) stays within that of 4000 evaluations of the
-# fourth-order two-node step it replaced (2.4e-8)
-DEFAULT_STEPS = 1200
+# oracle rate evaluations, three per Magnus interval, per radian of the
+# bound on the body's rotation (rolling.simulate_rolling): 4 intervals per
+# 0.4 rad. Swept on the gallery at radii 2,1 and 1,1 and the two 32-lap
+# benchmark pools, the worst error against delta_d + line and the
+# evaluations in all were: 18: 3.6e-8, 27,084; 24: 7.2e-9, 35,568;
+# 30: 1.8e-9, 43,752; 36: 6.5e-10, 52,092; 60: 3.1e-11, 85,128. 30 is the
+# smallest round count at least ten times inside the 2.1e-8 that 93,360
+# evaluations of the time grid it replaced gave
+DEFAULT_STEPS = 30
 METHOD_NAMES = ("line", "baumkuchen", "area", "curvature",
                 "monopole", "berry", "oracle")
 

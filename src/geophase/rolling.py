@@ -7,27 +7,35 @@ orientation history. Nothing here uses the surface geometry of the previous
 modules beyond the shared frame definitions (sphere.frame_rows), which
 makes the result an independent check on the phase decomposition.
 
-The orientation is a unit quaternion (Euler-Rodrigues parameters; Shoemake,
-SIGGRAPH 1985) held per component as a (4, n) array. Each affine piece of
-the motion gets its own uniform grid, so no interval straddles a knot, and
-each interval is one sixth-order three-point Gauss Magnus step: the rates at
-the three Gauss nodes give the step's rotation vector, whose exact
-half-angle quaternion is the step. The steps are composed by a blocked
-recursive scan (Blelloch, CMU-CS-90-190) with log-depth scans inside blocks
-of 8 (Hillis & Steele, CACM 29 (1986) 1170): four whole-array passes per
-level, 11 in all for the 400-odd intervals of the default.
-Orthonormality drift is read off the norm, | |q|^4 - 1 |, and the spin
-comes from sixth-order quaternion differences within each piece, so no
-3x3 matrix is formed except on request (OracleTrace.orientations) and for
-the closure check on the final orientation. `steps` counts rate
-evaluations (constraint solves), three per interval.
+The constraint rows, in units of the rolling radius b, are (e2, -e1, g, 0):
+orthonormal, so the rates are A^T rhs, which works out to
+w = theta' sin(beta) e2 - beta' e1 - (a/b + cos(beta)) theta' g. Since
+sin(beta)^2 + (a/b + cos(beta))^2 <= (a/b + 1)^2, the body turns at rate
+|w| <= |beta'| + (a/b + 1) |theta'|, a bound constant on each affine piece.
+Each piece gets its own uniform grid, so no interval straddles a knot,
+with as many intervals as that bound times the piece's length asks for
+(simulate_rolling), so a large radius ratio or many laps get a finer grid
+rather than larger steps. Each interval is one sixth-order three-point
+Gauss Magnus step: the rates at the three Gauss nodes give the step's
+rotation vector, whose exact half-angle quaternion is the step
+(_magnus_steps, which the two-level transport of gauge shares).
+
+The orientation is a unit quaternion (Euler-Rodrigues parameters;
+Shoemake, SIGGRAPH 1985) carried as its Cayley-Klein pair
+(w + i x, y + i z), held as a complex (2, n) array, so a quaternion
+product is a few complex products (_product). The steps are composed by
+a log-depth scan (_compose). Orthonormality drift is read off the norm,
+| |q|^4 - 1 |, and the spin comes from sixth-order differences of the
+pairs within each piece, so no 3x3 matrix is formed except on request
+(OracleTrace.orientations) and for the closure check, which forms the
+final one in floats. `steps` counts rate evaluations (constraint solves), three per
+interval, per radian of the rotation bound.
 
 Within a piece theta, beta and their slopes are one multiply-add away from
 the piece's affine data. Each instant's sines and cosines are taken once
-and give the frame, the normal and their derivatives. The pointwise chain
-(constraint rows, rates) runs in chunks of _CHUNK rate evaluations, so its
-temporaries stay in cache. In units of the rolling radius the constraint
-rows are orthonormal, so the least-squares rates are A^T rhs.
+and give the frame and the rows. The pointwise chain (constraint rows,
+rates) runs in chunks of _CHUNK rate evaluations, so its temporaries stay
+in cache.
 
 Geometry: the fixed disc has radius a in the z = 0 plane, centered at the
 origin. The moving disc has radius b, touches the fixed rim at
@@ -39,14 +47,15 @@ the direction perpendicular to the rim tangent and to g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import atan2, dist, pi, sqrt
+from operator import mul
 
 import numpy as np
 
 from .errors import ClosureMismatch, DriftExceeded, TooManySamples
 from .motion import TWO_PI, MotionPath, topology_report
 from .phases import DEFAULT_STEPS
-from .sphere import MAX_PIECE_SAMPLES, _row_dot, frame_rows
+from .sphere import MAX_PIECE_SAMPLES, frame_rows
 
 DRIFT_TOL = 1e-6
 _MIN_STEPS_PER_SEGMENT = 8   # intervals per piece, a multiple of 4 for Boole
@@ -54,43 +63,39 @@ _CLOSURE_TOL = 1e-2
 
 
 def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
+    """Cross products u x v of vectors held per component along the first
+    axis; the other axes broadcast."""
+    return np.array((u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]))
 
 
 def _constraint_rows(theta, beta, dtheta, dbeta, ratio):
-    """Constraint systems A w = rhs for arrays of instants, per component,
-    in units of the rolling radius b: ratio is a / b.
+    """Constraint systems A w = rhs for arrays of instants, in units of the
+    rolling radius b: ratio is a / b.
 
     Rows 1-2: the normal g is materially attached to the disc, so
     w x g = g', projected on the rim frame (e1, e2). Rows 3-4: the contact
     point is instantaneously at rest, c' + w x (contact - center) = 0,
     projected likewise. Projections avoid the rank deficiency of the raw
     cross-product equations along g. With contact - center = -e2 the rows
-    are e2, -e1, g and 0, orthonormal. Returns (rows, rhs, g): rows[r][k] is
-    the 1-D array of entry (r, k) of A over the instants, rhs[r] that of the
-    right-hand side and g[k] that of the normal.
+    are e2, -e1, g and 0, orthonormal, read off the frame. Returns arrays
+    (rows, rhs, g): rows (4, 3, n), rows[r, k] the entry (r, k) of A over
+    the instants; rhs (4, n); g (3, n), the normal.
     """
     dtheta = np.atleast_1d(np.asarray(dtheta, dtype=float))
     dbeta = np.atleast_1d(np.asarray(dbeta, dtype=float))
-    e1, e2, g = frame_rows(np.atleast_1d(theta), np.atleast_1d(beta))
-    sb, cb = e2[2], -g[2]   # sin(beta) and cos(beta), the frame's z rows
-    st, ct = -e1[0], e1[1]  # and sin(theta), cos(theta) from e1
-
-    g_dot = (dbeta * cb * ct - dtheta * sb * st,
-             dbeta * cb * st + dtheta * sb * ct,
-             dbeta * sb)
-    ring = ratio + cb
-    c_dot = (-sb * dbeta * ct - ring * st * dtheta,
-             -sb * dbeta * st + ring * ct * dtheta,
-             cb * dbeta)
-    d = tuple(-e for e in e2)  # contact - center
-
-    rows = (_cross(g, e1), _cross(g, e2), _cross(d, e1), _cross(d, e2))
-    rhs = (_row_dot(g_dot, e1), _row_dot(g_dot, e2),
-           -_row_dot(c_dot, e1), -_row_dot(c_dot, e2))
-    return rows, rhs, g
+    e1, e2, g = frame = frame_rows(np.atleast_1d(theta), np.atleast_1d(beta))
+    # g' = beta' e2 + theta' sin(beta) e1 and, with the center at
+    # contact + e2, c' = (a/b + cos(beta)) theta' e1 - beta' g; e2's z row
+    # is sin(beta) and g's is -cos(beta)
+    velocity = np.array((dbeta * e2 + (dtheta * e2[2]) * e1,
+                         dbeta * g - ((ratio - g[2]) * dtheta) * e1))
+    rhs = np.einsum("vk...,fk...->vf...", velocity, frame[:2])
+    rows = np.zeros((4,) + e1.shape)
+    rows[0], rows[2] = e2, g
+    np.negative(e1, out=rows[1])
+    return rows, rhs.reshape((4,) + rhs.shape[2:]), g
 
 
 @dataclass(frozen=True)
@@ -123,78 +128,65 @@ class OracleTrace:
         return np.moveaxis(_matrices(self.quaternions), -1, 0)
 
 
-# scan block length, a power of 2: log2(_BLOCK) Hillis & Steele passes per
-# level against more levels of carries (Blelloch)
-_BLOCK = 8
 _CHUNK = 8192  # rate evaluations per pass of the constraint solve: fits in cache
-
-
-def _qmul(p, q):
-    """Hamilton product p q of quaternions given per component (w, x, y, z)."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
 
 
 def _rodrigues_steps(omega):
     """Exact rotations exp(hat(omega)) as half-angle quaternions
     (cos(phi/2), sin(phi/2) u), shape (4, n), for rotation vectors given
     per component (omega[k] is the 1-D array of component k)."""
-    rate = np.sqrt(_row_dot(omega, omega))
+    omega = np.asarray(omega)
+    rate = np.sqrt(np.einsum("k...,k...->...", omega, omega))
     half = 0.5 * rate
-    scale = np.sin(half) / np.where(half > 0.0, rate, 1.0)
     S = np.empty((4, half.size))
     S[0] = np.cos(half)
-    for k in range(3):
-        np.multiply(omega[k], scale, out=S[k + 1])
+    np.multiply(omega, np.sin(half) / np.where(half > 0.0, rate, 1.0), out=S[1:])
     return S
 
 
-def _identities(n):
-    """(4, n) identity quaternions, n rounded up to whole scan blocks."""
-    Q = np.zeros((4, -(-n // _BLOCK) * _BLOCK))
-    Q[0] = 1.0
-    return Q
+def _pairs(q):
+    """Cayley-Klein pairs (w + i x, y + i z) (2, n) of quaternions q (4, n)."""
+    return q[0::2] + 1j * q[1::2]
 
 
-def _scan(Q):
-    """In place, Q[:, k] <- Q[:, k] ... Q[:, 1] Q[:, 0]; Q.shape[1] is a
-    multiple of _BLOCK.
+def _quaternions(pairs):
+    """Quaternions (w, x, y, z) (4, n) of Cayley-Klein pairs (2, n)."""
+    return np.stack((pairs.real, pairs.imag), axis=1).reshape(4, -1)
 
-    Blocked recursive scan (Blelloch, CMU-CS-90-190) with a log-depth scan
-    inside each block (Hillis & Steele, CACM 29 (1986) 1170): pass s = 1,
-    2, 4, ... multiplies each element by the one s places back, reading the
-    values of the previous pass, so log2(_BLOCK) passes form the running
-    products inside every block at once. The block totals are scanned by
-    the same routine, and one broadcast pass applies each block's carry.
-    The passes run on a block-minor copy, so each reads contiguous rows.
-    """
-    blocks = Q.shape[1] // _BLOCK
-    X = np.empty((4, _BLOCK, blocks))   # X[:, p, j] = Q[:, j * _BLOCK + p]
-    X[...] = Q.reshape(4, blocks, _BLOCK).transpose(0, 2, 1)
-    s = 1
-    while s < _BLOCK:
-        X[:, s:] = _qmul(X[:, s:], X[:, :-s])
-        s *= 2
-    if blocks > 1:
-        carry = _identities(blocks)
-        carry[:, 1:blocks] = X[:, -1, :-1]
-        carry = _scan(carry)[:, :blocks]
-        X[...] = _qmul(X, carry[:, None, :])
-    Q.reshape(4, blocks, _BLOCK)[...] = X.transpose(0, 2, 1)
-    return Q
+
+def _product(p, q, out=None):
+    """Quaternion products p q of Cayley-Klein pairs (2, n):
+    (a + b j)(c + d j) = (a c - b conj(d)) + (a d + b conj(c)) j."""
+    (a, b), (c, d) = p, q
+    if out is None:
+        out = np.empty((2, a.size), dtype=complex)
+    ac, bd, ad, bc = a * c, b * d.conj(), a * d, b * c.conj()
+    np.subtract(ac, bd, out=out[0])
+    np.add(ad, bc, out=out[1])
+    return out
 
 
 def _compose(steps):
-    """Q[:, 0] = 1 and Q[:, k] = S[:, k-1] ... S[:, 0] for step quaternions
-    S (4, n); returns (4, n + 1)."""
-    total = steps.shape[1] + 1
-    Q = _identities(total)
-    Q[:, 1:total] = steps
-    return _scan(Q)[:, :total]
+    """Q[:, 0] = 1 and Q[:, k] = S[:, k-1] ... S[:, 0] for Cayley-Klein
+    pairs S (2, n); returns (2, n + 1).
+
+    A log-depth scan (Ladner & Fischer, J. ACM 27 (1980) 831): the pair
+    products S[:, 2i+1] S[:, 2i] are scanned recursively, which gives every
+    even Q, and one more product gives each odd Q[:, 2i+1] = S[:, 2i]
+    Q[:, 2i]. Two array products per level, log2(n) levels; neighbours
+    share all but a few roundings, so the spin recovery's differences see
+    no more than that.
+    """
+    n = steps.shape[1]
+    Q = np.empty((2, n + 1), dtype=complex)
+    Q[:, 0] = 1.0, 0.0
+    if n == 1:
+        Q[:, 1] = steps[:, 0]
+    elif n > 1:
+        even = _compose(_product(steps[:, 1::2], steps[:, :n - 1:2]))
+        Q[:, ::2] = even
+        _product(steps[:, ::2], even[:, :(n + 1) // 2], out=Q[:, 1::2])
+    return Q
 
 
 def _matrices(q):
@@ -211,23 +203,23 @@ def _matrices(q):
 
 
 def _normal_solve(rows, rhs):
-    """Least-squares rates of the per-component 4x3 systems, and their
-    residual norms (the no-slip residuals).
+    """Least-squares rates (3, n) of the 4x3 systems of _constraint_rows,
+    and their residual norms |A w - rhs| (the no-slip residuals).
 
-    The rows of _constraint_rows are orthonormal, A^T A = I, so the normal
-    equations give w = A^T rhs, at stationary instants too.
+    The rows are orthonormal, A^T A = I, so the normal equations give
+    w = A^T rhs, at stationary instants too; the zero fourth row adds
+    nothing to w, and its residual is |rhs[3]|.
     """
-    omega = tuple(sum(row[k] * r for row, r in zip(rows, rhs)) for k in range(3))
-    residual = np.sqrt(sum((_row_dot(row, omega) - r) ** 2
-                           for row, r in zip(rows, rhs)))
-    return omega, residual
+    omega = np.einsum("rkn,rn->kn", rows[:3], rhs[:3])
+    miss = np.einsum("rkn,kn->rn", rows, omega) - rhs
+    return omega, np.sqrt(np.einsum("rn,rn->n", miss, miss))
 
 
 def _magnus_steps(w1, w2, w3, h):
     """Step quaternions (4, len(h)) of R' = hat(w) R over intervals of
     lengths h, from the rates w1, w2 and w3, each (3, len(h)), at the Gauss
-    nodes 1/2 - sqrt15/10, 1/2 and 1/2 + sqrt15/10 of each interval;
-    _compose turns them into orientations.
+    nodes 1/2 - sqrt15/10, 1/2 and 1/2 + sqrt15/10 of each interval; the
+    one SU(2) step of the oracle (_compose) and the Berry transport.
 
     Each step is the sixth-order three-point Gauss Magnus step (Blanes,
     Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151; Iserles & Norsett, Phil.
@@ -241,20 +233,23 @@ def _magnus_steps(w1, w2, w3, h):
     a1 = h * w2
     a2 = (sqrt(15.0) / 3.0) * h * (w3 - w1)
     a3 = (10.0 / 3.0) * h * (w3 - 2.0 * w2 + w1)
-    c1 = np.array(_cross(a1, a2))
-    c2 = np.array(_cross(a1, 2.0 * a3 + c1)) / -60.0
-    bend = np.array(_cross(-20.0 * a1 - a3 + c1, a2 + c2))
+    c1 = _cross(a1, a2)
+    c2 = _cross(a1, 2.0 * a3 + c1) / -60.0
+    bend = _cross(-20.0 * a1 - a3 + c1, a2 + c2)
     return _rodrigues_steps(a1 + a3 / 12.0 + bend / 240.0)
 
 
-def _magnus_intervals(counts, lead, length, what):
+# the Gauss nodes of an interval, as fractions of its length
+_GAUSS = (0.5 - sqrt(15.0) / 10.0, 0.5, 0.5 + sqrt(15.0) / 10.0)
+
+
+def _magnus_intervals(counts, lead, length, what, at=_GAUSS):
     """counts[i] uniform Magnus intervals on piece i, over a span of length
     length[i] that starts lead[i] after the piece's start; more than
     MAX_PIECE_SAMPLES in all raise TooManySamples before anything is
-    allocated. Returns the integer counts and, per interval, its piece, its
-    start, its length h and its three Gauss nodes, 1/2 -+ sqrt15/10 and 1/2
-    of the way along, the start and the nodes as times since the piece's
-    start."""
+    allocated. Returns the integer counts and, per interval, its piece and
+    its length h, and the times since the piece's start that lie at[k] of
+    the way along each interval, shape (len(at), intervals)."""
     needed = counts.sum()
     if not needed <= MAX_PIECE_SAMPLES:
         raise TooManySamples(f"{what} needs {needed:.0f} intervals, more than "
@@ -264,80 +259,74 @@ def _magnus_intervals(counts, lead, length, what):
     piece = np.repeat(np.arange(counts.size), counts)
     h = (length / counts)[piece]
     local = np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    start = lead[piece] + local * h
-    off = (0.5 - sqrt(15.0) / 10.0) * h
-    return counts, piece, start, h, (start + off, start + 0.5 * h, start + h - off)
+    return counts, piece, h, (lead[piece] + local * h) + np.multiply.outer(at, h)
 
 
 def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrace:
     """Integrate the disc orientation over the whole motion.
 
-    steps counts constraint solves (rate evaluations), three per interval;
-    below 1 or above 3 * MAX_PIECE_SAMPLES it raises ValueError. Each
-    affine piece of path.affine_pieces gets its own uniform grid of a
-    multiple of 4 intervals, proportional to its length (steps / 3
-    intervals per unit time) and at least _MIN_STEPS_PER_SEGMENT, so no
-    interval straddles a knot; the first piece is stretched back to t = 0
-    and the last on to t = 1, which covers schedules that start or end up
-    to TILE_TOL inside [0, 1]. More than MAX_PIECE_SAMPLES intervals in all
+    steps counts rate evaluations, three per interval, per radian of the
+    bound on the body's rotation (see the module docstring); below 1 or
+    above 3 * MAX_PIECE_SAMPLES it raises ValueError. A piece of length L
+    gets max(_MIN_STEPS_PER_SEGMENT, 4 ceil(turn * steps / 12)) intervals,
+    turn = (|beta'| + (a/b + 1) |theta'|) L, so each interval turns the body
+    by at most 3 / steps rad; the first piece is stretched back to t = 0 and
+    the last on to t = 1, which covers schedules that start or end up to
+    TILE_TOL inside [0, 1]. More than MAX_PIECE_SAMPLES intervals in all
     raise TooManySamples before anything is allocated (_magnus_intervals).
-    The rates at the three Gauss nodes of each interval are A^T rhs of the
-    orthonormal constraint rows, and the intervals are stepped by the
-    sixth-order Magnus rule of _magnus_steps, so the scheme is sixth order
-    in the interval length. The orientation is carried as a
-    unit quaternion and the orientations are the prefix products of the
-    steps (a blocked recursive scan with Hillis & Steele passes inside each
-    block, see _scan). Every orientation's drift
-    | |q|^4 - 1 |, which equals max |R^T R - I| of the matrix built from the
-    unnormalized quaternion, is checked (DriftExceeded above DRIFT_TOL =
-    1e-6); nothing is renormalized. The spin history is recovered
-    from the quaternions themselves, not from the solved rates, as the
-    component along the normal of the rate 2 vec(qdot conj(q)), with qdot
-    from sixth-order seven-point differences inside each piece (one-sided
-    at the three nodes next to each end; Fornberg, Math. Comp. 51 (1988)
-    699), and delta_oracle is minus its time integral by composite Boole
-    per piece. For a closed motion the final orientation must be a pure
-    twist about the starting normal by minus the dynamical phase mod 2 pi,
-    within _CLOSURE_TOL = 1e-2 (ClosureMismatch otherwise).
+    The scheme is sixth order in the interval length. Every orientation's
+    drift | |q|^4 - 1 |, which equals max |R^T R - I| of the matrix built
+    from the unnormalized quaternion, is checked (DriftExceeded above
+    DRIFT_TOL = 1e-6); nothing is renormalized. The spin is the component
+    along the normal of the rate 2 vec(qdot conj(q)), with qdot from
+    sixth-order seven-point differences inside each piece (one-sided at
+    the three nodes next to each end; Fornberg, Math. Comp. 51 (1988) 699),
+    and delta_oracle is minus its time integral by composite Boole per
+    piece. For a closed motion the final orientation must be a pure twist
+    about the starting normal by minus the dynamical phase mod 2 pi, within
+    _CLOSURE_TOL = 1e-2 (ClosureMismatch otherwise).
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    # at least steps / 3 intervals follow, more than the interval cap allows;
-    # refusing it here keeps an integer past the float range out of the count
+    # a piece that turns a radian would need more intervals than the cap
+    # allows; refusing it here keeps an integer past the float range out of
+    # the count
     if steps > 3 * MAX_PIECE_SAMPLES:
         raise ValueError(f"steps must be at most 3 * MAX_PIECE_SAMPLES = "
                          f"{3 * MAX_PIECE_SAMPLES}, got {steps}")
-    radii = path.radii
-    t0, _, th0, dth, b0, db = np.array(path.affine_pieces).T
+    ratio = path.radii.a / path.radii.b
+    affine = np.array(path.affine_pieces).T   # rows t0, t1, th0, dth, b0, db
+    t0, _, th0, dth, b0, db = affine
     bounds = np.array(path.knots)
     bounds[0], bounds[-1] = 0.0, 1.0
-    length = np.diff(bounds)
-    counts, piece, _, hk, nodes = _magnus_intervals(
-        np.maximum(4 * np.ceil(length * (steps / 12.0)), _MIN_STEPS_PER_SEGMENT),
+    length = bounds[1:] - bounds[:-1]
+    turn = (np.abs(db) + (ratio + 1.0) * np.abs(dth)) * length
+    counts, piece, hk, nodes = _magnus_intervals(
+        np.maximum(4 * np.ceil(turn * (steps / 12.0)), _MIN_STEPS_PER_SEGMENT),
         bounds[:-1] - t0, length, "the oracle")
     h = length / counts
     n = piece.size
     # instants [0, n) are the first Gauss nodes, [n, 2n) the midpoints and
     # [2n, 3n) the last ones
-    at = np.concatenate([piece, piece, piece])
-    since = np.concatenate(nodes)
+    at = np.concatenate((piece, piece, piece))
+    since = nodes.ravel()
     omega = np.empty((3, 3 * n))
     residual = np.empty(3 * n)
     for lo in range(0, 3 * n, _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, 3 * n))
-        p = at[sl]
+        _, _, th, dth_p, b, db_p = affine[:, at[sl]]   # per instant
         omega[:, sl], residual[sl] = _normal_solve(*_constraint_rows(
-            th0[p] + dth[p] * since[sl], b0[p] + db[p] * since[sl],
-            dth[p], db[p], radii.a / radii.b)[:2])
-    noslip = np.max(residual.reshape(3, n), axis=0)
-    w1, w2, w3 = (omega[:, k * n:(k + 1) * n] for k in range(3))
-    q = _compose(_magnus_steps(w1, w2, w3, hk))
+            th + dth_p * since[sl], b + db_p * since[sl], dth_p, db_p, ratio)[:2])
+    residual = residual.reshape(3, n)
+    noslip = np.maximum(np.maximum(residual[0], residual[1]), residual[2])
+    q = _compose(_pairs(_magnus_steps(*omega.reshape(3, 3, n).swapaxes(0, 1), hk)))
     # orthonormality drift of every orientation: max |R^T R - I| of the
     # matrix _matrices builds from the unnormalized quaternion is | |q|^4 - 1 |
-    norm2 = np.einsum("ij,ij->j", q, q)
+    parts = q.view(float).reshape(2, -1, 2)
+    norm2 = np.einsum("kjc,kjc->j", parts, parts)
     drift = np.abs(norm2 * norm2 - 1.0)
-    worst = int(np.argmax(drift))
-    if drift[worst] > DRIFT_TOL:
+    if drift.max() > DRIFT_TOL:
+        worst = int(np.argmax(drift))
         raise DriftExceeded(
             f"orthonormality drift {drift[worst]:.3e} after {worst} intervals",
             value=float(drift[worst]), tol=DRIFT_TOL)
@@ -348,40 +337,42 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
     node_piece = np.repeat(np.arange(counts.size), counts + 1)
     first = np.cumsum(counts + 1) - (counts + 1)
     last = first + counts
-    j = np.arange(node_piece.size) - first[node_piece]   # node j of its piece
-    t = bounds[node_piece] + j * h[node_piece]
+    index = np.arange(node_piece.size)
+    # per node from here on: its piece's data, spacing, start, first node
+    t0, _, th0, dth, b0, db, h, start, head = np.vstack(
+        (affine, h, bounds[:-1], first))[:, node_piece]
+    j = index - head   # node j of its piece
+    t = start + j * h
     t[last] = bounds[1:]
-    qn = q[:, np.arange(node_piece.size) - node_piece]
+    qn = q[:, index - node_piece]
 
     # spin about the instantaneous normal, recovered from the orientations:
-    # the spatial rate is 2 vec(qdot conj(q)) and the spin its component
-    # along g; vec(dq conj(q)) = q0 vec(dq) - dq0 vec(q) - vec(dq) x vec(q)
+    # the spatial rate is 2 vec(qdot conj(q)), and for pairs (a, b) and
+    # differences (da, db) vec(dq conj(q)) has x = Im(da conj(a) + db conj(b))
+    # and y + i z = db a - da b
     dq = _piecewise_differences(qn, first, last)
-    since = t - t0[node_piece]
-    theta = th0[node_piece] + dth[node_piece] * since
-    beta = b0[node_piece] + db[node_piece] * since
-    g = frame_rows(theta, beta)[2]
-    cross = _cross(dq[1:], qn[1:])
-    rate = [qn[0] * dq[k + 1] - dq[0] * qn[k + 1] - cross[k] for k in range(3)]
-    spin_rates = _row_dot(g, rate) / (30.0 * h[node_piece])
-    boole = np.array([14.0, 32.0, 12.0, 32.0])[j % 4]
+    e1, e2, g = frame_rows(th0 + dth * (t - t0), b0 + db * (t - t0))
+    x = np.einsum("kn,kn->n", dq, qn.conj()).imag
+    yz = dq[1] * qn[0] - dq[0] * qn[1]
+    spin_rates = (g[0] * x + g[1] * yz.real + g[2] * yz.imag) / (30.0 * h)
+    boole = np.array([14.0, 32.0, 12.0, 32.0])[j.astype(int) % 4]
     boole[first] = boole[last] = 7.0
-    delta_oracle = -(2.0 / 45.0) * float(np.dot(boole * h[node_piece],
-                                                spin_rates))
+    delta_oracle = -(2.0 / 45.0) * float(np.dot(boole * h, spin_rates))
 
-    report = topology_report(path)
-    if report.closed:
+    if topology_report(path).closed:
         # After a closed motion the normal and its transported frame return
         # to themselves, so R_N must be a twist about g(0); the twist angle
         # is minus the dynamical part of the spin (mod 2 pi). The geometric
-        # part lives in the frame transport and cancels from the residual.
-        final = _matrices(q[:, -1])
-        _, e2_0, g0 = (np.array(v) for v in frame_rows(th0[0], b0[0]))
-        axis_err = float(np.linalg.norm(final @ g0 - g0))
-        turned = final @ e2_0
-        chi = float(np.arctan2(turned @ np.cross(g0, e2_0), turned @ e2_0))
-        twist_expected = -(radii.a / radii.b) * (path.theta.end_value()
-                                                 - path.theta.start_value())
+        # part lives in the frame transport and cancels from the residual;
+        # in floats: the final matrix, and the frame where the grid starts
+        a, b = q[:, -1].tolist()
+        final = _matrices((a.real, a.imag, b.real, b.imag)).tolist()
+        e1_0, e2_0, g0 = (v.tolist() for v in (e1[:, 0], e2[:, 0], g[:, 0]))
+        axis_err = dist([sum(map(mul, row, g0)) for row in final], g0)
+        turned = [sum(map(mul, row, e2_0)) for row in final]
+        # g0 x e2_0 = -e1_0
+        chi = atan2(-sum(map(mul, turned, e1_0)), sum(map(mul, turned, e2_0)))
+        twist_expected = -ratio * (path.theta.end_value() - path.theta.start_value())
         mismatch = abs(_wrap_angle(chi - twist_expected))
         if axis_err > _CLOSURE_TOL or mismatch > _CLOSURE_TOL:
             raise ClosureMismatch(
@@ -389,15 +380,16 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
                 f"twist angle mismatch {mismatch:.3e}",
                 value=max(axis_err, mismatch), tol=_CLOSURE_TOL)
 
-    return OracleTrace(steps=3 * n, t=t, quaternions=qn,
+    return OracleTrace(steps=3 * n, t=t, quaternions=_quaternions(qn),
                        spin_rates=spin_rates, noslip_residuals=noslip,
                        delta_oracle=delta_oracle)
 
 
-# 60 h f'(x_j) from f at x_{j-3} .. x_{j+3}, and at the three nodes next to
-# a piece's start from f at its first seven nodes (Fornberg, Math. Comp. 51
-# (1988) 699); the end of a piece takes them mirrored, with the sign flipped
-_CENTRAL_WEIGHTS = (-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0)
+# 60 h f'(x_j) = sum over k = 1, 2, 3 of w_k (f(x_{j+k}) - f(x_{j-k})), and
+# at the three nodes next to a piece's start from f at its first seven
+# nodes (Fornberg, Math. Comp. 51 (1988) 699); the end of a piece takes them
+# mirrored, with the sign flipped
+_CENTRAL_WEIGHTS = ((1, 45.0), (2, -9.0), (3, 1.0))
 _END_WEIGHTS = ((-147.0, 360.0, -450.0, 400.0, -225.0, 72.0, -10.0),
                 (-10.0, -77.0, 150.0, -100.0, 50.0, -15.0, 2.0),
                 (2.0, -24.0, -35.0, 80.0, -30.0, 8.0, -1.0))
@@ -409,10 +401,10 @@ def _piecewise_differences(x, first, last):
     (inclusive, at least 7 nodes each): the seven-point central stencil
     inside each piece and the one-sided seven-point stencils of
     _END_WEIGHTS at the three nodes next to each of its ends."""
-    d = np.zeros_like(x)
-    for k, w in enumerate(_CENTRAL_WEIGHTS):
-        if w:
-            d[..., 3:-3] += w * x[..., k:x.shape[-1] - 6 + k]
+    d = np.empty_like(x)
+    inner = x.shape[-1] - 6
+    d[..., 3:-3] = sum(w * (x[..., 3 + k:3 + k + inner] - x[..., 3 - k:3 - k + inner])
+                       for k, w in _CENTRAL_WEIGHTS)
     weights = np.array(_END_WEIGHTS)
     reach = np.arange(7)
     for end, step in ((first, 1), (last, -1)):

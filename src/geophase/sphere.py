@@ -49,17 +49,25 @@ CUSP_ANGLE_TOL = 1e-8
 
 
 def frame_rows(theta, beta):
-    """The orthonormal frame (e1, e2, g) at (theta, beta), each vector a
-    tuple of its three component rows; theta and beta broadcast, and every
-    row has their common shape. The only place the frame is written."""
-    theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                      np.asarray(beta, dtype=float))
+    """The orthonormal frame (e1, e2, g) at (theta, beta) as one array F of
+    shape (3, 3) + S, where S is the common shape theta and beta broadcast
+    to: F[0], F[1] and F[2] are e1, e2 and g, and F[i, k] is the row of
+    component k of vector i. The only place the frame is written."""
+    theta, beta = np.asarray(theta, dtype=float), np.asarray(beta, dtype=float)
+    if theta.shape != beta.shape:
+        theta, beta = np.broadcast_arrays(theta, beta)
     ct, st = np.cos(theta), np.sin(theta)
     cb, sb = np.cos(beta), np.sin(beta)
-    e1 = (-st, ct, np.zeros_like(ct))
-    e2 = (cb * ct, cb * st, sb)
-    g = (sb * ct, sb * st, -cb)
-    return e1, e2, g
+    F = np.empty((3, 3) + ct.shape)
+    np.negative(st, out=F[0, 0, ...])
+    F[0, 1], F[0, 2] = ct, 0.0
+    np.multiply(cb, ct, out=F[1, 0, ...])
+    np.multiply(cb, st, out=F[1, 1, ...])
+    F[1, 2] = sb
+    np.multiply(sb, ct, out=F[2, 0, ...])
+    np.multiply(sb, st, out=F[2, 1, ...])
+    np.negative(cb, out=F[2, 2, ...])
+    return F
 
 
 def gauss_vector(theta, beta) -> np.ndarray:

@@ -113,9 +113,10 @@ def affine_lap(theta, beta):
 
 
 # one latitude lap at tilt 1 and radii 2,1 in three affine pieces, the thirds
-# of [0, 1], as a motion description: at 3,000,000 oracle steps each third
-# gets 4 ceil(250,000 / 3) = 333,336 intervals, 1,000,008 in all, just past
-# MAX_PIECE_SAMPLES
+# of [0, 1], as a motion description: each third turns the body at most
+# (a/b + 1) 2 pi / 3 = 2 pi rad, so at 159,155 oracle steps per radian it
+# gets 4 ceil(2 pi 159,155 / 12) = 333,336 intervals, 1,000,008 in all, just
+# past MAX_PIECE_SAMPLES (159,154 steps give 999,996)
 THREE_PIECE_LAP = {
     "radii": {"a": 2.0, "b": 1.0},
     "segments": [{"t0": k / 3, "t1": (k + 1) / 3,

@@ -50,7 +50,7 @@ def test_compute_all_methods_agree(capsys):
     code, out, _ = run(capsys, "compute", "--example", "vi", "--radii", "1,1",
                        "--methods",
                        "line,baumkuchen,area,curvature,monopole,berry,oracle",
-                       "--steps", "20000", "--samples", "100000",
+                       "--steps", "1000", "--samples", "100000",
                        "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -72,7 +72,7 @@ def test_compute_output_is_deterministic(capsys):
 
 def test_json_report_validates_against_the_shipped_schema(capsys):
     code, out, _ = run(capsys, "compute", "--example", "v",
-                       "--methods", "line,area,oracle", "--steps", "20000",
+                       "--methods", "line,area,oracle", "--steps", "1000",
                        "--format", "json")
     assert code == 0
     jsonschema.validate(json.loads(out), load_report_schema())
@@ -314,6 +314,16 @@ def test_oracle_at_huge_equal_radii_exits_0(capsys):
     doc = json.loads(out, parse_constant=_refuse_constant)
     oracle = doc["delta_g"]["oracle"]["value"]
     assert abs(oracle - doc["delta_g"]["line"]["value"]) <= Tolerances().oracle
+
+
+def test_oracle_at_a_large_radius_ratio_exits_0(capsys):
+    # the oracle's grid follows the body's rotation, which grows with a/b;
+    # on a grid in time this run exited 3 (line vs oracle 9.4e-01)
+    code, out, err = run(capsys, "compute", "--example", "ii", "--radii", "100,1",
+                         "--methods", "line,oracle", "--format", "json")
+    assert code == 0, err
+    routes = json.loads(out)["delta_g"]
+    assert abs(routes["oracle"]["value"] - routes["line"]["value"]) <= 1e-6
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -707,13 +717,14 @@ def test_theta_overflow_mid_lap_exits_2(tmp_path, capsys):
 
 
 def test_an_oracle_grid_past_the_cap_is_recorded_and_exits_0(tmp_path, capsys):
-    # 3000000 steps lie within the argument bounds, but the three-piece
-    # lap's grid needs 1,000,008 intervals: a size cap, not bad input, so
-    # the oracle records TooManySamples and compute exits 0
+    # 159155 steps lie within the argument bounds, but the three-piece
+    # lap's grid needs 1,000,008 intervals (conftest.THREE_PIECE_LAP): a
+    # size cap, not bad input, so the oracle records TooManySamples and
+    # compute exits 0
     target = tmp_path / "motion.json"
     target.write_text(json.dumps(THREE_PIECE_LAP))
     code, out, err = run(capsys, "compute", "--motion", str(target), "--methods",
-                         "line,oracle", "--steps", "3000000", "--format", "json")
+                         "line,oracle", "--steps", "159155", "--format", "json")
     assert code == 0 and err == ""
     doc = json.loads(out, parse_constant=_refuse_constant)
     jsonschema.validate(doc, load_report_schema())

@@ -15,8 +15,8 @@ from geophase import gauge, sphere
 from geophase.errors import (CurveNotClosed, GaugeInconsistency,
                              OnSingularAxis, QuadratureFailure, TooManySamples)
 from geophase.quadrature import adaptive_simpson
-from geophase.sphere import (MAX_PIECE_SAMPLES, clamped_affine_pieces,
-                             frame_vectors)
+from geophase.gauge import AXIS_CLEARANCE
+from geophase.sphere import MAX_PIECE_SAMPLES, clamped_affine_pieces
 from conftest import COIN_RADII, FROZEN, TABLE_RADII, closed_motions, gallery
 from test_acceptance import random_closed_motion
 
@@ -86,12 +86,15 @@ def test_patch_difference_is_an_azimuth_gradient():
 
 
 def test_excluded_axis_raises():
-    with pytest.raises(OnSingularAxis):
+    with pytest.raises(OnSingularAxis) as info:
         monopole_potential(PLUS_PATCH, [0.0, 0.0, -1.0])
-    with pytest.raises(OnSingularAxis):
+    assert (info.value.value, info.value.tol) == (0.0, AXIS_CLEARANCE)
+    with pytest.raises(OnSingularAxis) as info:
         monopole_potential(MINUS_PATCH, [0.0, 0.0, 1.0])
-    with pytest.raises(OnSingularAxis):
+    assert (info.value.value, info.value.tol) == (0.0, AXIS_CLEARANCE)
+    with pytest.raises(OnSingularAxis) as info:
         monopole_potential(PLUS_PATCH, [0.0, 0.0, 0.0])
+    assert (info.value.value, info.value.tol) == (None, None)
 
 
 def test_batched_potential_equals_the_per_point_results():
@@ -107,17 +110,23 @@ def test_batched_potential_equals_the_per_point_results():
 
 
 def test_one_bad_point_fails_the_batch():
+    # the error carries the worst angle from the excluded ray and the
+    # clearance it failed; the origin has no angle
     points = np.random.default_rng(23).normal(size=(10, 3))
     points[6] = [0.0, 0.0, -1.0]
-    with pytest.raises(OnSingularAxis, match="within 0.00e"):
+    with pytest.raises(OnSingularAxis, match="within 0.00e") as info:
         monopole_potential(PLUS_PATCH, points)
+    assert (info.value.value, info.value.tol) == (0.0, AXIS_CLEARANCE)
     monopole_potential(MINUS_PATCH, points)
     points[3] = [3e-10, 0.0, 1.0]
-    with pytest.raises(OnSingularAxis, match="within 3.00e-10 rad of the north"):
+    with pytest.raises(OnSingularAxis, match="within 3.00e-10 rad of the north") as info:
         monopole_potential(MINUS_PATCH, points)
+    assert info.value.value == pytest.approx(3e-10, rel=1e-12)
+    assert info.value.tol == AXIS_CLEARANCE
     points[8] = 0.0
-    with pytest.raises(OnSingularAxis, match="origin"):
+    with pytest.raises(OnSingularAxis, match="origin") as info:
         monopole_potential(MINUS_PATCH, points)
+    assert (info.value.value, info.value.tol) == (None, None)
 
 
 def test_curl_is_the_radial_unit_field():
@@ -239,9 +248,8 @@ def test_gauge_inconsistency_carries_the_transport_miss_and_the_tolerance(
 
 
 def test_a_transport_rate_without_sin_beta_trips_the_miss_check(monkeypatch):
-    def unscaled(theta, beta, dtheta, dbeta):
-        e1, e2, _ = frame_vectors(theta, beta)
-        return (-dbeta[:, None] * e1 + dtheta[:, None] * e2).T
+    def unscaled(e1, e2, dtheta, dbeta):
+        return -dbeta * e1 + dtheta * e2
 
     monkeypatch.setattr(gauge, "_transport_rate", unscaled)
     with pytest.raises(GaugeInconsistency) as info:

@@ -83,14 +83,16 @@ def test_simulation_is_radius_independent_in_the_geometric_part():
 
 
 def test_simulation_convergence_is_sixth_order():
-    # each doubling of the rate evaluations halves the interval length, so
-    # the error falls by 2**6 = 64; measured 61 and 65, band 64 +- 8
+    # iv at radii 2,1 turns at most 3 * 2 pi = 6 pi rad: steps 10, 20 and 40
+    # give 64, 128 and 252 intervals, so the error falls by 2**6 = 64 and
+    # then by (252 / 128)**6 = 58.3; measured 60 and 56, band +- 8
     path = gallery("iv", TABLE_RADII)
     expected = dynamical_phase(path) + geometric_phase_line(path)
-    errors = [abs(simulate_rolling(path, steps=n).delta_oracle - expected)
-              for n in (300, 600, 1200)]
+    traces = [simulate_rolling(path, steps=n) for n in (10, 20, 40)]
+    assert [trace.steps for trace in traces] == [3 * 64, 3 * 128, 3 * 252]
+    errors = [abs(trace.delta_oracle - expected) for trace in traces]
     assert errors[0] / errors[1] == pytest.approx(64.0, abs=8.0)
-    assert errors[1] / errors[2] == pytest.approx(64.0, abs=8.0)
+    assert errors[1] / errors[2] == pytest.approx((252 / 128) ** 6, abs=8.0)
 
 
 @pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
@@ -101,6 +103,27 @@ def test_default_steps_match_the_line_route_on_the_gallery(name, radii):
     assert abs(simulate_rolling(path).delta_oracle - expected) <= 1e-7
 
 
+@pytest.mark.parametrize("name", ["ii", "iv", "vi"])
+def test_default_steps_hold_at_large_radius_ratios(name):
+    # the grid follows the rotation bound, which grows with a/b: at a/b =
+    # 100 the old time grid was off by about 1 (0.94 on ii)
+    for radii in (Radii(100.0, 1.0), Radii(1.0, 100.0)):
+        path = gallery(name, radii)
+        expected = dynamical_phase(path) + geometric_phase_line(path)
+        assert simulate_rolling(path).delta_oracle == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("laps", [1, 5, 20, 50])
+def test_default_steps_hold_over_many_laps(laps):
+    # a latitude lap at tilt 1 and radii 2,1, repeated: the time grid gave
+    # MethodDisagreement at 20 laps and ClosureMismatch at 50
+    path = MotionPath(
+        ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, TWO_PI * laps)]),
+        ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)]), TABLE_RADII)
+    expected = dynamical_phase(path) + geometric_phase_line(path)
+    assert simulate_rolling(path).delta_oracle == pytest.approx(expected, abs=1e-6)
+
+
 def test_final_orientation_is_a_twist_about_the_start_axis(monkeypatch):
     # after a closed motion the only residual freedom is a rotation about
     # the initial tilt axis; the closure check inside simulate_rolling
@@ -108,7 +131,7 @@ def test_final_orientation_is_a_twist_about_the_start_axis(monkeypatch):
     # tight budget is the assertion
     monkeypatch.setattr(rolling, "_CLOSURE_TOL", 1e-4)
     for name, radii in (("iv", TABLE_RADII), ("v", Radii(3.0, 2.0))):
-        simulate_rolling(gallery(name, radii), steps=50_000)
+        simulate_rolling(gallery(name, radii), steps=2_500)
 
 
 def test_unreasonable_drift_budget_trips_the_guard(monkeypatch):
@@ -151,15 +174,16 @@ def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
 
 def test_an_oracle_grid_past_the_cap_is_recorded_before_any_allocation(
         monkeypatch):
-    # 3,000,000 steps pass the argument check, but the three thirds of the
-    # lap ask for 1,000,008 intervals: total_rotation records TooManySamples
-    # for the oracle, and the interval arrays are never allocated
+    # 159,155 steps pass the argument check, but the three thirds of the
+    # lap ask for 1,000,008 intervals (conftest.THREE_PIECE_LAP):
+    # total_rotation records TooManySamples for the oracle, and the interval
+    # arrays are never allocated
     def refuse(*args, **kwargs):
         raise AssertionError("the interval arrays were allocated")
 
     path = build_path(THREE_PIECE_LAP)
     monkeypatch.setattr(np, "repeat", refuse)
-    result = total_rotation(path, ("line", "oracle"), oracle_steps=3_000_000)
+    result = total_rotation(path, ("line", "oracle"), oracle_steps=159_155)
     error = result.errors["oracle"]
     assert isinstance(error, TooManySamples)
     assert error.value == 1_000_008
@@ -231,7 +255,7 @@ def test_open_motions_are_simulated_without_closure_check():
 
 @pytest.mark.parametrize("name", ["iv", "vi"])
 def test_every_orientation_stays_orthonormal(name):
-    trace = simulate_rolling(gallery(name), steps=100_000)
+    trace = simulate_rolling(gallery(name), steps=5_000)
     R = trace.orientations
     gram = np.swapaxes(R, -1, -2) @ R
     assert float(np.max(np.abs(gram - np.eye(3)))) < 1e-9
@@ -240,7 +264,7 @@ def test_every_orientation_stays_orthonormal(name):
 def test_equator_lap_with_equal_radii_returns_to_the_identity():
     # spin -(a/b + cos beta) theta' = -2 pi per unit time about a normal
     # that sweeps once round: the disc ends where it started
-    trace = simulate_rolling(gallery("ii"), steps=100_000)
+    trace = simulate_rolling(gallery("ii"), steps=5_000)
     np.testing.assert_allclose(trace.orientations[-1], np.eye(3), atol=1e-6)
 
 
@@ -312,32 +336,55 @@ def test_rodrigues_steps_match_the_stacked_skew_form():
     np.testing.assert_array_equal(got[0], np.eye(3))
 
 
+def _qmul(p, q):
+    """Hamilton product p q of quaternions given per component (w, x, y, z)."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
+def _sequential_products(S):
+    """Reference: Q[:, 0] = 1 and Q[:, k] = S[:, k-1] ... S[:, 0], by the
+    real Hamilton product one step at a time."""
+    Q = [(1.0, 0.0, 0.0, 0.0)]
+    for step in S.T:
+        Q.append(_qmul(step, Q[-1]))
+    return np.array(Q).T
+
+
 @pytest.mark.parametrize("steps", [
-    0, 1,            # fewer steps than one block holds
-    2, 3,
-    15, 99,          # steps + 1 a perfect square
-    16, 100,         # one above
-    14, 98,          # one below
+    0, 1,            # no product, or the one step alone
+    2, 3,            # one level of pair products, an even and an odd count
+    15, 99,          # odd counts split unevenly at every level
+    16, 100,
+    14, 98,
     1000,
-    31, 32, 33,      # steps + 1 fills 32 elements, or spills over
+    31, 32, 33,      # at a power of 2, and one on either side
     1023, 1024,
     32 ** 2 + 1,
     32 ** 3 + 1,
-    6, 7, 8,         # steps + 1 fills one scan block of 8, or spills over
-    62, 63, 64,      # eight blocks: the carries fill one block, or spill
-    8 ** 3 + 1,      # into a fourth scan level
-    8 ** 4 + 1,      # a fifth scan level
+    6, 7, 8,
+    62, 63, 64,
+    8 ** 3 + 1,
+    8 ** 4 + 1,
 ])
 def test_blocked_prefix_products_match_a_sequential_product(steps):
+    # the log-depth scan on Cayley-Klein pairs against the sequential real
+    # product of the same steps, and against the matrix product of the
+    # independent skew-form steps
     rng = np.random.default_rng(steps)
     omega = rng.normal(0.0, 3.0, (steps, 3))
     dt = rng.uniform(0.0, 1.0, steps)
-    S = _stacked_rodrigues(omega, dt)
-    expected = [np.eye(3)]
-    for step in S:
-        expected.append(step @ expected[-1])
-    got = rolling._compose(rolling._rodrigues_steps(tuple((omega * dt[:, None]).T)))
+    S = rolling._rodrigues_steps(tuple((omega * dt[:, None]).T))
+    got = rolling._quaternions(rolling._compose(rolling._pairs(S)))
     assert got.shape == (4, steps + 1)
+    np.testing.assert_allclose(got, _sequential_products(S), rtol=0.0, atol=1e-12)
+    expected = [np.eye(3)]
+    for step in _stacked_rodrigues(omega, dt):
+        expected.append(step @ expected[-1])
     np.testing.assert_allclose(_as_matrices(got), np.array(expected),
                                rtol=0.0, atol=1e-12)
 
@@ -350,10 +397,27 @@ def _fornberg_weights(offsets):
     return np.linalg.solve(vandermonde, np.eye(offsets.size)[1])
 
 
+def _turn(path, lo, hi):
+    """(|beta'| + (a/b + 1) |theta'|)(hi - lo): the oracle's bound on the
+    body's rotation over [lo, hi], inside one affine piece."""
+    mid = 0.5 * (lo + hi)
+    ratio = path.radii.a / path.radii.b
+    dtheta, dbeta = schedule_at(path.theta, mid)[1], schedule_at(path.beta, mid)[1]
+    return (abs(float(dbeta)) + (ratio + 1.0) * abs(float(dtheta))) * (hi - lo)
+
+
+def _turn_of(path):
+    """The rotation bound of the whole motion, piece by piece."""
+    bounds = np.array(path.knots)
+    bounds[0], bounds[-1] = 0.0, 1.0
+    return sum(_turn(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
 def _whole_array_oracle(path, steps):
     """Reference: the Magnus oracle over whole arrays, piece by piece, with
     the schedule from conftest.schedule_at, the sixth-order three-node
-    Magnus rotation vector from np.cross, seven-point stencil weights solved
+    Magnus rotation vector from np.cross, the orientations by the
+    sequential real Hamilton product, seven-point stencil weights solved
     from Vandermonde systems, Boole's rule written out per piece and the
     spin from the Hamilton product 2 vec(qdot conj(q)). Returns
     (quaternions, no-slip residuals, spin rates, delta_oracle)."""
@@ -362,7 +426,7 @@ def _whole_array_oracle(path, steps):
     grids, spacings = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         m = max(rolling._MIN_STEPS_PER_SEGMENT,
-                4 * math.ceil((hi - lo) * (steps / 12.0)))
+                4 * math.ceil(_turn(path, lo, hi) * steps / 12.0))
         spacings.append((hi - lo) / m)
         grids.append(lo + spacings[-1] * np.arange(m + 1))
         grids[-1][-1] = hi
@@ -386,7 +450,7 @@ def _whole_array_oracle(path, steps):
     c1 = np.cross(a1, a2)
     c2 = -np.cross(a1, 2.0 * a3 + c1) / 60.0
     magnus = a1 + a3 / 12.0 + np.cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    q_unique = rolling._compose(rolling._rodrigues_steps(tuple(magnus.T)))
+    q_unique = _sequential_products(rolling._rodrigues_steps(tuple(magnus.T)))
 
     qs, spins, delta, done = [], [], 0.0, 0
     for g, step in zip(grids, spacings):
@@ -398,7 +462,7 @@ def _whole_array_oracle(path, steps):
             lo = min(max(j - 3, 0), m - 6)
             window = np.arange(lo, lo + 7)
             dq[:, j] = q[:, window] @ _fornberg_weights(window - j) / step
-        rate = rolling._qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
+        rate = _qmul(dq, (q[0], -q[1], -q[2], -q[3]))[1:]
         # the ends of a piece take its own one-sided limits of the schedule
         inside = np.clip(g, g[0] + 0.25 * step, g[-1] - 0.25 * step)
         beta, dbeta = schedule_at(path.beta, inside)
@@ -414,18 +478,21 @@ def _whole_array_oracle(path, steps):
             np.concatenate(spins), delta)
 
 
-@pytest.mark.parametrize("steps,chunk", [
+@pytest.mark.parametrize("evaluations,chunk", [
     (rolling._CHUNK - 1, rolling._CHUNK), (rolling._CHUNK, rolling._CHUNK),
     (rolling._CHUNK + 1, rolling._CHUNK), (100_000, rolling._CHUNK),
     (1000, 1), (1000, 5), (1000, 64),   # many chunks and a short last one
 ])
-def test_chunked_oracle_matches_a_whole_array_reference(steps, chunk,
+def test_chunked_oracle_matches_a_whole_array_reference(evaluations, chunk,
                                                         monkeypatch):
     # sampled schedules whose knots are off the step grid and do not line
-    # up between theta and beta
+    # up between the two schedules; steps count rate evaluations per radian
+    # of the rotation bound, so about `evaluations` of them in all
     monkeypatch.setattr(rolling, "_CHUNK", chunk)
     path = backtracking_sampled_path()
+    steps = round(evaluations / _turn_of(path))
     trace = simulate_rolling(path, steps=steps)
+    assert abs(trace.steps - evaluations) <= 12 * len(path.affine_pieces)
     q, noslip, spin, delta = _whole_array_oracle(path, steps)
     np.testing.assert_allclose(trace.quaternions, q, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(trace.noslip_residuals, noslip,
@@ -442,8 +509,10 @@ def test_a_schedule_starting_just_after_zero_is_covered():
                                       AffineSegment(0.5, 1.0, 3.0, -2.0)])
     beta = ScalarPath.from_segments([ConstantSegment(1e-13, 1.0, 1.0)])
     path = MotionPath(theta, beta, TABLE_RADII)
-    trace = simulate_rolling(path, steps=1000)
-    q, noslip, spin, delta = _whole_array_oracle(path, 1000)
+    # the first piece turns at most (2 + 1) 6 * 0.5 = 9 rad, which gives
+    # 4 ceil(9 * 56 / 12) = 168 intervals
+    trace = simulate_rolling(path, steps=56)
+    q, noslip, spin, delta = _whole_array_oracle(path, 56)
     # the first piece is stretched back to 0: no sliver interval before 1e-13
     assert trace.t[0] == 0.0 and trace.t[1] == 0.5 / 168
     np.testing.assert_allclose(trace.quaternions, q, rtol=0.0, atol=1e-13)
