@@ -280,6 +280,15 @@ class MotionPath:
         return tuple(Piece(t0, t1, *self.theta._at(t0), *self.beta._at(t0))
                      for t0, t1 in zip(ks, ks[1:]))
 
+    @cached_property
+    def topology(self) -> "TopologyReport":
+        """topology_report(self), computed on first read."""
+        th_end = self.theta.end_value()
+        n = int(round(th_end / TWO_PI))
+        closed = (abs(th_end - TWO_PI * n) <= CLOSURE_TOL
+                  and abs(self.beta.end_value() - self.beta.start_value()) <= CLOSURE_TOL)
+        return TopologyReport(n=n, closed=closed)
+
 
 @dataclass(frozen=True)
 class TopologyReport:
@@ -293,13 +302,10 @@ def topology_report(path: MotionPath) -> TopologyReport:
     """Nearest winding integer and whether the motion closes up.
 
     Closure means theta(1) is a whole number of turns and beta returns to its
-    initial value, both within CLOSURE_TOL = 1e-9 radians.
+    initial value, both within CLOSURE_TOL = 1e-9 radians. Cached on the
+    path (MotionPath.topology).
     """
-    th_end = path.theta.end_value()
-    n = int(round(th_end / TWO_PI))
-    closed = (abs(th_end - TWO_PI * n) <= CLOSURE_TOL
-              and abs(path.beta.end_value() - path.beta.start_value()) <= CLOSURE_TOL)
-    return TopologyReport(n=n, closed=closed)
+    return path.topology
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,11 @@ from typing import TYPE_CHECKING
 
 from .errors import CurveNotClosed, GeophaseError, MethodDisagreement
 from .motion import (DEFAULT_EPSILON, TWO_PI, MotionPath, _check_epsilon,
-                     clamped_affine_pieces, topology_report)
+                     topology_report)
 
 if TYPE_CHECKING:
     from .regions import RegionReport
+    from .sphere import RegularizedCurve
 
 # oracle rate evaluations, three per Magnus interval, per radian of the
 # bound on the body's rotation (rolling.simulate_rolling): 4 intervals per
@@ -214,18 +215,21 @@ def _cos_sum(a: float, d: float, n: int) -> float:
 # clamped-curve routes with the eps -> 0 limit handling
 
 
-def eps_limit(path: MotionPath, value: float, eps: float) -> float:
-    """value, a clamped-curve quantity at eps, carried to the eps -> 0 limit.
+def eps_limit(path: MotionPath, curve: RegularizedCurve, value: float) -> float:
+    """value, a quantity of path's clamped curve, carried to the eps -> 0 limit.
 
     The clamp moves the curve by the clipped sliver, the integral of
     (cos beta_raw - cos beta_clamped) theta' dt, which is exact piece by
-    piece: the line sum over the raw pieces minus the one over
-    clamped_affine_pieces(path, eps). It is zero where the tilt stays in
-    [eps, pi - eps]. Every clamped-curve route and the region report go
-    through here.
+    piece: the line sum over the raw pieces minus the one over the curve's
+    moving clamped pieces (a stationary piece adds exactly 0). It is zero
+    where the tilt stays in [eps, pi - eps], and it is computed once per
+    curve and cached there. Every clamped-curve route and the region report
+    go through here.
     """
-    sliver = (_line_sum(path.affine_pieces)
-              - _line_sum(clamped_affine_pieces(path, eps)))
+    sliver = curve._cache.get("sliver")
+    if sliver is None:
+        sliver = curve._cache["sliver"] = (_line_sum(path.affine_pieces)
+                                           - _line_sum(curve.pieces))
     return value + sliver
 
 
@@ -254,7 +258,7 @@ def geometric_phase_area(path: MotionPath, eps: float = DEFAULT_EPSILON) -> floa
     curve = cached_regularize(path, eps)
     i_plus, _ = classify_poles(curve)
     a_plus, _ = region_areas(curve)
-    return eps_limit(path, a_plus - TWO_PI * i_plus, eps)
+    return eps_limit(path, curve, a_plus - TWO_PI * i_plus)
 
 
 def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) -> float:
@@ -273,7 +277,7 @@ def geometric_phase_curvature(path: MotionPath, eps: float = DEFAULT_EPSILON) ->
     i_plus, i_minus = classify_poles(curve)
     circulation = -pi * (i_plus - i_minus) if curve.pieces else 0.0
     value = circulation - curvature_integral(curve) - turning_angle_sum(curve)
-    return eps_limit(path, value, eps)
+    return eps_limit(path, curve, value)
 
 
 def extrapolated_region_report(path: MotionPath,
@@ -285,7 +289,7 @@ def extrapolated_region_report(path: MotionPath,
     closed_topology(path)
     curve = cached_regularize(path, eps)
     i_plus, i_minus = classify_poles(curve)
-    a_plus = eps_limit(path, region_areas(curve)[0], eps)
+    a_plus = eps_limit(path, curve, region_areas(curve)[0])
     return RegionReport(I_plus=i_plus, I_minus=i_minus,
                         A_plus=a_plus, A_minus=4.0 * pi - a_plus)
 

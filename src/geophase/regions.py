@@ -14,8 +14,26 @@ on the sphere and the curve between them, the shorter way round, is longer
 than L = SIMPLE_LENGTH. Points L/2 along two straight strands leaving a
 junction at the angle psi lie L sin(psi/2) apart, so a turn within delta =
 2 asin(tol / L) = 5.0e-7 rad of a full reversal touches, and a stretch
-shorter than L touches nothing. L is not the sampling step. The fans
-read the sampled polygon, whose chords stray from the curve by at most
+shorter than L touches nothing. L is not the sampling step.
+
+A monotone lap needs no search. Let theta turn one way on every clamped
+piece, sweeping S = sum |theta'| (t1 - t0), with K = max |beta'/theta'|.
+The speed sqrt(beta'^2 + sin^2(beta) theta'^2) is at most |theta'| sqrt(1
++ K^2), so points more than L apart along the curve (both ways round if
+it is closed) lie more than reach = L / sqrt(1 + K^2) apart in swept
+azimuth, and their azimuths differ, modulo 2 pi, by more than reach - |S -
+2 pi| on a closed curve or min(reach, 2 pi - S) on an open one, less the
+azimuth the pieces jump at their joins. The clamp keeps sin(beta) >=
+sin(eps), so by d^2 = 4 sin^2(dbeta/2) + 4 sin(b1) sin(b2) sin^2(dtheta/2)
+they lie more than 2 sin(eps) sin(min(reach, pi)/2) apart: when that
+exceeds tol, the curve is simple. Then also sin(eps) / sqrt(1 + K^2) > tol
+/ L; the tangents (sin(beta) theta', beta') at a junction point the same
+way in theta, each at least atan(sin(eps) / K) off the meridian, so no
+junction turns within delta of a reversal either. Every other curve goes
+to the search over pairs of pieces, the general path, to which alone the
+budgets of 128 halvings and 2^14 open pairs apply.
+
+The fans read the sampled polygon, whose chords stray from the curve by at most
 about 4e-5 (_KAPPA_STEP^2 sin(beta) / 8 = 3.8e-5 sin(beta) on latitudes,
 sphere.MAX_SAMPLE_STEP^2 / 8 = 3.2e-5 on meridians): so the polygon can
 cross itself where two strands of the curve pass within about 8e-5, and the
@@ -28,7 +46,7 @@ the two fans agree within 3.6e-15, five orders of magnitude inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, asinh, pi
+from math import asin, asinh, hypot, pi, sin
 
 import numpy as np
 
@@ -68,25 +86,46 @@ def is_simple(curve: RegularizedCurve, tol: float = SIMPLE_TOL) -> bool:
     still below tol has its longer stretch halved and is bounded again, and
     is dropped once all its points lie within L of each other along the
     curve; two points within tol and more than L apart settle the answer.
-    128 halvings or over 2^14 open pairs count as a touch.
+    128 halvings or over 2^14 open pairs count as a touch. A monotone lap
+    that the certificate of the module notes clears skips the search.
     """
     key = ("simple", tol)
     if key in curve._cache:
         return curve._cache[key]
     with np.errstate(all="ignore"):   # a zero-length unit gives 0 / 0
-        simple = not (curve.pieces and (_reverses(curve, tol) or _touches(curve, tol)))
+        simple = (not curve.pieces or _certified(curve, tol)
+                  or not (_reverses(curve, tol) or _touches(curve, tol)))
     curve._cache[key] = simple
     return simple
 
 
+def _certified(curve: RegularizedCurve, tol: float) -> bool:
+    """Whether the monotone-lap certificate (module notes) clears the curve."""
+    t0, t1, th0, dth, _, db = curve._rows.T
+    if not (dth.min() > 0.0 or dth.max() < 0.0):
+        return False
+    turn = dth * (t1 - t0)
+    sweep = float(np.abs(turn).sum())
+    reach = SIMPLE_LENGTH / hypot(1.0, float(np.abs(db / dth).max()))
+    if curve.closed:
+        reach -= abs(sweep - TWO_PI)
+    else:
+        reach = min(reach, TWO_PI - sweep)
+    reach -= float(np.abs(th0[1:] - (th0 + turn)[:-1]).sum())   # the joins
+    eps = curve.epsilon
+    return reach > 0.0 and (2.0 * min(sin(eps), sin(pi - eps))
+                            * sin(0.5 * min(reach, pi)) > tol)
+
+
 def _reverses(curve: RegularizedCurve, tol: float) -> bool:
     """Whether a junction turns within delta of reversing two L/2 legs, on
-    a closed curve longer than 2 L (no two points of a shorter one are L apart)."""
-    if curve.closed and not curve.total_length > 2.0 * SIMPLE_LENGTH:
-        return False
+    a closed curve longer than 2 L (no two points of a shorter one are L
+    apart); the length is read only when some junction nearly reverses."""
     delta, ps = 2.0 * asin(tol / SIMPLE_LENGTH), curve.pieces
     legs = [(ps[k], ps[(k + 1) % len(ps)]) for k, j in enumerate(curve.junctions)
             if pi - abs(j.alpha) < delta]
+    if not legs or curve.closed and not curve.total_length > 2.0 * SIMPLE_LENGTH:
+        return False
     return any(np.all(np.diff(np.interp([[a.t0, b.t0], [a.t1, b.t1]], curve.t, curve.s),
                               axis=0) >= 0.5 * SIMPLE_LENGTH) for a, b in legs)
 
@@ -99,13 +138,10 @@ def _at(rows, unit, t):
 
 def _touches(curve: RegularizedCurve, tol: float) -> bool:
     """The search of is_simple over pairs of units."""
-    from itertools import chain
-    # units, k equal parts of each piece: its row, their (start, end) times;
-    # np.array reads thousands of Piece tuples several times slower
-    rows = np.fromiter(chain.from_iterable(curve.pieces), float, 6 * len(curve.pieces))
-    t0, t1, _, dth = rows.reshape(-1, 6).T[:4]
+    # units, k equal parts of each piece: its row, their (start, end) times
+    t0, t1, _, dth = curve._rows.T[:4]
     k = np.maximum(np.ceil(np.abs(dth * (t1 - t0)) / (pi / 2.0)), 1.0).astype(int)
-    rows = rows.reshape(-1, 6)[np.repeat(np.arange(k.size), k)].T
+    rows = curve._rows[np.repeat(np.arange(k.size), k)].T
     n = rows.shape[1]
     cut = np.arange(n) - np.repeat(np.cumsum(k) - k, k)
     ends = rows[0] + (rows[1] - rows[0]) * np.array([cut, cut + 1]) / np.repeat(k, k)
@@ -128,9 +164,10 @@ def _touches(curve: RegularizedCurve, tol: float) -> bool:
     apart = np.abs(b - a)
     linked = (apart <= 1) | (apart == (n - 1 if curve.closed else -1))
 
-    unit, t, strand = np.array([a, a, b, b]), np.concatenate([ends[:, a], ends[:, b]]), None
+    # the first level reads the unit ends the sweep evaluated
+    unit, side, strand = np.array([a, a, b, b]), np.array([[0], [1], [0], [1]]), None
+    t, th, be = ends[side, unit], th[side, unit], be[side, unit]
     for _ in range(128):
-        th, be = _at(rows, unit, t)
         sin_be = np.sin(be)
         lo, hi = np.minimum(be[::2], be[1::2]), np.maximum(be[::2], be[1::2])
         gap_be = np.maximum(np.maximum(lo[1] - hi[0], lo[0] - hi[1]), 0.0)
@@ -188,6 +225,7 @@ def _touches(curve: RegularizedCurve, tol: float) -> bool:
         below[2 * side + 1, cols], above[2 * side, cols] = mid, mid
         t = np.concatenate([below, above], axis=1)
         unit, strand = np.tile(unit[:, keep], 2), np.tile(strand[keep], 2)
+        th, be = _at(rows, unit, t)
     return True
 
 
@@ -249,8 +287,12 @@ def classify_poles(curve: RegularizedCurve):
         raise CurveNotSimple("pole classification needs a simple curve")
     p = curve.g.T                 # rows x, y, z
     r2 = p[0] * p[0] + p[1] * p[1]
+    gap = np.empty_like(r2)
     for pole_z in (1.0, -1.0):
-        clearance = float(np.sqrt(np.min(r2 + (p[2] - pole_z) ** 2)))
+        np.subtract(p[2], pole_z, out=gap)
+        gap *= gap
+        gap += r2
+        clearance = float(np.sqrt(gap.min()))
         if clearance < min(SIMPLE_TOL, curve.epsilon / 2.0):
             raise PoleOnCurve(f"curve passes within {clearance:.2e} of a pole")
     fan_north, fan_south, half, quarter = _fans(p, r2, curve.arcs)
@@ -288,17 +330,22 @@ def _fans(p, r2, arcs):
     far = r2 / (1.0 + np.abs(p[2]))
     up = np.where(p[2] < 0.0, far, 1.0 + p[2])
     down = np.where(p[2] > 0.0, far, 1.0 - p[2])
-    grids = [np.arange(p.shape[1]), _coarse_grid(arcs, 2), _coarse_grid(arcs, 4)]
-    a = np.concatenate(grids)
-    b = np.concatenate([np.append(g[1:], g[0]) for g in grids])
-    (ax, bx), (ay, by) = p[0][[a, b]], p[1][[a, b]]
+    # the three grids in one index array, each followed by its next sample;
+    # every grid starts at sample 0, where its polygon closes
+    half = _coarse_grid(arcs, 2)
+    n, m = p.shape[1], half.size
+    a = np.concatenate([np.arange(n), half, _coarse_grid(arcs, 4)])
+    b = np.append(a[1:], 0)
+    b[[n - 1, n + m - 1]] = 0
+    ab = np.concatenate([a, b])
+    (ax, bx), (ay, by) = p[:2].take(ab, axis=1).reshape(2, 2, -1)
+    up_a, up_b = up.take(ab).reshape(2, -1)
     num = ax * by - ay * bx
     dot = ax * bx + ay * by
-    north = np.arctan2(num, up[a] * up[b] + dot)
-    n, m = grids[0].size, grids[1].size
+    north = np.arctan2(num, up_a * up_b + dot)
     south = np.arctan2(num[:n], down * down[b[:n]] + dot[:n])
-    return (2.0 * float(np.sum(north[:n])), -2.0 * float(np.sum(south)),
-            2.0 * float(np.sum(north[n:n + m])), 2.0 * float(np.sum(north[n + m:])))
+    return (2.0 * float(north[:n].sum()), -2.0 * float(south.sum()),
+            2.0 * float(north[n:n + m].sum()), 2.0 * float(north[n + m:].sum()))
 
 
 def region_areas(curve: RegularizedCurve):

@@ -267,7 +267,7 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
 
     steps counts rate evaluations, three per interval, per radian of the
     bound on the body's rotation (see the module docstring); below 1 or
-    above 3 * MAX_PIECE_SAMPLES it raises ValueError. A piece of length L
+    past the float range it raises ValueError. A piece of length L
     gets max(_MIN_STEPS_PER_SEGMENT, 4 ceil(turn * steps / 12)) intervals,
     turn = (|beta'| + (a/b + 1) |theta'|) L, so each interval turns the body
     by at most 3 / steps rad; the first piece is stretched back to t = 0 and
@@ -288,12 +288,11 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    # a piece that turns a radian would need more intervals than the cap
-    # allows; refusing it here keeps an integer past the float range out of
-    # the count
-    if steps > 3 * MAX_PIECE_SAMPLES:
-        raise ValueError(f"steps must be at most 3 * MAX_PIECE_SAMPLES = "
-                         f"{3 * MAX_PIECE_SAMPLES}, got {steps}")
+    try:
+        per_turn = steps / 12.0
+    except OverflowError:   # an integer past the float range
+        raise ValueError(f"steps must lie within the float range, got an "
+                         f"integer of {len(str(steps))} digits") from None
     ratio = path.radii.a / path.radii.b
     affine = np.array(path.affine_pieces).T   # rows t0, t1, th0, dth, b0, db
     t0, _, th0, dth, b0, db = affine
@@ -302,7 +301,7 @@ def simulate_rolling(path: MotionPath, steps: int = DEFAULT_STEPS) -> OracleTrac
     length = bounds[1:] - bounds[:-1]
     turn = (np.abs(db) + (ratio + 1.0) * np.abs(dth)) * length
     counts, piece, hk, nodes = _magnus_intervals(
-        np.maximum(4 * np.ceil(turn * (steps / 12.0)), _MIN_STEPS_PER_SEGMENT),
+        np.maximum(4 * np.ceil(turn * per_turn), _MIN_STEPS_PER_SEGMENT),
         bounds[:-1] - t0, length, "the oracle")
     h = length / counts
     n = piece.size

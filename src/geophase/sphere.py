@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 from math import ceil, hypot, pi, sin
 
 import numpy as np
@@ -99,8 +100,10 @@ class RegularizedCurve:
     Treat instances as immutable. Arrays are aligned: sample k has time t[k],
     arc length s[k], position g[k], tangent angle phi[k] and geodesic
     curvature kappa_g[k], exact for the piece the sample lies on (at a
-    junction inside an arc, the incoming piece); phi and kappa_g are
-    computed on first read, since no route reads them. g has shape (n, 3)
+    junction inside an arc, the incoming piece); s, total_length, phi and
+    kappa_g are computed on first read, since no route needs them on every
+    curve (is_simple reads s only when its search goes past its first
+    bounds or a junction nearly reverses). g has shape (n, 3)
     and is the transposed view of a (3, n) buffer of component rows, so
     g.T[0], g.T[1], g.T[2] are contiguous. phi is continuous within each smooth
     arc: it is unwrapped only in the arcs where the raw tangent angle jumps
@@ -114,23 +117,30 @@ class RegularizedCurve:
     epsilon: float
     pieces: tuple
     t: np.ndarray
-    s: np.ndarray
     theta: np.ndarray
     beta_eps: np.ndarray
     g: np.ndarray
     arcs: tuple
     junctions: tuple
-    total_length: float
     closed: bool
     _piece: np.ndarray = field(repr=False)   # index into pieces per sample
+    _rows: np.ndarray = field(repr=False)    # pieces as rows (len(pieces), 6)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return _arc_length(self.g.T, self.arcs)
+
+    @cached_property
+    def total_length(self) -> float:
+        return float(self.s[-1])
 
     @cached_property
     def phi(self) -> np.ndarray:
         # np.unwrap changes nothing in an arc without a step of pi or more
         if not self.pieces:
             return np.zeros_like(self.t)
-        _, _, _, dth, _, db = np.array(self.pieces).T
+        _, _, _, dth, _, db = self._rows.T
         phi = np.arctan2(db[self._piece], np.sin(self.beta_eps) * dth[self._piece])
         jumps = np.abs(np.diff(phi)) >= pi
         for i0, i1 in self.arcs:
@@ -142,7 +152,7 @@ class RegularizedCurve:
     def kappa_g(self) -> np.ndarray:
         if not self.pieces:
             return np.zeros_like(self.t)
-        return _geodesic_curvature(self.pieces, self._piece, self.beta_eps)
+        return _geodesic_curvature(self._rows, self._piece, self.beta_eps)
 
     @property
     def cusps(self) -> tuple:
@@ -157,21 +167,24 @@ class RegularizedCurve:
         return self.t.size
 
 
-def _junction_angle(p_in: Piece, p_out: Piece) -> float:
-    """Signed tangent jump where p_in ends and p_out starts (same point)."""
+def _junction_angle(p_in: Piece, p_out: Piece, path: MotionPath) -> float:
+    """Signed tangent jump where the clamped piece p_in of path ends and
+    p_out starts (same point). An exact reversal, as along a clamp circle,
+    is +-pi as the raw pieces they were cut from turn, theta'_in beta'_out
+    - beta'_in theta'_out (+pi for 0): the raw return strand lies there."""
     _, b_in = p_in.at(p_in.t1)
     u1, v1 = np.sin(b_in) * p_in.dth, p_in.db
     u2, v2 = np.sin(p_out.b0) * p_out.dth, p_out.db
     cross = u1 * v2 - v1 * u2
     dot = u1 * u2 + v1 * v2
-    alpha = float(np.arctan2(cross, dot))
-    if alpha == -pi:   # reversals count as +pi, keeping alpha in (-pi, pi]
-        alpha = pi
-    return alpha
+    if cross == 0.0 and dot < 0.0:
+        db_in, db_out = (path.beta._at(p.t0)[1] for p in (p_in, p_out))
+        return -pi if p_in.dth * db_out - db_in * p_out.dth < 0.0 else pi
+    return float(np.arctan2(cross, dot))
 
 
-def _piece_samples(piece: Piece):
-    """Sample times for one piece, a multiple of 4 equal steps.
+def _piece_steps(piece: Piece) -> int:
+    """The number of equal steps in t of one piece, a multiple of 4.
 
     Adjacent samples subtend at most MAX_SAMPLE_STEP = 1.6e-2, or
     _KAPPA_STEP * sin(beta_min) for a piece that turns in theta: on a
@@ -197,8 +210,7 @@ def _piece_samples(piece: Piece):
             f"piece [{piece.t0!r}, {piece.t1!r}] needs {needed:.0f} samples, "
             f"more than MAX_PIECE_SAMPLES = {MAX_PIECE_SAMPLES}",
             value=needed, tol=MAX_PIECE_SAMPLES)
-    quarter = max(ceil(0.25 * needed), _MIN_PIECE_SAMPLES // 4)
-    return np.linspace(piece.t0, piece.t1, 4 * quarter + 1)
+    return 4 * max(ceil(0.25 * needed), _MIN_PIECE_SAMPLES // 4)
 
 
 def _row_dot(u, v):
@@ -278,115 +290,55 @@ def _curvature_rows(sb, cb, w, v):
     return det, _row_dot(gt, gt)
 
 
-def _geodesic_curvature(moving, piece, beta):
-    """kappa_g at tilts beta of samples on the moving pieces, sample k on
-    moving[piece[k]]: det(g, g_t, g_tt) / |g_t|^3 (do Carmo, Differential
-    Geometry of Curves and Surfaces, 1976, 4-4) from the exact derivatives
-    of each sample's own piece (_curvature_rows). kappa_g does not change
-    under t -> c t, so the rates are divided by the larger of the two
-    first: rates whose squares fall below the float range would give 0 / 0."""
-    _, _, _, dth, _, db = np.array(moving).T
+def _geodesic_curvature(rows, piece, beta):
+    """kappa_g at tilts beta of samples on the moving pieces, given as
+    rows (pieces, 6), sample k on rows[piece[k]]: det(g, g_t, g_tt) /
+    |g_t|^3 (do Carmo, Differential Geometry of Curves and Surfaces, 1976,
+    4-4) from the exact derivatives of each sample's own piece
+    (_curvature_rows). kappa_g does not change under t -> c t, so the rates
+    are divided by the larger of the two first: rates whose squares fall
+    below the float range would give 0 / 0."""
+    _, _, _, dth, _, db = rows.T
     scale = np.maximum(np.abs(dth), np.abs(db))
     det, speed2 = _curvature_rows(np.sin(beta), np.cos(beta),
                                   (dth / scale)[piece], (db / scale)[piece])
     return det / speed2 / np.sqrt(speed2)   # no subnormal |g_t|^3 near a pole
 
 
-def _sample_rows(moving, times):
-    """t, theta, beta, g (3, n) and the piece index of each sample at the
-    sample times of the moving pieces, one piece after another; a junction
-    sample shared by two pieces of one arc is the incoming piece's."""
-    piece = np.repeat(np.arange(len(moving)), [tp.size for tp in times])
-    t0, _, th0, dth, b0, db = np.array(moving).T
-    t = np.concatenate(times)
-    since = t - t0[piece]
-    theta = th0[piece] + dth[piece] * since
-    beta = b0[piece] + db[piece] * since
+def _sample_rows(rows, steps, opens):
+    """t, theta, beta, g (3, n) and the piece index of each sample of the
+    moving pieces, rows (pieces, 6): piece i at np.linspace(t0, t1,
+    steps[i] + 1)'s times, k (t1 - t0) / steps[i] + t0 with the last pinned
+    to t1, less the first unless opens[i] starts an arc (a junction sample
+    shared within an arc is the incoming piece's)."""
+    steps = np.array(steps)
+    counts = steps + opens
+    last = np.cumsum(counts)   # one past each piece's samples
+    piece = np.repeat(np.arange(steps.size), counts)
+    k = np.arange(last[-1]) - np.repeat(last - steps - 1, counts)
+    t0, t1 = rows.T[:2]
+    t = k * ((t1 - t0) / steps)[piece] + t0[piece]
+    t[last - 1] = t1
+    start, _, th0, dth, b0, db = rows.T[:, piece]
+    since = t - start
+    theta = th0 + dth * since
+    beta = b0 + db * since
     g = np.array(frame_rows(theta, beta)[2])
     g /= np.sqrt(_row_dot(g, g))   # re-projection to the sphere
     return t, theta, beta, g, piece
 
 
-def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
-    """Build the sampled pole-avoiding curve of the motion's Gauss vector.
+def _arc_length(G, arcs):
+    """Arc length at each sample of the (3, n) rows G of a sampled curve,
+    from the curve's start; it does not advance from one arc's last sample
+    to the next arc's first.
 
-    The tilt is clamped to [eps, pi-eps]; intervals where the clamped point
-    does not move collapse to a single shared sample. Each smooth piece gets
-    a multiple of 4, at least 16, steps of equal time; adjacent samples
-    subtend at most MAX_SAMPLE_STEP = 1.6e-2 radians, or _KAPPA_STEP *
-    sin(beta_min) on a piece that turns in theta, where the area fans need
-    the finer step near the clamp circles. Meridian pieces (theta' = 0) are
-    great circles and keep MAX_SAMPLE_STEP. Arc length comes from chord
-    sums with a Romberg correction over each run of four chords, sixth
-    order. phi and kappa_g are computed on first read: phi is unwrapped
-    only in the smooth arcs where it jumps by pi or more between samples,
-    and kappa_g is det(g, g', g'') / |g'|^3 from the exact derivatives of
-    each sample's own piece (see _geodesic_curvature), within rounding of
-    the closed form.
-    ``closed`` is topology_report(path).closed, the closure every route
-    gates on, also for the one-point curve of a motion that is stationary
-    after clamping.
-
-    Every per-sample quantity is computed in one pass over the whole curve
-    on component rows: g is built in a (3, n) buffer and stored as its
-    (n, 3) transposed view. Per arc only the running sums of arc length
-    remain.
-
-    Parameters
-    ----------
-    path : MotionPath
-    eps : float
-        Clamp margin, in [MIN_EPSILON, pi/8) = [1e-100, pi/8); below about
-        1e-154 the squared chords of the clamp circle underflow.
-    """
-    all_pieces = clamped_affine_pieces(path, eps)
-    moving = [p for p in all_pieces if p.moving]
-    closed = topology_report(path).closed
-
-    if not moving:
-        # the whole motion is stationary after clamping: a one-point curve
-        p = all_pieces[0]
-        return RegularizedCurve(
-            epsilon=eps, pieces=(), t=np.array([p.t0]), s=np.array([0.0]),
-            theta=np.array([p.th0]), beta_eps=np.array([p.b0]),
-            g=np.array(frame_rows([p.th0], [p.b0])[2]).T,
-            arcs=((0, 1),), junctions=(),
-            total_length=0.0, closed=closed, _piece=np.zeros(1, dtype=int))
-
-    inner_alphas = [_junction_angle(a, b) for a, b in zip(moving, moving[1:])]
-    wrap_alpha = _junction_angle(moving[-1], moving[0]) if closed else None
-
-    # group pieces into smooth arcs, breaking where the tangent jumps
-    groups = [[moving[0]]]
-    for piece, alpha in zip(moving[1:], inner_alphas):
-        if abs(alpha) > CUSP_ANGLE_TOL:
-            groups.append([piece])
-        else:
-            groups[-1].append(piece)
-
-    # sample times; within an arc the junction sample is shared, and every
-    # piece adds a multiple of 4 chords, so each arc has such a number
-    times = []
-    arcs = []
-    n = 0
-    for group in groups:
-        i0 = n
-        for k, piece in enumerate(group):
-            tp = _piece_samples(piece)
-            if k > 0:
-                tp = tp[1:]
-            n += tp.size
-            times.append(tp)
-        arcs.append((i0, n))
-    t, theta, beta, G, piece = _sample_rows(moving, times)
-
-    # chords, Romberg-corrected in quads (4k, ..., 4k + 3) counted from each
-    # arc's start: with S_h the quad's four chords, S_2h its two chords over
-    # every other sample and S_4h its one chord, R(h) = S_h + (S_h - S_2h)/3
-    # and R(2h) = S_2h + (S_2h - S_4h)/3 cancel the h^2 error, and R(h) +
-    # (R(h) - R(2h))/15 the h^4 error too; the quad's chords are scaled to
-    # that sum. The step from one arc's end to the next arc's start is no
-    # chord and goes unused
+    Chords are Romberg-corrected in quads (4k, ..., 4k + 3) counted from
+    each arc's start: with S_h the quad's four chords, S_2h its two chords
+    over every other sample and S_4h its one chord, R(h) = S_h + (S_h -
+    S_2h)/3 and R(2h) = S_2h + (S_2h - S_4h)/3 cancel the h^2 error, and
+    R(h) + (R(h) - R(2h))/15 the h^4 error too; the quad's chords are
+    scaled to that sum. Sixth order."""
     step = np.diff(G)
     ds = np.sqrt(_row_dot(step, step))
     first = _coarse_grid(arcs, 4, ends=False)
@@ -405,14 +357,76 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
     ds[quads] = (c * scale[:, None]).ravel()
 
     # arc length from each arc's own start, and from the curve's start
-    local = np.empty(n)
-    s = np.empty(n)
+    local = np.empty(G.shape[1])
+    s = np.empty(G.shape[1])
     s_off = 0.0
     for i0, i1 in arcs:
         local[i0] = 0.0
         np.cumsum(ds[i0:i1 - 1], out=local[i0 + 1:i1])
         np.add(local[i0:i1], s_off, out=s[i0:i1])
         s_off += float(local[i1 - 1])
+    return s
+
+
+def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCurve:
+    """Build the sampled pole-avoiding curve of the motion's Gauss vector.
+
+    The tilt is clamped to [eps, pi-eps]; intervals where the clamped point
+    does not move collapse to a single shared sample. Each smooth piece gets
+    a multiple of 4, at least 16, steps of equal time; adjacent samples
+    subtend at most MAX_SAMPLE_STEP = 1.6e-2 radians, or _KAPPA_STEP *
+    sin(beta_min) on a piece that turns in theta, where the area fans need
+    the finer step near the clamp circles. Meridian pieces (theta' = 0) are
+    great circles and keep MAX_SAMPLE_STEP. Arc length (s, total_length),
+    phi and kappa_g are computed on first read. Arc length comes from chord
+    sums with a Romberg correction over each run of four chords, sixth
+    order (_arc_length). phi is unwrapped only in the smooth arcs where it
+    jumps by pi or more between samples, and kappa_g is det(g, g', g'') /
+    |g'|^3 from the exact derivatives of each sample's own piece (see
+    _geodesic_curvature), within rounding of the closed form.
+    ``closed`` is topology_report(path).closed, the closure every route
+    gates on, also for the one-point curve of a motion that is stationary
+    after clamping.
+
+    Every sample time and every per-sample quantity is computed in one pass
+    over the whole curve on component rows (_sample_rows): g is built in a
+    (3, n) buffer and stored as its (n, 3) transposed view.
+
+    Parameters
+    ----------
+    path : MotionPath
+    eps : float
+        Clamp margin, in [MIN_EPSILON, pi/8) = [1e-100, pi/8); below about
+        1e-154 the squared chords of the clamp circle underflow.
+    """
+    all_pieces = clamped_affine_pieces(path, eps)
+    moving = [p for p in all_pieces if p.moving]
+    closed = topology_report(path).closed
+    rows = np.fromiter(chain.from_iterable(moving), float,
+                       6 * len(moving)).reshape(-1, 6)
+
+    if not moving:
+        # the whole motion is stationary after clamping: a one-point curve
+        p = all_pieces[0]
+        return RegularizedCurve(
+            epsilon=eps, pieces=(), t=np.array([p.t0]),
+            theta=np.array([p.th0]), beta_eps=np.array([p.b0]),
+            g=np.array(frame_rows([p.th0], [p.b0])[2]).T,
+            arcs=((0, 1),), junctions=(), closed=closed,
+            _piece=np.zeros(1, dtype=int), _rows=rows)
+
+    inner_alphas = [_junction_angle(a, b, path) for a, b in zip(moving, moving[1:])]
+    wrap_alpha = _junction_angle(moving[-1], moving[0], path) if closed else None
+
+    # smooth arcs break where the tangent jumps; within an arc a piece
+    # shares its first sample with the piece before, and every piece adds a
+    # multiple of 4 chords, so each arc has such a number
+    opens = [True] + [abs(alpha) > CUSP_ANGLE_TOL for alpha in inner_alphas]
+    steps = [_piece_steps(p) for p in moving]
+    t, theta, beta, G, piece = _sample_rows(rows, steps, opens)
+    ends = list(accumulate(m + o for m, o in zip(steps, opens)))
+    starts = [e - m - 1 for e, m, o in zip(ends, steps, opens) if o]
+    arcs = tuple(zip(starts, starts[1:] + ends[-1:]))
 
     junctions = [Junction(t=float(p_in.t1), alpha=alpha)
                  for p_in, alpha in zip(moving, inner_alphas)]
@@ -420,10 +434,9 @@ def regularize(path: MotionPath, eps: float = DEFAULT_EPSILON) -> RegularizedCur
         junctions.append(Junction(t=float(moving[-1].t1), alpha=float(wrap_alpha)))
 
     return RegularizedCurve(
-        epsilon=eps, pieces=tuple(moving), t=t, s=s, theta=theta,
-        beta_eps=beta, g=G.T, arcs=tuple(arcs),
-        junctions=tuple(junctions),
-        total_length=float(s_off), closed=closed, _piece=piece)
+        epsilon=eps, pieces=tuple(moving), t=t, theta=theta, beta_eps=beta,
+        g=G.T, arcs=arcs, junctions=tuple(junctions), closed=closed,
+        _piece=piece, _rows=rows)
 
 
 @lru_cache(maxsize=8)

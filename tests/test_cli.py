@@ -483,15 +483,13 @@ def test_foucault_track_with_non_finite_field_exits_2(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv,bound", [
     (("--methods", "line,baumkuchen", "--samples", str(10**24)), "2**53"),
-    (("--methods", "line,oracle", "--steps", str(10**11)), "MAX_PIECE_SAMPLES"),
-    (("--methods", "line,oracle", "--steps", str(10**400)), "MAX_PIECE_SAMPLES"),
+    (("--methods", "line,oracle", "--steps", str(10**400)), "float range"),
 ])
 def test_mesh_and_oracle_sizes_past_their_caps_exit_2(capsys, monkeypatch,
                                                       argv, bound):
-    # past 2**53 the mesh nodes k / N are no longer distinct floats; 10**11
-    # steps would be hundreds of GiB of oracle interval arrays, which start
-    # with np.repeat, so the cap must refuse them before that; 10**400 steps
-    # are past the float range
+    # past 2**53 the mesh nodes k / N are no longer distinct floats; 10**400
+    # steps are past the float range, refused before the oracle's interval
+    # arrays, which start with np.repeat
     def refuse(*args, **kwargs):
         raise AssertionError("the interval arrays were allocated")
 
@@ -731,6 +729,25 @@ def test_an_oracle_grid_past_the_cap_is_recorded_and_exits_0(tmp_path, capsys):
     oracle = doc["delta_g"]["oracle"]
     assert oracle["error"] == "TooManySamples"
     assert "needs 1000008 intervals, more than MAX_PIECE_SAMPLES" in oracle["message"]
+
+
+@pytest.mark.parametrize("steps", [3_000_001, 10**11])
+def test_oracle_steps_past_the_cap_are_recorded_and_exit_0(capsys, monkeypatch,
+                                                           steps):
+    # steps has no ceiling of its own: on example ii the grid needs more
+    # than MAX_PIECE_SAMPLES intervals, a size cap, recorded as
+    # TooManySamples before the interval arrays (np.repeat) are allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interval arrays were allocated")
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    code, out, err = run(capsys, "compute", "--example", "ii", "--methods",
+                         "line,oracle", "--steps", str(steps), "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    jsonschema.validate(doc, load_report_schema())
+    assert doc["input"]["steps"] == steps
+    assert doc["delta_g"]["oracle"]["error"] == "TooManySamples"
 
 
 # sweeps that float spacing still resolves but no sampled curve can follow:

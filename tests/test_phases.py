@@ -219,7 +219,7 @@ def test_area_route_without_extrapolation_shows_the_clamp_bias():
     i_plus, _ = classify_poles(curve)
     at_eps = regions.region_areas(curve)[0] - TWO_PI * i_plus
     assert at_eps == pytest.approx(TWO_PI * math.cos(eps), abs=2e-6)
-    assert phases.eps_limit(path, at_eps, eps) == geometric_phase_area(path)
+    assert phases.eps_limit(path, curve, at_eps) == geometric_phase_area(path)
     assert geometric_phase_area(path) == pytest.approx(TWO_PI, abs=1e-5)
 
 
@@ -389,12 +389,56 @@ def test_total_rotation_asks_for_eps_half_only_where_the_clamp_bites(
         return wrapper
 
     for module, attr in ((sphere, "cached_regularize"),
-                         (phases, "clamped_affine_pieces"),
                          (gauge, "clamped_affine_pieces")):
         monkeypatch.setattr(module, attr, spy(getattr(module, attr)))
     total_rotation(gallery(name),
                    methods=("line", "area", "curvature", "monopole", "berry"))
     assert asked == {DEFAULT_EPSILON}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_the_routes_leave_arc_length_unread(name):
+    # no route reads s or total_length on the gallery or on a pool lap, so
+    # regularize never builds them
+    paths = [gallery(name, radii) for radii in (TABLE_RADII, COIN_RADII)]
+    paths.append(random_closed_motion(np.random.default_rng(20260823)))
+    for path in paths:
+        total_rotation(path, methods=("line", "area", "curvature"))
+        fields = vars(cached_regularize(path, DEFAULT_EPSILON))
+        assert "s" not in fields and "total_length" not in fields
+
+
+def clamp_circle_hairpin(mirror, negate, reverse):
+    """A lap whose tilt rises to 4.2e-12 below the north pole at t = 1/2
+    while theta backs off to -0.7815 and then turns forward: clamped at eps
+    = 4.99e-3 the curve runs back and forth along the clamp circle, whose
+    two clamped pieces meet in an exact reversal. mirror moves it to the
+    south cap, negate flips theta, reverse runs it backwards."""
+    theta = [0.0, -0.7815, TWO_PI]
+    beta = [1.2397, PI - 4.2e-12, 1.2397]
+    if negate:
+        theta = [-x for x in theta]
+    if mirror:
+        beta = [PI - b for b in beta]
+    lap = affine_lap(theta, beta)
+    lap = MotionPath(lap.theta, lap.beta, TABLE_RADII)
+    return reverse_path(lap) if reverse else lap
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_reversal_on_the_clamp_circle_turns_with_the_raw_corner(
+        mirror, negate, reverse):
+    # the junction of the two clamp-circle pieces turns by +-pi, signed as
+    # the raw corner turns; counting every reversal as +pi put curvature
+    # 2 pi off line on half of these
+    path = clamp_circle_hairpin(mirror, negate, reverse)
+    result = total_rotation(path, methods=("line", "area", "curvature",
+                                           "monopole", "berry"), eps=4.99e-3)
+    values = result.delta_g_by_method
+    assert result.errors == {}
+    assert abs(values["curvature"] - values["line"]) <= 1e-9
 
 
 CLAMPED_ROUTES = {"area": geometric_phase_area,
@@ -571,7 +615,7 @@ def _laps_past_the_cap(per_lap):
 
 
 # a latitude lap at tilt 1 repeated past the cap of the sampled curve (its
-# step rule, _piece_samples) and past the cap of the transport intervals
+# step rule, _piece_steps) and past the cap of the transport intervals
 # (berry_holonomy's rule)
 _STEP = min(sphere.MAX_SAMPLE_STEP, sphere._KAPPA_STEP * math.sin(1.0))
 _CAPPED_LAPS = {

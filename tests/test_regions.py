@@ -557,7 +557,8 @@ def test_two_visits_to_a_pole_touch_below_tol(eps, simple):
 @pytest.mark.parametrize("radii", [TABLE_RADII, COIN_RADII])
 def test_gallery_and_random_laps_need_no_halving(radii, monkeypatch):
     # every pair of units is settled by its first bounds, so the chart
-    # distance, computed only for pairs still open, is never needed
+    # distance, computed only for pairs still open, is never needed; the
+    # search is called directly, since the certificate decides most laps
     measured = []
     monkeypatch.setattr(regions, "_closest", lambda *args: measured.append(args))
     rng = np.random.default_rng(20260823)
@@ -565,8 +566,80 @@ def test_gallery_and_random_laps_need_no_halving(radii, monkeypatch):
     paths += [random_closed_motion(rng) for _ in range(8)]
     for path in paths:
         for eps in (EPS, EPS / 2.0):
-            assert is_simple(regularize(path, eps))
+            with np.errstate(all="ignore"):
+                assert not regions._touches(regularize(path, eps), SIMPLE_TOL)
     assert not measured
+
+
+def near_pole(offset):
+    """A tilt offset from a pole, either one."""
+    return st.tuples(offset, st.booleans()).map(lambda x: PI - x[0] if x[1] else x[0])
+
+
+@st.composite
+def monotone_curves(draw):
+    """(path, eps): theta monotone in 1-5 affine pieces, a closed lap or an
+    open arc sweeping 0.05-1.2 laps. Tilt knots anywhere, on a pole, or
+    1e-14-1e-1 from one; a piece may turn 1e-12-1e-6 of the lap only, which
+    makes it steep (|beta'/theta'| up to about 1e12); eps log-uniform in
+    [1e-12, pi/8)."""
+    n = draw(st.integers(1, 5))
+    closed = n > 1 and draw(st.booleans())
+    sweep = 1.0 if closed else draw(st.floats(0.05, 1.2))
+    fracs = [draw(st.one_of(st.floats(0.5, 2.0), st.floats(1e-12, 1e-6)))
+             for _ in range(n)]
+    direction = draw(st.sampled_from([1.0, -1.0])) * TWO_PI * sweep
+    theta = [0.0]
+    for f in fracs[:-1]:
+        theta.append(theta[-1] + direction * f / sum(fracs))
+    theta.append(direction)
+    tilt = st.one_of(st.floats(0.0, PI), st.sampled_from([0.0, PI]),
+                     near_pole(st.floats(-14.0, -1.0).map(lambda x: 10.0 ** x)))
+    beta = [draw(tilt) for _ in range(n + 1)]
+    if closed:
+        beta[-1] = beta[0]
+    eps = 10.0 ** draw(st.floats(-12.0, math.log10(PI / 8.0),
+                                 exclude_max=True))
+    return affine_lap(theta, beta), eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_curves())
+def test_a_certified_curve_has_no_touch_and_no_reversal(drawn):
+    # the certificate's claim, checked against the search it skips. The
+    # search reads arc length only to tell points more than SIMPLE_LENGTH
+    # apart, so the curve is sampled at MAX_SAMPLE_STEP throughout: at
+    # small eps the finer step near the clamp circles would need more than
+    # MAX_PIECE_SAMPLES samples
+    path, eps = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere, "_KAPPA_STEP", math.inf)
+        curve = regularize(path, eps)
+    with np.errstate(all="ignore"):
+        if regions._certified(curve, SIMPLE_TOL):
+            assert not regions._reverses(curve, SIMPLE_TOL)
+            assert not regions._touches(curve, SIMPLE_TOL)
+
+
+def steep_tent(rise):
+    """A lap at beta = 1 with a tent at theta 1: up 0.1 and back down
+    while theta advances by rise each way, so |beta'/theta'| = 0.1 / rise
+    and the tip turns 2 atan(sin(1.1) rise / 0.1) short of a reversal."""
+    return affine_lap([0.0, 1.0, 1.0 + rise, 1.0 + 2.0 * rise, TWO_PI],
+                      [1.0, 1.0, 1.1, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("rise,simple", [(1e-8, False), (1e-3, True)])
+def test_a_steep_tent_is_left_to_the_search(rise, simple):
+    # at |beta'/theta'| = 1e7 the tip turns 1.8e-7 < DELTA from a reversal,
+    # so its strands touch; the certificate's reach, SIMPLE_LENGTH / 1e7,
+    # is too short to clear it, and the search finds the touch. At 1e2 the
+    # certificate clears the lap
+    curve = regularize(steep_tent(rise))
+    turn = PI - max(abs(j.alpha) for j in curve.junctions)
+    assert (turn < DELTA) is not simple
+    assert regions._certified(curve, SIMPLE_TOL) is simple
+    assert is_simple(curve) is simple
 
 
 def _relaid(curve, rows):
@@ -633,8 +706,7 @@ def test_area_error_falls_64_fold_per_halved_step(beta0, monkeypatch):
                      Radii(1.0, 1.0))
     errors = []
     for steps in (32, 64, 128, 256):
-        monkeypatch.setattr(sphere, "_piece_samples",
-                            lambda p, n=steps: np.linspace(p.t0, p.t1, n + 1))
+        monkeypatch.setattr(sphere, "_piece_steps", lambda p, n=steps: n)
         a_plus, _ = region_areas(regularize(lap))
         errors.append(abs(a_plus - TWO_PI * (1.0 + math.cos(beta0))))
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]

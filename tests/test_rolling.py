@@ -159,17 +159,28 @@ def test_too_many_intervals_are_refused_before_any_allocation(monkeypatch):
         raise AssertionError("the interval arrays were allocated")
 
     monkeypatch.setattr(np, "repeat", refuse)
-    with pytest.raises(ValueError, match="MAX_PIECE_SAMPLES"):
+    with pytest.raises(TooManySamples, match="MAX_PIECE_SAMPLES"):
         simulate_rolling(path, steps=10**11)
     # an integer past the float range is refused before any float arithmetic
-    with pytest.raises(ValueError, match="MAX_PIECE_SAMPLES"):
+    with pytest.raises(ValueError, match="float range"):
         simulate_rolling(path, 10**400)
-    # three rate evaluations per interval: one step past three per capped
-    # interval is refused up front
-    steps = 3 * rolling.MAX_PIECE_SAMPLES + 1
-    with pytest.raises(ValueError, match=rf"at most 3 \* MAX_PIECE_SAMPLES "
-                       rf"= {steps - 1}, got {steps}"):
-        simulate_rolling(path, steps=steps)
+    # steps has no ceiling of its own: one step past three per capped
+    # interval is a grid past the cap like any other
+    with pytest.raises(TooManySamples, match="MAX_PIECE_SAMPLES"):
+        simulate_rolling(path, steps=3 * rolling.MAX_PIECE_SAMPLES + 1)
+
+
+def test_a_slow_lap_runs_past_three_million_steps():
+    # theta' = 0.01 at radii 1,1 turns the body by at most 0.02 rad, so
+    # 3,000,001 steps per radian ask for 4 ceil(0.02 * 3000001 / 12) =
+    # 20,004 intervals, far inside the cap
+    path = MotionPath(
+        ScalarPath.from_segments([AffineSegment(0.0, 1.0, 0.0, 0.01)]),
+        ScalarPath.from_segments([ConstantSegment(0.0, 1.0, 1.0)]), Radii(1.0, 1.0))
+    trace = simulate_rolling(path, steps=3 * rolling.MAX_PIECE_SAMPLES + 1)
+    assert trace.steps == 3 * 20_004
+    expected = dynamical_phase(path) + geometric_phase_line(path)
+    assert trace.delta_oracle == pytest.approx(expected, abs=1e-12)
 
 
 def test_an_oracle_grid_past_the_cap_is_recorded_before_any_allocation(
